@@ -6,9 +6,7 @@ the distilled tree, and the quantized tree all report comparable metrics.
 """
 from __future__ import annotations
 
-import csv
 import json
-import os
 import time
 from dataclasses import dataclass
 
@@ -198,32 +196,6 @@ def stratified_split(embeddings: list[FlowEmbedding], test_fraction: float = 0.2
     return train, test
 
 
-def report_to_dict(report: MetricsReport) -> dict:
-    return {
-        "accuracy": report.accuracy,
-        "f1": report.f1,
-        "confusion": [[int(v) for v in row] for row in report.confusion],
-        "inference_time_s": report.inference_time_s,
-        "class_names": list(report.class_names),
-    }
-
-
-def save_report(report: MetricsReport, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(report_to_dict(report), fh, indent=2)
-
-
-def append_report_csv(report: MetricsReport, path: str, row_name: str) -> None:
-    """One aggregation row per predictor: name, accuracy, f1, time."""
-    new = not os.path.exists(path)
-    with open(path, "a", newline="") as fh:
-        writer = csv.writer(fh)
-        if new:
-            writer.writerow(["predictor", "accuracy", "f1", "inference_time_s"])
-        writer.writerow([row_name, repr(report.accuracy), repr(report.f1),
-                         repr(report.inference_time_s)])
-
-
 def model_to_dict(model: ClassifierModel) -> dict:
     return {"class_names": list(model.class_names), "net": nn_core.net_to_dict(model.net)}
 
@@ -231,11 +203,6 @@ def model_to_dict(model: ClassifierModel) -> dict:
 def model_from_dict(doc: dict) -> ClassifierModel:
     return ClassifierModel(net=nn_core.net_from_dict(doc["net"]),
                            class_names=list(doc["class_names"]))
-
-
-def save_model(model: ClassifierModel, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh)
 
 
 def load_model(path: str) -> ClassifierModel:

@@ -324,6 +324,13 @@ def stage_ingest(cfg: dict) -> dict:
     flows = packet_ingest.group_flows(parsed.packets)
     truth = packet_ingest.load_truth_csv(_require(truth_path))
     labeled = packet_ingest.label_flows(flows, truth)
+    classes = sorted({f.label for f in labeled.flows})
+    if len(classes) < 2:
+        kept = "no labelled flow" if not classes else f"flows of one class only ({classes[0]!r})"
+        raise ValueError(
+            f"ingest kept {kept}; a classifier needs two classes "
+            f"(n_packets={len(parsed.packets)}, n_skipped={parsed.n_skipped}, "
+            f"n_dropped={labeled.n_dropped}, classes seen: {classes})")
     packet_ingest.save_flows(labeled.flows, artifact_path(cfg, "flows"))
     return _write_summary(cfg, "ingest", {
         "pcap": pcap_path, "truth_csv": truth_path,
@@ -537,8 +544,8 @@ def stage_quantize(cfg: dict) -> dict:
     qtree = hw_model.quantize_tree(tree, beta, ranges)
     atomic_write_text(artifact_path(cfg, "qtree"),
                       json.dumps(hw_model.qtree_to_dict(qtree)))
-    snap = [abs(q.threshold - t.threshold)
-            for q, t in zip(qtree.tree.nodes, tree.nodes) if not t.is_leaf]
+    snap = [abs(q - t) for q, t, f in zip(qtree.tree.threshold, tree.threshold, tree.feature)
+            if f >= 0]
     return _write_summary(cfg, "quantize", {
         "beta": beta, "n_features_ranged": len(ranges),
         "max_snap_error": max(snap) if snap else 0.0,
@@ -578,9 +585,8 @@ def stage_jshc(cfg: dict) -> dict:
     sweep_path = artifact_path(cfg, "sweep")
     jshc_optimizer.sweep_to_csv(result.sweep_log, sweep_path + ".tmp")
     os.replace(sweep_path + ".tmp", sweep_path)
-    best_tree = tree_distiller.prune(artifacts.base_tree(), result.best_alpha,
-                                     artifacts.path())
-    best_q = hw_model.quantize_tree(best_tree, result.best_beta, artifacts.ranges())
+    best_tree = tree_distiller.prune(tree, result.best_alpha, artifacts.path())
+    best_q = hw_model.quantize_tree(best_tree, result.best_beta, artifacts.quant_ranges)
     atomic_write_text(artifact_path(cfg, "qtree_best"),
                       json.dumps(hw_model.qtree_to_dict(best_q)))
     atomic_write_json(artifact_path(cfg, "jshc"), {

@@ -292,11 +292,6 @@ def rae_from_dict(doc: dict) -> RaeBundle:
     )
 
 
-def save_rae(rae: RaeBundle, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(rae_to_dict(rae), fh)
-
-
 def load_rae(path: str) -> RaeBundle:
     with open(path) as fh:
         return rae_from_dict(json.load(fh))

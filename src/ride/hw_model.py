@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -103,7 +102,7 @@ class QuantizedTree:
     tree: DecisionTree                      # thresholds already snapped
     beta: int
     ranges: dict[int, tuple[float, float]]  # feature -> (lo, hi)
-    level_index: dict[int, int] = field(default_factory=dict)  # node id -> level
+    level: list[int]                        # per node: snapped level, -1 at leaves
 
     @property
     def n_nodes(self) -> int:
@@ -144,10 +143,7 @@ def fit_quantization_ranges(tree: DecisionTree, x: np.ndarray) -> dict[int, tupl
     if x.shape[0] == 0:
         raise ValueError("empty range-fitting batch")
     ranges = {}
-    for node in tree.nodes:
-        if node.is_leaf or node.feature_index in ranges:
-            continue
-        f = node.feature_index
+    for f in dict.fromkeys(f for f in tree.feature if f >= 0):
         lo, hi = float(np.min(x[:, f])), float(np.max(x[:, f]))
         if lo == hi:
             lo, hi = lo - 0.5, hi + 0.5
@@ -158,27 +154,31 @@ def fit_quantization_ranges(tree: DecisionTree, x: np.ndarray) -> dict[int, tupl
 def quantize_tree(tree: DecisionTree, beta: int,
                   ranges: dict[int, tuple[float, float]]) -> QuantizedTree:
     """Snap every split threshold to the nearest of 2^beta uniform levels
-    over its feature's range (midway ties snap up). Topology, features,
-    and leaf classes are untouched."""
+    over its feature's range (midway ties snap up), in one vectorized step
+    over the threshold column. Topology, features and leaf classes are
+    untouched: the quantized tree shares those columns with the input."""
     if beta < 1:
         raise ValueError("beta must be >= 1")
     n_levels = 2 ** beta
-    out = tree_from_dict(tree_to_dict(tree))  # deep structural copy
-    level_index: dict[int, int] = {}
-    for node in out.nodes:
-        if node.is_leaf:
-            continue
-        if node.feature_index not in ranges:
-            raise ValueError(f"no quantization range for feature {node.feature_index}")
-        lo, hi = ranges[node.feature_index]
+    feature = np.asarray(tree.feature)
+    internal = np.flatnonzero(feature >= 0)
+    split_features = feature[internal].tolist()
+    for f in dict.fromkeys(split_features):
+        if f not in ranges:
+            raise ValueError(f"no quantization range for feature {f}")
+        lo, hi = ranges[f]
         if not hi > lo:
-            raise ValueError(f"bad range for feature {node.feature_index}: ({lo}, {hi})")
-        step = (hi - lo) / (n_levels - 1)
-        j = int(math.floor((node.threshold - lo) / step + 0.5))
-        j = min(max(j, 0), n_levels - 1)
-        node.threshold = float(lo + j * step)
-        level_index[node.node_id] = j
-    return QuantizedTree(tree=out, beta=beta, ranges=dict(ranges), level_index=level_index)
+            raise ValueError(f"bad range for feature {f}: ({lo}, {hi})")
+    lo = np.array([ranges[f][0] for f in split_features], dtype=np.float64)
+    hi = np.array([ranges[f][1] for f in split_features], dtype=np.float64)
+    step = (hi - lo) / (n_levels - 1)
+    threshold = np.array(tree.threshold, dtype=np.float64)
+    j = np.clip(np.floor((threshold[internal] - lo) / step + 0.5), 0, n_levels - 1)
+    threshold[internal] = lo + j * step
+    level = np.full(feature.shape[0], -1, dtype=np.int64)
+    level[internal] = j
+    return QuantizedTree(tree=replace(tree, threshold=threshold.tolist()),
+                         beta=beta, ranges=dict(ranges), level=level.tolist())
 
 
 def cost_estimate(qtree: QuantizedTree, calib: CostCalibration) -> HardwareCost:
@@ -230,7 +230,7 @@ def qtree_to_dict(qtree: QuantizedTree) -> dict:
     return {
         "beta": qtree.beta,
         "ranges": {str(f): [lo, hi] for f, (lo, hi) in sorted(qtree.ranges.items())},
-        "level_index": {str(nid): j for nid, j in sorted(qtree.level_index.items())},
+        "level": list(qtree.level),
         "tree": tree_to_dict(qtree.tree),
     }
 
@@ -240,13 +240,8 @@ def qtree_from_dict(doc: dict) -> QuantizedTree:
         tree=tree_from_dict(doc["tree"]),
         beta=doc["beta"],
         ranges={int(f): (float(v[0]), float(v[1])) for f, v in doc["ranges"].items()},
-        level_index={int(nid): int(j) for nid, j in doc["level_index"].items()},
+        level=[int(j) for j in doc["level"]],
     )
-
-
-def save_qtree(qtree: QuantizedTree, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(qtree_to_dict(qtree), fh)
 
 
 def load_qtree(path: str) -> QuantizedTree:

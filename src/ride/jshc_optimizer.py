@@ -86,44 +86,22 @@ class JshcResult:
 
 @dataclass
 class JshcArtifacts:
-    """Everything an (alpha, beta) evaluation needs, with lazy caching of
-    the base tree, its pruning path, and quantization ranges.
-
-    A tree or ranges passed in are used as given. Otherwise the base tree
-    is grown from train_x/train_y, and the ranges are fitted on train_x.
-    """
+    """Everything an (alpha, beta) evaluation needs: the distilled tree,
+    its quantization ranges and the scored split, with lazy caching of the
+    pruning path and of every evaluated cell."""
     eval_x: np.ndarray
     eval_y: np.ndarray           # ground-truth labels for scoring
     class_names: list[str]
     calib: CostCalibration
-    train_x: np.ndarray | None = None   # distillation inputs
-    train_y: np.ndarray | None = None   # teacher-assigned labels
-    max_depth: int | None = None
-    min_samples_leaf: int = 1
-    criterion: str = "gini"
-    tree: DecisionTree | None = field(default=None, repr=False)
-    quant_ranges: dict | None = field(default=None, repr=False)
+    tree: DecisionTree = field(repr=False)
+    quant_ranges: dict = field(repr=False)
     _path: PruningPath | None = field(default=None, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
 
-    def base_tree(self) -> DecisionTree:
-        if self.tree is None:
-            self.tree = tree_distiller.cart_train(
-                self.train_x, self.train_y, max_depth=self.max_depth,
-                min_samples_leaf=self.min_samples_leaf, criterion=self.criterion,
-                class_names=self.class_names)
-        return self.tree
-
     def path(self) -> PruningPath:
         if self._path is None:
-            self._path = tree_distiller.pruning_path(self.base_tree())
+            self._path = tree_distiller.pruning_path(self.tree)
         return self._path
-
-    def ranges(self) -> dict:
-        if self.quant_ranges is None:
-            self.quant_ranges = hw_model.fit_quantization_ranges(self.base_tree(),
-                                                                 self.train_x)
-        return self.quant_ranges
 
 
 def artifacts_from_embeddings(teacher: ClassifierModel,
@@ -131,20 +109,23 @@ def artifacts_from_embeddings(teacher: ClassifierModel,
                               eval_embeddings: list[FlowEmbedding],
                               calib: CostCalibration | None = None,
                               **tree_params) -> JshcArtifacts:
-    """Teacher-label the training side; score against eval ground truth.
+    """Grow the tree on teacher labels of the training side, fit its
+    quantization ranges there, and score against eval ground truth.
 
-    tree_params are further JshcArtifacts fields, such as the CART
-    settings or an already distilled tree.
+    tree_params are passed to cart_train (max_depth, min_samples_leaf,
+    criterion).
     """
     train = generate_teacher_dataset(teacher, train_embeddings)
     eval_ds = generate_teacher_dataset(teacher, eval_embeddings)
     if np.any(eval_ds.y_true < 0):
         raise ValueError("eval embeddings must carry labels known to the teacher")
-    return JshcArtifacts(train_x=train.x, train_y=train.y_teacher,
-                         eval_x=eval_ds.x, eval_y=eval_ds.y_true,
+    tree = tree_distiller.cart_train(train.x, train.y_teacher,
+                                     class_names=train.class_names, **tree_params)
+    return JshcArtifacts(eval_x=eval_ds.x, eval_y=eval_ds.y_true,
                          class_names=list(teacher.class_names),
                          calib=calib or hw_model.default_calibration(),
-                         **tree_params)
+                         tree=tree,
+                         quant_ranges=hw_model.fit_quantization_ranges(tree, train.x))
 
 
 def default_alpha_set(artifacts: JshcArtifacts) -> list[float]:
@@ -163,8 +144,8 @@ def evaluate_config(alpha: float, beta: int, artifacts: JshcArtifacts,
         raise ValueError("need alpha >= 0 and beta >= 1")
     key = (float(alpha), int(beta))
     if key not in artifacts._cache:
-        tree = tree_distiller.prune(artifacts.base_tree(), alpha, artifacts.path())
-        qtree = hw_model.quantize_tree(tree, beta, artifacts.ranges())
+        tree = tree_distiller.prune(artifacts.tree, alpha, artifacts.path())
+        qtree = hw_model.quantize_tree(tree, beta, artifacts.quant_ranges)
         y_pred = tree_distiller.tree_predict_batch(qtree.tree, artifacts.eval_x)
         accuracy, f1, _ = metrics_from_predictions(artifacts.eval_y, y_pred,
                                                    len(artifacts.class_names))

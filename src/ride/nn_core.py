@@ -6,7 +6,6 @@ be checked against central finite differences.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -358,13 +357,3 @@ def net_from_dict(doc: dict) -> DenseNet:
     if net.input_dim != doc["input_dim"] or net.output_dim != doc["output_dim"]:
         raise ValueError("model dims in header disagree with weight shapes")
     return net
-
-
-def save_net(net: DenseNet, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(net_to_dict(net), fh)
-
-
-def load_net(path: str) -> DenseNet:
-    with open(path) as fh:
-        return net_from_dict(json.load(fh))

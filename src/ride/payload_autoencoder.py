@@ -151,11 +151,6 @@ def bundle_from_dict(doc: dict) -> AutoencoderBundle:
     )
 
 
-def save_bundle(bundle: AutoencoderBundle, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(bundle_to_dict(bundle), fh)
-
-
 def load_bundle(path: str) -> AutoencoderBundle:
     with open(path) as fh:
         return bundle_from_dict(json.load(fh))

@@ -26,52 +26,60 @@ ALPHA_REL_TOL = 1e-12
 _SPLIT_BLOCK = 1 << 18
 
 
-@dataclass(slots=True)
-class TreeNode:
-    node_id: int
-    class_counts: np.ndarray          # (k,) training samples routed here
-    predicted_class: int = 0          # argmax counts, ties -> lowest id
-    feature_index: int = -1           # -1 marks a leaf
-    threshold: float = 0.0
-    left: int = -1
-    right: int = -1
-    r_node: float = 0.0               # R(t) = (n_t/N) * impurity(t)
-    r_subtree: float = 0.0            # R(T_t) over the branch's leaves
-    n_leaves: int = 1                 # |leaves(T_t)|
-    depth: int = 0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature_index < 0
-
-
 @dataclass
 class DecisionTree:
-    nodes: list[TreeNode]
-    k: int
+    """A tree as one preorder table of node columns, the layout of
+    scikit-learn's Tree. Node 0 is the root, the left child of an internal
+    node i is i + 1 and its right child follows the left subtree. A leaf
+    has feature -1, threshold 0.0 and children -1.
+
+    The scalar columns are Python lists: the per-sample walk indexes a
+    list several times faster than a numpy array, and batch code takes
+    np.asarray of them per call. Trees are not modified in place, so
+    derived trees share the columns they do not change.
+    """
+    feature: list[int]
+    threshold: list[float]
+    left: list[int]
+    right: list[int]
+    depth: list[int]              # edges from the root
+    r_node: list[float]           # R(t) = (n_t/N) * impurity(t)
+    predicted_class: list[int]    # argmax counts, ties -> lowest id
+    counts: np.ndarray            # (n_nodes, k) training samples routed here
     class_names: list[str]
     criterion: str = "gini"
-    root_id: int = 0
 
     def __post_init__(self):
-        if len(self.class_names) != self.k:
-            raise ValueError("class_names length must equal k")
+        n = len(self.feature)
+        if (n == 0 or any(len(getattr(self, c)) != n for c in _COLUMNS)
+                or self.counts.shape != (n, self.k)):
+            raise ValueError(f"a tree needs non-empty node columns of one length and "
+                             f"counts of shape (n_nodes, k) = ({n}, {self.k}), "
+                             f"got {self.counts.shape}")
+
+    @property
+    def k(self) -> int:
+        return len(self.class_names)
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.feature)
 
     @property
     def n_leaves(self) -> int:
-        return sum(1 for n in self.nodes if n.is_leaf)
+        return self.feature.count(-1)
 
     @property
     def max_depth(self) -> int:
         """Longest root-to-leaf path, counted in edges."""
-        return max(n.depth for n in self.nodes)
+        return max(self.depth)
 
     def predict_label(self, values: np.ndarray) -> str:
         return self.class_names[tree_predict(self, values)]
+
+
+# DecisionTree's list columns, in field order
+_COLUMNS = ("feature", "threshold", "left", "right", "depth", "r_node", "predicted_class")
 
 
 @dataclass
@@ -145,7 +153,9 @@ def _sorted_split(xt: np.ndarray, order: np.ndarray, y: np.ndarray, k: int,
     Features are scanned in blocks of whole rows, which bounds the
     temporaries to about _SPLIT_BLOCK elements each. Returns
     (gain, feature, threshold) or None. Ties resolve to the lowest feature
-    index, then the lowest threshold."""
+    index, then the lowest threshold. The threshold is the midpoint of the
+    two values a cut falls between, or the lower value where the midpoint
+    does not lie below the upper one."""
     d, n = order.shape
     nl = np.arange(1, n, dtype=np.float64)  # samples left of a cut after index i
     nr = n - nl
@@ -185,7 +195,11 @@ def _sorted_split(xt: np.ndarray, order: np.ndarray, y: np.ndarray, k: int,
         g = gains[np.arange(j.shape[0]), j]
         for f in np.flatnonzero(g > GAIN_TOL):
             if best is None or g[f] > best[0] + GAIN_TOL:
-                thr = float((v[f, j[f]] + v[f, j[f] + 1]) / 2.0)
+                lo, hi = v[f, j[f]], v[f, j[f] + 1]
+                thr = (lo + hi) / 2.0
+                # between adjacent floats the midpoint can round up to hi
+                # (or overflow), which would send every sample left
+                thr = float(thr if thr < hi else lo)
                 best = (float(g[f]), f0 + int(f), thr)
     return best
 
@@ -220,7 +234,8 @@ def cart_train(x: np.ndarray, y: np.ndarray, max_depth: int | None = None,
     n_total, d = x.shape
     xt = np.ascontiguousarray(x.T)
 
-    nodes: list[TreeNode] = []
+    rows: list[list] = []  # one row of _COLUMNS per node, in preorder
+    node_counts: list[np.ndarray] = []
 
     # order holds a node's rows once per feature, sorted by that feature's
     # value; a split filters each row, which keeps the children sorted, so
@@ -232,12 +247,11 @@ def cart_train(x: np.ndarray, y: np.ndarray, max_depth: int | None = None,
     def build(order: np.ndarray, depth: int) -> int:
         m = order.shape[1]
         counts = np.bincount(y[order[0]], minlength=k).astype(np.float64)
-        node_id = len(nodes)
+        node_id = len(rows)
         imp = impurity(counts)
-        node = TreeNode(node_id=node_id, class_counts=counts,
-                        predicted_class=int(np.argmax(counts)),
-                        r_node=(m / n_total) * imp, depth=depth)
-        nodes.append(node)
+        row = [-1, 0.0, -1, -1, depth, (m / n_total) * imp, int(np.argmax(counts))]
+        rows.append(row)
+        node_counts.append(counts)
         can_split = (imp > 0.0 and m >= 2 * min_samples_leaf
                      and (max_depth is None or depth < max_depth))
         if can_split:
@@ -247,55 +261,29 @@ def cart_train(x: np.ndarray, y: np.ndarray, max_depth: int | None = None,
                 go_left = (xt[f] <= thr)[order]
                 children = [order[go_left].reshape(d, -1), order[~go_left].reshape(d, -1)]
                 del order, go_left
-                node.feature_index = f
-                node.threshold = thr
-                node.left = build(children.pop(0), depth + 1)
-                node.right = build(children.pop(0), depth + 1)
+                row[0], row[1] = f, thr
+                row[2] = build(children.pop(0), depth + 1)
+                row[3] = build(children.pop(0), depth + 1)
         return node_id
 
     build(np.argsort(xt, axis=1), 0)
-    tree = DecisionTree(nodes=nodes, k=k, class_names=list(names), criterion=criterion)
-    _annotate(tree)
-    return tree
+    return DecisionTree(**{c: list(v) for c, v in zip(_COLUMNS, zip(*rows))},
+                        counts=np.array(node_counts), class_names=list(names),
+                        criterion=criterion)
 
 
-def _annotate(tree: DecisionTree) -> None:
-    """Fill r_subtree / n_leaves bottom-up (nodes are in preorder, so a
-    reverse pass sees children before parents)."""
-    for node in reversed(tree.nodes):
-        if node.is_leaf:
-            node.r_subtree = node.r_node
-            node.n_leaves = 1
-        else:
-            l, r = tree.nodes[node.left], tree.nodes[node.right]
-            node.r_subtree = l.r_subtree + r.r_subtree
-            node.n_leaves = l.n_leaves + r.n_leaves
-
-
-def _compact_copy(tree: DecisionTree, drop_to_leaf: set[int]) -> DecisionTree:
-    """Rebuild with the given nodes collapsed to leaves; ids re-assigned
-    in preorder and bookkeeping recomputed."""
-    new_nodes: list[TreeNode] = []
-
-    def walk(old_id: int, depth: int) -> int:
-        old = tree.nodes[old_id]
-        nid = len(new_nodes)
-        node = TreeNode(node_id=nid, class_counts=old.class_counts.copy(),
-                        predicted_class=old.predicted_class,
-                        r_node=old.r_node, depth=depth)
-        new_nodes.append(node)
-        if not old.is_leaf and old_id not in drop_to_leaf:
-            node.feature_index = old.feature_index
-            node.threshold = old.threshold
-            node.left = walk(old.left, depth + 1)
-            node.right = walk(old.right, depth + 1)
-        return nid
-
-    walk(tree.root_id, 0)
-    out = DecisionTree(nodes=new_nodes, k=tree.k, class_names=list(tree.class_names),
-                       criterion=tree.criterion)
-    _annotate(out)
-    return out
+def _subtree_sums(feature: np.ndarray, left: np.ndarray, right: np.ndarray,
+                  depth: np.ndarray, r_node: np.ndarray):
+    """R(T_t) and |leaves(T_t)| of every node t, one depth level at a time
+    from the deepest, each summed children-first as R(left) + R(right)."""
+    r_subtree = r_node.copy()
+    n_leaves = np.ones(feature.shape[0], dtype=np.int64)
+    internal = feature >= 0
+    for level in range(int(depth.max()) - 1, -1, -1):
+        i = np.flatnonzero(internal & (depth == level))
+        r_subtree[i] = r_subtree[left[i]] + r_subtree[right[i]]
+        n_leaves[i] = n_leaves[left[i]] + n_leaves[right[i]]
+    return r_subtree, n_leaves
 
 
 def pruning_path(tree: DecisionTree) -> PruningPath:
@@ -303,19 +291,37 @@ def pruning_path(tree: DecisionTree) -> PruningPath:
 
     Every minimizer of alpha_eff collapses simultaneously (ties within
     relative tolerance; the recorded alpha is their minimum), which makes
-    alpha strictly increasing and node counts strictly decreasing.
+    alpha strictly increasing and node counts strictly decreasing. A
+    collapse drops the node's preorder span of descendants from the table
+    and renumbers the kept nodes by a cumulative sum of the keep mask.
     """
-    current = _compact_copy(tree, set())
+    current = tree
     entries = [PathEntry(alpha_eff=0.0, n_nodes=current.n_nodes, tree=current)]
     while current.n_nodes > 1:
-        alphas = {}
-        for node in current.nodes:
-            if not node.is_leaf:
-                alphas[node.node_id] = (node.r_node - node.r_subtree) / (node.n_leaves - 1)
-        a_min = min(alphas.values())
+        col = {c: np.array(getattr(current, c)) for c in _COLUMNS}  # copies, edited below
+        r_subtree, n_leaves = _subtree_sums(col["feature"], col["left"], col["right"],
+                                            col["depth"], col["r_node"])
+        internal = np.flatnonzero(col["feature"] >= 0)
+        alphas = ((col["r_node"][internal] - r_subtree[internal])
+                  / (n_leaves[internal] - 1))
+        a_min = float(alphas.min())
         tol = ALPHA_REL_TOL * max(1.0, abs(a_min))
-        weakest = {nid for nid, a in alphas.items() if a <= a_min + tol}
-        current = _compact_copy(current, weakest)
+        weakest = internal[alphas <= a_min + tol]
+
+        keep = np.ones(current.n_nodes, dtype=bool)
+        for i in weakest:
+            # a binary subtree with L leaves spans 2L - 1 preorder slots
+            keep[i + 1:i + 2 * n_leaves[i] - 1] = False
+        new_id = np.cumsum(keep) - 1
+        col["feature"][weakest] = -1
+        leaf = col["feature"] < 0
+        col["threshold"][leaf] = 0.0
+        col["left"] = np.where(leaf, -1, new_id[col["left"]])
+        col["right"] = np.where(leaf, -1, new_id[col["right"]])
+        current = DecisionTree(**{c: v[keep].tolist() for c, v in col.items()},
+                               counts=current.counts[keep],
+                               class_names=current.class_names,
+                               criterion=current.criterion)
         if a_min <= entries[-1].alpha_eff + tol:
             # keep alphas strictly increasing: fold into the previous step
             entries[-1] = PathEntry(alpha_eff=entries[-1].alpha_eff,
@@ -340,18 +346,32 @@ def prune(tree: DecisionTree, alpha: float, path: PruningPath | None = None) -> 
 
 
 def tree_predict(tree: DecisionTree, values) -> int:
-    """Route to a leaf; values at the threshold go left."""
-    nodes = tree.nodes
-    node = nodes[tree.root_id]
-    while node.feature_index >= 0:
-        node = nodes[node.left if values[node.feature_index] <= node.threshold
-                     else node.right]
-    return node.predicted_class
+    """Route to a leaf; values at the threshold go left, NaN goes right."""
+    feature, threshold, left, right = tree.feature, tree.threshold, tree.left, tree.right
+    i = 0
+    f = feature[0]
+    while f >= 0:
+        i = left[i] if values[f] <= threshold[i] else right[i]
+        f = feature[i]
+    return tree.predicted_class[i]
 
 
 def tree_predict_batch(tree: DecisionTree, x: np.ndarray) -> np.ndarray:
+    """tree_predict on every row: the rows not yet at a leaf step down one
+    level per pass."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    return np.array([tree_predict(tree, row) for row in x], dtype=np.int64)
+    n = tree.n_nodes
+    feature, left, right = (np.fromiter(c, np.intp, n)
+                            for c in (tree.feature, tree.left, tree.right))
+    threshold = np.fromiter(tree.threshold, np.float64, n)
+    node = np.zeros(x.shape[0], dtype=np.intp)
+    rows = np.arange(x.shape[0]) if feature[0] >= 0 else node[:0]
+    while rows.size:
+        at = node[rows]
+        step = np.where(x[rows, feature[at]] <= threshold[at], left[at], right[at])
+        node[rows] = step
+        rows = rows[feature[step] >= 0]
+    return np.fromiter(tree.predicted_class, np.int64, n)[node]
 
 
 def fidelity(tree: DecisionTree, teacher: ClassifierModel,
@@ -364,48 +384,22 @@ def fidelity(tree: DecisionTree, teacher: ClassifierModel,
 
 def tree_to_dict(tree: DecisionTree) -> dict:
     return {
-        "k": tree.k,
         "class_names": list(tree.class_names),
         "criterion": tree.criterion,
-        "root_id": tree.root_id,
-        "nodes": [
-            {
-                "id": n.node_id,
-                "class_counts": [float(c) for c in n.class_counts],
-                "predicted_class": n.predicted_class,
-                "feature_index": n.feature_index,
-                "threshold": n.threshold,
-                "left": n.left,
-                "right": n.right,
-                "r_node": n.r_node,
-                "r_subtree": n.r_subtree,
-                "n_leaves": n.n_leaves,
-                "depth": n.depth,
-            }
-            for n in tree.nodes
-        ],
+        **{c: list(getattr(tree, c)) for c in _COLUMNS},
+        "counts": tree.counts.tolist(),
     }
 
 
 def tree_from_dict(doc: dict) -> DecisionTree:
-    nodes = [
-        TreeNode(node_id=nd["id"],
-                 class_counts=np.array(nd["class_counts"], dtype=np.float64),
-                 predicted_class=nd["predicted_class"],
-                 feature_index=nd["feature_index"],
-                 threshold=nd["threshold"],
-                 left=nd["left"], right=nd["right"],
-                 r_node=nd["r_node"], r_subtree=nd["r_subtree"],
-                 n_leaves=nd["n_leaves"], depth=nd["depth"])
-        for nd in doc["nodes"]
-    ]
-    return DecisionTree(nodes=nodes, k=doc["k"], class_names=list(doc["class_names"]),
-                        criterion=doc["criterion"], root_id=doc["root_id"])
-
-
-def save_tree(tree: DecisionTree, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(tree_to_dict(tree), fh)
+    missing = [c for c in _COLUMNS + ("counts",) if c not in doc]
+    if missing:
+        raise ValueError(f"tree document lacks node columns {missing}; a tree "
+                         f"written in the older per-node layout must be regenerated")
+    return DecisionTree(**{c: list(doc[c]) for c in _COLUMNS},
+                        counts=np.array(doc["counts"], dtype=np.float64),
+                        class_names=list(doc["class_names"]),
+                        criterion=doc["criterion"])
 
 
 def load_tree(path: str) -> DecisionTree:
@@ -420,17 +414,17 @@ def rules_text(tree: DecisionTree, feature_names: list[str] | None = None) -> st
 
     lines: list[str] = []
 
-    def walk(node_id: int, indent: int) -> None:
-        node = tree.nodes[node_id]
+    def walk(i: int, indent: int) -> None:
         pad = "  " * indent
-        if node.is_leaf:
-            n = int(node.class_counts.sum())
-            lines.append(f"{pad}class: {tree.class_names[node.predicted_class]} (n={n})")
+        f = tree.feature[i]
+        if f < 0:
+            n = int(tree.counts[i].sum())
+            lines.append(f"{pad}class: {tree.class_names[tree.predicted_class[i]]} (n={n})")
             return
-        lines.append(f"{pad}if {fname(node.feature_index)} <= {node.threshold:.6g}:")
-        walk(node.left, indent + 1)
+        lines.append(f"{pad}if {fname(f)} <= {tree.threshold[i]:.6g}:")
+        walk(tree.left[i], indent + 1)
         lines.append(f"{pad}else:")
-        walk(node.right, indent + 1)
+        walk(tree.right[i], indent + 1)
 
-    walk(tree.root_id, 0)
+    walk(0, 0)
     return "\n".join(lines) + "\n"

@@ -4,8 +4,16 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ride import synth_data, packet_ingest
+
+# Property tests draw the same examples on every run (derandomize) and keep
+# no example database, so tier-1 stays deterministic; max_examples bounds
+# their cost to seconds.
+settings.register_profile("ride", derandomize=True, database=None, deadline=None,
+                          max_examples=40)
+settings.load_profile("ride")
 
 
 def labeled_flows_from_spec(spec):

@@ -79,17 +79,23 @@ def _augmented_train(cfg: dict):
 
 def _anchored_subtrees(tree):
     """(R, n_leaves) of every subtree reachable by collapsing internals."""
-    def options(nid):
-        node = tree.nodes[nid]
-        if node.is_leaf:
-            return [(node.r_node, 1)]
-        outs = [(node.r_node, 1)]
-        for rl, ll in options(node.left):
-            for rr, lr in options(node.right):
+    def options(i):
+        if tree.feature[i] < 0:
+            return [(tree.r_node[i], 1)]
+        outs = [(tree.r_node[i], 1)]
+        for rl, ll in options(tree.left[i]):
+            for rr, lr in options(tree.right[i]):
                 outs.append((rl + rr, ll + lr))
         return outs
 
-    return options(tree.root_id)
+    return options(0)
+
+
+def _risk(tree, i=0):
+    """R(T_i): the leaves' r_node summed children-first."""
+    if tree.feature[i] < 0:
+        return tree.r_node[i]
+    return _risk(tree, tree.left[i]) + _risk(tree, tree.right[i])
 
 
 def test_criterion_01_ccp_equals_exhaustive_subtree_minimizer():
@@ -114,10 +120,10 @@ def test_criterion_01_ccp_equals_exhaustive_subtree_minimizer():
                               if r + alpha * l <= best + 1e-12)
             got = tree_distiller.prune(tree, alpha, path)
             assert got.n_leaves == best_leaves, f"seed={seed} alpha={alpha}"
-            objective = got.nodes[got.root_id].r_subtree + alpha * got.n_leaves
+            objective = _risk(got) + alpha * got.n_leaves
             assert objective == pytest.approx(best, abs=1e-12)
         for e0, e1 in zip(path.entries, path.entries[1:]):
-            tie = ((e1.tree.nodes[0].r_subtree - e0.tree.nodes[0].r_subtree)
+            tie = ((_risk(e1.tree) - _risk(e0.tree))
                    / (e0.tree.n_leaves - e1.tree.n_leaves))
             worst_alpha_err = max(worst_alpha_err, abs(tie - e1.alpha_eff))
     _gate(1, worst_alpha_err < 1e-9,

@@ -99,6 +99,30 @@ def test_main_exit_codes(tmp_path):
     assert os.path.exists(os.path.join(out, "summaries", "synth.json"))
 
 
+def test_ingest_fails_loudly_without_two_classes(tmp_path):
+    out = str(tmp_path / "run")
+    assert cli.main(["synth", "--out", out]) == 0
+    header, *rows = open(os.path.join(out, "truth.csv")).read().splitlines()
+    label = header.split(",").index("label")
+    first = rows[0].split(",")[label]
+    cases = {"header_only": ([], r"no labelled flow.*classes seen: \[\]"),
+             "one_class": ([r for r in rows if r.split(",")[label] == first],
+                           rf"one class only.*classes seen: \['{first}'\]")}
+    for name, (kept, message) in cases.items():
+        truth = tmp_path / f"{name}.csv"
+        truth.write_text("\n".join([header] + kept) + "\n")
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({"paths": {
+            "pcap": os.path.join(out, "capture.pcap"), "truth_csv": str(truth)}}))
+        assert cli.main(["ingest", "--config", str(config), "--out", out]) == 4
+        cfg = cli.load_config(str(config), out_dir=out)
+        with pytest.raises(ValueError, match=message) as err:
+            cli.run_stage("ingest", cfg)
+        for count in ("n_packets=", "n_skipped=", "n_dropped="):
+            assert count in str(err.value)
+        assert not os.path.exists(cli.artifact_path(cfg, "flows"))
+
+
 # --------------------------------------------------- fast full pipeline
 
 def _fast_config(tmp_path, name):

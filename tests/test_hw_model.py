@@ -94,7 +94,7 @@ def test_fit_ranges_per_split_feature_only():
     y = (x[:, 1] > 0).astype(int)
     tree = td.cart_train(x, y)
     ranges = hw.fit_quantization_ranges(tree, x)
-    split_features = {n.feature_index for n in tree.nodes if not n.is_leaf}
+    split_features = {f for f in tree.feature if f >= 0}
     assert set(ranges) == split_features
     for f, (lo, hi) in ranges.items():
         assert lo == pytest.approx(x[:, f].min())
@@ -114,17 +114,16 @@ def test_quantize_beta1_snaps_to_range_ends():
     tree = simple_tree(thresholds=(0.3,))
     ranges = {0: (0.0, 1.0)}
     q = hw.quantize_tree(tree, 1, ranges)
-    root = q.tree.nodes[q.tree.root_id]
     # threshold ~0.3 is nearer the low end
-    assert root.threshold == 0.0
-    assert q.level_index[q.tree.root_id] == 0
+    assert q.tree.threshold[0] == 0.0
+    assert q.level[0] == 0
 
 
 def test_quantize_midway_tie_snaps_up():
     tree = simple_tree(thresholds=(0.3,))
-    tree.nodes[tree.root_id].threshold = 0.5
+    tree.threshold[0] = 0.5
     q = hw.quantize_tree(tree, 1, {0: (0.0, 1.0)})
-    assert q.tree.nodes[q.tree.root_id].threshold == 1.0
+    assert q.tree.threshold[0] == 1.0
 
 
 @pytest.mark.parametrize("beta", [2, 3, 5, 8])
@@ -135,25 +134,24 @@ def test_quantization_error_bounded_by_half_step(beta):
     tree = td.cart_train(x, y, max_depth=3)
     ranges = hw.fit_quantization_ranges(tree, x)
     q = hw.quantize_tree(tree, beta, ranges)
-    for node, qnode in zip(tree.nodes, q.tree.nodes):
-        if node.is_leaf:
+    for f, t, qt, j in zip(tree.feature, tree.threshold, q.tree.threshold, q.level):
+        if f < 0:
+            assert j == -1
             continue
-        lo, hi = ranges[node.feature_index]
+        lo, hi = ranges[f]
         step = (hi - lo) / (2 ** beta - 1)
-        assert abs(qnode.threshold - node.threshold) <= step / 2 + 1e-12
+        assert abs(qt - t) <= step / 2 + 1e-12
         # the snapped value is itself a grid level
-        j = q.level_index[node.node_id]
-        assert qnode.threshold == pytest.approx(lo + j * step)
+        assert qt == pytest.approx(lo + j * step)
 
 
 def test_quantize_preserves_topology_and_leaves():
     tree, x = organic_tree()
     q = hw.quantize_tree(tree, 4, hw.fit_quantization_ranges(tree, x))
     assert q.n_nodes == tree.n_nodes
-    for a, b in zip(tree.nodes, q.tree.nodes):
-        assert (a.left, a.right, a.feature_index) == (b.left, b.right, b.feature_index)
-        if a.is_leaf:
-            assert a.predicted_class == b.predicted_class
+    for col in ("feature", "left", "right", "depth", "r_node", "predicted_class"):
+        assert getattr(q.tree, col) == getattr(tree, col), col
+    np.testing.assert_array_equal(q.tree.counts, tree.counts)
 
 
 def test_quantize_missing_range_raises():
@@ -231,11 +229,12 @@ def test_qtree_round_trip(tmp_path):
     tree, x = organic_tree()
     q = hw.quantize_tree(tree, 6, hw.fit_quantization_ranges(tree, x))
     path = tmp_path / "qtree.json"
-    hw.save_qtree(q, str(path))
+    path.write_text(json.dumps(hw.qtree_to_dict(q)))
     loaded = hw.load_qtree(str(path))
     assert loaded.beta == 6
     assert loaded.ranges == q.ranges
-    assert loaded.level_index == q.level_index
+    assert loaded.level == q.level
+    assert loaded.tree.threshold == q.tree.threshold
     np.testing.assert_array_equal(
         td.tree_predict_batch(loaded.tree, x), td.tree_predict_batch(q.tree, x))
 

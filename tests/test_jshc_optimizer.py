@@ -21,7 +21,7 @@ import csv
 import numpy as np
 import pytest
 
-from ride import hw_model, jshc_optimizer as jo
+from ride import hw_model, jshc_optimizer as jo, tree_distiller
 from ride.classifier import ClassifierModel
 from ride.flow_embedder import FlowEmbedding
 from ride.hw_model import ResourceBudget
@@ -29,21 +29,22 @@ from ride.jshc_optimizer import JshcArtifacts, JshcConfig, NoFeasibleConfigError
 from ride.nn_core import DenseNet, Layer
 
 
-def _toy_artifacts(**kw):
+def _toy_artifacts():
     train_x = np.arange(8, dtype=np.float64).reshape(-1, 1)
     train_y = np.array([0, 0, 0, 0, 1, 1, 1, 0], dtype=np.int64)
     eval_x = np.array([[0.0], [1.0], [2.0], [4.0], [5.0], [6.0]])
     eval_y = np.array([0, 0, 0, 1, 1, 1], dtype=np.int64)
-    return JshcArtifacts(train_x=train_x, train_y=train_y,
-                         eval_x=eval_x, eval_y=eval_y,
-                         class_names=["benign", "attack"],
-                         calib=hw_model.default_calibration(), **kw)
+    class_names = ["benign", "attack"]
+    tree = tree_distiller.cart_train(train_x, train_y, class_names=class_names)
+    return JshcArtifacts(eval_x=eval_x, eval_y=eval_y, class_names=class_names,
+                         calib=hw_model.default_calibration(), tree=tree,
+                         quant_ranges=hw_model.fit_quantization_ranges(tree, train_x))
 
 
 def test_default_alpha_set_is_path_breakpoints():
     art = _toy_artifacts()
     assert jo.default_alpha_set(art) == [0.0, 0.1875, 0.28125]
-    assert art.base_tree().n_nodes == 5
+    assert art.tree.n_nodes == 5
 
 
 def test_evaluate_config_hand_accuracies():
@@ -236,7 +237,11 @@ def test_artifacts_from_embeddings_teacher_labels_train():
                            label="attack" if v > 3.5 else "benign")
              for i, v in enumerate([0.0, 2.0, 5.0, 7.0])]
     art = jo.artifacts_from_embeddings(teacher, train, eval_)
-    np.testing.assert_array_equal(art.train_y, [0, 0, 0, 0, 1, 1, 1, 1])
+    # the tree is grown on the teacher's labels, which it reproduces exactly
+    train_x = np.stack([e.values for e in train])
+    np.testing.assert_array_equal(tree_distiller.tree_predict_batch(art.tree, train_x),
+                                  [0, 0, 0, 0, 1, 1, 1, 1])
+    assert art.quant_ranges == {0: (0.0, 7.0)}
     np.testing.assert_array_equal(art.eval_y, [0, 0, 1, 1])
     assert art.class_names == ["benign", "attack"]
     assert jo.evaluate_config(0.0, 8, art).accuracy == 1.0

@@ -1,4 +1,6 @@
 """Payload autoencoder: scaling, shapes, trainability, persistence."""
+import json
+
 import numpy as np
 import pytest
 
@@ -118,7 +120,7 @@ def test_encode_rejects_wrong_length():
 def test_bundle_round_trip(tmp_path):
     bundle = _bundle(epochs=2)
     path = tmp_path / "ae.json"
-    pa.save_bundle(bundle, str(path))
+    path.write_text(json.dumps(pa.bundle_to_dict(bundle)))
     loaded = pa.load_bundle(str(path))
     assert (loaded.n_p, loaded.n_b, loaded.h) == (bundle.n_p, bundle.n_b, bundle.h)
     assert loaded.final_train_mse == bundle.final_train_mse

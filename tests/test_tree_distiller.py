@@ -1,10 +1,13 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from ride import hw_model
 from ride import tree_distiller as td
 from ride.tree_distiller import (
-    DecisionTree,
-    TreeNode,
     cart_train,
     entropy,
     gini,
@@ -49,7 +52,7 @@ def brute_best_split(x, y, k, criterion, min_samples_leaf):
     for f in range(x.shape[1]):
         vs = np.unique(x[:, f])
         for a, b in zip(vs[:-1], vs[1:]):
-            thr = (a + b) / 2.0
+            thr = (a + b) / 2.0 if (a + b) / 2.0 < b else a
             left = x[:, f] <= thr
             nl = int(left.sum())
             nr = n - nl
@@ -92,8 +95,8 @@ def test_split_tie_prefers_lowest_feature():
     x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     y = np.array([0, 0, 1, 1])
     tree = cart_train(x, y)
-    assert tree.nodes[tree.root_id].feature_index == 0
-    assert tree.nodes[tree.root_id].threshold == pytest.approx(1.5)
+    assert tree.feature[0] == 0
+    assert tree.threshold[0] == pytest.approx(1.5)
 
 
 # ------------------------------------------------------------- cart_train
@@ -102,13 +105,23 @@ def test_cart_simple_1d():
     x = np.array([[1.0], [2.0], [3.0], [4.0]])
     y = np.array([0, 0, 1, 1])
     tree = cart_train(x, y)
-    root = tree.nodes[tree.root_id]
     assert tree.n_nodes == 3 and tree.n_leaves == 2 and tree.max_depth == 1
-    assert root.threshold == pytest.approx(2.5)
+    assert tree.threshold[0] == pytest.approx(2.5)
     # preorder ids: root 0, left child 1, right child 2
-    assert (root.left, root.right) == (1, 2)
+    assert (tree.left[0], tree.right[0]) == (1, 2)
     np.testing.assert_array_equal(tree_predict_batch(tree, x), y)
     assert tree_predict(tree, [2.5]) == 0  # at the threshold goes left
+
+
+def test_cart_splits_between_adjacent_floats():
+    # the midpoint of a and the next float above it rounds up to b, so the
+    # threshold falls back to a; otherwise both samples would go left
+    a = float(np.nextafter(1.0, 2.0))
+    b = float(np.nextafter(a, 2.0))
+    assert (a + b) / 2.0 == b
+    tree = cart_train(np.array([[a], [b]]), np.array([0, 1]))
+    assert tree.n_nodes == 3 and tree.threshold[0] == a
+    np.testing.assert_array_equal(tree_predict_batch(tree, [[a], [b]]), [0, 1])
 
 
 def test_cart_zero_gain_refuses_to_split():
@@ -126,7 +139,7 @@ def test_cart_max_depth_and_min_samples_leaf():
     tree = cart_train(x, y, max_depth=2)
     assert tree.max_depth <= 2
     tree2 = cart_train(x, y, min_samples_leaf=10)
-    leaf_sizes = [n.class_counts.sum() for n in tree2.nodes if n.is_leaf]
+    leaf_sizes = [c.sum() for c, f in zip(tree2.counts, tree2.feature) if f < 0]
     assert min(leaf_sizes) >= 10
 
 
@@ -139,6 +152,12 @@ def test_cart_input_validation():
         cart_train(np.zeros((3, 2)), np.array([0, 0, 1]), min_samples_leaf=0)
     with pytest.raises(ValueError):
         cart_train(np.zeros((3, 2)), np.array([0, 0, 1]), criterion="twoing")
+
+
+def structure(tree):
+    """The tree's nodes in preorder, in brute_cart's form."""
+    return [("leaf", c) if f < 0 else ("split", f, round(t, 12))
+            for f, t, c in zip(tree.feature, tree.threshold, tree.predicted_class)]
 
 
 def brute_cart(x, y, k, criterion, min_samples_leaf, max_depth):
@@ -174,13 +193,7 @@ def test_cart_matches_reference_builder(seed):
     msl = int(rng.integers(1, 5))
     depth = [None, 2, 3][seed % 3]
     tree = cart_train(x, y, max_depth=depth, min_samples_leaf=msl)
-    got = []
-    for node in tree.nodes:  # preorder by construction
-        if node.is_leaf:
-            got.append(("leaf", node.predicted_class))
-        else:
-            got.append(("split", node.feature_index, round(node.threshold, 12)))
-    assert got == brute_cart(x, y, 3, "gini", msl, depth)
+    assert structure(tree) == brute_cart(x, y, 3, "gini", msl, depth)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -194,9 +207,7 @@ def test_cart_matches_reference_builder_with_ties(seed, criterion):
     y = (x[:, 1] + x[:, 2] + 0.5 * rng.normal(size=n) > 0).astype(int) + (x[:, 3] > 1.0)
     msl = int(rng.integers(1, 4))
     tree = cart_train(x, y, min_samples_leaf=msl, criterion=criterion)
-    got = [("leaf", n.predicted_class) if n.is_leaf
-           else ("split", n.feature_index, round(n.threshold, 12)) for n in tree.nodes]
-    assert got == brute_cart(x, y, 3, criterion, msl, None)
+    assert structure(tree) == brute_cart(x, y, 3, criterion, msl, None)
 
 
 def test_cart_agrees_with_sklearn():
@@ -213,9 +224,8 @@ def test_cart_agrees_with_sklearn():
         ref = sklearn_tree.DecisionTreeClassifier(min_samples_leaf=3, random_state=0)
         ref.fit(x, y)
         assert ours.n_leaves == ref.get_n_leaves()
-        root = ours.nodes[ours.root_id]
-        assert root.feature_index == ref.tree_.feature[0]
-        assert root.threshold == pytest.approx(float(ref.tree_.threshold[0]), abs=1e-6)
+        assert ours.feature[0] == ref.tree_.feature[0]
+        assert ours.threshold[0] == pytest.approx(float(ref.tree_.threshold[0]), abs=1e-6)
         agreement = np.mean(tree_predict_batch(ours, x) == ref.predict(x))
         assert agreement >= 0.95
 
@@ -242,15 +252,14 @@ def test_pruning_path_hand_computed_with_tie_collapse():
     x, y = hand_tie_dataset()
     tree = cart_train(x, y)
     assert tree.n_nodes == 7
-    root = tree.nodes[tree.root_id]
-    assert root.feature_index == 0
-    assert root.r_node == pytest.approx(0.6875)
+    assert tree.feature[0] == 0
+    assert tree.r_node[0] == pytest.approx(0.6875)
     # both depth-1 internal nodes share alpha_eff (0.1875) and collapse together
     path = pruning_path(tree)
     assert [e.n_nodes for e in path.entries] == [7, 3, 1]
     assert path.alphas == pytest.approx([0.0, 0.1875, 0.3125])
     # collapsed root predicts the lowest class id among tied counts [3,1,1,3]
-    assert path.entries[-1].tree.nodes[0].predicted_class == 0
+    assert path.entries[-1].tree.predicted_class[0] == 0
 
 
 def test_prune_alpha_selection_semantics():
@@ -272,17 +281,23 @@ def test_prune_alpha_selection_semantics():
 def anchored_subtrees(tree):
     """(R, n_leaves) of every subtree obtainable by collapsing internal
     nodes of the full tree."""
-    def options(nid):
-        node = tree.nodes[nid]
-        if node.is_leaf:
-            return [(node.r_node, 1)]
-        outs = [(node.r_node, 1)]  # collapsed here
-        for rl, ll in options(node.left):
-            for rr, lr in options(node.right):
+    def options(i):
+        if tree.feature[i] < 0:
+            return [(tree.r_node[i], 1)]
+        outs = [(tree.r_node[i], 1)]  # collapsed here
+        for rl, ll in options(tree.left[i]):
+            for rr, lr in options(tree.right[i]):
                 outs.append((rl + rr, ll + lr))
         return outs
 
-    return options(tree.root_id)
+    return options(0)
+
+
+def risk(tree, i=0):
+    """R(T_i): the leaves' r_node summed children-first."""
+    if tree.feature[i] < 0:
+        return tree.r_node[i]
+    return risk(tree, tree.left[i]) + risk(tree, tree.right[i])
 
 
 def check_path_against_brute_force(tree, atol=1e-9):
@@ -297,13 +312,13 @@ def check_path_against_brute_force(tree, atol=1e-9):
         # smallest optimal subtree, as pruning theory guarantees uniqueness
         best_leaves = min(l for r, l in subtrees if r + alpha * l <= best + 1e-12)
         got = prune(tree, alpha, path)
-        got_r = got.nodes[got.root_id].r_subtree
+        got_r = risk(got)
         assert got.n_leaves == best_leaves, f"alpha={alpha}"
         assert got_r + alpha * got.n_leaves == pytest.approx(best, abs=1e-12)
     # each recorded alpha is the objective tie point between adjacent trees
     for (e0, e1) in zip(path.entries, path.entries[1:]):
-        r0 = e0.tree.nodes[0].r_subtree
-        r1 = e1.tree.nodes[0].r_subtree
+        r0 = risk(e0.tree)
+        r1 = risk(e1.tree)
         l0, l1 = e0.tree.n_leaves, e1.tree.n_leaves
         breakpoint_alpha = (r1 - r0) / (l0 - l1)
         assert abs(breakpoint_alpha - e1.alpha_eff) < atol
@@ -340,11 +355,10 @@ def test_tree_predict_matches_manual_walk_and_batch():
     y = (x[:, 1] > 0).astype(int)
     tree = cart_train(x, y)
     for row in x[:10]:
-        node = tree.nodes[tree.root_id]
-        while not node.is_leaf:
-            node = tree.nodes[node.left] if row[node.feature_index] <= node.threshold \
-                else tree.nodes[node.right]
-        assert tree_predict(tree, row) == node.predicted_class
+        i = 0
+        while tree.feature[i] >= 0:
+            i = tree.left[i] if row[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
+        assert tree_predict(tree, row) == tree.predicted_class[i]
     np.testing.assert_array_equal(
         tree_predict_batch(tree, x),
         np.array([tree_predict(tree, r) for r in x]))
@@ -367,7 +381,7 @@ def test_tree_serialization_round_trip(tmp_path):
     assert back.n_nodes == tree.n_nodes
     np.testing.assert_array_equal(tree_predict_batch(back, x), tree_predict_batch(tree, x))
     path = tmp_path / "tree.json"
-    td.save_tree(tree, str(path))
+    path.write_text(json.dumps(doc))
     loaded = td.load_tree(str(path))
     assert tree_to_dict(loaded) == doc
 
@@ -380,6 +394,88 @@ def test_rules_text_renders_every_leaf():
     assert "if v_1 <= 0.5:" in text
     named = rules_text(tree, feature_names=["alpha", "beta", "gamma"])
     assert "if alpha <= 0.5:" in named
+
+
+# --------------------------------------------------------- property tests
+
+@st.composite
+def small_datasets(draw):
+    """(x, y, criterion, min_samples_leaf) with ties on a coarse grid
+    mixed with arbitrary floats."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(2, 3))
+    cell = st.integers(-4, 4).map(float) | st.floats(-3.0, 3.0, allow_nan=False)
+    x = np.array(draw(st.lists(cell, min_size=n * d, max_size=n * d))).reshape(n, d)
+    y = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    return (x, y, draw(st.sampled_from(["gini", "entropy"])), draw(st.integers(1, 3)))
+
+
+def grow(data):
+    x, y, criterion, msl = data
+    return cart_train(x, y, min_samples_leaf=msl, criterion=criterion), x
+
+
+def probes(tree, x):
+    """The training rows, rows sitting exactly on each threshold, and a
+    NaN row."""
+    d = x.shape[1]
+    on_threshold = np.repeat(np.array(tree.threshold)[:, None], d, axis=1)
+    return np.vstack([x, on_threshold, np.full((1, d), np.nan)])
+
+
+@given(small_datasets())
+def test_batch_predict_equals_per_row_walk(data):
+    tree, x = grow(data)
+    ranges = hw_model.fit_quantization_ranges(tree, x)
+    trees = [e.tree for e in pruning_path(tree).entries]
+    trees += [hw_model.quantize_tree(t, beta, ranges).tree
+              for t in trees for beta in (1, 4, 16)]
+    for t in [tree] + trees:
+        rows = probes(t, x)
+        np.testing.assert_array_equal(tree_predict_batch(t, rows),
+                                      [tree_predict(t, r) for r in rows])
+
+
+@given(small_datasets())
+def test_dict_round_trip_reproduces_every_column(data):
+    tree, _x = grow(data)
+    for t in [e.tree for e in pruning_path(tree).entries]:
+        back = tree_from_dict(json.loads(json.dumps(tree_to_dict(t))))
+        for col in ("feature", "threshold", "left", "right", "depth", "r_node",
+                    "predicted_class", "class_names", "criterion"):
+            assert getattr(back, col) == getattr(t, col), col
+        np.testing.assert_array_equal(back.counts, t.counts)
+
+
+@given(small_datasets())
+def test_path_entries_are_preorder_tables(data):
+    tree, _x = grow(data)
+    for t in [e.tree for e in pruning_path(tree).entries]:
+        n = t.n_nodes
+        size = [1] * n
+        for i in reversed(range(n)):
+            if t.feature[i] >= 0:
+                size[i] = 1 + size[t.left[i]] + size[t.right[i]]
+        assert size[0] == n and t.depth[0] == 0
+        for i in range(n):
+            if t.feature[i] < 0:
+                assert (t.left[i], t.right[i], t.threshold[i]) == (-1, -1, 0.0)
+                continue
+            assert t.left[i] == i + 1
+            assert t.right[i] == i + 1 + size[i + 1]
+            assert t.depth[t.left[i]] == t.depth[t.right[i]] == t.depth[i] + 1
+
+
+@given(small_datasets())
+def test_path_alphas_increase_and_node_counts_decrease(data):
+    tree, _x = grow(data)
+    path = pruning_path(tree)
+    assert path.alphas[0] == 0.0 and path.entries[-1].n_nodes == 1
+    assert all(a < b for a, b in zip(path.alphas, path.alphas[1:]))
+    sizes = [e.n_nodes for e in path.entries]
+    assert all(a > b for a, b in zip(sizes, sizes[1:]))
+    assert sizes == [e.tree.n_nodes for e in path.entries]
 
 
 # ---------------------------------------------------------------- teacher
