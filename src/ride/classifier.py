@@ -6,7 +6,6 @@ the distilled tree, and the quantized tree all report comparable metrics.
 """
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 
@@ -196,15 +195,11 @@ def stratified_split(embeddings: list[FlowEmbedding], test_fraction: float = 0.2
     return train, test
 
 
-def model_to_dict(model: ClassifierModel) -> dict:
-    return {"class_names": list(model.class_names), "net": nn_core.net_to_dict(model.net)}
-
-
-def model_from_dict(doc: dict) -> ClassifierModel:
-    return ClassifierModel(net=nn_core.net_from_dict(doc["net"]),
-                           class_names=list(doc["class_names"]))
+def save_model(model: ClassifierModel, path: str) -> None:
+    nn_core.save_artifact(path, {"class_names": list(model.class_names)},
+                          nets={"net": model.net})
 
 
 def load_model(path: str) -> ClassifierModel:
-    with open(path) as fh:
-        return model_from_dict(json.load(fh))
+    meta, nets, _ = nn_core.load_artifact(path, nets=("net",), fields=("class_names",))
+    return ClassifierModel(net=nets["net"], class_names=list(meta["class_names"]))

@@ -1,13 +1,15 @@
 """Pipeline orchestrator: stage-by-stage runner with JSON config,
 atomic artifact persistence, and a deterministic final report.
 
-Exit codes: 0 ok, 2 missing upstream artifact, 3 bad config, 4 runtime
-failure. Measured wall-clock timings are confined to timings.json /
-stage summaries so the final report stays byte-reproducible.
+Exit codes: 0 ok, 2 missing or stale upstream artifact, 3 bad config,
+4 runtime failure (a corrupt model file included). Measured wall-clock
+timings are confined to timings.json / stage summaries so the final
+report stays byte-reproducible.
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import logging
 import os
@@ -17,7 +19,7 @@ import time
 import jsonschema
 import numpy as np
 
-from . import (classifier, flow_embedder, hw_model, jshc_optimizer,
+from . import (classifier, flow_embedder, hw_model, jshc_optimizer, nn_core,
                packet_ingest, payload_autoencoder, synth_data, tree_distiller)
 from .nn_core import TrainConfig
 
@@ -30,11 +32,12 @@ ARTIFACTS = {
     "pcap": "capture.pcap",
     "truth": "truth.csv",
     "flows": "flows.ndjson",
-    "autoencoder": "autoencoder.json",
-    "rae": "rae.json",
+    "autoencoder": "autoencoder.npz",
+    "rae": "rae.npz",
+    "packet_codes": "packet_codes.npz",
     "embeddings": "flow_embeddings.csv",
     "split": "split.json",
-    "classifier": "classifier.json",
+    "classifier": "classifier.npz",
     "tree": "tree.json",
     "rules": "tree_rules.txt",
     "prune_sweep": "prune_sweep.csv",
@@ -55,6 +58,10 @@ class ConfigError(ValueError):
 
 class MissingArtifactError(FileNotFoundError):
     pass
+
+
+class StaleArtifactError(RuntimeError):
+    """An artifact was built from another version of an upstream file."""
 
 
 # ---------------------------------------------------------------- config
@@ -292,6 +299,11 @@ def _write_summary(cfg: dict, stage: str, summary: dict) -> dict:
     return summary
 
 
+def _file_sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 def _load_json(path: str):
     with open(_require(path)) as fh:
         return json.load(fh)
@@ -356,8 +368,7 @@ def stage_train_ae(cfg: dict) -> dict:
         matrix, n_b=cfg["features"]["n_b"], h=cfg["features"]["h"],
         cfg=_train_cfg(cfg, "autoencoder"),
         sample_cap=cfg["sample_caps"]["ae_payloads"])
-    atomic_write_text(artifact_path(cfg, "autoencoder"),
-                      json.dumps(payload_autoencoder.bundle_to_dict(bundle)))
+    payload_autoencoder.save_bundle(bundle, artifact_path(cfg, "autoencoder"))
     return _write_summary(cfg, "train-ae", {
         "n_payloads": int(matrix.shape[0]), "n_p": bundle.n_p, "n_b": bundle.n_b,
         "h": bundle.h, "final_train_mse": bundle.final_train_mse,
@@ -366,15 +377,17 @@ def stage_train_ae(cfg: dict) -> dict:
 
 def stage_embed(cfg: dict) -> dict:
     flows = packet_ingest.load_flows(_require(artifact_path(cfg, "flows")))
-    bundle = payload_autoencoder.load_bundle(_require(artifact_path(cfg, "autoencoder")))
+    ae_path = _require(artifact_path(cfg, "autoencoder"))
+    bundle = payload_autoencoder.load_bundle(ae_path)
+    ae_sha256 = _file_sha256(ae_path)
     embedded = flow_embedder.encode_flows(bundle, flows, n_p=cfg["features"]["n_p"])
     rae_cfg = _train_cfg(cfg, "rae")
     pairs = flow_embedder.sample_training_pairs(
         embedded, pair_cap=cfg["embed"]["pair_cap"], seed=rae_cfg.seed)
     rae = flow_embedder.train_rae(pairs, n_b=bundle.n_b, cfg=rae_cfg)
     joint = flow_embedder.embed_flows(rae, embedded, order=cfg["embed"]["order"])
-    atomic_write_text(artifact_path(cfg, "rae"),
-                      json.dumps(flow_embedder.rae_to_dict(rae)))
+    flow_embedder.save_rae(rae, artifact_path(cfg, "rae"), ae_sha256)
+    flow_embedder.save_packet_codes(embedded, artifact_path(cfg, "packet_codes"), ae_sha256)
     # CSV written atomically via temp path + rename
     csv_path = artifact_path(cfg, "embeddings")
     flow_embedder.flow_embeddings_to_csv(joint, csv_path + ".tmp")
@@ -413,8 +426,7 @@ def stage_train_clf(cfg: dict) -> dict:
                        "test": [e.flow_id for e in test]})
     model = classifier.train_classifier(train, _train_cfg(cfg, "classifier"),
                                         hidden=cfg["classifier"]["hidden"])
-    atomic_write_text(artifact_path(cfg, "classifier"),
-                      json.dumps(classifier.model_to_dict(model)))
+    classifier.save_model(model, artifact_path(cfg, "classifier"))
     # deterministic metrics only (timing lives in the eval stage)
     x_test, y_true = _labeled_matrix(test, model.class_names)
     y_pred = np.argmax(classifier.predict_proba(model, x_test), axis=1)
@@ -432,15 +444,24 @@ def stage_train_clf(cfg: dict) -> dict:
 QUERY_FLOWS_PER_TRAIN_FLOW = 20
 
 
-def _encode_train_flows(cfg: dict, train: list):
-    """The training split's flows as packet-code matrices, and the RAE."""
-    flows = packet_ingest.load_flows(_require(artifact_path(cfg, "flows")))
-    bundle = payload_autoencoder.load_bundle(_require(artifact_path(cfg, "autoencoder")))
-    rae = flow_embedder.load_rae(_require(artifact_path(cfg, "rae")))
+def _train_packet_codes(cfg: dict, train: list):
+    """The training split's flows as the packet-code matrices the embed
+    stage stored, and the RAE. Both record the hash of the autoencoder
+    file they came from; when that file has changed since (train-ae ran
+    again), they are stale and StaleArtifactError names them."""
+    codes_path = _require(artifact_path(cfg, "packet_codes"))
+    rae_path = _require(artifact_path(cfg, "rae"))
+    ae_path = _require(artifact_path(cfg, "autoencoder"))
+    current = _file_sha256(ae_path)
+    for path in (codes_path, rae_path):
+        meta, _, _ = nn_core.load_artifact(path, fields=("autoencoder_sha256",))
+        if meta["autoencoder_sha256"] != current:
+            raise StaleArtifactError(
+                f"{path} was built from another {ae_path} than the one there now; "
+                f"re-run `ride embed` and the stages after it")
     wanted = {e.flow_id for e in train}
-    encoded = flow_embedder.encode_flows(
-        bundle, [f for f in flows if f.flow_id in wanted], n_p=cfg["features"]["n_p"])
-    return encoded, rae
+    encoded = [f for f in flow_embedder.load_packet_codes(codes_path) if f.flow_id in wanted]
+    return encoded, flow_embedder.load_rae(rae_path)
 
 
 def _prefix_points(rae, encoded: list) -> list:
@@ -462,7 +483,7 @@ def _distill_train_embeddings(cfg: dict, train: list) -> list:
     """
     if cfg["embed"]["order"] != "sequence":
         return train
-    encoded, rae = _encode_train_flows(cfg, train)
+    encoded, rae = _train_packet_codes(cfg, train)
     return _prefix_points(rae, encoded)
 
 
@@ -477,7 +498,7 @@ def stage_distill(cfg: dict) -> dict:
     model = classifier.load_model(_require(artifact_path(cfg, "classifier")))
     train, test = _load_split_embeddings(cfg)
     if cfg["embed"]["order"] == "sequence":
-        encoded, rae = _encode_train_flows(cfg, train)
+        encoded, rae = _train_packet_codes(cfg, train)
         train_points = _prefix_points(rae, encoded)
         queries = flow_embedder.fold_sequences(rae, flow_embedder.sample_query_flows(
             encoded, QUERY_FLOWS_PER_TRAIN_FLOW * len(encoded), seed=cfg["seed"]))
@@ -757,6 +778,9 @@ def main(argv: list[str] | None = None) -> int:
             run_stage(args.stage, cfg)
     except MissingArtifactError as exc:
         print(f"error: missing upstream artifact: {exc}", file=sys.stderr)
+        return 2
+    except StaleArtifactError as exc:
+        print(f"error: stale artifact: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

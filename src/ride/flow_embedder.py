@@ -8,7 +8,6 @@ repeatedly until one vector remains.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 from dataclasses import dataclass
 
@@ -272,26 +271,47 @@ def flow_embeddings_from_csv(path: str) -> list[FlowEmbedding]:
     return out
 
 
-def rae_to_dict(rae: RaeBundle) -> dict:
-    return {
-        "n_b": rae.n_b,
-        "final_recon_error": rae.final_recon_error,
-        "seed": rae.seed,
-        "composer": nn_core.net_to_dict(rae.composer),
-        "reconstructor": nn_core.net_to_dict(rae.reconstructor),
-    }
-
-
-def rae_from_dict(doc: dict) -> RaeBundle:
-    return RaeBundle(
-        composer=nn_core.net_from_dict(doc["composer"]),
-        reconstructor=nn_core.net_from_dict(doc["reconstructor"]),
-        n_b=doc["n_b"],
-        final_recon_error=doc["final_recon_error"],
-        seed=doc.get("seed", 0),
-    )
+def save_rae(rae: RaeBundle, path: str, autoencoder_sha256: str) -> None:
+    """The RAE, with the hash of the autoencoder file whose codes it folds."""
+    nn_core.save_artifact(path, {"final_recon_error": rae.final_recon_error, "seed": rae.seed,
+                                 "autoencoder_sha256": autoencoder_sha256},
+                          nets={"composer": rae.composer, "reconstructor": rae.reconstructor})
 
 
 def load_rae(path: str) -> RaeBundle:
-    with open(path) as fh:
-        return rae_from_dict(json.load(fh))
+    meta, nets, _ = nn_core.load_artifact(path, nets=("composer", "reconstructor"),
+                                          fields=("final_recon_error", "seed"))
+    return RaeBundle(composer=nets["composer"], reconstructor=nets["reconstructor"],
+                     n_b=nets["composer"].output_dim,
+                     final_recon_error=meta["final_recon_error"], seed=meta["seed"])
+
+
+_PACKET_CODE_ARRAYS = ("codes", "offsets", "flow_ids", "labels")
+
+
+def save_packet_codes(flows: list[EmbeddedFlow], path: str, autoencoder_sha256: str) -> None:
+    """Every flow's packet codes in one file: `codes` stacks them, flow j
+    owns rows offsets[j]:offsets[j + 1] and has flow_ids[j] and labels[j].
+    The meta records the hash of the autoencoder file that encoded them."""
+    lengths = [np.atleast_2d(f.embeddings).shape[0] for f in flows]
+    nn_core.save_artifact(path, {"autoencoder_sha256": autoencoder_sha256}, arrays={
+        "codes": np.concatenate([np.atleast_2d(f.embeddings) for f in flows]),
+        "offsets": np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64),
+        "flow_ids": np.array([f.flow_id for f in flows], dtype=str),
+        "labels": np.array([str(f.label) for f in flows], dtype=str),
+    })
+
+
+def load_packet_codes(path: str) -> list[EmbeddedFlow]:
+    _meta, _, arrays = nn_core.load_artifact(path, arrays=_PACKET_CODE_ARRAYS)
+    codes, offsets, flow_ids, labels = (arrays[k] for k in _PACKET_CODE_ARRAYS)
+    n = flow_ids.size
+    if (codes.ndim != 2 or flow_ids.ndim != 1 or offsets.shape != (n + 1,)
+            or labels.shape != (n,)
+            or offsets.dtype.kind != "i" or offsets[0] != 0 or offsets[-1] != codes.shape[0]
+            or np.any(np.diff(offsets) < 1)):
+        raise ValueError(f"bad model file {path}: codes {codes.shape}, offsets "
+                         f"{offsets.shape} and {n} flows do not fit together")
+    return [EmbeddedFlow(flow_id=str(flow_ids[j]), embeddings=codes[offsets[j]:offsets[j + 1]],
+                         label=str(labels[j]))
+            for j in range(n)]

@@ -2,10 +2,14 @@
 
 Shared by the payload autoencoder, the pair-composition autoencoder and
 the flow classifier. Everything runs in float64 so analytic gradients can
-be checked against central finite differences.
+be checked against central finite differences. save_artifact and
+load_artifact are the one writer and reader of every model file.
 """
 from __future__ import annotations
 
+import json
+import os
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -337,23 +341,84 @@ def gradient_check(net: DenseNet, loss: str, x, target, eps: float = 1e-5) -> fl
     return worst
 
 
-def net_to_dict(net: DenseNet) -> dict:
-    return {
-        "input_dim": net.input_dim,
-        "output_dim": net.output_dim,
-        "layers": [
-            {"activation": l.activation, "w": l.w.tolist(), "b": l.b.tolist()}
-            for l in net.layers
-        ],
-    }
+def save_artifact(path: str, meta: dict, nets: dict[str, DenseNet] | None = None,
+                  arrays: dict[str, np.ndarray] | None = None) -> None:
+    """Write one model file: `arrays` plus every net's weights, under a JSON
+    `meta` string that also gets each net's dims and activations.
+
+    Net `name` stores layer k as `name.w<k>` and `name.b<k>`, float64.
+    The file is a .npz archive, written to `path + ".tmp"` and renamed.
+    """
+    entries = dict(arrays or {})
+    if nets:
+        meta = dict(meta, nets={
+            name: {"dims": [net.input_dim] + [l.w.shape[0] for l in net.layers],
+                   "activations": [l.activation for l in net.layers]}
+            for name, net in nets.items()})
+        for name, net in nets.items():
+            for k, layer in enumerate(net.layers):
+                entries[f"{name}.w{k}"] = layer.w
+                entries[f"{name}.b{k}"] = layer.b
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:  # a file object, so savez adds no ".npz"
+        np.savez(fh, meta=np.array(json.dumps(meta, sort_keys=True)), **entries)
+    os.replace(tmp, path)
 
 
-def net_from_dict(doc: dict) -> DenseNet:
-    layers = [
-        Layer(np.array(l["w"], dtype=np.float64), np.array(l["b"], dtype=np.float64), l["activation"])
-        for l in doc["layers"]
-    ]
-    net = DenseNet(layers)
-    if net.input_dim != doc["input_dim"] or net.output_dim != doc["output_dim"]:
-        raise ValueError("model dims in header disagree with weight shapes")
-    return net
+def load_artifact(path: str, nets: tuple[str, ...] = (), arrays: tuple[str, ...] = (),
+                  fields: tuple[str, ...] = ()):
+    """Read a file save_artifact wrote: (meta, {name: DenseNet}, {key: array}).
+
+    Only the named nets and arrays are read, and `fields` must be in meta.
+    A file that is no .npz archive, lacks an entry, holds an object array
+    or weights whose shapes disagree with meta raises ValueError naming
+    the path; a missing file raises FileNotFoundError.
+    """
+    try:
+        with open(path, "rb") as fh:
+            if not zipfile.is_zipfile(fh):
+                raise ValueError("not a .npz archive")
+            fh.seek(0)
+            with np.load(fh, allow_pickle=False) as npz:
+                meta = _entry(npz, "meta")
+                if meta.dtype.kind != "U" or meta.ndim != 0:
+                    raise ValueError("'meta' is not a JSON string")
+                meta = json.loads(meta.item())
+                if not isinstance(meta, dict):
+                    raise ValueError("'meta' is not a JSON object")
+                missing = [f for f in fields if f not in meta]
+                if missing:
+                    raise ValueError(f"'meta' lacks {missing}")
+                return (meta, {name: _read_net(npz, name, meta) for name in nets},
+                        {key: _entry(npz, key) for key in arrays})
+    except FileNotFoundError:
+        raise
+    except (ValueError, OSError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"bad model file {path}: {exc}") from None
+
+
+def _entry(npz, key: str) -> np.ndarray:
+    if key not in npz.files:
+        raise ValueError(f"no {key!r} entry")
+    return npz[key]  # an object array raises: pickles are never loaded
+
+
+def _read_net(npz, name: str, meta: dict) -> DenseNet:
+    try:
+        spec = meta["nets"][name]
+        dims, activations = list(spec["dims"]), list(spec["activations"])
+    except (KeyError, TypeError):
+        raise ValueError(f"'meta' describes no net {name!r}") from None
+    if len(dims) != len(activations) + 1:
+        raise ValueError(f"net {name!r}: {len(dims)} dims for {len(activations)} layers")
+    layers = []
+    for k, activation in enumerate(activations):
+        w, b = _entry(npz, f"{name}.w{k}"), _entry(npz, f"{name}.b{k}")
+        if w.shape != (dims[k + 1], dims[k]) or b.shape != (dims[k + 1],):
+            raise ValueError(f"net {name!r} layer {k}: weights {w.shape} and bias {b.shape} "
+                             f"disagree with dims {dims[k]} -> {dims[k + 1]} in 'meta'")
+        if w.dtype != np.float64 or b.dtype != np.float64:
+            raise ValueError(f"net {name!r} layer {k}: weights are not float64")
+        layers.append(Layer(w, b, activation))
+    return DenseNet(layers)

@@ -1,7 +1,8 @@
 """Classic PCAP parsing, payload vectorization, flow grouping and labeling.
 
 Only classic PCAP is accepted (both endiannesses, microsecond and
-nanosecond timestamp variants, Ethernet link type). PCAPNG is rejected.
+nanosecond timestamp variants, Ethernet link type, 802.1Q and QinQ tags
+skipped). PCAPNG is rejected.
 No TCP reassembly or IP defragmentation is attempted.
 """
 from __future__ import annotations
@@ -27,6 +28,7 @@ LINKTYPE_ETHERNET = 1
 
 ETHERTYPE_IPV4 = 0x0800
 ETHERTYPE_IPV6 = 0x86DD
+VLAN_TAG_TYPES = (0x8100, 0x88A8)  # 802.1Q tag, 802.1ad (QinQ) service tag
 
 PROTO_TCP = 6
 PROTO_UDP = 17
@@ -153,7 +155,13 @@ def _parse_ethernet(timestamp: float, frame: bytes) -> RawPacket | None:
     if len(frame) < 14:
         return None
     ethertype = struct.unpack(">H", frame[12:14])[0]
-    body = frame[14:]
+    start = 14
+    while ethertype in VLAN_TAG_TYPES:  # each 4-byte tag ends in the inner type
+        if len(frame) < start + 4:
+            return None
+        ethertype = struct.unpack(">H", frame[start + 2:start + 4])[0]
+        start += 4
+    body = frame[start:]
     if ethertype == ETHERTYPE_IPV4:
         return _parse_ipv4(timestamp, body)
     if ethertype == ETHERTYPE_IPV6:

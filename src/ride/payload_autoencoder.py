@@ -2,11 +2,11 @@
 vectors onto a compact embedding, then expose encode-only inference.
 
 Byte values are scaled into [0, 1] before entering the network; the
-decoder's sigmoid output lives in the same scaled space.
+decoder's sigmoid output lives in the same scaled space. The decoder only
+serves training and its reported error: the bundle keeps the encoder.
 """
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
@@ -35,7 +35,6 @@ class CompressedEmbedding:
 @dataclass
 class AutoencoderBundle:
     encoder: DenseNet  # n_p -> h -> n_b
-    decoder: DenseNet  # n_b -> h -> n_p
     n_p: int
     n_b: int
     h: int
@@ -45,8 +44,6 @@ class AutoencoderBundle:
     def __post_init__(self):
         if self.encoder.input_dim != self.n_p or self.encoder.output_dim != self.n_b:
             raise ValueError("encoder dims disagree with n_p/n_b")
-        if self.decoder.input_dim != self.n_b or self.decoder.output_dim != self.n_p:
-            raise ValueError("decoder dims do not mirror the encoder")
 
 
 def payloads_to_matrix(payloads) -> np.ndarray:
@@ -63,10 +60,11 @@ def train_autoencoder(
     cfg: TrainConfig | None = None,
     sample_cap: int = DEFAULT_SAMPLE_CAP,
 ) -> AutoencoderBundle:
-    """Train the compressor; the decoder is kept only for diagnostics.
+    """Train the compressor and keep its encoder.
 
-    final_train_mse is the reconstruction error over the full input batch
-    (scaled space), even when training ran on a capped subsample.
+    final_train_mse is the trained autoencoder's reconstruction error over
+    the full input batch (scaled space), even when training ran on a
+    capped subsample.
     """
     cfg = cfg or TrainConfig()
     x = payloads_to_matrix(payloads) / BYTE_SCALE
@@ -91,12 +89,9 @@ def train_autoencoder(
     )
     trained, _history = nn_core.train(net, train_x, train_x, "mse", cfg)
 
-    encoder = DenseNet([trained.layers[0], trained.layers[1]])
-    decoder = DenseNet([trained.layers[2], trained.layers[3]])
-    bundle = AutoencoderBundle(encoder=encoder, decoder=decoder, n_p=n_p, n_b=n_b, h=h,
-                               final_train_mse=0.0, seed=cfg.seed)
-    bundle.final_train_mse = reconstruction_error(bundle, payloads)
-    return bundle
+    return AutoencoderBundle(encoder=DenseNet(trained.layers[:2]), n_p=n_p, n_b=n_b, h=h,
+                             final_train_mse=reconstruction_error(trained, payloads),
+                             seed=cfg.seed)
 
 
 def encode(bundle: AutoencoderBundle, payload: PayloadVector,
@@ -117,40 +112,25 @@ def encode_matrix(bundle: AutoencoderBundle, x_raw: np.ndarray) -> np.ndarray:
     return nn_core.forward(bundle.encoder, x_raw / BYTE_SCALE)
 
 
-def reconstruction_error(bundle: AutoencoderBundle, payloads) -> float:
-    """Mean squared L2 distance between scaled input and its round trip."""
+def reconstruction_error(net: DenseNet, payloads) -> float:
+    """Mean squared L2 distance between scaled input and its round trip
+    through a full autoencoder net (encoder then decoder)."""
     x = payloads_to_matrix(payloads) / BYTE_SCALE
     if x.shape[0] == 0:
         raise ValueError("empty payload batch")
-    z = nn_core.forward(bundle.encoder, x)
-    x_hat = nn_core.forward(bundle.decoder, z)
-    return nn_core.loss_mse(x_hat, x)
+    return nn_core.loss_mse(nn_core.forward(net, x), x)
 
 
-def bundle_to_dict(bundle: AutoencoderBundle) -> dict:
-    return {
-        "n_p": bundle.n_p,
-        "n_b": bundle.n_b,
-        "h": bundle.h,
-        "final_train_mse": bundle.final_train_mse,
-        "seed": bundle.seed,
-        "encoder": nn_core.net_to_dict(bundle.encoder),
-        "decoder": nn_core.net_to_dict(bundle.decoder),
-    }
-
-
-def bundle_from_dict(doc: dict) -> AutoencoderBundle:
-    return AutoencoderBundle(
-        encoder=nn_core.net_from_dict(doc["encoder"]),
-        decoder=nn_core.net_from_dict(doc["decoder"]),
-        n_p=doc["n_p"],
-        n_b=doc["n_b"],
-        h=doc["h"],
-        final_train_mse=doc["final_train_mse"],
-        seed=doc.get("seed", 0),
-    )
+def save_bundle(bundle: AutoencoderBundle, path: str) -> None:
+    nn_core.save_artifact(path, {"final_train_mse": bundle.final_train_mse,
+                                 "seed": bundle.seed},
+                          nets={"encoder": bundle.encoder})
 
 
 def load_bundle(path: str) -> AutoencoderBundle:
-    with open(path) as fh:
-        return bundle_from_dict(json.load(fh))
+    meta, nets, _ = nn_core.load_artifact(path, nets=("encoder",),
+                                          fields=("final_train_mse", "seed"))
+    encoder = nets["encoder"]
+    return AutoencoderBundle(encoder=encoder, n_p=encoder.input_dim,
+                             n_b=encoder.output_dim, h=encoder.layers[0].w.shape[0],
+                             final_train_mse=meta["final_train_mse"], seed=meta["seed"])

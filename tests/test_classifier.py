@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -197,8 +195,8 @@ def test_stratified_split_validates_fraction():
 def test_model_round_trip(tmp_path):
     data = blobs()
     model = clf.train_classifier(data, cfg=TrainConfig(epochs=5, seed=9), hidden=8)
-    path = tmp_path / "clf.json"
-    path.write_text(json.dumps(clf.model_to_dict(model)))
+    path = tmp_path / "clf.npz"
+    clf.save_model(model, str(path))
     loaded = clf.load_model(str(path))
     assert loaded.class_names == model.class_names
     x = np.stack([e.values for e in data[:5]])

@@ -1,6 +1,7 @@
 """CLI orchestrator: config handling, stage wiring, exit codes, artifacts."""
 import json
 import os
+import shutil
 
 import jsonschema
 import pytest
@@ -175,7 +176,8 @@ def test_timings_are_outside_the_report(fast_run):
 def test_rerun_is_byte_identical(fast_run, tmp_path):
     cfg2 = _fast_config(tmp_path, "again")
     cli.run_all(cfg2)
-    for name in ("report_json", "report_md", "tree", "classifier"):
+    for name in ("report_json", "report_md", "tree", "autoencoder", "rae",
+                 "packet_codes", "classifier"):
         a = open(cli.artifact_path(fast_run, name), "rb").read()
         b = open(cli.artifact_path(cfg2, name), "rb").read()
         assert a == b, name
@@ -208,3 +210,47 @@ def test_stage_summaries_carry_key_metrics(fast_run):
     with open(cli.summary_path(fast_run, "jshc")) as fh:
         jshc = json.load(fh)
     assert jshc["best_beta"] >= 1 and 0 <= jshc["best_accuracy"] <= 1
+
+
+def _fast_config_file(tmp_path, **autoencoder):
+    """The fast config as a file for `ride --config`, with autoencoder overrides."""
+    cfg = _fast_config(tmp_path, "unused")
+    path = tmp_path / "fast.json"
+    path.write_text(json.dumps({
+        "features": cfg["features"], "embed": cfg["embed"],
+        "train": {**cfg["train"],
+                  "autoencoder": {**cfg["train"]["autoencoder"], **autoencoder}}}))
+    return str(path)
+
+
+def test_distill_refuses_codes_from_an_older_autoencoder(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert cli.main(["all", "--config", _fast_config_file(tmp_path), "--out", out]) == 0
+    retrained = _fast_config_file(tmp_path, epochs=1)
+    assert cli.main(["train-ae", "--config", retrained, "--out", out]) == 0
+    capsys.readouterr()
+    assert cli.main(["distill", "--config", retrained, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "stale artifact" in err and "re-run `ride embed`" in err
+    assert os.path.join(out, "packet_codes.npz") in err
+    # embed again and the lineage holds
+    assert cli.main(["embed", "--config", retrained, "--out", out]) == 0
+    assert cli.main(["distill", "--config", retrained, "--out", out]) == 0
+
+
+def test_bad_or_old_model_files_exit_loudly(fast_run, tmp_path, capsys):
+    out = str(tmp_path / "copy")
+    shutil.copytree(fast_run["out_dir"], out)
+    ae_path = os.path.join(out, "autoencoder.npz")
+    with open(ae_path, "r+b") as fh:  # cut the archive short
+        fh.truncate(os.path.getsize(ae_path) // 2)
+    capsys.readouterr()
+    assert cli.main(["embed", "--out", out]) == 4
+    assert f"bad model file {ae_path}: not a .npz archive" in capsys.readouterr().err
+    # a run dir from before the .npz files: autoencoder.json, no autoencoder.npz
+    os.remove(ae_path)
+    with open(os.path.join(out, "autoencoder.json"), "w") as fh:
+        fh.write("{}")
+    assert cli.main(["embed", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "missing upstream artifact" in err and ae_path in err

@@ -1,5 +1,4 @@
 """Recursive fold of packet embeddings into flow embeddings."""
-import json
 
 import numpy as np
 import pytest
@@ -243,9 +242,7 @@ def test_encode_flows_shapes_and_values():
     # hand-built encoder picks (b0, b1)/255 out of a 4-byte payload
     w = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
     enc = DenseNet([Layer(w=w, b=np.zeros(2), activation="identity")])
-    dec = DenseNet([Layer(w=w.T.copy(), b=np.zeros(4), activation="identity")])
-    bundle = pa.AutoencoderBundle(encoder=enc, decoder=dec, n_p=4, n_b=2, h=2,
-                                  final_train_mse=0.0)
+    bundle = pa.AutoencoderBundle(encoder=enc, n_p=4, n_b=2, h=2, final_train_mse=0.0)
     pkt = lambda payload: RawPacket(timestamp=0.0, src_addr="10.0.0.1",
                                     dst_addr="10.0.0.2", src_port=1, dst_port=2,
                                     protocol="TCP", payload=payload)
@@ -278,11 +275,32 @@ def test_embeddings_csv_round_trip(tmp_path):
 
 def test_rae_round_trip(tmp_path):
     rae = _trained_rae(epochs=2)
-    path = tmp_path / "rae.json"
-    path.write_text(json.dumps(fe.rae_to_dict(rae)))
+    path = tmp_path / "rae.npz"
+    fe.save_rae(rae, str(path), autoencoder_sha256="ab" * 32)
     loaded = fe.load_rae(str(path))
     assert loaded.n_b == rae.n_b
     assert loaded.final_recon_error == rae.final_recon_error
+    assert loaded.seed == rae.seed
     left, right = np.ones(3) * 0.2, np.ones(3) * -0.1
     np.testing.assert_array_equal(fe.combine_pair(loaded, left, right),
                                   fe.combine_pair(rae, left, right))
+
+
+def test_packet_codes_round_trip(tmp_path):
+    flows = [_flow(np.arange(6.0).reshape(3, 2), flow_id="a", label="benign"),
+             _flow(np.array([[1e300, -2.5e-7]]), flow_id="b|c", label="attack")]
+    path = str(tmp_path / "codes.npz")
+    fe.save_packet_codes(flows, path, autoencoder_sha256="cd" * 32)
+    loaded = fe.load_packet_codes(path)
+    assert [(f.flow_id, f.label) for f in loaded] == [("a", "benign"), ("b|c", "attack")]
+    for got, want in zip(loaded, flows, strict=True):
+        np.testing.assert_array_equal(got.embeddings, want.embeddings)
+    meta, _, _ = nn_core.load_artifact(path, fields=("autoencoder_sha256",))
+    assert meta["autoencoder_sha256"] == "cd" * 32
+    with np.load(path, allow_pickle=False) as npz:
+        entries = {k: npz[k] for k in npz.files}
+    entries["codes"] = entries["codes"][:3]  # the offsets still end at row 4
+    with open(path, "wb") as fh:
+        np.savez(fh, **entries)
+    with pytest.raises(ValueError, match="codes.npz: codes .* do not fit together"):
+        fe.load_packet_codes(path)

@@ -1,7 +1,11 @@
 import json
+import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ride import nn_core
 from ride.nn_core import (
@@ -239,16 +243,106 @@ def test_train_config_validation():
         TrainConfig(optimizer="rmsprop")
 
 
-def test_serialization_round_trip():
+def test_serialization_round_trip(tmp_path):
     net = init_dense_net([3, 4, 2], ["relu", "softmax"], seed=5)
-    loaded = nn_core.net_from_dict(json.loads(json.dumps(nn_core.net_to_dict(net))))
+    path = str(tmp_path / "net.npz")
+    nn_core.save_artifact(path, {"seed": 5}, nets={"net": net})
+    meta, nets, _ = nn_core.load_artifact(path, nets=("net",), fields=("seed",))
+    loaded = nets["net"]
     assert loaded.input_dim == 3 and loaded.output_dim == 2
+    assert meta == {"seed": 5, "nets": {"net": {"dims": [3, 4, 2],
+                                                 "activations": ["relu", "softmax"]}}}
     x = np.random.Generator(np.random.PCG64(3)).normal(size=(4, 3))
     np.testing.assert_allclose(forward(loaded, x), forward(net, x))
+    assert not os.path.exists(path + ".tmp")
 
 
-def test_serialization_detects_header_mismatch():
-    doc = nn_core.net_to_dict(init_dense_net([2, 2], ["identity"], seed=0))
-    doc["input_dim"] = 5
-    with pytest.raises(ValueError):
-        nn_core.net_from_dict(doc)
+def _rewrite(path, **changes):
+    """Rewrite a model file with entries replaced (value) or dropped (None)."""
+    with np.load(path, allow_pickle=False) as npz:
+        entries = {k: npz[k] for k in npz.files}
+    for key, value in changes.items():
+        if value is None:
+            del entries[key]
+        else:
+            entries[key] = value
+    with open(path, "wb") as fh:
+        np.savez(fh, **entries)
+
+
+def test_serialization_detects_header_mismatch(tmp_path):
+    path = str(tmp_path / "net.npz")
+    nn_core.save_artifact(path, {}, nets={"net": init_dense_net([2, 2], ["identity"], seed=0)})
+    _rewrite(path, meta=np.array(json.dumps(
+        {"nets": {"net": {"dims": [5, 2], "activations": ["identity"]}}})))
+    with pytest.raises(ValueError, match=r"net\.npz.*disagree with dims 5 -> 2"):
+        nn_core.load_artifact(path, nets=("net",))
+
+
+def test_bad_model_files_raise_naming_the_path(tmp_path):
+    net = init_dense_net([3, 2, 2], ["tanh", "softmax"], seed=1)
+
+    def fresh(name):
+        path = str(tmp_path / name)
+        nn_core.save_artifact(path, {"seed": 1}, nets={"net": net})
+        return path
+
+    garbage = str(tmp_path / "garbage.npz")
+    with open(garbage, "wb") as fh:
+        fh.write(b"not a zip archive at all" * 4)
+    truncated = fresh("truncated.npz")
+    with open(truncated, "rb") as fh:
+        data = fh.read()
+    with open(truncated, "wb") as fh:
+        fh.write(data[:len(data) // 2])
+    no_meta = fresh("no_meta.npz")
+    _rewrite(no_meta, meta=None)
+    no_weight = fresh("no_weight.npz")
+    _rewrite(no_weight, **{"net.w1": None})
+    wrong_shape = fresh("wrong_shape.npz")
+    _rewrite(wrong_shape, **{"net.w0": np.zeros((2, 4))})
+    object_array = fresh("object_array.npz")
+    _rewrite(object_array, **{"net.b0": np.array([1.0, None], dtype=object)})
+    cases = {garbage: "not a .npz archive", truncated: "not a .npz archive",
+             no_meta: "no 'meta' entry", no_weight: "no 'net.w1' entry",
+             wrong_shape: r"layer 0: weights \(2, 4\).*disagree",
+             object_array: "Object arrays cannot be loaded"}
+    for path, why in cases.items():
+        with pytest.raises(ValueError, match=f"bad model file {re.escape(path)}: .*{why}"):
+            nn_core.load_artifact(path, nets=("net",))
+    with pytest.raises(ValueError, match="lacks \\['final'\\]"):
+        nn_core.load_artifact(fresh("fields.npz"), fields=("seed", "final"))
+    with pytest.raises(ValueError, match="describes no net 'other'"):
+        nn_core.load_artifact(fresh("other.npz"), nets=("other",))
+    with pytest.raises(FileNotFoundError):
+        nn_core.load_artifact(str(tmp_path / "absent.npz"))
+
+
+@st.composite
+def dense_nets(draw):
+    n_layers = draw(st.integers(1, 4))
+    dims = draw(st.lists(st.integers(1, 8), min_size=n_layers + 1, max_size=n_layers + 1))
+    hidden = st.sampled_from([a for a in nn_core.ACTIVATIONS if a != "softmax"])
+    activations = draw(st.lists(hidden, min_size=n_layers - 1, max_size=n_layers - 1))
+    activations.append(draw(st.sampled_from(nn_core.ACTIVATIONS)))
+    weights = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False, width=64)
+    return DenseNet([
+        Layer(draw(hnp.arrays(np.float64, (dims[k + 1], dims[k]), elements=weights)),
+              draw(hnp.arrays(np.float64, (dims[k + 1],), elements=weights)),
+              activations[k])
+        for k in range(n_layers)])
+
+
+@given(net=dense_nets(), seed=st.integers(0, 2**32 - 1))
+def test_random_nets_round_trip_bit_exactly(tmp_path_factory, net, seed):
+    path = str(tmp_path_factory.mktemp("nets") / "net.npz")
+    nn_core.save_artifact(path, {}, nets={"net": net})
+    _, nets, _ = nn_core.load_artifact(path, nets=("net",))
+    loaded = nets["net"]
+    assert [l.activation for l in loaded.layers] == [l.activation for l in net.layers]
+    for a, b in zip(loaded.layers, net.layers, strict=True):
+        assert np.array_equal(a.w, b.w) and a.w.tobytes() == b.w.tobytes()
+        assert np.array_equal(a.b, b.b) and a.b.tobytes() == b.b.tobytes()
+    x = np.random.Generator(np.random.PCG64(seed)).normal(size=(5, net.input_dim))
+    with np.errstate(all="ignore"):
+        np.testing.assert_array_equal(forward(loaded, x), forward(net, x))

@@ -1,10 +1,12 @@
+import csv
+import io
 import socket
 import struct
 
 import numpy as np
 import pytest
 
-from ride import packet_ingest as pi
+from ride import packet_ingest as pi, synth_data
 
 
 def global_header(endian="<", nsec=False, network=1):
@@ -149,6 +151,39 @@ def test_ipv6_tcp_parse():
     p = cap.packets[0]
     assert p.src_addr == "2001:db8::1" and p.dst_addr == "2001:db8::2"
     assert p.payload == b"six"
+
+
+def _tag_every_frame(pcap: bytes, tag_types: list[int]) -> bytes:
+    """The capture with one 4-byte VLAN tag per entry of tag_types (its
+    type field, outermost first) after each frame's MAC addresses."""
+    tags = b"".join(struct.pack(">HH", t, 100 + i) for i, t in enumerate(tag_types))
+    out, offset = [pcap[:24]], 24
+    while offset < len(pcap):
+        ts_sec, ts_frac, incl, orig = struct.unpack("<IIII", pcap[offset:offset + 16])
+        frame = pcap[offset + 16:offset + 16 + incl]
+        out.append(struct.pack("<IIII", ts_sec, ts_frac, incl + len(tags), orig + len(tags))
+                   + frame[:12] + tags + frame[12:])
+        offset += 16 + incl
+    return b"".join(out)
+
+
+def test_vlan_and_qinq_tagged_frames_parse_like_untagged():
+    pcap, truth_text = synth_data.generate(synth_data.default_fixture(seed=7))
+    truth = list(csv.DictReader(io.StringIO(truth_text)))
+
+    def ingest(capture):
+        parsed = pi.parse_pcap(capture)
+        flows = pi.label_flows(pi.group_flows(parsed.packets), truth).flows
+        return parsed.n_skipped, [(f.flow_id, f.label, [p.payload for p in f.packets])
+                                  for f in flows]
+
+    skipped, untagged = ingest(pcap)
+    assert skipped == 0 and len(untagged) == 400
+    for tag_types in ([0x8100], [0x88A8, 0x8100]):
+        assert ingest(_tag_every_frame(pcap, tag_types)) == (0, untagged)
+    # a tag cut short by the frame's end is skipped, not misread
+    cap = pi.parse_pcap(global_header() + record(eth(b"\x00\x01", ethertype=0x8100)))
+    assert cap.packets == [] and cap.n_skipped == 1
 
 
 def test_extract_payload_vector_pads_and_truncates():

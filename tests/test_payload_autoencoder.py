@@ -1,6 +1,4 @@
 """Payload autoencoder: scaling, shapes, trainability, persistence."""
-import json
-
 import numpy as np
 import pytest
 
@@ -34,9 +32,7 @@ def test_encode_scales_bytes_before_the_network():
     # Identity-ish check: a hand-built 2->1 encoder sees values/255.
     w = np.array([[1.0, 1.0]])
     enc = DenseNet([nn_core.Layer(w=w, b=np.zeros(1), activation="identity")])
-    dec = DenseNet([nn_core.Layer(w=np.ones((2, 1)), b=np.zeros(2), activation="identity")])
-    bundle = pa.AutoencoderBundle(encoder=enc, decoder=dec, n_p=2, n_b=1, h=1,
-                                  final_train_mse=0.0)
+    bundle = pa.AutoencoderBundle(encoder=enc, n_p=2, n_b=1, h=1, final_train_mse=0.0)
     out = pa.encode(bundle, PayloadVector(values=np.array([255.0, 0.0]),
                                           original_len=2))
     assert out.values.shape == (1,)
@@ -56,21 +52,41 @@ def test_encode_matrix_matches_single_encode():
 def test_encoder_decoder_dims():
     bundle = _bundle(n_p=24, n_b=4, h=16)
     assert bundle.encoder.input_dim == 24 and bundle.encoder.output_dim == 4
-    assert bundle.decoder.input_dim == 4 and bundle.decoder.output_dim == 24
+    assert [l.w.shape for l in bundle.encoder.layers] == [(16, 24), (4, 16)]
+    assert not hasattr(bundle, "decoder")  # the decoder serves training only
     with pytest.raises(ValueError):
-        pa.AutoencoderBundle(encoder=bundle.encoder, decoder=bundle.decoder,
-                             n_p=24, n_b=5, h=16, final_train_mse=0.0)
+        pa.AutoencoderBundle(encoder=bundle.encoder, n_p=24, n_b=5, h=16,
+                             final_train_mse=0.0)
 
 
-def test_training_reduces_reconstruction_error():
+def _spy_reconstruction_error(monkeypatch):
+    """Record the (net, payloads) train_autoencoder measures its error on."""
+    calls = []
+    original = pa.reconstruction_error
+
+    def spy(net, payloads):
+        calls.append((net, payloads))
+        return original(net, payloads)
+    monkeypatch.setattr(pa, "reconstruction_error", spy)
+    return calls
+
+
+def test_training_reduces_reconstruction_error(monkeypatch):
     x = _payloads(40, 24, seed=1)
     before = _bundle(x=x, epochs=0, seed=1)
+    calls = _spy_reconstruction_error(monkeypatch)
     after = pa.train_autoencoder(x, n_b=4, h=16,
                                  cfg=TrainConfig(epochs=60, learning_rate=3e-3, seed=1))
     assert after.final_train_mse < before.final_train_mse
-    # error is reported in scaled [0,1] space and recomputable
+    # error is reported in scaled [0,1] space and recomputable from the
+    # full trained net, whose first two layers are the kept encoder
+    [(net, _)] = calls
+    assert [l.w.shape for l in net.layers] == [(16, 24), (4, 16), (16, 4), (24, 16)]
+    for kept, trained in zip(after.encoder.layers, net.layers[:2]):
+        np.testing.assert_array_equal(kept.w, trained.w)
+        np.testing.assert_array_equal(kept.b, trained.b)
     assert after.final_train_mse == pytest.approx(
-        pa.reconstruction_error(after, x), abs=1e-15)
+        pa.reconstruction_error(net, x), abs=1e-15)
 
 
 def test_training_is_seed_deterministic():
@@ -83,13 +99,16 @@ def test_training_is_seed_deterministic():
     assert a.final_train_mse == b.final_train_mse
 
 
-def test_sample_cap_subsamples_training_but_not_reporting():
+def test_sample_cap_subsamples_training_but_not_reporting(monkeypatch):
     x = _payloads(30, 24, seed=4)
+    calls = _spy_reconstruction_error(monkeypatch)
     capped = pa.train_autoencoder(x, n_b=4, h=8, cfg=TrainConfig(epochs=3, seed=0),
                                   sample_cap=10)
     # reported error still covers the full batch: recompute and compare
+    [(net, measured)] = calls
+    assert measured is x
     assert capped.final_train_mse == pytest.approx(
-        pa.reconstruction_error(capped, x), abs=1e-15)
+        pa.reconstruction_error(net, x), abs=1e-15)
 
 
 def test_rejects_non_compressing_bottleneck():
@@ -119,11 +138,12 @@ def test_encode_rejects_wrong_length():
 
 def test_bundle_round_trip(tmp_path):
     bundle = _bundle(epochs=2)
-    path = tmp_path / "ae.json"
-    path.write_text(json.dumps(pa.bundle_to_dict(bundle)))
+    path = tmp_path / "ae.npz"
+    pa.save_bundle(bundle, str(path))
     loaded = pa.load_bundle(str(path))
     assert (loaded.n_p, loaded.n_b, loaded.h) == (bundle.n_p, bundle.n_b, bundle.h)
     assert loaded.final_train_mse == bundle.final_train_mse
+    assert loaded.seed == bundle.seed
     x = _payloads(3, bundle.n_p, seed=5)
     np.testing.assert_array_equal(pa.encode_matrix(loaded, x),
                                   pa.encode_matrix(bundle, x))
