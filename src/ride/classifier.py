@@ -195,8 +195,10 @@ def stratified_split(embeddings: list[FlowEmbedding], test_fraction: float = 0.2
     return train, test
 
 
-def save_model(model: ClassifierModel, path: str) -> None:
-    nn_core.save_artifact(path, {"class_names": list(model.class_names)},
+def save_model(model: ClassifierModel, path: str, embeddings_sha256: str) -> None:
+    """The classifier, with the hash of the embeddings file it learned from."""
+    nn_core.save_artifact(path, {"class_names": list(model.class_names),
+                                 "embeddings_sha256": embeddings_sha256},
                           nets={"net": model.net})
 
 

@@ -304,6 +304,18 @@ def _file_sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def _check_lineage(paths: tuple[str, ...], field: str, upstream: str, rerun: str) -> None:
+    """StaleArtifactError unless each model file in `paths` records in its
+    meta `field` the sha256 of the file `upstream` holds now."""
+    current = _file_sha256(upstream)
+    for path in paths:
+        meta, _, _ = nn_core.load_artifact(path, fields=(field,))
+        if meta[field] != current:
+            raise StaleArtifactError(
+                f"{path} was built from another {upstream} than the one there now; "
+                f"re-run `ride {rerun}` and the stages after it")
+
+
 def _load_json(path: str):
     with open(_require(path)) as fh:
         return json.load(fh)
@@ -347,6 +359,7 @@ def stage_ingest(cfg: dict) -> dict:
     return _write_summary(cfg, "ingest", {
         "pcap": pcap_path, "truth_csv": truth_path,
         "n_packets": len(parsed.packets), "n_skipped": parsed.n_skipped,
+        "n_skipped_by_reason": parsed.n_skipped_by_reason,
         "n_truncated": parsed.n_truncated,
         "n_flows": len(labeled.flows), "n_dropped": labeled.n_dropped,
     })
@@ -417,8 +430,9 @@ def _labeled_matrix(embeddings: list, class_names: list[str]):
 
 
 def stage_train_clf(cfg: dict) -> dict:
-    embeddings = flow_embedder.flow_embeddings_from_csv(
-        _require(artifact_path(cfg, "embeddings")))
+    embeddings_path = _require(artifact_path(cfg, "embeddings"))
+    embeddings_sha256 = _file_sha256(embeddings_path)
+    embeddings = flow_embedder.flow_embeddings_from_csv(embeddings_path)
     train, test = classifier.stratified_split(
         embeddings, test_fraction=cfg["classifier"]["test_fraction"], seed=cfg["seed"])
     atomic_write_json(artifact_path(cfg, "split"),
@@ -426,7 +440,7 @@ def stage_train_clf(cfg: dict) -> dict:
                        "test": [e.flow_id for e in test]})
     model = classifier.train_classifier(train, _train_cfg(cfg, "classifier"),
                                         hidden=cfg["classifier"]["hidden"])
-    classifier.save_model(model, artifact_path(cfg, "classifier"))
+    classifier.save_model(model, artifact_path(cfg, "classifier"), embeddings_sha256)
     # deterministic metrics only (timing lives in the eval stage)
     x_test, y_true = _labeled_matrix(test, model.class_names)
     y_pred = np.argmax(classifier.predict_proba(model, x_test), axis=1)
@@ -452,16 +466,19 @@ def _train_packet_codes(cfg: dict, train: list):
     codes_path = _require(artifact_path(cfg, "packet_codes"))
     rae_path = _require(artifact_path(cfg, "rae"))
     ae_path = _require(artifact_path(cfg, "autoencoder"))
-    current = _file_sha256(ae_path)
-    for path in (codes_path, rae_path):
-        meta, _, _ = nn_core.load_artifact(path, fields=("autoencoder_sha256",))
-        if meta["autoencoder_sha256"] != current:
-            raise StaleArtifactError(
-                f"{path} was built from another {ae_path} than the one there now; "
-                f"re-run `ride embed` and the stages after it")
+    _check_lineage((codes_path, rae_path), "autoencoder_sha256", ae_path, "embed")
     wanted = {e.flow_id for e in train}
     encoded = [f for f in flow_embedder.load_packet_codes(codes_path) if f.flow_id in wanted]
     return encoded, flow_embedder.load_rae(rae_path)
+
+
+def _load_teacher(cfg: dict) -> classifier.ClassifierModel:
+    """The classifier, refused as stale when the embeddings file has
+    changed since train-clf read it (embed ran again)."""
+    path = _require(artifact_path(cfg, "classifier"))
+    _check_lineage((path,), "embeddings_sha256",
+                   _require(artifact_path(cfg, "embeddings")), "train-clf")
+    return classifier.load_model(path)
 
 
 def _prefix_points(rae, encoded: list) -> list:
@@ -495,7 +512,7 @@ def stage_distill(cfg: dict) -> dict:
     training flows, which the prefix points alone leave too sparse to
     place axis-aligned splits on (query sampling, as in TREPAN and
     born-again trees)."""
-    model = classifier.load_model(_require(artifact_path(cfg, "classifier")))
+    model = _load_teacher(cfg)
     train, test = _load_split_embeddings(cfg)
     if cfg["embed"]["order"] == "sequence":
         encoded, rae = _train_packet_codes(cfg, train)
@@ -625,7 +642,7 @@ def stage_jshc(cfg: dict) -> dict:
 
 
 def stage_eval(cfg: dict) -> dict:
-    model = classifier.load_model(_require(artifact_path(cfg, "classifier")))
+    model = _load_teacher(cfg)
     tree = tree_distiller.load_tree(_require(artifact_path(cfg, "tree")))
     qtree = hw_model.load_qtree(_require(artifact_path(cfg, "qtree_best")))
     _train, test = _load_split_embeddings(cfg)

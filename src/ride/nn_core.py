@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import zipfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,26 +234,128 @@ def _loss_value_and_grad(loss: str, pred: np.ndarray, target):
     raise ValueError(f"unknown loss {loss!r}")
 
 
-def _backward(net: DenseNet, x: np.ndarray, target, loss: str):
-    """Loss value plus gradients for every weight matrix and bias vector."""
+def _backward(net: DenseNet, x: np.ndarray, target, loss: str, grads) -> float:
+    """Loss value; the gradient of layer k's weight matrix and bias vector
+    is written into the arrays grads[k] = (dw, db). The gradient with
+    respect to the input is never formed: nothing reads it."""
     zs, acts = _forward_trace(net, x)
     value, da = _loss_value_and_grad(loss, acts[-1], target)
-    grads_w, grads_b = [None] * len(net.layers), [None] * len(net.layers)
     for k in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[k]
         dz = _activation_grad(layer.activation, zs[k], acts[k + 1], da)
-        grads_w[k] = dz.T @ acts[k]
-        grads_b[k] = dz.sum(axis=0)
-        da = dz @ layer.w
-    return value, grads_w, grads_b
+        dw, db = grads[k]
+        np.matmul(dz.T, acts[k], out=dw)
+        np.sum(dz, axis=0, out=db)
+        if k:
+            da = dz @ layer.w
+    return value
+
+
+# Adam walks the flat buffers in blocks of this many float64 elements
+# (512 KiB per buffer), so its passes over a block stay in cache.
+ADAM_BLOCK = 1 << 16
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _flat_views(buf: np.ndarray, layers: list[Layer]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(w, b) views into buf, one pair per layer, laid out w0 b0 w1 b1 ..."""
+    views, off = [], 0
+    for layer in layers:
+        w = buf[off:off + layer.w.size].reshape(layer.w.shape)
+        off += layer.w.size
+        views.append((w, buf[off:off + layer.b.size]))
+        off += layer.b.size
+    return views
+
+
+def _adam_block(p, g, m, v, s1, s2, lr, b1, b2, corr1, corr2, eps) -> None:
+    """One Adam update of a block in place, with the operations of
+    m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g**2;
+    p -= lr*(m/corr1) / (sqrt(v/corr2) + eps) in that order, so every
+    element rounds as the out-of-place expressions do. s1, s2: scratch."""
+    np.multiply(m, b1, out=m)
+    np.multiply(g, 1 - b1, out=s1)
+    np.add(m, s1, out=m)
+    np.multiply(v, b2, out=v)
+    np.multiply(g, g, out=s1)
+    np.multiply(s1, 1 - b2, out=s1)
+    np.add(v, s1, out=v)
+    np.divide(m, corr1, out=s2)
+    np.multiply(s2, lr, out=s2)
+    np.divide(v, corr2, out=s1)
+    np.sqrt(s1, out=s1)
+    np.add(s1, eps, out=s1)
+    np.divide(s2, s1, out=s2)
+    np.subtract(p, s2, out=p)
+
+
+class _Adam:
+    """Adam over one flat parameter buffer and its flat gradient buffer.
+
+    The blocks are split into one contiguous share per worker; the caller
+    works share 0 and a thread pool the others, since numpy ufuncs release
+    the GIL on blocks this large. With one share no pool exists. close()
+    shuts the pool down.
+    """
+
+    def __init__(self, params: np.ndarray, grads: np.ndarray, cfg: TrainConfig):
+        self.params, self.grads = params, grads
+        self.m, self.v = np.zeros_like(params), np.zeros_like(params)
+        self.cfg, self.t = cfg, 0
+        n_blocks = -(-params.size // ADAM_BLOCK)
+        n_workers = max(1, min(_usable_cpus(), n_blocks))
+        cuts = [k * n_blocks // n_workers * ADAM_BLOCK for k in range(n_workers)]
+        self.shares = list(zip(cuts, cuts[1:] + [params.size]))
+        block = min(ADAM_BLOCK, params.size)
+        self.scratch = [(np.empty(block), np.empty(block)) for _ in self.shares]
+        self.pool = ThreadPoolExecutor(n_workers - 1) if n_workers > 1 else None
+
+    def step(self) -> None:
+        self.t += 1
+        cfg = self.cfg
+        b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+        coeffs = (cfg.learning_rate, b1, b2, 1.0 - b1 ** self.t, 1.0 - b2 ** self.t,
+                  cfg.adam_eps)
+        futures = [self.pool.submit(self._share, k, coeffs)
+                   for k in range(1, len(self.shares))]
+        self._share(0, coeffs)
+        for future in futures:
+            future.result()
+
+    def _share(self, k: int, coeffs: tuple) -> None:
+        s1, s2 = self.scratch[k]
+        lo, hi = self.shares[k]
+        for start in range(lo, hi, ADAM_BLOCK):
+            blk = slice(start, min(start + ADAM_BLOCK, hi))
+            n = blk.stop - start
+            _adam_block(self.params[blk], self.grads[blk], self.m[blk], self.v[blk],
+                        s1[:n], s2[:n], *coeffs)
+
+    def close(self) -> None:
+        if self.pool is not None:
+            self.pool.shutdown()
 
 
 def train(net: DenseNet, x, targets, loss: str, cfg: TrainConfig):
     """Mini-batch training, deterministic per cfg.seed.
 
     Returns (trained copy of net, per-epoch loss history). History entry e
-    is the full-dataset loss at the start of epoch e, so with zero learning
-    rate the history holds the initial loss and weights stay unchanged.
+    is the sample-weighted mean of epoch e's minibatch losses, each taken
+    before its batch's update, so with zero learning rate every entry is
+    the initial full-dataset loss and the weights stay unchanged.
+
+    The parameters live in one flat float64 buffer (each layer's w and b
+    are views into it, also in the returned net), and the gradients in a
+    second one. Adam updates it in place block by block, split over the
+    usable CPUs; every weight comes out bit-identical to the out-of-place
+    update m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2,
+    w -= lr*(m/corr1) / (sqrt(v/corr2) + eps).
     """
     if loss not in LOSSES:
         raise ValueError(f"unknown loss {loss!r}")
@@ -267,53 +370,45 @@ def train(net: DenseNet, x, targets, loss: str, cfg: TrainConfig):
     else:
         targets = np.atleast_1d(np.asarray(targets)).astype(int)
 
-    net = net.copy()
+    size = sum(l.w.size + l.b.size for l in net.layers)
+    params, grads = np.empty(size), np.empty(size)
+    layers = []
+    for layer, (w, b) in zip(net.layers, _flat_views(params, net.layers)):
+        w[...], b[...] = layer.w, layer.b
+        layers.append(Layer(w, b, layer.activation))
+    net = DenseNet(layers)
+    grad_views = _flat_views(grads, net.layers)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    use_adam = cfg.optimizer == "adam"
-    if use_adam:
-        m_w = [np.zeros_like(l.w) for l in net.layers]
-        v_w = [np.zeros_like(l.w) for l in net.layers]
-        m_b = [np.zeros_like(l.b) for l in net.layers]
-        v_b = [np.zeros_like(l.b) for l in net.layers]
-        t = 0
+    adam = _Adam(params, grads, cfg) if cfg.optimizer == "adam" else None
 
     history = []
-    for epoch in range(cfg.epochs):
-        epoch_pred = forward(net, x)
-        if loss == "mse":
-            history.append(loss_mse(epoch_pred, targets))
-        else:
-            history.append(loss_cross_entropy(epoch_pred, targets))
-
-        order = rng.permutation(n)
-        for bstart in range(0, n, cfg.batch_size):
-            idx = order[bstart:bstart + cfg.batch_size]
-            value, grads_w, grads_b = _backward(net, x[idx], targets[idx], loss)
-            if not np.isfinite(value):
-                raise TrainingDivergedError(epoch, bstart // cfg.batch_size)
-            if use_adam:
-                t += 1
-                b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
-                corr1 = 1.0 - b1 ** t
-                corr2 = 1.0 - b2 ** t
-                for k, layer in enumerate(net.layers):
-                    m_w[k] = b1 * m_w[k] + (1 - b1) * grads_w[k]
-                    v_w[k] = b2 * v_w[k] + (1 - b2) * grads_w[k] ** 2
-                    m_b[k] = b1 * m_b[k] + (1 - b1) * grads_b[k]
-                    v_b[k] = b2 * v_b[k] + (1 - b2) * grads_b[k] ** 2
-                    layer.w -= cfg.learning_rate * (m_w[k] / corr1) / (np.sqrt(v_w[k] / corr2) + eps)
-                    layer.b -= cfg.learning_rate * (m_b[k] / corr1) / (np.sqrt(v_b[k] / corr2) + eps)
-            else:
-                for k, layer in enumerate(net.layers):
-                    layer.w -= cfg.learning_rate * grads_w[k]
-                    layer.b -= cfg.learning_rate * grads_b[k]
+    try:
+        for epoch in range(cfg.epochs):
+            epoch_loss = 0.0
+            order = rng.permutation(n)
+            for bstart in range(0, n, cfg.batch_size):
+                idx = order[bstart:bstart + cfg.batch_size]
+                value = _backward(net, x[idx], targets[idx], loss, grad_views)
+                if not np.isfinite(value):
+                    raise TrainingDivergedError(epoch, bstart // cfg.batch_size)
+                epoch_loss += value * idx.size
+                if adam is not None:
+                    adam.step()
+                else:
+                    np.multiply(grads, cfg.learning_rate, out=grads)
+                    np.subtract(params, grads, out=params)
+            history.append(epoch_loss / n)
+    finally:
+        if adam is not None:
+            adam.close()
     return net, history
 
 
 def gradient_check(net: DenseNet, loss: str, x, target, eps: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    _, grads_w, grads_b = _backward(net, x, target, loss)
+    grads = [(np.empty_like(l.w), np.empty_like(l.b)) for l in net.layers]
+    _backward(net, x, target, loss, grads)
     probe = net.copy()
 
     def loss_at() -> float:
@@ -323,10 +418,10 @@ def gradient_check(net: DenseNet, loss: str, x, target, eps: float = 1e-5) -> fl
         return loss_cross_entropy(pred, target)
 
     worst = 0.0
-    for k, layer in enumerate(probe.layers):
-        for arr, grads in ((layer.w, grads_w[k]), (layer.b, grads_b[k])):
+    for layer, (grad_w, grad_b) in zip(probe.layers, grads):
+        for arr, grad in ((layer.w, grad_w), (layer.b, grad_b)):
             flat = arr.reshape(-1)
-            gflat = grads.reshape(-1)
+            gflat = grad.reshape(-1)
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + eps

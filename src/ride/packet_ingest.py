@@ -35,6 +35,16 @@ PROTO_UDP = 17
 
 TRUTH_COLUMNS = ("src_ip", "dst_ip", "src_port", "dst_port", "protocol", "label")
 
+# Why a frame is skipped:
+#   non_ip             ethertype neither IPv4 nor IPv6, or an IP version
+#                      nibble that disagrees with the ethertype
+#   non_tcp_udp        IP payload of another protocol (ICMP, ...)
+#   fragment           IPv4 fragment other than the first (no L4 header)
+#   short_header       an Ethernet, VLAN, IP, TCP or UDP header cut short,
+#                      or an IP/TCP header length below its minimum
+#   zero_total_length  IPv4 total_length 0 (segmentation offload captures)
+SKIP_REASONS = ("non_ip", "non_tcp_udp", "fragment", "short_header", "zero_total_length")
+
 
 class PcapFormatError(ValueError):
     """Fatal problem with the capture's global header or framing."""
@@ -67,8 +77,13 @@ class FlowRecord:
 @dataclass
 class ParsedCapture:
     packets: list[RawPacket] = field(default_factory=list)
-    n_skipped: int = 0
+    n_skipped_by_reason: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(SKIP_REASONS, 0))
     n_truncated: int = 0
+
+    @property
+    def n_skipped(self) -> int:
+        return sum(self.n_skipped_by_reason.values())
 
 
 @dataclass
@@ -99,9 +114,10 @@ def normalize_protocol(value) -> str:
 def parse_pcap(capture_bytes: bytes) -> ParsedCapture:
     """Parse a classic PCAP byte string into TCP/UDP RawPackets.
 
-    Non-IP frames, non-TCP/UDP payloads and trailing IP fragments are
-    counted in n_skipped. A truncated record stops parsing; whatever was
-    parsed so far is returned with n_truncated incremented.
+    Frames that yield no TCP/UDP packet are counted per reason (see
+    SKIP_REASONS) in n_skipped_by_reason; n_skipped is their sum. A
+    truncated record stops parsing; whatever was parsed so far is returned
+    with n_truncated incremented.
     """
     if len(capture_bytes) < 24:
         raise PcapFormatError("capture shorter than the 24-byte global header")
@@ -144,21 +160,24 @@ def parse_pcap(capture_bytes: bytes) -> ParsedCapture:
         frame = capture_bytes[offset:offset + incl_len]
         offset += incl_len
         packet = _parse_ethernet(ts_sec + ts_frac * ts_scale, frame)
-        if packet is None:
-            result.n_skipped += 1
+        if isinstance(packet, str):
+            result.n_skipped_by_reason[packet] += 1
         else:
             result.packets.append(packet)
     return result
 
 
-def _parse_ethernet(timestamp: float, frame: bytes) -> RawPacket | None:
+# The _parse_* helpers return the packet, or the SKIP_REASONS entry that
+# explains why the frame holds none.
+
+def _parse_ethernet(timestamp: float, frame: bytes) -> RawPacket | str:
     if len(frame) < 14:
-        return None
+        return "short_header"
     ethertype = struct.unpack(">H", frame[12:14])[0]
     start = 14
     while ethertype in VLAN_TAG_TYPES:  # each 4-byte tag ends in the inner type
         if len(frame) < start + 4:
-            return None
+            return "short_header"
         ethertype = struct.unpack(">H", frame[start + 2:start + 4])[0]
         start += 4
     body = frame[start:]
@@ -166,19 +185,23 @@ def _parse_ethernet(timestamp: float, frame: bytes) -> RawPacket | None:
         return _parse_ipv4(timestamp, body)
     if ethertype == ETHERTYPE_IPV6:
         return _parse_ipv6(timestamp, body)
-    return None
+    return "non_ip"
 
 
-def _parse_ipv4(timestamp: float, data: bytes) -> RawPacket | None:
-    if len(data) < 20 or data[0] >> 4 != 4:
-        return None
+def _parse_ipv4(timestamp: float, data: bytes) -> RawPacket | str:
+    if len(data) < 20:
+        return "short_header"
+    if data[0] >> 4 != 4:
+        return "non_ip"
     ihl = (data[0] & 0x0F) * 4
     if ihl < 20 or len(data) < ihl:
-        return None
+        return "short_header"
     total_length = struct.unpack(">H", data[2:4])[0]
     frag = struct.unpack(">H", data[6:8])[0]
     if frag & 0x1FFF:  # non-first fragment, no L4 header present
-        return None
+        return "fragment"
+    if total_length == 0:
+        return "zero_total_length"
     proto = data[9]
     src = str(ipaddress.ip_address(data[12:16]))
     dst = str(ipaddress.ip_address(data[16:20]))
@@ -188,9 +211,11 @@ def _parse_ipv4(timestamp: float, data: bytes) -> RawPacket | None:
     return _parse_l4(timestamp, src, dst, proto, l4)
 
 
-def _parse_ipv6(timestamp: float, data: bytes) -> RawPacket | None:
-    if len(data) < 40 or data[0] >> 4 != 6:
-        return None
+def _parse_ipv6(timestamp: float, data: bytes) -> RawPacket | str:
+    if len(data) < 40:
+        return "short_header"
+    if data[0] >> 4 != 6:
+        return "non_ip"
     payload_length = struct.unpack(">H", data[4:6])[0]
     next_header = data[6]
     src = str(ipaddress.ip_address(data[8:24]))
@@ -199,22 +224,22 @@ def _parse_ipv6(timestamp: float, data: bytes) -> RawPacket | None:
     return _parse_l4(timestamp, src, dst, next_header, l4)
 
 
-def _parse_l4(timestamp: float, src: str, dst: str, proto: int, l4: bytes) -> RawPacket | None:
+def _parse_l4(timestamp: float, src: str, dst: str, proto: int, l4: bytes) -> RawPacket | str:
     if proto == PROTO_TCP:
         if len(l4) < 20:
-            return None
+            return "short_header"
         sport, dport = struct.unpack(">HH", l4[:4])
         data_offset = (l4[12] >> 4) * 4
         if data_offset < 20 or len(l4) < data_offset:
-            return None
+            return "short_header"
         return RawPacket(timestamp, src, dst, sport, dport, "TCP", l4[data_offset:])
     if proto == PROTO_UDP:
         if len(l4) < 8:
-            return None
+            return "short_header"
         sport, dport, udp_len = struct.unpack(">HHH", l4[:6])
         end = min(max(udp_len, 8), len(l4))
         return RawPacket(timestamp, src, dst, sport, dport, "UDP", l4[8:end])
-    return None
+    return "non_tcp_udp"
 
 
 def extract_payload_vector(packet: RawPacket, n_p: int = DEFAULT_N_P) -> PayloadVector:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ride import classifier as clf
+from ride import classifier as clf, nn_core
 from ride.flow_embedder import FlowEmbedding
 from ride.nn_core import DenseNet, Layer, TrainConfig
 
@@ -196,9 +196,11 @@ def test_model_round_trip(tmp_path):
     data = blobs()
     model = clf.train_classifier(data, cfg=TrainConfig(epochs=5, seed=9), hidden=8)
     path = tmp_path / "clf.npz"
-    clf.save_model(model, str(path))
+    clf.save_model(model, str(path), "ab" * 32)
     loaded = clf.load_model(str(path))
     assert loaded.class_names == model.class_names
+    meta, _, _ = nn_core.load_artifact(str(path), fields=("embeddings_sha256",))
+    assert meta["embeddings_sha256"] == "ab" * 32
     x = np.stack([e.values for e in data[:5]])
     np.testing.assert_allclose(clf.predict_proba(loaded, x), clf.predict_proba(model, x))
 

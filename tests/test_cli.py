@@ -6,7 +6,7 @@ import shutil
 import jsonschema
 import pytest
 
-from ride import cli
+from ride import cli, packet_ingest
 
 
 # ---------------------------------------------------------------- config
@@ -210,16 +210,20 @@ def test_stage_summaries_carry_key_metrics(fast_run):
     with open(cli.summary_path(fast_run, "jshc")) as fh:
         jshc = json.load(fh)
     assert jshc["best_beta"] >= 1 and 0 <= jshc["best_accuracy"] <= 1
+    with open(cli.summary_path(fast_run, "ingest")) as fh:
+        ingest = json.load(fh)
+    assert ingest["n_skipped_by_reason"] == dict.fromkeys(packet_ingest.SKIP_REASONS, 0)
+    assert ingest["n_skipped"] == 0
 
 
-def _fast_config_file(tmp_path, **autoencoder):
-    """The fast config as a file for `ride --config`, with autoencoder overrides."""
+def _fast_config_file(tmp_path, section="autoencoder", **overrides):
+    """The fast config as a file for `ride --config`, with overrides of one
+    training section."""
     cfg = _fast_config(tmp_path, "unused")
     path = tmp_path / "fast.json"
     path.write_text(json.dumps({
         "features": cfg["features"], "embed": cfg["embed"],
-        "train": {**cfg["train"],
-                  "autoencoder": {**cfg["train"]["autoencoder"], **autoencoder}}}))
+        "train": {**cfg["train"], section: {**cfg["train"][section], **overrides}}}))
     return str(path)
 
 
@@ -233,9 +237,31 @@ def test_distill_refuses_codes_from_an_older_autoencoder(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "stale artifact" in err and "re-run `ride embed`" in err
     assert os.path.join(out, "packet_codes.npz") in err
-    # embed again and the lineage holds
+    # embed again: now the classifier learned from older embeddings
     assert cli.main(["embed", "--config", retrained, "--out", out]) == 0
+    capsys.readouterr()
+    assert cli.main(["distill", "--config", retrained, "--out", out]) == 2
+    assert "re-run `ride train-clf`" in capsys.readouterr().err
+    # train it again and the lineage holds
+    assert cli.main(["train-clf", "--config", retrained, "--out", out]) == 0
     assert cli.main(["distill", "--config", retrained, "--out", out]) == 0
+
+
+def test_distill_and_eval_refuse_a_classifier_from_older_embeddings(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert cli.main(["all", "--config", _fast_config_file(tmp_path), "--out", out]) == 0
+    refolded = _fast_config_file(tmp_path, "rae", epochs=1)
+    assert cli.main(["embed", "--config", refolded, "--out", out]) == 0
+    capsys.readouterr()
+    for stage in ("distill", "eval"):
+        assert cli.main([stage, "--config", refolded, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "stale artifact" in err and "re-run `ride train-clf`" in err
+        assert os.path.join(out, "classifier.npz") in err
+        assert os.path.join(out, "flow_embeddings.csv") in err
+    # train the classifier again and the lineage holds
+    assert cli.main(["train-clf", "--config", refolded, "--out", out]) == 0
+    assert cli.main(["distill", "--config", refolded, "--out", out]) == 0
 
 
 def test_bad_or_old_model_files_exit_loudly(fast_run, tmp_path, capsys):

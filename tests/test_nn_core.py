@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -146,18 +147,163 @@ def test_train_zero_learning_rate_keeps_weights_and_history_constant():
         np.testing.assert_array_equal(l0.w, l1.w)
 
 
+def _reference_train(net, x, targets, loss, cfg):
+    """The out-of-place training loop train() replaced, kept as its oracle:
+    fresh gradient arrays every step and Adam as whole-array expressions.
+    Also returns every batch's loss and size."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    net = net.copy()
+    n = x.shape[0]
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
+    m_w = [np.zeros_like(l.w) for l in net.layers]
+    v_w = [np.zeros_like(l.w) for l in net.layers]
+    m_b = [np.zeros_like(l.b) for l in net.layers]
+    v_b = [np.zeros_like(l.b) for l in net.layers]
+    t, batches = 0, []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        epoch = []
+        for bstart in range(0, n, cfg.batch_size):
+            idx = order[bstart:bstart + cfg.batch_size]
+            zs, acts = nn_core._forward_trace(net, x[idx])
+            value, da = nn_core._loss_value_and_grad(loss, acts[-1], targets[idx])
+            epoch.append((value, idx.size))
+            grads_w, grads_b = [None] * len(net.layers), [None] * len(net.layers)
+            for k in range(len(net.layers) - 1, -1, -1):
+                layer = net.layers[k]
+                dz = nn_core._activation_grad(layer.activation, zs[k], acts[k + 1], da)
+                grads_w[k] = dz.T @ acts[k]
+                grads_b[k] = dz.sum(axis=0)
+                da = dz @ layer.w
+            if cfg.optimizer == "adam":
+                t += 1
+                corr1, corr2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+                for k, layer in enumerate(net.layers):
+                    m_w[k] = b1 * m_w[k] + (1 - b1) * grads_w[k]
+                    v_w[k] = b2 * v_w[k] + (1 - b2) * grads_w[k] ** 2
+                    m_b[k] = b1 * m_b[k] + (1 - b1) * grads_b[k]
+                    v_b[k] = b2 * v_b[k] + (1 - b2) * grads_b[k] ** 2
+                    layer.w -= cfg.learning_rate * (m_w[k] / corr1) / (np.sqrt(v_w[k] / corr2) + eps)
+                    layer.b -= cfg.learning_rate * (m_b[k] / corr1) / (np.sqrt(v_b[k] / corr2) + eps)
+            else:
+                for k, layer in enumerate(net.layers):
+                    layer.w -= cfg.learning_rate * grads_w[k]
+                    layer.b -= cfg.learning_rate * grads_b[k]
+        batches.append(epoch)
+    return net, batches
+
+
+def _assert_same_weights(a, b):
+    for la, lb in zip(a.layers, b.layers, strict=True):
+        assert np.array_equal(la.w, lb.w) and np.array_equal(la.b, lb.b)
+
+
 def test_train_history_entry_is_loss_at_epoch_start():
     net = init_dense_net([2, 3, 2], ["tanh", "identity"], seed=2)
     rng = np.random.Generator(np.random.PCG64(6))
     x = rng.normal(size=(8, 2))
-    cfg = TrainConfig(learning_rate=1e-2, batch_size=4, epochs=1, seed=3)
+    # one batch per epoch: entry e is the loss at the start of epoch e
+    cfg = TrainConfig(learning_rate=1e-2, batch_size=8, epochs=1, seed=3)
     trained, history = train(net, x, x, "mse", cfg)
     assert history[0] == pytest.approx(loss_mse(forward(net, x), x))
-    # continuing for one more epoch records the trained net's loss next
     _, history2 = train(net, x, x, "mse",
-                        TrainConfig(learning_rate=1e-2, batch_size=4, epochs=2, seed=3))
+                        TrainConfig(learning_rate=1e-2, batch_size=8, epochs=2, seed=3))
     assert history2[0] == pytest.approx(history[0])
     assert history2[1] == pytest.approx(loss_mse(forward(trained, x), x))
+    # smaller batches (3 + 3 + 2 rows): entry e is the sample-weighted mean
+    # of epoch e's batch losses, each taken before its batch's update
+    cfg = TrainConfig(learning_rate=1e-2, batch_size=3, epochs=2, seed=3)
+    _, history = train(net, x, x, "mse", cfg)
+    _, batches = _reference_train(net, x, x, "mse", cfg)
+    assert [[size for _, size in epoch] for epoch in batches] == [[3, 3, 2]] * 2
+    assert history == pytest.approx(
+        [sum(value * size for value, size in epoch) / 8 for epoch in batches], rel=1e-12)
+
+
+@st.composite
+def training_runs(draw):
+    """A small net, data for it, and a TrainConfig whose batch size need not
+    divide the row count."""
+    loss = draw(st.sampled_from(nn_core.LOSSES))
+    dims = draw(st.lists(st.integers(1, 6), min_size=2, max_size=4))
+    hidden = st.sampled_from([a for a in nn_core.ACTIVATIONS if a != "softmax"])
+    activations = draw(st.lists(hidden, min_size=len(dims) - 2, max_size=len(dims) - 2))
+    if loss == "cross_entropy":
+        dims[-1] = max(dims[-1], 2)
+        activations.append("softmax")
+    else:
+        activations.append(draw(st.sampled_from(nn_core.ACTIVATIONS)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    net = init_dense_net(dims, activations, seed=seed)
+    n = draw(st.integers(1, 12))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x = rng.normal(size=(n, dims[0]))
+    targets = (rng.normal(size=(n, dims[-1])) if loss == "mse"
+               else rng.integers(0, dims[-1], size=n))
+    cfg = TrainConfig(learning_rate=draw(st.sampled_from([1e-3, 1e-2, 1e-1])),
+                      batch_size=draw(st.integers(1, 5)), epochs=draw(st.integers(1, 3)),
+                      seed=seed, optimizer=draw(st.sampled_from(["adam", "sgd"])))
+    return net, x, targets, loss, cfg
+
+
+@given(run=training_runs())
+def test_train_matches_the_out_of_place_loop_bit_for_bit(run):
+    net, x, targets, loss, cfg = run
+    with np.errstate(all="ignore"):
+        trained, history = train(net, x, targets, loss, cfg)
+        expected, batches = _reference_train(net, x, targets, loss, cfg)
+    _assert_same_weights(trained, expected)
+    n = x.shape[0]
+    assert history == [sum(value * size for value, size in epoch) / n for epoch in batches]
+
+
+class _CountingPool(nn_core.ThreadPoolExecutor):
+    """ThreadPoolExecutor that records how many were made and their sizes."""
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        _CountingPool.sizes.append(max_workers)
+        super().__init__(max_workers)
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    """Two usable CPUs even on a one-CPU machine, and a spy on the pool."""
+    monkeypatch.setattr(nn_core, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_CountingPool, "sizes", [])
+    monkeypatch.setattr(nn_core, "ThreadPoolExecutor", _CountingPool)
+    return _CountingPool.sizes
+
+
+def test_adam_split_over_two_workers_matches_the_out_of_place_loop(two_workers):
+    net = init_dense_net([400, 300, 40], ["relu", "sigmoid"], seed=5)
+    n_params = sum(l.w.size + l.b.size for l in net.layers)
+    assert n_params > 2 * nn_core.ADAM_BLOCK  # three blocks, the last one short
+    x = np.random.Generator(np.random.PCG64(5)).uniform(size=(37, 400))
+    y = np.random.Generator(np.random.PCG64(6)).uniform(size=(37, 40))
+    cfg = TrainConfig(learning_rate=1e-2, batch_size=8, epochs=2, seed=5)
+    threads = threading.active_count()
+    trained, _ = train(net, x, y, "mse", cfg)
+    assert two_workers == [1]  # one pool thread besides the caller
+    assert threading.active_count() == threads
+    _assert_same_weights(trained, _reference_train(net, x, y, "mse", cfg)[0])
+    # a net of one block gets no pool
+    train(init_dense_net([3, 2], ["identity"], seed=0), x[:, :3], y[:, :2], "mse", cfg)
+    assert two_workers == [1]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_diverged_adam_leaves_no_thread_behind(two_workers):
+    net = init_dense_net([400, 300, 40], ["identity", "identity"], seed=5)
+    x = np.full((4, 400), 1e5)
+    cfg = TrainConfig(learning_rate=1e200, batch_size=1, epochs=2, seed=0)
+    threads = threading.active_count()
+    with pytest.raises(TrainingDivergedError):
+        train(net, x, np.zeros((4, 40)), "mse", cfg)
+    assert two_workers == [1]
+    assert threading.active_count() == threads
 
 
 def test_train_does_not_mutate_input_net():

@@ -5,6 +5,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ride import packet_ingest as pi, synth_data
 
@@ -90,6 +91,22 @@ def test_non_ip_and_non_tcp_udp_are_skipped():
     data = global_header() + b"".join(record(f) for f in frames)
     cap = pi.parse_pcap(data)
     assert cap.n_skipped == 2
+    assert [p.payload for p in cap.packets] == [b"ok"]
+
+
+def test_skips_are_counted_by_reason():
+    frames = {
+        "non_ip": eth(b"\x00" * 28, ethertype=0x0806),                 # ARP
+        "non_tcp_udp": eth(ipv4(b"\x00" * 8, proto=1)),                # ICMP
+        "fragment": eth(ipv4(b"\xff" * 30, frag=100)),
+        "short_header": eth(ipv4(b"\x00" * 12)),                       # 12 of 20 TCP bytes
+        "zero_total_length": eth(ipv4(tcp(b"tso"), total_length=0)),
+    }
+    assert set(frames) == set(pi.SKIP_REASONS)
+    data = global_header() + b"".join(record(f) for f in frames.values())
+    cap = pi.parse_pcap(data + record(eth(ipv4(tcp(b"ok")))))
+    assert cap.n_skipped_by_reason == dict.fromkeys(pi.SKIP_REASONS, 1)
+    assert cap.n_skipped == len(pi.SKIP_REASONS)
     assert [p.payload for p in cap.packets] == [b"ok"]
 
 
@@ -268,3 +285,51 @@ def test_load_truth_csv(tmp_path):
     )
     rows = pi.load_truth_csv(str(path))
     assert rows == [truth_row("10.0.0.1", "10.0.0.2", "1234", "80", "TCP", "attack")]
+
+
+# ------------------------------------------------------ property tests
+
+@given(data=st.binary(max_size=200))
+def test_arbitrary_bytes_parse_or_raise_pcap_format_error(data):
+    try:
+        pi.parse_pcap(data)
+    except pi.PcapFormatError:
+        pass
+
+
+ethertypes = st.sampled_from([0x0800, 0x86DD, 0x8100, 0x88A8, 0x0806])
+frames = st.one_of(
+    st.binary(max_size=80),
+    st.builds(lambda body, ethertype: eth(body, ethertype), st.binary(max_size=80), ethertypes),
+    st.builds(lambda l4, proto, total, frag: eth(ipv4(l4, proto=proto, total_length=total,
+                                                      frag=frag)),
+              st.binary(max_size=60), st.sampled_from([6, 17, 1]),
+              st.one_of(st.none(), st.integers(0, 0xFFFF)), st.integers(0, 0xFFFF)),
+)
+
+
+@given(frames=st.lists(frames, max_size=8), tail=st.binary(max_size=15),
+       endian=st.sampled_from(["<", ">"]))
+def test_random_records_parse_or_raise_pcap_format_error(frames, tail, endian):
+    # the tail is shorter than a record header, so it always truncates
+    data = global_header(endian) + b"".join(record(f, endian=endian) for f in frames)
+    try:
+        cap = pi.parse_pcap(data + tail)
+    except pi.PcapFormatError:
+        return
+    # every whole record yields a packet or one counted skip
+    assert len(cap.packets) + cap.n_skipped == len(frames)
+    assert cap.n_skipped == sum(cap.n_skipped_by_reason.values())
+    assert set(cap.n_skipped_by_reason) == set(pi.SKIP_REASONS)
+    assert cap.n_truncated == (1 if tail else 0)
+
+
+addresses = st.one_of(st.ip_addresses(v=4), st.ip_addresses(v=6)).map(str)
+ports = st.integers(0, 0xFFFF)
+
+
+@given(src=addresses, dst=addresses, sport=ports, dport=ports,
+       protocol=st.one_of(st.sampled_from(["TCP", "udp", "ICMP"]), st.integers(0, 255)))
+def test_canonical_flow_key_is_the_same_in_both_directions(src, dst, sport, dport, protocol):
+    assert (pi.canonical_flow_key(src, dst, sport, dport, protocol)
+            == pi.canonical_flow_key(dst, src, dport, sport, protocol))
