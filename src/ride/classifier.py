@@ -7,7 +7,7 @@ the distilled tree, and the quantized tree all report comparable metrics.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,6 +22,7 @@ DEFAULT_HIDDEN = 100
 class ClassifierModel:
     net: DenseNet  # n_b -> hidden -> k, softmax output
     class_names: list[str]
+    loss_curve: list[float] = field(default_factory=list)  # per training epoch
 
     def __post_init__(self):
         if len(self.class_names) < 2:
@@ -94,8 +95,8 @@ def train_classifier(embeddings: list[FlowEmbedding], cfg: TrainConfig | None = 
         seed=cfg.seed,
         weight_init_scale=cfg.weight_init_scale,
     )
-    trained, _history = nn_core.train(net, x, y, "cross_entropy", cfg)
-    return ClassifierModel(net=trained, class_names=class_names)
+    trained, history = nn_core.train(net, x, y, "cross_entropy", cfg)
+    return ClassifierModel(net=trained, class_names=class_names, loss_curve=history)
 
 
 def _values_of(embedding) -> np.ndarray:
@@ -198,10 +199,12 @@ def stratified_split(embeddings: list[FlowEmbedding], test_fraction: float = 0.2
 def save_model(model: ClassifierModel, path: str, embeddings_sha256: str) -> None:
     """The classifier, with the hash of the embeddings file it learned from."""
     nn_core.save_artifact(path, {"class_names": list(model.class_names),
+                                 "loss_curve": model.loss_curve,
                                  "embeddings_sha256": embeddings_sha256},
                           nets={"net": model.net})
 
 
 def load_model(path: str) -> ClassifierModel:
     meta, nets, _ = nn_core.load_artifact(path, nets=("net",), fields=("class_names",))
-    return ClassifierModel(net=nets["net"], class_names=list(meta["class_names"]))
+    return ClassifierModel(net=nets["net"], class_names=list(meta["class_names"]),
+                           loss_curve=meta.get("loss_curve", []))

@@ -385,6 +385,8 @@ def stage_train_ae(cfg: dict) -> dict:
     return _write_summary(cfg, "train-ae", {
         "n_payloads": int(matrix.shape[0]), "n_p": bundle.n_p, "n_b": bundle.n_b,
         "h": bundle.h, "final_train_mse": bundle.final_train_mse,
+        "live_input_width": bundle.live_width,
+        "n_encoder_weights_skipped": (bundle.n_p - bundle.live_width) * bundle.h,
     })
 
 

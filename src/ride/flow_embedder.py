@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,6 +47,7 @@ class RaeBundle:
     n_b: int
     final_recon_error: float
     seed: int = 0
+    loss_curve: list[float] = field(default_factory=list)  # per training epoch
 
     def __post_init__(self):
         if self.composer.input_dim != 2 * self.n_b or self.composer.output_dim != self.n_b:
@@ -115,7 +116,7 @@ def train_rae(pairs: np.ndarray, n_b: int, cfg: TrainConfig | None = None) -> Ra
         raise ValueError(f"pair rows must have width 2*n_b={2 * n_b}")
     net = nn_core.init_dense_net([2 * n_b, n_b, 2 * n_b], ["tanh", "tanh"],
                                  seed=cfg.seed, weight_init_scale=cfg.weight_init_scale)
-    trained, _history = nn_core.train(net, pairs, pairs, "mse", cfg)
+    trained, history = nn_core.train(net, pairs, pairs, "mse", cfg)
     final = nn_core.loss_mse(nn_core.forward(trained, pairs), pairs)
     return RaeBundle(
         composer=DenseNet([trained.layers[0]]),
@@ -123,6 +124,7 @@ def train_rae(pairs: np.ndarray, n_b: int, cfg: TrainConfig | None = None) -> Ra
         n_b=n_b,
         final_recon_error=final,
         seed=cfg.seed,
+        loss_curve=history,
     )
 
 
@@ -274,6 +276,7 @@ def flow_embeddings_from_csv(path: str) -> list[FlowEmbedding]:
 def save_rae(rae: RaeBundle, path: str, autoencoder_sha256: str) -> None:
     """The RAE, with the hash of the autoencoder file whose codes it folds."""
     nn_core.save_artifact(path, {"final_recon_error": rae.final_recon_error, "seed": rae.seed,
+                                 "loss_curve": rae.loss_curve,
                                  "autoencoder_sha256": autoencoder_sha256},
                           nets={"composer": rae.composer, "reconstructor": rae.reconstructor})
 
@@ -283,7 +286,8 @@ def load_rae(path: str) -> RaeBundle:
                                           fields=("final_recon_error", "seed"))
     return RaeBundle(composer=nets["composer"], reconstructor=nets["reconstructor"],
                      n_b=nets["composer"].output_dim,
-                     final_recon_error=meta["final_recon_error"], seed=meta["seed"])
+                     final_recon_error=meta["final_recon_error"], seed=meta["seed"],
+                     loss_curve=meta.get("loss_curve", []))
 
 
 _PACKET_CODE_ARRAYS = ("codes", "offsets", "flow_ids", "labels")

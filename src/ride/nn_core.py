@@ -161,6 +161,36 @@ def _activation_grad(name: str, z: np.ndarray, a: np.ndarray, da: np.ndarray) ->
     raise ValueError(f"unknown activation {name!r}")
 
 
+# Input columns per chunk of chunked_affine.
+CHUNK = 256
+
+
+def live_width(x: np.ndarray) -> int:
+    """The columns of x up to the end of the CHUNK-column chunk holding its
+    last nonzero column, at most x's width; 0 when x is all zero."""
+    cols = np.flatnonzero(x.any(axis=0))
+    return 0 if cols.size == 0 else min(x.shape[1], (int(cols[-1]) // CHUNK + 1) * CHUNK)
+
+
+def chunked_affine(x: np.ndarray, wT: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ wT + b as the sum of x[:, c] @ wT[c] over the CHUNK-column chunks
+    c in order, plus b, skipping the chunks past live_width(x).
+
+    A skipped chunk's terms are exact zeros and no chunk is ever cut, so
+    each chunk's product is the same BLAS call whether or not later chunks
+    run: the result equals the sum over every chunk bit for bit, on any
+    BLAS. A zero-padded input pays only for its live chunks. wT should be
+    C-contiguous, so that a chunk of it is one contiguous block.
+    """
+    live = live_width(x)
+    if not live:
+        return np.zeros((x.shape[0], wT.shape[1])) + b
+    z = x[:, :CHUNK] @ wT[:CHUNK]
+    for lo in range(CHUNK, live, CHUNK):
+        z += x[:, lo:lo + CHUNK] @ wT[lo:lo + CHUNK]
+    return z + b
+
+
 def _forward_trace(net: DenseNet, x: np.ndarray):
     """Forward pass keeping pre-activations and activations per layer."""
     zs, acts = [], [x]
@@ -170,7 +200,10 @@ def _forward_trace(net: DenseNet, x: np.ndarray):
             raise ValueError(
                 f"layer {k} expects input dim {layer.w.shape[1]}, got {a.shape[-1]}"
             )
-        z = a @ layer.w.T + layer.b
+        if layer.w.flags.c_contiguous:
+            z = a @ layer.w.T + layer.b
+        else:  # stored transposed (w.T C-contiguous): the input may be padded
+            z = chunked_affine(a, layer.w.T, layer.b)
         a = _apply_activation(layer.activation, z)
         zs.append(z)
         acts.append(a)
@@ -237,14 +270,24 @@ def _loss_value_and_grad(loss: str, pred: np.ndarray, target):
 def _backward(net: DenseNet, x: np.ndarray, target, loss: str, grads) -> float:
     """Loss value; the gradient of layer k's weight matrix and bias vector
     is written into the arrays grads[k] = (dw, db). The gradient with
-    respect to the input is never formed: nothing reads it."""
+    respect to the input is never formed: nothing reads it.
+
+    A dw narrower than the layer's input receives the gradient of its first
+    dw.shape[1] columns only (the live columns of a zero-padded input; the
+    others' gradient is zero). A dw that is not C-contiguous is the
+    transpose of a C-contiguous array, whose rows are filled in place.
+    """
     zs, acts = _forward_trace(net, x)
     value, da = _loss_value_and_grad(loss, acts[-1], target)
     for k in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[k]
         dz = _activation_grad(layer.activation, zs[k], acts[k + 1], da)
         dw, db = grads[k]
-        np.matmul(dz.T, acts[k], out=dw)
+        a = acts[k][:, :dw.shape[1]]
+        if dw.flags.c_contiguous:
+            np.matmul(dz.T, a, out=dw)
+        else:
+            np.matmul(a.T, dz, out=dw.T)
         np.sum(dz, axis=0, out=db)
         if k:
             da = dz @ layer.w
@@ -263,12 +306,21 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _flat_views(buf: np.ndarray, layers: list[Layer]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(w, b) views into buf, one pair per layer, laid out w0 b0 w1 b1 ..."""
+def _flat_views(buf: np.ndarray, layers: list[Layer],
+                transpose_first: bool = False) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(w, b) views into buf, one pair per layer, laid out w0 b0 w1 b1 ...
+
+    With transpose_first, w0 is stored at the end of buf instead, as the
+    row-major w0.T, so the rows of w0.T (columns of w0) from any point on
+    are one range at buf's tail.
+    """
     views, off = [], 0
-    for layer in layers:
-        w = buf[off:off + layer.w.size].reshape(layer.w.shape)
-        off += layer.w.size
+    for k, layer in enumerate(layers):
+        if k == 0 and transpose_first:
+            w = buf[buf.size - layer.w.size:].reshape(layer.w.shape[::-1]).T
+        else:
+            w = buf[off:off + layer.w.size].reshape(layer.w.shape)
+            off += layer.w.size
         views.append((w, buf[off:off + layer.b.size]))
         off += layer.b.size
     return views
@@ -356,6 +408,13 @@ def train(net: DenseNet, x, targets, loss: str, cfg: TrainConfig):
     usable CPUs; every weight comes out bit-identical to the out-of-place
     update m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2,
     w -= lr*(m/corr1) / (sqrt(v/corr2) + eps).
+
+    When x ends in all-zero chunks (zero padding: live_width(x) is below
+    its width), layer 0 is stored transposed, so its forward product runs
+    through chunked_affine, and the weights on the dead columns form the
+    tail of the buffer. Their gradient is exactly zero at every step, so
+    no step computes, reads or updates them: they keep their initial
+    values, as the full update would leave them.
     """
     if loss not in LOSSES:
         raise ValueError(f"unknown loss {loss!r}")
@@ -370,14 +429,21 @@ def train(net: DenseNet, x, targets, loss: str, cfg: TrainConfig):
     else:
         targets = np.atleast_1d(np.asarray(targets)).astype(int)
 
+    live = live_width(x)
+    padded = live < net.input_dim
     size = sum(l.w.size + l.b.size for l in net.layers)
     params, grads = np.empty(size), np.empty(size)
     layers = []
-    for layer, (w, b) in zip(net.layers, _flat_views(params, net.layers)):
+    for layer, (w, b) in zip(net.layers, _flat_views(params, net.layers, padded)):
         w[...], b[...] = layer.w, layer.b
         layers.append(Layer(w, b, layer.activation))
     net = DenseNet(layers)
-    grad_views = _flat_views(grads, net.layers)
+    grad_views = _flat_views(grads, net.layers, padded)
+    if padded:  # only the live columns' gradient is ever written or read
+        dw0, db0 = grad_views[0]
+        grad_views[0] = (dw0[:, :live], db0)
+        size -= (net.input_dim - live) * net.layers[0].w.shape[0]
+    params, grads = params[:size], grads[:size]
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     adam = _Adam(params, grads, cfg) if cfg.optimizer == "adam" else None
 

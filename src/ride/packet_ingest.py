@@ -64,7 +64,6 @@ class RawPacket:
 @dataclass
 class PayloadVector:
     values: np.ndarray  # uint8, length n_p
-    original_len: int
 
 
 @dataclass
@@ -250,7 +249,7 @@ def extract_payload_vector(packet: RawPacket, n_p: int = DEFAULT_N_P) -> Payload
     values = np.zeros(n_p, dtype=np.uint8)
     if raw:
         values[:len(raw)] = np.frombuffer(raw, dtype=np.uint8)
-    return PayloadVector(values=values, original_len=len(raw))
+    return PayloadVector(values=values)
 
 
 def canonical_flow_key(src: str, dst: str, sport: int, dport: int, protocol) -> str:

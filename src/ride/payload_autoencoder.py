@@ -8,13 +8,12 @@ serves training and its reported error: the bundle keeps the encoder.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import nn_core
 from .nn_core import DenseNet, TrainConfig
-from .packet_ingest import PayloadVector
 
 logger = logging.getLogger(__name__)
 
@@ -26,13 +25,6 @@ BYTE_SCALE = 255.0
 
 
 @dataclass
-class CompressedEmbedding:
-    values: np.ndarray  # (n_b,)
-    flow_id: str = ""
-    packet_index: int = 0
-
-
-@dataclass
 class AutoencoderBundle:
     encoder: DenseNet  # n_p -> h -> n_b
     n_p: int
@@ -40,6 +32,10 @@ class AutoencoderBundle:
     h: int
     final_train_mse: float
     seed: int = 0
+    loss_curve: list[float] = field(default_factory=list)  # per training epoch
+    # training input columns up to its last live chunk (nn_core.live_width);
+    # the encoder weights on the columns past it were never updated
+    live_width: int | None = None
 
     def __post_init__(self):
         if self.encoder.input_dim != self.n_p or self.encoder.output_dim != self.n_b:
@@ -87,25 +83,19 @@ def train_autoencoder(
         seed=cfg.seed,
         weight_init_scale=cfg.weight_init_scale,
     )
-    trained, _history = nn_core.train(net, train_x, train_x, "mse", cfg)
+    trained, history = nn_core.train(net, train_x, train_x, "mse", cfg)
 
     return AutoencoderBundle(encoder=DenseNet(trained.layers[:2]), n_p=n_p, n_b=n_b, h=h,
                              final_train_mse=reconstruction_error(trained, payloads),
-                             seed=cfg.seed)
-
-
-def encode(bundle: AutoencoderBundle, payload: PayloadVector,
-           flow_id: str = "", packet_index: int = 0) -> CompressedEmbedding:
-    """Compress one payload vector; pure and deterministic."""
-    values = np.asarray(payload.values, dtype=np.float64)
-    if values.shape != (bundle.n_p,):
-        raise ValueError(f"payload length {values.shape} != n_p={bundle.n_p}")
-    z = nn_core.forward(bundle.encoder, values / BYTE_SCALE)
-    return CompressedEmbedding(values=z, flow_id=flow_id, packet_index=packet_index)
+                             seed=cfg.seed, loss_curve=history,
+                             live_width=nn_core.live_width(train_x))
 
 
 def encode_matrix(bundle: AutoencoderBundle, x_raw: np.ndarray) -> np.ndarray:
-    """Batch encode of raw 0-255 rows; preserves row order."""
+    """Batch encode of raw 0-255 rows; preserves row order. An encoder
+    trained here (or loaded from a file it was saved to) keeps layer 0
+    transposed, so zero padding past a row's last live chunk costs no
+    multiply (nn_core.chunked_affine)."""
     x_raw = np.atleast_2d(np.asarray(x_raw, dtype=np.float64))
     if x_raw.shape[1] != bundle.n_p:
         raise ValueError(f"row length {x_raw.shape[1]} != n_p={bundle.n_p}")
@@ -123,7 +113,8 @@ def reconstruction_error(net: DenseNet, payloads) -> float:
 
 def save_bundle(bundle: AutoencoderBundle, path: str) -> None:
     nn_core.save_artifact(path, {"final_train_mse": bundle.final_train_mse,
-                                 "seed": bundle.seed},
+                                 "seed": bundle.seed, "loss_curve": bundle.loss_curve,
+                                 "live_width": bundle.live_width},
                           nets={"encoder": bundle.encoder})
 
 
@@ -133,4 +124,6 @@ def load_bundle(path: str) -> AutoencoderBundle:
     encoder = nets["encoder"]
     return AutoencoderBundle(encoder=encoder, n_p=encoder.input_dim,
                              n_b=encoder.output_dim, h=encoder.layers[0].w.shape[0],
-                             final_train_mse=meta["final_train_mse"], seed=meta["seed"])
+                             final_train_mse=meta["final_train_mse"], seed=meta["seed"],
+                             loss_curve=meta.get("loss_curve", []),
+                             live_width=meta.get("live_width"))

@@ -199,6 +199,7 @@ def test_model_round_trip(tmp_path):
     clf.save_model(model, str(path), "ab" * 32)
     loaded = clf.load_model(str(path))
     assert loaded.class_names == model.class_names
+    assert len(model.loss_curve) == 5 and loaded.loss_curve == model.loss_curve
     meta, _, _ = nn_core.load_artifact(str(path), fields=("embeddings_sha256",))
     assert meta["embeddings_sha256"] == "ab" * 32
     x = np.stack([e.values for e in data[:5]])

@@ -6,7 +6,7 @@ import shutil
 import jsonschema
 import pytest
 
-from ride import cli, packet_ingest
+from ride import cli, nn_core, packet_ingest
 
 
 # ---------------------------------------------------------------- config
@@ -214,6 +214,12 @@ def test_stage_summaries_carry_key_metrics(fast_run):
         ingest = json.load(fh)
     assert ingest["n_skipped_by_reason"] == dict.fromkeys(packet_ingest.SKIP_REASONS, 0)
     assert ingest["n_skipped"] == 0
+    # the fixture's payloads fill one chunk of the 1500 input columns; the
+    # encoder weights on the other columns are never updated
+    with open(cli.summary_path(fast_run, "train-ae")) as fh:
+        train_ae = json.load(fh)
+    assert train_ae["live_input_width"] == nn_core.CHUNK
+    assert train_ae["n_encoder_weights_skipped"] == (1500 - nn_core.CHUNK) * 32
 
 
 def _fast_config_file(tmp_path, section="autoencoder", **overrides):

@@ -281,6 +281,7 @@ def test_rae_round_trip(tmp_path):
     assert loaded.n_b == rae.n_b
     assert loaded.final_recon_error == rae.final_recon_error
     assert loaded.seed == rae.seed
+    assert len(rae.loss_curve) == 2 and loaded.loss_curve == rae.loss_curve
     left, right = np.ones(3) * 0.2, np.ones(3) * -0.1
     np.testing.assert_array_equal(fe.combine_pair(loaded, left, right),
                                   fe.combine_pair(rae, left, right))

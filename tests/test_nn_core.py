@@ -5,7 +5,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ride import nn_core
@@ -256,6 +256,117 @@ def test_train_matches_the_out_of_place_loop_bit_for_bit(run):
     _assert_same_weights(trained, expected)
     n = x.shape[0]
     assert history == [sum(value * size for value, size in epoch) / n for epoch in batches]
+
+
+def _padded_rows(n, n_in, width, seed):
+    """n rows of byte values / 255 in the first `width` of n_in columns,
+    zero after; column width - 1 is nonzero in row 0."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x = np.zeros((n, n_in))
+    x[:, :width] = rng.integers(0, 256, size=(n, width)) / 255.0
+    if width:
+        x[0, width - 1] = 1.0
+    return x
+
+
+def _sum_over_every_chunk(x, wT, b):
+    """chunked_affine's definition with no chunk skipped."""
+    chunk = nn_core.CHUNK
+    z = x[:, :chunk] @ wT[:chunk]
+    for lo in range(chunk, x.shape[1], chunk):
+        z = z + x[:, lo:lo + chunk] @ wT[lo:lo + chunk]
+    return z + b
+
+
+@given(n=st.integers(1, 64), n_in=st.integers(1, 1600), out=st.sampled_from([1, 3, 64, 512]),
+       width_frac=st.floats(0, 1), seed=st.integers(0, 2**32 - 1))
+def test_chunked_affine_equals_the_sum_over_every_chunk(n, n_in, out, width_frac, seed):
+    width = round(width_frac * n_in)
+    x = _padded_rows(n, n_in, width, seed)
+    rng = np.random.Generator(np.random.PCG64(seed + 1))
+    wT, b = rng.uniform(-1, 1, size=(n_in, out)), rng.uniform(-1, 1, size=out)
+    chunk = nn_core.CHUNK
+    assert nn_core.live_width(x) == min(n_in, -(-width // chunk) * chunk)
+    assert np.array_equal(nn_core.chunked_affine(x, wT, b), _sum_over_every_chunk(x, wT, b))
+
+
+@given(n=st.integers(2, 64), width=st.integers(0, 256), seed=st.integers(0, 2**32 - 1))
+def test_chunked_affine_equals_the_full_product_within_one_chunk(n, width, seed):
+    """At the payload encoder's layer-0 shape (1500 -> 512), a padded input
+    whose live columns fit in one chunk gets the bits of the plain product
+    with the weights C-ordered. One-row products go to gemv, whose sliced
+    call differs from the full one, so they are not covered."""
+    x = _padded_rows(n, 1500, width, seed)
+    rng = np.random.Generator(np.random.PCG64(seed + 1))
+    w, b = rng.uniform(-0.03, 0.03, size=(512, 1500)), rng.uniform(-0.1, 0.1, size=512)
+    assert np.array_equal(nn_core.chunked_affine(x, np.asfortranarray(w).T, b), x @ w.T + b)
+
+
+@st.composite
+def padded_training_runs(draw, n_in, width_max, min_batch_rows):
+    """A net on an n_in-wide input that is zero past its first width
+    columns (at most width_max), data, and a TrainConfig whose batches all
+    have at least min_batch_rows rows."""
+    loss = draw(st.sampled_from(nn_core.LOSSES))
+    hidden = draw(st.sampled_from(["relu", "sigmoid", "tanh", "identity"]))
+    k = draw(st.integers(2, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    net = init_dense_net([n_in, 512, k], [hidden, "softmax" if loss == "cross_entropy"
+                                          else draw(st.sampled_from(nn_core.ACTIVATIONS))],
+                         seed=seed)
+    batch = draw(st.integers(max(1, min_batch_rows), 6))
+    n = draw(st.integers(max(2, min_batch_rows), 12).filter(
+        lambda n: n % batch == 0 or n % batch >= min_batch_rows))
+    x = _padded_rows(n, n_in, draw(st.integers(0, width_max)), seed)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    targets = (rng.normal(size=(n, k)) if loss == "mse" else rng.integers(0, k, size=n))
+    cfg = TrainConfig(learning_rate=draw(st.sampled_from([1e-3, 1e-2, 1e-1])),
+                      batch_size=batch, epochs=draw(st.integers(1, 2)), seed=seed,
+                      optimizer=draw(st.sampled_from(["adam", "sgd"])))
+    return net, x, targets, loss, cfg
+
+
+@settings(max_examples=12)
+@given(run=padded_training_runs(n_in=1500, width_max=256, min_batch_rows=2))
+def test_padded_training_matches_the_out_of_place_loop_bit_for_bit(run):
+    net, x, targets, loss, cfg = run
+    with np.errstate(all="ignore"):
+        trained, history = train(net, x, targets, loss, cfg)
+        expected, batches = _reference_train(net, x, targets, loss, cfg)
+    assert not trained.layers[0].w.flags.c_contiguous  # layer 0 stored transposed
+    _assert_same_weights(trained, expected)
+    n = x.shape[0]
+    assert history == [sum(value * size for value, size in epoch) / n for epoch in batches]
+
+
+class _SizedAdam(nn_core._Adam):
+    """_Adam that records the size of every parameter range it updates."""
+    sizes: list[int] = []
+
+    def __init__(self, params, grads, cfg):
+        _SizedAdam.sizes.append(params.size)
+        super().__init__(params, grads, cfg)
+
+
+@settings(max_examples=15)
+@given(run=padded_training_runs(n_in=700, width_max=512, min_batch_rows=1))
+def test_padded_training_never_updates_the_dead_columns(run):
+    net, x, targets, loss, cfg = run
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        mp.setattr(_SizedAdam, "sizes", [])
+        mp.setattr(nn_core, "_Adam", _SizedAdam)
+        first, history = train(net, x, targets, loss, cfg)
+        second, history2 = train(net, x, targets, loss, cfg)
+        sizes = _SizedAdam.sizes
+    live = nn_core.live_width(x)
+    assert live < 700
+    w0 = net.layers[0].w
+    assert np.array_equal(first.layers[0].w[:, live:], w0[:, live:])
+    _assert_same_weights(first, second)
+    assert history == history2
+    n_params = sum(l.w.size + l.b.size for l in net.layers)
+    if cfg.optimizer == "adam":
+        assert sizes == [n_params - (700 - live) * w0.shape[0]] * 2
 
 
 class _CountingPool(nn_core.ThreadPoolExecutor):

@@ -19,8 +19,8 @@ def _bundle(n_p=24, n_b=4, h=16, seed=0, epochs=0, x=None):
 
 
 def test_payloads_to_matrix_accepts_vectors_and_arrays():
-    pv = [PayloadVector(values=np.arange(6, dtype=np.float64), original_len=6),
-          PayloadVector(values=np.ones(6), original_len=6)]
+    pv = [PayloadVector(values=np.arange(6, dtype=np.float64)),
+          PayloadVector(values=np.ones(6))]
     m = pa.payloads_to_matrix(pv)
     assert m.shape == (2, 6)
     assert m[0, 3] == 3.0
@@ -33,10 +33,9 @@ def test_encode_scales_bytes_before_the_network():
     w = np.array([[1.0, 1.0]])
     enc = DenseNet([nn_core.Layer(w=w, b=np.zeros(1), activation="identity")])
     bundle = pa.AutoencoderBundle(encoder=enc, n_p=2, n_b=1, h=1, final_train_mse=0.0)
-    out = pa.encode(bundle, PayloadVector(values=np.array([255.0, 0.0]),
-                                          original_len=2))
-    assert out.values.shape == (1,)
-    assert out.values[0] == pytest.approx(1.0)  # 255/255 + 0/255
+    out = pa.encode_matrix(bundle, np.array([255.0, 0.0]))
+    assert out.shape == (1, 1)
+    assert out[0, 0] == pytest.approx(1.0)  # 255/255 + 0/255
 
 
 def test_encode_matrix_matches_single_encode():
@@ -45,8 +44,8 @@ def test_encode_matrix_matches_single_encode():
     batch = pa.encode_matrix(bundle, x)
     assert batch.shape == (5, bundle.n_b)
     for i in range(5):
-        single = pa.encode(bundle, PayloadVector(values=x[i], original_len=0))
-        np.testing.assert_allclose(batch[i], single.values, rtol=0, atol=1e-12)
+        single = pa.encode_matrix(bundle, x[i])
+        np.testing.assert_allclose(batch[i], single[0], rtol=0, atol=1e-12)
 
 
 def test_encoder_decoder_dims():
@@ -131,7 +130,7 @@ def test_narrow_hidden_width_warns(caplog):
 def test_encode_rejects_wrong_length():
     bundle = _bundle(n_p=24)
     with pytest.raises(ValueError):
-        pa.encode(bundle, PayloadVector(values=np.zeros(23), original_len=0))
+        pa.encode_matrix(bundle, np.zeros(23))
     with pytest.raises(ValueError):
         pa.encode_matrix(bundle, np.zeros((2, 25)))
 
@@ -147,3 +146,35 @@ def test_bundle_round_trip(tmp_path):
     x = _payloads(3, bundle.n_p, seed=5)
     np.testing.assert_array_equal(pa.encode_matrix(loaded, x),
                                   pa.encode_matrix(bundle, x))
+
+
+def test_padded_encoder_is_stored_transposed_and_old_files_still_load(tmp_path):
+    # the default layer shapes, payloads of up to 200 of 1500 bytes
+    x = np.zeros((12, 1500))
+    x[:, :200] = _payloads(12, 200, seed=6)
+    bundle = pa.train_autoencoder(x, n_b=100, h=512,
+                                  cfg=TrainConfig(epochs=2, batch_size=4, seed=6))
+    assert bundle.live_width == nn_core.CHUNK
+    assert len(bundle.loss_curve) == 2
+    assert not bundle.encoder.layers[0].w.flags.c_contiguous
+    path = str(tmp_path / "ae.npz")
+    pa.save_bundle(bundle, path)
+    with np.load(path) as npz:  # Fortran order in the file: loads with no copy
+        assert npz["encoder.w0"].flags.f_contiguous
+    loaded = pa.load_bundle(path)
+    assert loaded.encoder.layers[0].w.flags.f_contiguous
+    assert (loaded.loss_curve, loaded.live_width) == (bundle.loss_curve, bundle.live_width)
+    rows = x[:5]
+    np.testing.assert_array_equal(pa.encode_matrix(loaded, rows), pa.encode_matrix(bundle, rows))
+    # a file written before the transposed layout: C-order weights and no
+    # loss curve; it loads and takes the plain full product, same bits
+    old = DenseNet([nn_core.Layer(np.ascontiguousarray(l.w), l.b, l.activation)
+                    for l in bundle.encoder.layers])
+    old_path = str(tmp_path / "old.npz")
+    nn_core.save_artifact(old_path, {"final_train_mse": bundle.final_train_mse, "seed": 6},
+                          nets={"encoder": old})
+    from_old = pa.load_bundle(old_path)
+    assert from_old.encoder.layers[0].w.flags.c_contiguous
+    assert (from_old.loss_curve, from_old.live_width) == ([], None)
+    np.testing.assert_array_equal(pa.encode_matrix(from_old, rows),
+                                  pa.encode_matrix(bundle, rows))
