@@ -377,16 +377,20 @@ def _load_flow_payload_matrix(cfg: dict):
 
 def stage_train_ae(cfg: dict) -> dict:
     _flows, matrix = _load_flow_payload_matrix(cfg)
+    train_cfg = _train_cfg(cfg, "autoencoder")
+    sample_cap = cfg["sample_caps"]["ae_payloads"]
     bundle = payload_autoencoder.train_autoencoder(
         matrix, n_b=cfg["features"]["n_b"], h=cfg["features"]["h"],
-        cfg=_train_cfg(cfg, "autoencoder"),
-        sample_cap=cfg["sample_caps"]["ae_payloads"])
+        cfg=train_cfg, sample_cap=sample_cap)
     payload_autoencoder.save_bundle(bundle, artifact_path(cfg, "autoencoder"))
+    # the encoder weights past the training rows' live width never move
+    live = nn_core.live_width(
+        payload_autoencoder.training_rows(matrix, sample_cap, train_cfg.seed))
     return _write_summary(cfg, "train-ae", {
         "n_payloads": int(matrix.shape[0]), "n_p": bundle.n_p, "n_b": bundle.n_b,
         "h": bundle.h, "final_train_mse": bundle.final_train_mse,
-        "live_input_width": bundle.live_width,
-        "n_encoder_weights_skipped": (bundle.n_p - bundle.live_width) * bundle.h,
+        "live_input_width": live,
+        "n_encoder_weights_skipped": (bundle.n_p - live) * bundle.h,
     })
 
 

@@ -33,9 +33,6 @@ class AutoencoderBundle:
     final_train_mse: float
     seed: int = 0
     loss_curve: list[float] = field(default_factory=list)  # per training epoch
-    # training input columns up to its last live chunk (nn_core.live_width);
-    # the encoder weights on the columns past it were never updated
-    live_width: int | None = None
 
     def __post_init__(self):
         if self.encoder.input_dim != self.n_p or self.encoder.output_dim != self.n_b:
@@ -47,6 +44,16 @@ def payloads_to_matrix(payloads) -> np.ndarray:
     if isinstance(payloads, np.ndarray):
         return np.atleast_2d(payloads.astype(np.float64))
     return np.stack([np.asarray(p.values, dtype=np.float64) for p in payloads])
+
+
+def training_rows(x: np.ndarray, sample_cap: int, seed: int | None) -> np.ndarray:
+    """The rows of x the autoencoder trains on: all of them, or a sorted
+    sample of sample_cap rows drawn with seed."""
+    n = x.shape[0]
+    if n <= sample_cap:
+        return x
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return x[np.sort(rng.choice(n, size=sample_cap, replace=False))]
 
 
 def train_autoencoder(
@@ -72,11 +79,7 @@ def train_autoencoder(
     if h < n_b:
         logger.warning("hidden width h=%d below bottleneck n_b=%d; capacity may suffer", h, n_b)
 
-    train_x = x
-    if n > sample_cap:
-        rng = np.random.Generator(np.random.PCG64(cfg.seed))
-        train_x = x[np.sort(rng.choice(n, size=sample_cap, replace=False))]
-
+    train_x = training_rows(x, sample_cap, cfg.seed)
     net = nn_core.init_dense_net(
         [n_p, h, n_b, h, n_p],
         ["relu", "sigmoid", "relu", "sigmoid"],
@@ -87,8 +90,7 @@ def train_autoencoder(
 
     return AutoencoderBundle(encoder=DenseNet(trained.layers[:2]), n_p=n_p, n_b=n_b, h=h,
                              final_train_mse=reconstruction_error(trained, payloads),
-                             seed=cfg.seed, loss_curve=history,
-                             live_width=nn_core.live_width(train_x))
+                             seed=cfg.seed, loss_curve=history)
 
 
 def encode_matrix(bundle: AutoencoderBundle, x_raw: np.ndarray) -> np.ndarray:
@@ -113,8 +115,7 @@ def reconstruction_error(net: DenseNet, payloads) -> float:
 
 def save_bundle(bundle: AutoencoderBundle, path: str) -> None:
     nn_core.save_artifact(path, {"final_train_mse": bundle.final_train_mse,
-                                 "seed": bundle.seed, "loss_curve": bundle.loss_curve,
-                                 "live_width": bundle.live_width},
+                                 "seed": bundle.seed, "loss_curve": bundle.loss_curve},
                           nets={"encoder": bundle.encoder})
 
 
@@ -125,5 +126,4 @@ def load_bundle(path: str) -> AutoencoderBundle:
     return AutoencoderBundle(encoder=encoder, n_p=encoder.input_dim,
                              n_b=encoder.output_dim, h=encoder.layers[0].w.shape[0],
                              final_train_mse=meta["final_train_mse"], seed=meta["seed"],
-                             loss_curve=meta.get("loss_curve", []),
-                             live_width=meta.get("live_width"))
+                             loss_curve=meta.get("loss_curve", []))

@@ -110,6 +110,22 @@ def test_sample_cap_subsamples_training_but_not_reporting(monkeypatch):
         pa.reconstruction_error(net, x), abs=1e-15)
 
 
+def test_training_rows_are_the_rows_the_autoencoder_trains_on(monkeypatch):
+    x = _payloads(30, 24, seed=4)
+    seen = []
+    original = nn_core.train
+
+    def spy(net, inputs, targets, loss, cfg):
+        seen.append(inputs)
+        return original(net, inputs, targets, loss, cfg)
+    monkeypatch.setattr(nn_core, "train", spy)
+    pa.train_autoencoder(x, n_b=4, h=8, cfg=TrainConfig(epochs=1, seed=3), sample_cap=10)
+    rows = pa.training_rows(x, 10, 3)
+    assert rows.shape == (10, 24)
+    np.testing.assert_array_equal(seen[0], rows / pa.BYTE_SCALE)
+    assert pa.training_rows(x, 30, 3) is x
+
+
 def test_rejects_non_compressing_bottleneck():
     x = _payloads(8, 10)
     with pytest.raises(ValueError):
@@ -154,7 +170,6 @@ def test_padded_encoder_is_stored_transposed_and_old_files_still_load(tmp_path):
     x[:, :200] = _payloads(12, 200, seed=6)
     bundle = pa.train_autoencoder(x, n_b=100, h=512,
                                   cfg=TrainConfig(epochs=2, batch_size=4, seed=6))
-    assert bundle.live_width == nn_core.CHUNK
     assert len(bundle.loss_curve) == 2
     assert not bundle.encoder.layers[0].w.flags.c_contiguous
     path = str(tmp_path / "ae.npz")
@@ -163,7 +178,7 @@ def test_padded_encoder_is_stored_transposed_and_old_files_still_load(tmp_path):
         assert npz["encoder.w0"].flags.f_contiguous
     loaded = pa.load_bundle(path)
     assert loaded.encoder.layers[0].w.flags.f_contiguous
-    assert (loaded.loss_curve, loaded.live_width) == (bundle.loss_curve, bundle.live_width)
+    assert loaded.loss_curve == bundle.loss_curve
     rows = x[:5]
     np.testing.assert_array_equal(pa.encode_matrix(loaded, rows), pa.encode_matrix(bundle, rows))
     # a file written before the transposed layout: C-order weights and no
@@ -175,6 +190,6 @@ def test_padded_encoder_is_stored_transposed_and_old_files_still_load(tmp_path):
                           nets={"encoder": old})
     from_old = pa.load_bundle(old_path)
     assert from_old.encoder.layers[0].w.flags.c_contiguous
-    assert (from_old.loss_curve, from_old.live_width) == ([], None)
+    assert from_old.loss_curve == []
     np.testing.assert_array_equal(pa.encode_matrix(from_old, rows),
                                   pa.encode_matrix(bundle, rows))
