@@ -124,7 +124,7 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "order": {"enum": ["sequence", "greedy_min"]},
+                "order": {"enum": ["sequence"]},
                 "pair_cap": {"type": "integer", "minimum": 1},
             },
         },
@@ -179,7 +179,6 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "ae_payloads": {"type": "integer", "minimum": 1},
-                "rae_pairs": {"type": "integer", "minimum": 1},
             },
         },
     },
@@ -209,7 +208,7 @@ def default_config() -> dict:
                  "tol": 1.0, "max_iter": 20,
                  "z_max": {"max_power_mw": None, "max_area_units": None,
                            "max_latency_s": None}},
-        "sample_caps": {"ae_payloads": 50000, "rae_pairs": 20000},
+        "sample_caps": {"ae_payloads": 50000},
     }
 
 
@@ -404,7 +403,7 @@ def stage_embed(cfg: dict) -> dict:
     pairs = flow_embedder.sample_training_pairs(
         embedded, pair_cap=cfg["embed"]["pair_cap"], seed=rae_cfg.seed)
     rae = flow_embedder.train_rae(pairs, n_b=bundle.n_b, cfg=rae_cfg)
-    joint = flow_embedder.embed_flows(rae, embedded, order=cfg["embed"]["order"])
+    joint = flow_embedder.embed_flows(rae, embedded)
     flow_embedder.save_rae(rae, artifact_path(cfg, "rae"), ae_sha256)
     flow_embedder.save_packet_codes(embedded, artifact_path(cfg, "packet_codes"), ae_sha256)
     # CSV written atomically via temp path + rename
@@ -413,7 +412,6 @@ def stage_embed(cfg: dict) -> dict:
     os.replace(csv_path + ".tmp", csv_path)
     return _write_summary(cfg, "embed", {
         "n_flows": len(joint), "n_pairs": int(pairs.shape[0]),
-        "fold_order": cfg["embed"]["order"],
         "final_recon_error": rae.final_recon_error,
     })
 
@@ -491,21 +489,29 @@ def _prefix_points(rae, encoded: list) -> list:
     return [p for ef in encoded for p in flow_embedder.prefix_embeddings(rae, ef)]
 
 
+def _query_points(cfg: dict, rae, encoded: list) -> list:
+    """The final states of QUERY_FLOWS_PER_TRAIN_FLOW query flows per
+    training flow, folded in one batch."""
+    queries = flow_embedder.sample_query_flows(
+        encoded, QUERY_FLOWS_PER_TRAIN_FLOW * len(encoded), seed=cfg["seed"])
+    codes, offsets = flow_embedder.stack_codes(queries)
+    finals = flow_embedder.fold_prefixes(rae, codes, offsets)[offsets[1:] - 1]
+    return [flow_embedder.FlowEmbedding(flow_id=q.flow_id, values=v,
+                                        n_packets_folded=len(q.embeddings), label=q.label)
+            for q, v in zip(queries, finals)]
+
+
 def _distill_train_embeddings(cfg: dict, train: list) -> list:
     """The real points the distilled tree sees, rebuilt from the stored
     artifacts: the distill stage fits the quantization ranges and measures
     the train-side fidelity on these.
 
-    With the sequential fold, every flow exposes one joint embedding per
-    received packet, and all of those prefixes are kept (the last one is
-    the flow's final embedding). The first prefix of a flow is its first
-    packet's raw payload code, which lies off the folded embeddings the
-    teacher was trained on; measured, dropping those points made the tree
-    no better. Other fold orders have no prefix notion, so the final
-    embeddings are used as-is.
+    Every flow exposes one joint embedding per received packet, and all
+    of those prefixes are kept (the last one is the flow's final
+    embedding). The first prefix of a flow is its first packet's raw
+    payload code, which lies off the folded embeddings the teacher was
+    trained on; measured, dropping those points made the tree no better.
     """
-    if cfg["embed"]["order"] != "sequence":
-        return train
     encoded, rae = _train_packet_codes(cfg, train)
     return _prefix_points(rae, encoded)
 
@@ -520,13 +526,9 @@ def stage_distill(cfg: dict) -> dict:
     born-again trees)."""
     model = _load_teacher(cfg)
     train, test = _load_split_embeddings(cfg)
-    if cfg["embed"]["order"] == "sequence":
-        encoded, rae = _train_packet_codes(cfg, train)
-        train_points = _prefix_points(rae, encoded)
-        queries = flow_embedder.fold_sequences(rae, flow_embedder.sample_query_flows(
-            encoded, QUERY_FLOWS_PER_TRAIN_FLOW * len(encoded), seed=cfg["seed"]))
-    else:
-        train_points, queries = train, []
+    encoded, rae = _train_packet_codes(cfg, train)
+    train_points = _prefix_points(rae, encoded)
+    queries = _query_points(cfg, rae, encoded)
     teacher_data = tree_distiller.generate_teacher_dataset(model, train_points + queries)
     tree = tree_distiller.cart_train(
         teacher_data.x, teacher_data.y_teacher,

@@ -1,9 +1,10 @@
 """Fold per-packet embeddings into a single fixed-width flow embedding.
 
 A recursive autoencoder learns one composition cell (two embeddings in,
-one out) plus a mirror reconstructor used only as the training signal and
-for the greedy merge-order heuristic. Folding a flow applies the cell
-repeatedly until one vector remains.
+one out); its mirror reconstructor is only the training signal and is not
+kept. Folding a flow applies the cell left to right, one packet at a
+time, so the flow has a joint state after every packet: fold_prefixes
+computes them all, and the last one is the flow's embedding.
 """
 from __future__ import annotations
 
@@ -42,18 +43,15 @@ class FlowEmbedding:
 
 @dataclass
 class RaeBundle:
-    composer: DenseNet       # 2*n_b -> n_b, tanh
-    reconstructor: DenseNet  # n_b -> 2*n_b, tanh
+    composer: DenseNet  # 2*n_b -> n_b, tanh
     n_b: int
-    final_recon_error: float
+    final_recon_error: float  # of the composer and its training-only reconstructor
     seed: int = 0
     loss_curve: list[float] = field(default_factory=list)  # per training epoch
 
     def __post_init__(self):
         if self.composer.input_dim != 2 * self.n_b or self.composer.output_dim != self.n_b:
             raise ValueError("composer must map 2*n_b -> n_b")
-        if self.reconstructor.input_dim != self.n_b or self.reconstructor.output_dim != 2 * self.n_b:
-            raise ValueError("reconstructor must map n_b -> 2*n_b")
 
 
 def encode_flows(bundle: AutoencoderBundle, flows: list[FlowRecord],
@@ -73,19 +71,12 @@ def encode_flows(bundle: AutoencoderBundle, flows: list[FlowRecord],
 
 
 def combine_pair(rae: RaeBundle, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The composer on one (n_b,) pair, or row by row on k pairs of (k, n_b)."""
     left = np.asarray(left, dtype=np.float64)
     right = np.asarray(right, dtype=np.float64)
-    if left.shape != (rae.n_b,) or right.shape != (rae.n_b,):
-        raise ValueError("pair members must each have shape (n_b,)")
-    return nn_core.forward(rae.composer, np.concatenate([left, right]))
-
-
-def reconstruction_error_pair(rae: RaeBundle, left: np.ndarray, right: np.ndarray) -> float:
-    """Squared L2 between the concatenated pair and its round trip."""
-    stacked = np.concatenate([np.asarray(left, np.float64), np.asarray(right, np.float64)])
-    folded = combine_pair(rae, left, right)
-    rebuilt = nn_core.forward(rae.reconstructor, folded)
-    return float(np.sum((rebuilt - stacked) ** 2))
+    if left.shape != right.shape or left.shape[-1:] != (rae.n_b,) or left.ndim > 2:
+        raise ValueError("pair members must both have shape (n_b,) or (k, n_b)")
+    return nn_core.forward(rae.composer, np.concatenate([left, right], axis=-1))
 
 
 def sample_training_pairs(flows: list[EmbeddedFlow], pair_cap: int = DEFAULT_PAIR_CAP,
@@ -120,7 +111,6 @@ def train_rae(pairs: np.ndarray, n_b: int, cfg: TrainConfig | None = None) -> Ra
     final = nn_core.loss_mse(nn_core.forward(trained, pairs), pairs)
     return RaeBundle(
         composer=DenseNet([trained.layers[0]]),
-        reconstructor=DenseNet([trained.layers[1]]),
         n_b=n_b,
         final_recon_error=final,
         seed=cfg.seed,
@@ -128,63 +118,61 @@ def train_rae(pairs: np.ndarray, n_b: int, cfg: TrainConfig | None = None) -> Ra
     )
 
 
-def embed_flow(rae: RaeBundle, flow: EmbeddedFlow, order: str = "sequence") -> FlowEmbedding:
-    """Fold a flow's packet embeddings into one vector.
+def fold_prefixes(rae: RaeBundle, codes: np.ndarray, offsets) -> np.ndarray:
+    """Every state of the sequential fold of stacked flows.
 
-    order="sequence" folds left to right in packet order; "greedy_min"
-    repeatedly merges the adjacent pair with the lowest pair
-    reconstruction error.
+    Flow j owns rows offsets[j]:offsets[j + 1] of `codes` (the layout of
+    packet_codes.npz). Row r of the result is its flow's state after the
+    packets up to row r: the flow's first code, then combine_pair of the
+    previous state and the row's code. Step i composes every flow longer
+    than i in one product. The steps visit the flows longest first, so
+    the flows still folding are a leading slice of the step before's.
+
+    One flow gives the bits of a left fold of one-pair combine_pair calls.
+    A batch may differ from that in the last bits, because BLAS sums a
+    many-row product differently from a one-row one.
     """
-    e = np.atleast_2d(flow.embeddings)
-    n = e.shape[0]
-    if n == 0:
-        raise ValueError(f"flow {flow.flow_id} has no packets")
-    if n == 1:
-        return FlowEmbedding(flow_id=flow.flow_id, values=e[0].copy(),
-                             n_packets_folded=1, label=flow.label)
-    if order == "sequence":
-        acc = e[0]
-        for i in range(1, n):
-            acc = combine_pair(rae, acc, e[i])
-        return FlowEmbedding(flow_id=flow.flow_id, values=acc,
-                             n_packets_folded=n, label=flow.label)
-    if order == "greedy_min":
-        work = [e[i] for i in range(n)]
-        while len(work) > 1:
-            errs = [reconstruction_error_pair(rae, work[i], work[i + 1])
-                    for i in range(len(work) - 1)]
-            i = int(np.argmin(errs))  # ties -> leftmost
-            work[i:i + 2] = [combine_pair(rae, work[i], work[i + 1])]
-        return FlowEmbedding(flow_id=flow.flow_id, values=work[0],
-                             n_packets_folded=n, label=flow.label)
-    raise ValueError(f"unknown fold order {order!r}")
+    codes = np.asarray(codes, dtype=np.float64)
+    if codes.ndim != 2 or len(offsets) < 2 or offsets[0] != 0 or offsets[-1] != len(codes):
+        raise ValueError(f"offsets must run from 0 to the {len(codes)} rows of codes")
+    if len(offsets) == 2:  # one flow's rows are already in step order
+        order, live, x = None, [1] * len(codes), codes
+    else:
+        offsets = np.asarray(offsets)
+        lengths = offsets[1:] - offsets[:-1]
+        by_length = np.argsort(-lengths, kind="stable")
+        steps = np.arange(lengths.max())[:, None]
+        folding = lengths[by_length] > steps  # [i, j]: the j-th longest has an (i+1)-th packet
+        order = (offsets[by_length] + steps)[folding]
+        live = np.count_nonzero(folding, axis=1).tolist()
+        x = codes[order]  # step-major
+    if not live or live[0] != len(offsets) - 1:  # step 0 must hold every flow
+        raise ValueError(f"flow {int(np.argmin(np.diff(offsets)))} has no packets")
+    parts = [x[:live[0]]]
+    lo = live[0]
+    for k in live[1:]:
+        parts.append(combine_pair(rae, parts[-1][:k], x[lo:lo + k]))
+        lo += k
+    y = np.concatenate(parts)
+    if order is None:
+        return y
+    states = np.empty_like(codes)
+    states[order] = y
+    return states
+
+
+def embed_flow(rae: RaeBundle, flow: EmbeddedFlow, order: str = "sequence") -> FlowEmbedding:
+    """Fold a flow's packet embeddings, in packet order, into one vector."""
+    if order != "sequence":
+        raise ValueError(f"unknown fold order {order!r}")
+    e = flow.embeddings
+    return FlowEmbedding(flow_id=flow.flow_id, values=fold_prefixes(rae, e, [0, len(e)])[-1],
+                         n_packets_folded=len(e), label=flow.label)
 
 
 def embed_flows(rae: RaeBundle, flows: list[EmbeddedFlow],
                 order: str = "sequence") -> list[FlowEmbedding]:
     return [embed_flow(rae, f, order=order) for f in flows]
-
-
-def fold_sequences(rae: RaeBundle, flows: list[EmbeddedFlow]) -> list[FlowEmbedding]:
-    """The sequential fold of many flows in one batched pass: step i
-    composes the running state of every flow longer than i with its
-    (i+1)-th packet. Entry j equals embed_flow(rae, flows[j], "sequence")
-    up to float64 rounding of the batched matrix product."""
-    if not flows:
-        return []
-    lengths = np.array([np.atleast_2d(f.embeddings).shape[0] for f in flows])
-    if lengths.min() == 0:
-        raise ValueError("every flow needs at least one packet")
-    codes = np.concatenate([np.atleast_2d(f.embeddings) for f in flows])
-    first = np.cumsum(lengths) - lengths  # row of each flow's first packet
-    state = codes[first]
-    for i in range(1, int(lengths.max())):
-        live = np.flatnonzero(lengths > i)
-        state[live] = nn_core.forward(
-            rae.composer, np.hstack([state[live], codes[first[live] + i]]))
-    return [FlowEmbedding(flow_id=f.flow_id, values=state[j],
-                          n_packets_folded=int(lengths[j]), label=f.label)
-            for j, f in enumerate(flows)]
 
 
 def sample_query_flows(flows: list[EmbeddedFlow], n_flows: int,
@@ -223,25 +211,17 @@ def sample_query_flows(flows: list[EmbeddedFlow], n_flows: int,
 def prefix_embeddings(rae: RaeBundle, flow: EmbeddedFlow) -> list[FlowEmbedding]:
     """Every snapshot of the sequential fold: entry k holds the joint
     embedding after the first k+1 packets, so the last entry equals
-    embed_flow(..., order="sequence").
+    embed_flow(rae, flow).
 
     The first entry is the first packet's raw payload code, a point in
     the payload autoencoder's [0, 1] code space that no flow classifier
     trained on folded embeddings has seen; only the later entries are
     outputs of the fold.
     """
-    e = np.atleast_2d(flow.embeddings)
-    n = e.shape[0]
-    if n == 0:
-        raise ValueError(f"flow {flow.flow_id} has no packets")
-    out = [FlowEmbedding(flow_id=f"{flow.flow_id}#1", values=e[0].copy(),
-                         n_packets_folded=1, label=flow.label)]
-    acc = e[0]
-    for i in range(1, n):
-        acc = combine_pair(rae, acc, e[i])
-        out.append(FlowEmbedding(flow_id=f"{flow.flow_id}#{i + 1}", values=acc,
-                                 n_packets_folded=i + 1, label=flow.label))
-    return out
+    e = flow.embeddings
+    return [FlowEmbedding(flow_id=f"{flow.flow_id}#{k + 1}", values=state,
+                          n_packets_folded=k + 1, label=flow.label)
+            for k, state in enumerate(fold_prefixes(rae, e, [0, len(e)]))]
 
 
 def flow_embeddings_to_csv(embeddings: list[FlowEmbedding], path: str) -> None:
@@ -278,14 +258,15 @@ def save_rae(rae: RaeBundle, path: str, autoencoder_sha256: str) -> None:
     nn_core.save_artifact(path, {"final_recon_error": rae.final_recon_error, "seed": rae.seed,
                                  "loss_curve": rae.loss_curve,
                                  "autoencoder_sha256": autoencoder_sha256},
-                          nets={"composer": rae.composer, "reconstructor": rae.reconstructor})
+                          nets={"composer": rae.composer})
 
 
 def load_rae(path: str) -> RaeBundle:
-    meta, nets, _ = nn_core.load_artifact(path, nets=("composer", "reconstructor"),
+    """A file from before the composer was stored alone also holds the
+    reconstructor; it is not read."""
+    meta, nets, _ = nn_core.load_artifact(path, nets=("composer",),
                                           fields=("final_recon_error", "seed"))
-    return RaeBundle(composer=nets["composer"], reconstructor=nets["reconstructor"],
-                     n_b=nets["composer"].output_dim,
+    return RaeBundle(composer=nets["composer"], n_b=nets["composer"].output_dim,
                      final_recon_error=meta["final_recon_error"], seed=meta["seed"],
                      loss_curve=meta.get("loss_curve", []))
 
@@ -293,14 +274,22 @@ def load_rae(path: str) -> RaeBundle:
 _PACKET_CODE_ARRAYS = ("codes", "offsets", "flow_ids", "labels")
 
 
+def stack_codes(flows: list[EmbeddedFlow]) -> tuple[np.ndarray, np.ndarray]:
+    """The flows' packet codes stacked, and offsets: flow j owns rows
+    offsets[j]:offsets[j + 1]."""
+    lengths = [f.embeddings.shape[0] for f in flows]
+    return (np.concatenate([f.embeddings for f in flows]),
+            np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64))
+
+
 def save_packet_codes(flows: list[EmbeddedFlow], path: str, autoencoder_sha256: str) -> None:
-    """Every flow's packet codes in one file: `codes` stacks them, flow j
-    owns rows offsets[j]:offsets[j + 1] and has flow_ids[j] and labels[j].
-    The meta records the hash of the autoencoder file that encoded them."""
-    lengths = [np.atleast_2d(f.embeddings).shape[0] for f in flows]
+    """Every flow's packet codes in one file, as stack_codes lays them
+    out; flow j has flow_ids[j] and labels[j]. The meta records the hash
+    of the autoencoder file that encoded them."""
+    codes, offsets = stack_codes(flows)
     nn_core.save_artifact(path, {"autoencoder_sha256": autoencoder_sha256}, arrays={
-        "codes": np.concatenate([np.atleast_2d(f.embeddings) for f in flows]),
-        "offsets": np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64),
+        "codes": codes,
+        "offsets": offsets,
         "flow_ids": np.array([f.flow_id for f in flows], dtype=str),
         "labels": np.array([str(f.label) for f in flows], dtype=str),
     })

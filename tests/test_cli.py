@@ -53,6 +53,19 @@ def test_load_config_rejects_bad_input(tmp_path):
         cli.load_config(str(beta_cross))
 
 
+def test_removed_config_knobs_exit_3_and_name_their_section(tmp_path, capsys):
+    """A config naming a fold order or a sample cap the program does not
+    have is refused, not silently ignored."""
+    for name, section, where in (
+            ("order", {"embed": {"order": "greedy_min"}}, "embed/order"),
+            ("caps", {"sample_caps": {"rae_pairs": 5000}}, "sample_caps")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(section))
+        assert cli.main(["synth", "--config", str(path), "--out", str(tmp_path / "run")]) == 3
+        assert f"config invalid at {where}:" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "run")
+
+
 def test_deep_merge_replaces_scalars_and_recurses():
     base = {"a": {"b": 1, "c": 2}, "d": 3}
     out = cli._deep_merge(base, {"a": {"c": 9}, "d": 4, "e": 5})

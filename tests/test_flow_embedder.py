@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ride import flow_embedder as fe, nn_core, payload_autoencoder as pa, tree_distiller
 from ride.classifier import ClassifierModel, predict_proba
@@ -14,10 +15,7 @@ def _sum_rae(n_b=2):
     """Composer that literally adds left+right; handy for arithmetic checks."""
     w_c = np.hstack([np.eye(n_b), np.eye(n_b)])
     composer = DenseNet([Layer(w=w_c, b=np.zeros(n_b), activation="identity")])
-    w_r = np.vstack([np.eye(n_b), np.eye(n_b)])
-    recon = DenseNet([Layer(w=w_r, b=np.zeros(2 * n_b), activation="identity")])
-    return RaeBundle(composer=composer, reconstructor=recon, n_b=n_b,
-                     final_recon_error=0.0)
+    return RaeBundle(composer=composer, n_b=n_b, final_recon_error=0.0)
 
 
 def _trained_rae(n_b=3, seed=0, epochs=10):
@@ -41,14 +39,12 @@ def test_combine_pair_shape_validation():
     rae = _sum_rae()
     with pytest.raises(ValueError):
         fe.combine_pair(rae, np.zeros(3), np.zeros(2))
-
-
-def test_reconstruction_error_pair_hand_value():
-    rae = _sum_rae()
-    # fold([1,0],[0,1]) = [1,1]; reconstructor duplicates -> [1,1,1,1]
-    # target is [1,0,0,1]; squared L2 = 0+1+1+0 = 2
-    err = fe.reconstruction_error_pair(rae, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    assert err == pytest.approx(2.0, abs=1e-12)
+    with pytest.raises(ValueError):  # k pairs need k right members
+        fe.combine_pair(rae, np.zeros((3, 2)), np.zeros((2, 2)))
+    with pytest.raises(ValueError):
+        fe.combine_pair(rae, np.zeros((1, 3, 2)), np.zeros((1, 3, 2)))
+    out = fe.combine_pair(rae, np.ones((3, 2)), np.arange(6.0).reshape(3, 2))
+    np.testing.assert_allclose(out, [[1, 2], [3, 4], [5, 6]], atol=1e-15)
 
 
 def test_sequence_fold_is_left_fold():
@@ -87,29 +83,8 @@ def test_empty_flow_raises():
         fe.embed_flow(rae, _flow(np.empty((0, 3))))
     with pytest.raises(ValueError):
         fe.embed_flow(rae, _flow(np.zeros((2, 3))), order="bogus")
-
-
-def test_greedy_min_matches_reference_simulation():
-    rae = _trained_rae(seed=5)
-    e = np.random.default_rng(5).normal(size=(5, 3))
-    out = fe.embed_flow(rae, _flow(e), order="greedy_min")
-
-    work = [e[i] for i in range(5)]
-    while len(work) > 1:
-        errs = [fe.reconstruction_error_pair(rae, work[i], work[i + 1])
-                for i in range(len(work) - 1)]
-        best = min(range(len(errs)), key=lambda i: errs[i])
-        merged = fe.combine_pair(rae, work[best], work[best + 1])
-        work = work[:best] + [merged] + work[best + 2:]
-    np.testing.assert_array_equal(out.values, work[0])
-
-
-def test_greedy_min_and_sequence_agree_on_two_packets():
-    rae = _trained_rae(seed=6)
-    e = np.random.default_rng(6).normal(size=(2, 3))
-    a = fe.embed_flow(rae, _flow(e), order="sequence")
-    b = fe.embed_flow(rae, _flow(e), order="greedy_min")
-    np.testing.assert_array_equal(a.values, b.values)
+    with pytest.raises(ValueError):
+        fe.prefix_embeddings(rae, _flow(np.empty((0, 3))))
 
 
 def test_prefix_embeddings_snapshots():
@@ -148,14 +123,22 @@ def _split_flows(seed=11):
             [f for f in flows if f.flow_id.startswith("test")])
 
 
+def _final_states(rae, flows):
+    """The last fold state of every flow, all flows folded in one batch."""
+    codes, offsets = fe.stack_codes(flows)
+    values = fe.fold_prefixes(rae, codes, offsets)[offsets[1:] - 1]
+    return [FlowEmbedding(flow_id=f.flow_id, values=v, n_packets_folded=len(f.embeddings),
+                          label=f.label) for f, v in zip(flows, values)]
+
+
 def test_query_sampler_draws_same_class_training_packets():
     train, test = _split_flows()
     rae = _trained_rae(seed=4)
     queries = fe.sample_query_flows(train, 60, seed=5)
-    states = fe.fold_sequences(rae, queries)
+    states = _final_states(rae, queries)
 
     # deterministic for a seed, different for another
-    again = fe.fold_sequences(rae, fe.sample_query_flows(train, 60, seed=5))
+    again = _final_states(rae, fe.sample_query_flows(train, 60, seed=5))
     for a, b in zip(states, again):
         np.testing.assert_array_equal(a.values, b.values)
     other = fe.sample_query_flows(train, 60, seed=6)
@@ -167,7 +150,6 @@ def test_query_sampler_draws_same_class_training_packets():
     for q, s in zip(queries, states):
         ref = fe.embed_flow(rae, q, order="sequence")
         np.testing.assert_allclose(s.values, ref.values, rtol=0, atol=1e-12)
-        assert s.n_packets_folded == q.embeddings.shape[0] and s.label == q.label
 
     # every packet is a training packet of the query's own class, never a
     # test packet; lengths are training-flow lengths
@@ -234,8 +216,7 @@ def test_train_rae_reduces_error_and_validates():
 def test_rae_bundle_dim_validation():
     rae = _trained_rae(n_b=3)
     with pytest.raises(ValueError):
-        RaeBundle(composer=rae.composer, reconstructor=rae.reconstructor,
-                  n_b=4, final_recon_error=0.0)
+        RaeBundle(composer=rae.composer, n_b=4, final_recon_error=0.0)
 
 
 def test_encode_flows_shapes_and_values():
@@ -285,6 +266,28 @@ def test_rae_round_trip(tmp_path):
     left, right = np.ones(3) * 0.2, np.ones(3) * -0.1
     np.testing.assert_array_equal(fe.combine_pair(loaded, left, right),
                                   fe.combine_pair(rae, left, right))
+    with np.load(path) as npz:  # the reconstructor only trains; it is not stored
+        assert sorted(npz.files) == ["composer.b0", "composer.w0", "meta"]
+
+
+def test_rae_file_with_a_reconstructor_still_loads(tmp_path):
+    """rae.npz files written before the composer was stored alone also
+    hold the reconstructor; they load and fold as before."""
+    pairs = np.random.default_rng(3).normal(scale=0.3, size=(24, 6))
+    net = nn_core.init_dense_net([6, 3, 6], ["tanh", "tanh"], seed=3)
+    trained, history = nn_core.train(net, pairs, pairs, "mse", TrainConfig(epochs=3, seed=3))
+    path = str(tmp_path / "rae.npz")
+    nn_core.save_artifact(path, {"final_recon_error": 0.25, "seed": 3, "loss_curve": history,
+                                 "autoencoder_sha256": "ef" * 32},
+                          nets={"composer": DenseNet([trained.layers[0]]),
+                                "reconstructor": DenseNet([trained.layers[1]])})
+    loaded = fe.load_rae(path)
+    assert (loaded.n_b, loaded.final_recon_error, loaded.seed) == (3, 0.25, 3)
+    assert loaded.loss_curve == history
+    fresh = RaeBundle(composer=DenseNet([trained.layers[0]]), n_b=3, final_recon_error=0.25)
+    e = np.random.default_rng(4).uniform(size=(5, 3))
+    np.testing.assert_array_equal(fe.fold_prefixes(loaded, e, [0, 5]),
+                                  fe.fold_prefixes(fresh, e, [0, 5]))
 
 
 def test_packet_codes_round_trip(tmp_path):
@@ -305,3 +308,45 @@ def test_packet_codes_round_trip(tmp_path):
         np.savez(fh, **entries)
     with pytest.raises(ValueError, match="codes.npz: codes .* do not fit together"):
         fe.load_packet_codes(path)
+
+
+def _tanh_rae(n_b, seed):
+    rng = np.random.default_rng(seed)
+    layer = Layer(w=rng.normal(scale=0.7, size=(n_b, 2 * n_b)),
+                  b=rng.normal(scale=0.1, size=n_b), activation="tanh")
+    return RaeBundle(composer=DenseNet([layer]), n_b=n_b, final_recon_error=0.0)
+
+
+@given(lengths=st.lists(st.integers(1, 8), min_size=1, max_size=30),
+       n_b=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_fold_prefixes_is_the_left_fold_of_every_flow(lengths, n_b, seed):
+    rae = _tanh_rae(n_b, seed)
+    codes = np.random.default_rng(seed).uniform(size=(sum(lengths), n_b))
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    before = codes.copy()
+    states = fe.fold_prefixes(rae, codes, offsets)
+    np.testing.assert_array_equal(codes, before)  # the input is not written
+    assert states.shape == codes.shape
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        # one flow alone: the plain left fold of one-pair calls, bit for bit
+        alone = fe.fold_prefixes(rae, codes[lo:hi], [0, hi - lo])
+        acc = codes[lo]
+        np.testing.assert_array_equal(alone[0], acc)
+        for k in range(1, hi - lo):
+            acc = fe.combine_pair(rae, acc, codes[lo + k])
+            np.testing.assert_array_equal(alone[k], acc)
+        # in a batch: the first row is the first code, and the rest match
+        # within the rounding of a many-row product
+        np.testing.assert_array_equal(states[lo], codes[lo])
+        np.testing.assert_allclose(states[lo:hi], alone, rtol=0, atol=1e-12)
+    empty = np.insert(offsets, 1 + seed % len(lengths), offsets[1 + seed % len(lengths)])
+    with pytest.raises(ValueError, match="has no packets"):
+        fe.fold_prefixes(rae, codes, empty)
+
+
+def test_fold_prefixes_rejects_offsets_that_miss_the_codes():
+    rae = _sum_rae()
+    codes = np.ones((4, 2))
+    for offsets in ([0, 3], [1, 4], [0], [0, 2, 5]):
+        with pytest.raises(ValueError, match="run from 0 to the 4 rows"):
+            fe.fold_prefixes(rae, codes, offsets)
