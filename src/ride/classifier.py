@@ -128,8 +128,7 @@ def metrics_from_predictions(y_true: np.ndarray, y_pred: np.ndarray,
     if y_true.shape != y_pred.shape or y_true.ndim != 1 or y_true.size == 0:
         raise ValueError("bad prediction arrays")
     confusion = np.zeros((k, k), dtype=np.int64)
-    for t, p in zip(y_true, y_pred):
-        confusion[t, p] += 1
+    np.add.at(confusion, (y_true, y_pred), 1)
     accuracy = float(np.trace(confusion)) / float(y_true.size)
 
     def class_f1(c: int) -> float:
@@ -137,7 +136,7 @@ def metrics_from_predictions(y_true: np.ndarray, y_pred: np.ndarray,
         fp = confusion[:, c].sum() - tp
         fn = confusion[c, :].sum() - tp
         denom = 2 * tp + fp + fn
-        return 2.0 * tp / denom if denom > 0 else 0.0
+        return float(2.0 * tp / denom) if denom > 0 else 0.0
 
     if k == 2:
         f1 = class_f1(1)

@@ -9,6 +9,7 @@ report stays byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import logging
@@ -561,18 +562,16 @@ def stage_prune_sweep(cfg: dict) -> dict:
     _train, test = _load_split_embeddings(cfg)
     path = tree_distiller.pruning_path(tree)
     x_test, y_true = _labeled_matrix(test, tree.class_names)
+    walk = tree_distiller.tree_walk_batch(tree, x_test)
     rows = []
     for entry in path.entries:
-        y_pred = tree_distiller.tree_predict_batch(entry.tree, x_test)
+        y_pred = tree_distiller.labels_at(tree, walk, entry.alpha_eff, path)
         acc, f1, _ = classifier.metrics_from_predictions(y_true, y_pred, tree.k)
-        rows.append({"alpha": entry.alpha_eff, "n_nodes": entry.n_nodes,
-                     "n_leaves": entry.tree.n_leaves,
-                     "max_depth": entry.tree.max_depth,
+        n_nodes, max_depth = tree_distiller.pruned_shape(tree, entry.alpha_eff, path)
+        rows.append({"alpha": entry.alpha_eff, "n_nodes": n_nodes,
+                     "n_leaves": (n_nodes + 1) // 2, "max_depth": max_depth,
                      "test_accuracy": acc, "test_f1": f1})
-    lines = ["alpha,n_nodes,n_leaves,max_depth,test_accuracy,test_f1"]
-    for r in rows:
-        lines.append(f"{r['alpha']!r},{r['n_nodes']},{r['n_leaves']},"
-                     f"{r['max_depth']},{r['test_accuracy']!r},{r['test_f1']!r}")
+    lines = [",".join(rows[0])] + [",".join(repr(v) for v in r.values()) for r in rows]
     atomic_write_text(artifact_path(cfg, "prune_sweep"), "\n".join(lines) + "\n")
     return _write_summary(cfg, "prune-sweep", {"n_entries": len(rows), "path": rows})
 
@@ -602,9 +601,14 @@ def _budget_from_cfg(cfg: dict) -> hw_model.ResourceBudget:
     return hw_model.budget_from_dict(cfg["jshc"]["z_max"])
 
 
+def _load_calibration(cfg: dict) -> hw_model.CostCalibration:
+    path = cfg["paths"]["calibration"]
+    return hw_model.load_calibration(None if path is None else _require(path))
+
+
 def stage_cost(cfg: dict) -> dict:
     qtree = hw_model.load_qtree(_require(artifact_path(cfg, "qtree")))
-    calib = hw_model.load_calibration(cfg["paths"]["calibration"])
+    calib = _load_calibration(cfg)
     cost = hw_model.cost_estimate(qtree, calib)
     feasible, violated = hw_model.check_constraint(cost, _budget_from_cfg(cfg))
     return _write_summary(cfg, "cost", {
@@ -615,18 +619,14 @@ def stage_cost(cfg: dict) -> dict:
 
 def stage_jshc(cfg: dict) -> dict:
     _train, test = _load_split_embeddings(cfg)
-    calib = hw_model.load_calibration(cfg["paths"]["calibration"])
+    calib = _load_calibration(cfg)
     # the search starts from the very tree and ranges the distill stage wrote
     tree = tree_distiller.load_tree(_require(artifact_path(cfg, "tree")))
     x_test, y_test = _labeled_matrix(test, tree.class_names)
     artifacts = jshc_optimizer.JshcArtifacts(
         eval_x=x_test, eval_y=y_test, class_names=tree.class_names, calib=calib,
         tree=tree, quant_ranges=_load_ranges(cfg))
-    jcfg = jshc_optimizer.JshcConfig(
-        alpha_set=cfg["jshc"]["alpha_set"], beta_set=cfg["jshc"]["beta_set"],
-        min_beta=cfg["jshc"]["min_beta"], max_beta=cfg["jshc"]["max_beta"],
-        tol=cfg["jshc"]["tol"], max_iter=cfg["jshc"]["max_iter"],
-        z_max=_budget_from_cfg(cfg), seed=cfg["seed"])
+    jcfg = jshc_optimizer.JshcConfig(**{**cfg["jshc"], "z_max": _budget_from_cfg(cfg)})
     result = jshc_optimizer.jshc_optimize(jcfg, artifacts)
     sweep_path = artifact_path(cfg, "sweep")
     jshc_optimizer.sweep_to_csv(result.sweep_log, sweep_path + ".tmp")
@@ -641,10 +641,7 @@ def stage_jshc(cfg: dict) -> dict:
         "best_n_nodes": result.best.n_nodes,
         "best_cost": hw_model.cost_to_dict(result.best.cost),
         "n_grid_evals": len(result.sweep_log),
-        "bisection_trace": [
-            {"left": s.left, "right": s.right, "mid": s.mid,
-             "accuracy": s.accuracy, "feasible": s.feasible}
-            for s in result.bisection_trace],
+        "bisection_trace": [dataclasses.asdict(s) for s in result.bisection_trace],
     })
     return _write_summary(cfg, "jshc", _load_json(artifact_path(cfg, "jshc")))
 
@@ -654,7 +651,7 @@ def stage_eval(cfg: dict) -> dict:
     tree = tree_distiller.load_tree(_require(artifact_path(cfg, "tree")))
     qtree = hw_model.load_qtree(_require(artifact_path(cfg, "qtree_best")))
     _train, test = _load_split_embeddings(cfg)
-    calib = hw_model.load_calibration(cfg["paths"]["calibration"])
+    calib = _load_calibration(cfg)
     modeled = hw_model.cost_estimate(qtree, calib)
 
     predictors = [("mlp_teacher", model), ("distilled_tree", tree),

@@ -10,15 +10,11 @@ estimate; supply a JSON calibration file to override.
 from __future__ import annotations
 
 import json
-import logging
-import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .tree_distiller import DecisionTree, tree_from_dict, tree_to_dict
-
-logger = logging.getLogger(__name__)
 
 BETA_MIN = 1
 BETA_MAX = 16
@@ -78,23 +74,17 @@ def calibration_to_dict(calib: CostCalibration) -> dict:
     }
 
 
-def calibration_from_dict(doc: dict) -> CostCalibration:
+def load_calibration(path: str | None = None) -> CostCalibration:
+    """Read a JSON calibration (calibration_to_dict's layout) or the defaults."""
+    if path is None:
+        return default_calibration()
+    with open(path) as fh:
+        doc = json.load(fh)
     return CostCalibration(
         power_mw_per_node={int(b): float(v) for b, v in doc["power_mw_per_node"].items()},
         area_per_node={int(b): float(v) for b, v in doc["area_per_node"].items()},
         latency_per_level_s=float(doc["latency_per_level_s"]),
     )
-
-
-def load_calibration(path: str | None = None) -> CostCalibration:
-    """Read a JSON calibration; absent path or file falls back to defaults."""
-    if path is None:
-        return default_calibration()
-    if not os.path.exists(path):
-        logger.warning("calibration file %s not found; using built-in defaults", path)
-        return default_calibration()
-    with open(path) as fh:
-        return calibration_from_dict(json.load(fh))
 
 
 @dataclass
@@ -182,16 +172,19 @@ def quantize_tree(tree: DecisionTree, beta: int,
 
 
 def cost_estimate(qtree: QuantizedTree, calib: CostCalibration) -> HardwareCost:
-    """power/area scale with node count; latency with the deepest path."""
-    beta = qtree.beta
+    return shape_cost(qtree.n_nodes, qtree.tree.max_depth, qtree.beta, calib)
+
+
+def shape_cost(n_nodes: int, max_depth: int, beta: int, calib: CostCalibration) -> HardwareCost:
+    """The cost of a tree of this shape at beta bits: power/area scale
+    with node count; latency with the deepest path."""
     if beta not in calib.power_mw_per_node or beta not in calib.area_per_node:
         raise ValueError(f"calibration does not cover beta={beta}")
-    n = qtree.n_nodes
     return HardwareCost(
-        power_mw=n * calib.power_mw_per_node[beta],
-        area_units=n * calib.area_per_node[beta],
-        inference_time_s=qtree.tree.max_depth * calib.latency_per_level_s,
-        n_nodes=n,
+        power_mw=n_nodes * calib.power_mw_per_node[beta],
+        area_units=n_nodes * calib.area_per_node[beta],
+        inference_time_s=max_depth * calib.latency_per_level_s,
+        n_nodes=n_nodes,
         beta=beta,
     )
 
@@ -209,21 +202,11 @@ def check_constraint(cost: HardwareCost, budget: ResourceBudget) -> tuple[bool, 
 
 
 def budget_from_dict(doc: dict) -> ResourceBudget:
-    return ResourceBudget(
-        max_power_mw=doc.get("max_power_mw"),
-        max_area_units=doc.get("max_area_units"),
-        max_latency_s=doc.get("max_latency_s"),
-    )
+    return ResourceBudget(**doc)
 
 
 def cost_to_dict(cost: HardwareCost) -> dict:
-    return {
-        "power_mw": cost.power_mw,
-        "area_units": cost.area_units,
-        "inference_time_s": cost.inference_time_s,
-        "n_nodes": cost.n_nodes,
-        "beta": cost.beta,
-    }
+    return asdict(cost)
 
 
 def qtree_to_dict(qtree: QuantizedTree) -> dict:
@@ -235,15 +218,12 @@ def qtree_to_dict(qtree: QuantizedTree) -> dict:
     }
 
 
-def qtree_from_dict(doc: dict) -> QuantizedTree:
+def load_qtree(path: str) -> QuantizedTree:
+    with open(path) as fh:
+        doc = json.load(fh)
     return QuantizedTree(
         tree=tree_from_dict(doc["tree"]),
         beta=doc["beta"],
         ranges={int(f): (float(v[0]), float(v[1])) for f, v in doc["ranges"].items()},
         level=[int(j) for j in doc["level"]],
     )
-
-
-def load_qtree(path: str) -> QuantizedTree:
-    with open(path) as fh:
-        return qtree_from_dict(json.load(fh))

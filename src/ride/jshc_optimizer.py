@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +37,6 @@ class JshcConfig:
     tol: float = 1.0
     max_iter: int = 20
     z_max: ResourceBudget = field(default_factory=ResourceBudget)
-    seed: int = 0
 
     def __post_init__(self):
         if self.min_beta > self.max_beta:
@@ -88,7 +88,7 @@ class JshcResult:
 class JshcArtifacts:
     """Everything an (alpha, beta) evaluation needs: the distilled tree,
     its quantization ranges and the scored split, with lazy caching of the
-    pruning path and of every evaluated cell."""
+    pruning path, of the walks at each beta and of every evaluated cell."""
     eval_x: np.ndarray
     eval_y: np.ndarray           # ground-truth labels for scoring
     class_names: list[str]
@@ -96,12 +96,21 @@ class JshcArtifacts:
     tree: DecisionTree = field(repr=False)
     quant_ranges: dict = field(repr=False)
     _path: PruningPath | None = field(default=None, repr=False)
+    _walks: dict = field(default_factory=dict, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
 
     def path(self) -> PruningPath:
         if self._path is None:
             self._path = tree_distiller.pruning_path(self.tree)
         return self._path
+
+    def walk(self, beta: int) -> np.ndarray:
+        """The eval rows' walks through the tree quantized at beta: pruning
+        and quantizing commute, so every alpha reads its labels off them."""
+        if beta not in self._walks:
+            qtree = hw_model.quantize_tree(self.tree, beta, self.quant_ranges)
+            self._walks[beta] = tree_distiller.tree_walk_batch(qtree.tree, self.eval_x)
+        return self._walks[beta]
 
 
 def artifacts_from_embeddings(teacher: ClassifierModel,
@@ -135,7 +144,8 @@ def default_alpha_set(artifacts: JshcArtifacts) -> list[float]:
 
 def evaluate_config(alpha: float, beta: int, artifacts: JshcArtifacts,
                     budget: ResourceBudget | None = None) -> ConfigEval:
-    """Prune at alpha, quantize at beta, score on the eval split.
+    """Prune at alpha, quantize at beta, score on the eval split, from the
+    walks at beta and the path's column.
 
     Deterministic and cached by (alpha, beta); feasibility is recomputed
     against the given budget on every call.
@@ -144,22 +154,22 @@ def evaluate_config(alpha: float, beta: int, artifacts: JshcArtifacts,
         raise ValueError("need alpha >= 0 and beta >= 1")
     key = (float(alpha), int(beta))
     if key not in artifacts._cache:
-        tree = tree_distiller.prune(artifacts.tree, alpha, artifacts.path())
-        qtree = hw_model.quantize_tree(tree, beta, artifacts.quant_ranges)
-        y_pred = tree_distiller.tree_predict_batch(qtree.tree, artifacts.eval_x)
+        tree, path = artifacts.tree, artifacts.path()
+        y_pred = tree_distiller.labels_at(tree, artifacts.walk(beta), alpha, path)
         accuracy, f1, _ = metrics_from_predictions(artifacts.eval_y, y_pred,
                                                    len(artifacts.class_names))
-        cost = hw_model.cost_estimate(qtree, artifacts.calib)
-        artifacts._cache[key] = (accuracy, f1, cost, qtree.n_nodes)
-    accuracy, f1, cost, n_nodes = artifacts._cache[key]
+        n_nodes, max_depth = tree_distiller.pruned_shape(tree, alpha, path)
+        cost = hw_model.shape_cost(n_nodes, max_depth, beta, artifacts.calib)
+        artifacts._cache[key] = (accuracy, f1, cost)
+    accuracy, f1, cost = artifacts._cache[key]
     feasible, _ = hw_model.check_constraint(cost, budget or ResourceBudget())
     return ConfigEval(alpha=float(alpha), beta=int(beta), accuracy=accuracy,
-                      f1=f1, cost=cost, feasible=feasible, n_nodes=n_nodes)
+                      f1=f1, cost=cost, feasible=feasible, n_nodes=cost.n_nodes)
 
 
-def _better(a: ConfigEval, b: ConfigEval) -> bool:
-    """True when a beats b: higher accuracy, then smaller beta, then larger alpha."""
-    return (a.accuracy, -a.beta, a.alpha) > (b.accuracy, -b.beta, b.alpha)
+def _rank(e: ConfigEval) -> tuple:
+    """Higher ranks better: higher accuracy, then smaller beta, then larger alpha."""
+    return (e.accuracy, -e.beta, e.alpha)
 
 
 def grid_sweep(cfg: JshcConfig, artifacts: JshcArtifacts) -> tuple[ConfigEval, list[ConfigEval]]:
@@ -172,20 +182,13 @@ def grid_sweep(cfg: JshcConfig, artifacts: JshcArtifacts) -> tuple[ConfigEval, l
     log = [evaluate_config(a, b, artifacts, cfg.z_max) for a in alphas for b in betas]
     feasible = [e for e in log if e.feasible]
     if not feasible:
-        counts = {}
-        for e in log:
-            _, violated = hw_model.check_constraint(e.cost, cfg.z_max)
-            for name in violated:
-                counts[name] = counts.get(name, 0) + 1
-        tightest = max(sorted(counts), key=lambda n: counts[n])
+        counts = Counter(name for e in log
+                         for name in hw_model.check_constraint(e.cost, cfg.z_max)[1])
+        tightest = max(sorted(counts), key=counts.get)
         raise NoFeasibleConfigError(
             f"no feasible (alpha, beta) under the budget; tightest constraint: "
             f"{tightest} (violated by {counts[tightest]}/{len(log)} configs)")
-    best = feasible[0]
-    for e in feasible[1:]:
-        if _better(e, best):
-            best = e
-    return best, log
+    return max(feasible, key=_rank), log
 
 
 def bisect_beta(best_alpha: float, cfg: JshcConfig, artifacts: JshcArtifacts,
@@ -207,7 +210,7 @@ def bisect_beta(best_alpha: float, cfg: JshcConfig, artifacts: JshcArtifacts,
         ev = evaluate_config(best_alpha, mid, artifacts, cfg.z_max)
         trace.append(BisectStep(left=left, right=right, mid=mid,
                                 accuracy=ev.accuracy, feasible=ev.feasible))
-        if ev.feasible and (best is None or _better(ev, best)):
+        if ev.feasible and (best is None or _rank(ev) > _rank(best)):
             best = ev
         prev = (left, right)
         if ev.accuracy >= best_acc_seen:

@@ -13,7 +13,7 @@ R(T) + alpha * |leaves| for every alpha.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,23 +88,32 @@ class TeacherDataset:
     y_teacher: np.ndarray            # teacher argmax ids
     y_true: np.ndarray               # ground-truth ids (-1 if unlabeled)
     class_names: list[str]
-    flow_ids: list[str] = field(default_factory=list)
 
 
 @dataclass
 class PathEntry:
     alpha_eff: float
     n_nodes: int
-    tree: DecisionTree
 
 
 @dataclass
 class PruningPath:
+    """collapse_alpha[i] is the alpha_eff of the first entry in which node
+    i is no longer internal (0.0 at a leaf); it never grows from parent to
+    child. feature is the tree's own column, which fixes its topology."""
     entries: list[PathEntry]
+    collapse_alpha: np.ndarray
+    feature: list[int]
 
     @property
     def alphas(self) -> list[float]:
         return [e.alpha_eff for e in self.entries]
+
+    def column(self, tree: DecisionTree) -> np.ndarray:
+        """collapse_alpha, for this path's tree or a quantized copy of it."""
+        if tree.feature != self.feature:
+            raise ValueError("the pruning path belongs to a tree of another topology")
+        return self.collapse_alpha
 
 
 def gini(counts: np.ndarray) -> float:
@@ -137,8 +146,7 @@ def generate_teacher_dataset(teacher: ClassifierModel,
     index = {name: i for i, name in enumerate(teacher.class_names)}
     y_true = np.array([index.get(e.label, -1) for e in embeddings], dtype=np.int64)
     return TeacherDataset(x=x, y_teacher=y_teacher, y_true=y_true,
-                          class_names=list(teacher.class_names),
-                          flow_ids=[e.flow_id for e in embeddings])
+                          class_names=list(teacher.class_names))
 
 
 def _plogp(p: np.ndarray) -> np.ndarray:
@@ -272,13 +280,13 @@ def cart_train(x: np.ndarray, y: np.ndarray, max_depth: int | None = None,
                         criterion=criterion)
 
 
-def _subtree_sums(feature: np.ndarray, left: np.ndarray, right: np.ndarray,
+def _subtree_sums(internal: np.ndarray, left: np.ndarray, right: np.ndarray,
                   depth: np.ndarray, r_node: np.ndarray):
-    """R(T_t) and |leaves(T_t)| of every node t, one depth level at a time
-    from the deepest, each summed children-first as R(left) + R(right)."""
+    """R(T_t) and |leaves(T_t)| of every node t of the subtree whose
+    internal nodes are marked, one depth level at a time from the deepest,
+    each summed children-first as R(left) + R(right)."""
     r_subtree = r_node.copy()
-    n_leaves = np.ones(feature.shape[0], dtype=np.int64)
-    internal = feature >= 0
+    n_leaves = np.ones(internal.shape[0], dtype=np.int64)
     for level in range(int(depth.max()) - 1, -1, -1):
         i = np.flatnonzero(internal & (depth == level))
         r_subtree[i] = r_subtree[left[i]] + r_subtree[right[i]]
@@ -287,62 +295,60 @@ def _subtree_sums(feature: np.ndarray, left: np.ndarray, right: np.ndarray,
 
 
 def pruning_path(tree: DecisionTree) -> PruningPath:
-    """Iterated weakest-link pruning down to the root.
-
-    Every minimizer of alpha_eff collapses simultaneously (ties within
-    relative tolerance; the recorded alpha is their minimum), which makes
-    alpha strictly increasing and node counts strictly decreasing. A
-    collapse drops the node's preorder span of descendants from the table
-    and renumbers the kept nodes by a cumulative sum of the keep mask.
-    """
-    current = tree
-    entries = [PathEntry(alpha_eff=0.0, n_nodes=current.n_nodes, tree=current)]
-    while current.n_nodes > 1:
-        col = {c: np.array(getattr(current, c)) for c in _COLUMNS}  # copies, edited below
-        r_subtree, n_leaves = _subtree_sums(col["feature"], col["left"], col["right"],
-                                            col["depth"], col["r_node"])
-        internal = np.flatnonzero(col["feature"] >= 0)
-        alphas = ((col["r_node"][internal] - r_subtree[internal])
-                  / (n_leaves[internal] - 1))
+    """Iterated weakest-link pruning down to the root, on the tree's own
+    node ids. Every minimizer of alpha_eff collapses simultaneously (ties
+    within relative tolerance; the recorded alpha is their minimum), which
+    makes alpha strictly increasing and node counts strictly decreasing. A
+    collapse stamps its alpha on its preorder span of nodes still internal."""
+    feature, left, right, depth, r_node = (np.array(getattr(tree, c)) for c in
+                                           ("feature", "left", "right", "depth", "r_node"))
+    _, base_leaves = _subtree_sums(feature >= 0, left, right, depth, r_node)
+    collapse = np.where(feature >= 0, np.inf, 0.0)
+    entries = [PathEntry(alpha_eff=0.0, n_nodes=tree.n_nodes)]
+    while collapse[0] == np.inf:
+        internal = collapse == np.inf
+        r_subtree, n_leaves = _subtree_sums(internal, left, right, depth, r_node)
+        nodes = np.flatnonzero(internal)
+        alphas = (r_node[nodes] - r_subtree[nodes]) / (n_leaves[nodes] - 1)
         a_min = float(alphas.min())
         tol = ALPHA_REL_TOL * max(1.0, abs(a_min))
-        weakest = internal[alphas <= a_min + tol]
-
-        keep = np.ones(current.n_nodes, dtype=bool)
-        for i in weakest:
-            # a binary subtree with L leaves spans 2L - 1 preorder slots
-            keep[i + 1:i + 2 * n_leaves[i] - 1] = False
-        new_id = np.cumsum(keep) - 1
-        col["feature"][weakest] = -1
-        leaf = col["feature"] < 0
-        col["threshold"][leaf] = 0.0
-        col["left"] = np.where(leaf, -1, new_id[col["left"]])
-        col["right"] = np.where(leaf, -1, new_id[col["right"]])
-        current = DecisionTree(**{c: v[keep].tolist() for c, v in col.items()},
-                               counts=current.counts[keep],
-                               class_names=current.class_names,
-                               criterion=current.criterion)
+        alpha = a_min
         if a_min <= entries[-1].alpha_eff + tol:
             # keep alphas strictly increasing: fold into the previous step
-            entries[-1] = PathEntry(alpha_eff=entries[-1].alpha_eff,
-                                    n_nodes=current.n_nodes, tree=current)
-        else:
-            entries.append(PathEntry(alpha_eff=a_min, n_nodes=current.n_nodes,
-                                     tree=current))
-    return PruningPath(entries=entries)
+            alpha = entries.pop().alpha_eff
+        for i in nodes[alphas <= a_min + tol]:
+            # a binary subtree with L leaves spans 2L - 1 preorder slots
+            span = collapse[i:i + 2 * base_leaves[i] - 1]
+            np.minimum(span, alpha, out=span)
+        entries.append(PathEntry(alpha_eff=alpha,
+                                 n_nodes=1 + 2 * int(np.count_nonzero(collapse == np.inf))))
+    return PruningPath(entries=entries, collapse_alpha=collapse, feature=tree.feature)
 
 
-def prune(tree: DecisionTree, alpha: float, path: PruningPath | None = None) -> DecisionTree:
-    """Subtree minimizing R(T) + alpha*|leaves|: the last path entry whose
-    alpha_eff does not exceed alpha."""
+def prune(tree: DecisionTree, alpha: float, path: PruningPath) -> DecisionTree:
+    """Subtree minimizing R(T) + alpha*|leaves|, as one keep mask over the
+    path's column (PruningPath.column)."""
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    path = path or pruning_path(tree)
-    chosen = path.entries[0]
-    for entry in path.entries[1:]:
-        if entry.alpha_eff <= alpha:
-            chosen = entry
-    return chosen.tree
+    internal = path.column(tree) > alpha
+    col = {c: np.array(getattr(tree, c)) for c in _COLUMNS}
+    # keep the root and the children of every node still internal at alpha
+    keep = np.zeros(tree.n_nodes, dtype=bool)
+    keep[np.r_[0, col["left"][internal], col["right"][internal]]] = True
+    new_id = np.cumsum(keep) - 1
+    col["left"], col["right"] = new_id[col["left"]], new_id[col["right"]]
+    for c, blank in (("feature", -1), ("threshold", 0.0), ("left", -1), ("right", -1)):
+        col[c][~internal] = blank
+    return DecisionTree(**{c: v[keep].tolist() for c, v in col.items()},
+                        counts=tree.counts[keep], class_names=tree.class_names,
+                        criterion=tree.criterion)
+
+
+def pruned_shape(tree: DecisionTree, alpha: float, path: PruningPath) -> tuple[int, int]:
+    """(n_nodes, max_depth) of prune(tree, alpha, path), read off the column:
+    the deepest leaf hangs below the deepest internal node."""
+    depth = np.asarray(tree.depth)[path.column(tree) > alpha]
+    return 1 + 2 * depth.size, int(depth.max()) + 1 if depth.size else 0
 
 
 def tree_predict(tree: DecisionTree, values) -> int:
@@ -356,30 +362,45 @@ def tree_predict(tree: DecisionTree, values) -> int:
     return tree.predicted_class[i]
 
 
-def tree_predict_batch(tree: DecisionTree, x: np.ndarray) -> np.ndarray:
-    """tree_predict on every row: the rows not yet at a leaf step down one
-    level per pass."""
+def tree_walk_batch(tree: DecisionTree, x: np.ndarray) -> np.ndarray:
+    """The node ids of every row's root-to-leaf walk, one column per level:
+    the rows not yet at a leaf step down one level per pass."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     n = tree.n_nodes
     feature, left, right = (np.fromiter(c, np.intp, n)
                             for c in (tree.feature, tree.left, tree.right))
     threshold = np.fromiter(tree.threshold, np.float64, n)
     node = np.zeros(x.shape[0], dtype=np.intp)
+    walk = [node.copy()]
     rows = np.arange(x.shape[0]) if feature[0] >= 0 else node[:0]
     while rows.size:
         at = node[rows]
         step = np.where(x[rows, feature[at]] <= threshold[at], left[at], right[at])
         node[rows] = step
+        walk.append(node.copy())
         rows = rows[feature[step] >= 0]
-    return np.fromiter(tree.predicted_class, np.int64, n)[node]
+    return np.stack(walk, axis=1)
+
+
+def tree_predict_batch(tree: DecisionTree, x: np.ndarray) -> np.ndarray:
+    """tree_predict on every row."""
+    return np.asarray(tree.predicted_class, dtype=np.int64)[tree_walk_batch(tree, x)[:, -1]]
+
+
+def labels_at(tree: DecisionTree, walk: np.ndarray, alpha: float,
+              path: PruningPath) -> np.ndarray:
+    """tree_predict_batch of prune(tree, alpha, path) from the rows' walks of
+    the unpruned tree: the class of the first node on a walk that is a leaf."""
+    is_leaf = path.column(tree)[walk] <= alpha
+    node = walk[np.arange(walk.shape[0]), np.argmax(is_leaf, axis=1)]
+    return np.asarray(tree.predicted_class, dtype=np.int64)[node]
 
 
 def fidelity(tree: DecisionTree, teacher: ClassifierModel,
              embeddings: list[FlowEmbedding]) -> float:
     """Fraction of embeddings where the student reproduces the teacher."""
     data = generate_teacher_dataset(teacher, embeddings)
-    agree = tree_predict_batch(tree, data.x) == data.y_teacher
-    return float(np.mean(agree))
+    return float(np.mean(tree_predict_batch(tree, data.x) == data.y_teacher))
 
 
 def tree_to_dict(tree: DecisionTree) -> dict:

@@ -123,8 +123,9 @@ def test_criterion_01_ccp_equals_exhaustive_subtree_minimizer():
             objective = _risk(got) + alpha * got.n_leaves
             assert objective == pytest.approx(best, abs=1e-12)
         for e0, e1 in zip(path.entries, path.entries[1:]):
-            tie = ((_risk(e1.tree) - _risk(e0.tree))
-                   / (e0.tree.n_leaves - e1.tree.n_leaves))
+            t0 = tree_distiller.prune(tree, e0.alpha_eff, path)
+            t1 = tree_distiller.prune(tree, e1.alpha_eff, path)
+            tie = (_risk(t1) - _risk(t0)) / (t0.n_leaves - t1.n_leaves)
             worst_alpha_err = max(worst_alpha_err, abs(tie - e1.alpha_eff))
     _gate(1, worst_alpha_err < 1e-9,
           f"{n_datasets} datasets match the exhaustive minimizer; "

@@ -1,4 +1,5 @@
 """CLI orchestrator: config handling, stage wiring, exit codes, artifacts."""
+import csv
 import json
 import os
 import shutil
@@ -162,6 +163,14 @@ def test_run_all_writes_every_artifact(fast_run):
         assert os.path.exists(cli.artifact_path(fast_run, name)), name
     for stage in cli.STAGES:
         assert os.path.exists(cli.summary_path(fast_run, stage)), stage
+    # every field of both sweep tables is a plain number
+    for name in ("prune_sweep", "sweep"):
+        with open(cli.artifact_path(fast_run, name), newline="") as fh:
+            _header, *rows = csv.reader(fh)
+        assert rows, name
+        for row in rows:
+            for field in row:
+                float(field)
 
 
 def test_report_structure(fast_run):
@@ -281,6 +290,22 @@ def test_distill_and_eval_refuse_a_classifier_from_older_embeddings(tmp_path, ca
     # train the classifier again and the lineage holds
     assert cli.main(["train-clf", "--config", refolded, "--out", out]) == 0
     assert cli.main(["distill", "--config", refolded, "--out", out]) == 0
+
+
+def test_missing_calibration_file_exits_2_and_names_it(fast_run, tmp_path, capsys):
+    out = str(tmp_path / "copy")
+    shutil.copytree(fast_run["out_dir"], out)
+    missing = str(tmp_path / "calib.json")
+    cfg = _fast_config(tmp_path, "unused")
+    config = tmp_path / "calib_config.json"
+    config.write_text(json.dumps({
+        "features": cfg["features"], "embed": cfg["embed"], "train": cfg["train"],
+        "paths": {"calibration": missing}}))
+    capsys.readouterr()
+    for stage in ("cost", "jshc", "eval"):
+        assert cli.main([stage, "--config", str(config), "--out", out]) == 2, stage
+        err = capsys.readouterr().err
+        assert "missing upstream artifact" in err and missing in err, stage
 
 
 def test_bad_or_old_model_files_exit_loudly(fast_run, tmp_path, capsys):

@@ -1,5 +1,4 @@
 import json
-import logging
 
 import numpy as np
 import pytest
@@ -78,11 +77,10 @@ def test_calibration_json_round_trip(tmp_path):
     assert loaded == calib
 
 
-def test_load_calibration_missing_file_warns_and_defaults(caplog):
-    with caplog.at_level(logging.WARNING, logger="ride.hw_model"):
-        calib = hw.load_calibration("/nonexistent/calib.json")
-    assert calib == hw.default_calibration()
-    assert any("defaults" in r.message for r in caplog.records)
+def test_load_calibration_missing_file_raises(tmp_path):
+    missing = str(tmp_path / "calib.json")
+    with pytest.raises(FileNotFoundError, match="calib.json"):
+        hw.load_calibration(missing)
     assert hw.load_calibration(None) == hw.default_calibration()
 
 

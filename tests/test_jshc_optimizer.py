@@ -79,8 +79,8 @@ def test_evaluate_config_caches_by_alpha_beta_but_rechecks_budget():
     assert (0.1875, 4) in art._cache
     # tamper with the cache: a second call must serve the tampered value,
     # proving no recomputation...
-    acc, f1, cost, n = art._cache[(0.1875, 4)]
-    art._cache[(0.1875, 4)] = (0.123, f1, cost, n)
+    acc, f1, cost = art._cache[(0.1875, 4)]
+    art._cache[(0.1875, 4)] = (0.123, f1, cost)
     assert jo.evaluate_config(0.1875, 4, art).accuracy == 0.123
     # ...while feasibility still tracks the budget passed right now
     tight = ResourceBudget(max_area_units=0.5)
@@ -269,5 +269,5 @@ def test_sweep_to_csv_round_trip(tmp_path):
     assert len(rows) == 1 + len(log)
     for row, e in zip(rows[1:], log):
         assert float(row[0]) == e.alpha and int(row[1]) == e.beta
-        assert float(row[2]) == e.accuracy
+        assert float(row[2]) == e.accuracy and float(row[3]) == e.f1
         assert int(row[8]) == int(e.feasible)

@@ -258,8 +258,11 @@ def test_pruning_path_hand_computed_with_tie_collapse():
     path = pruning_path(tree)
     assert [e.n_nodes for e in path.entries] == [7, 3, 1]
     assert path.alphas == pytest.approx([0.0, 0.1875, 0.3125])
+    # the path is one column: the alpha at which each node stops being internal
+    assert path.collapse_alpha.tolist() == pytest.approx(
+        [0.3125, 0.1875, 0.0, 0.0, 0.1875, 0.0, 0.0])
     # collapsed root predicts the lowest class id among tied counts [3,1,1,3]
-    assert path.entries[-1].tree.predicted_class[0] == 0
+    assert prune(tree, path.alphas[-1], path).predicted_class[0] == 0
 
 
 def test_prune_alpha_selection_semantics():
@@ -274,6 +277,16 @@ def test_prune_alpha_selection_semantics():
     assert prune(tree, 99.0, path).n_nodes == 1
     with pytest.raises(ValueError):
         prune(tree, -0.1, path)
+
+
+def test_prune_refuses_the_path_of_another_tree():
+    x, y = hand_tie_dataset()
+    tree = cart_train(x, y)
+    other = pruning_path(cart_train(x, y, max_depth=1))
+    with pytest.raises(ValueError, match="topology"):
+        prune(tree, 0.0, other)
+    with pytest.raises(ValueError, match="topology"):
+        td.labels_at(tree, td.tree_walk_batch(tree, x), 0.0, other)
 
 
 # ------------------------------------------------- exhaustive pruning oracle
@@ -317,9 +330,10 @@ def check_path_against_brute_force(tree, atol=1e-9):
         assert got_r + alpha * got.n_leaves == pytest.approx(best, abs=1e-12)
     # each recorded alpha is the objective tie point between adjacent trees
     for (e0, e1) in zip(path.entries, path.entries[1:]):
-        r0 = risk(e0.tree)
-        r1 = risk(e1.tree)
-        l0, l1 = e0.tree.n_leaves, e1.tree.n_leaves
+        t0, t1 = prune(tree, e0.alpha_eff, path), prune(tree, e1.alpha_eff, path)
+        r0 = risk(t0)
+        r1 = risk(t1)
+        l0, l1 = t0.n_leaves, t1.n_leaves
         breakpoint_alpha = (r1 - r0) / (l0 - l1)
         assert abs(breakpoint_alpha - e1.alpha_eff) < atol
 
@@ -424,11 +438,17 @@ def probes(tree, x):
     return np.vstack([x, on_threshold, np.full((1, d), np.nan)])
 
 
+def path_trees(tree):
+    """The pruned tree of every path entry."""
+    path = pruning_path(tree)
+    return [prune(tree, e.alpha_eff, path) for e in path.entries]
+
+
 @given(small_datasets())
 def test_batch_predict_equals_per_row_walk(data):
     tree, x = grow(data)
     ranges = hw_model.fit_quantization_ranges(tree, x)
-    trees = [e.tree for e in pruning_path(tree).entries]
+    trees = path_trees(tree)
     trees += [hw_model.quantize_tree(t, beta, ranges).tree
               for t in trees for beta in (1, 4, 16)]
     for t in [tree] + trees:
@@ -440,7 +460,7 @@ def test_batch_predict_equals_per_row_walk(data):
 @given(small_datasets())
 def test_dict_round_trip_reproduces_every_column(data):
     tree, _x = grow(data)
-    for t in [e.tree for e in pruning_path(tree).entries]:
+    for t in path_trees(tree):
         back = tree_from_dict(json.loads(json.dumps(tree_to_dict(t))))
         for col in ("feature", "threshold", "left", "right", "depth", "r_node",
                     "predicted_class", "class_names", "criterion"):
@@ -451,7 +471,7 @@ def test_dict_round_trip_reproduces_every_column(data):
 @given(small_datasets())
 def test_path_entries_are_preorder_tables(data):
     tree, _x = grow(data)
-    for t in [e.tree for e in pruning_path(tree).entries]:
+    for t in path_trees(tree):
         n = t.n_nodes
         size = [1] * n
         for i in reversed(range(n)):
@@ -475,7 +495,27 @@ def test_path_alphas_increase_and_node_counts_decrease(data):
     assert all(a < b for a, b in zip(path.alphas, path.alphas[1:]))
     sizes = [e.n_nodes for e in path.entries]
     assert all(a > b for a, b in zip(sizes, sizes[1:]))
-    assert sizes == [e.tree.n_nodes for e in path.entries]
+    assert sizes == [prune(tree, e.alpha_eff, path).n_nodes for e in path.entries]
+
+
+@given(small_datasets())
+def test_one_walk_per_beta_gives_every_pruned_quantized_tree(data):
+    """Pruning commutes with quantizing, and the labels at each alpha read
+    off one walk of the quantized unpruned tree equal the pruned, quantized
+    tree's."""
+    tree, x = grow(data)
+    path = pruning_path(tree)
+    ranges = hw_model.fit_quantization_ranges(tree, x)
+    rows = probes(tree, x)
+    for beta in (1, 4, 16):
+        qbase = hw_model.quantize_tree(tree, beta, ranges).tree
+        walk = td.tree_walk_batch(qbase, rows)
+        for alpha in path.alphas + [path.alphas[-1] + 1.0]:
+            qtree = hw_model.quantize_tree(prune(tree, alpha, path), beta, ranges).tree
+            np.testing.assert_array_equal(td.labels_at(qbase, walk, alpha, path),
+                                          tree_predict_batch(qtree, rows))
+            assert tree_to_dict(prune(qbase, alpha, path)) == tree_to_dict(qtree)
+            assert td.pruned_shape(qbase, alpha, path) == (qtree.n_nodes, qtree.max_depth)
 
 
 # ---------------------------------------------------------------- teacher
