@@ -16,7 +16,7 @@ import numpy as np
 
 from . import nn_core, payload_autoencoder
 from .nn_core import DenseNet, TrainConfig
-from .packet_ingest import FlowRecord, extract_payload_vector
+from .packet_ingest import FlowRecord
 from .payload_autoencoder import AutoencoderBundle
 
 logger = logging.getLogger(__name__)
@@ -50,23 +50,38 @@ class RaeBundle:
     loss_curve: list[float] = field(default_factory=list)  # per training epoch
 
     def __post_init__(self):
-        if self.composer.input_dim != 2 * self.n_b or self.composer.output_dim != self.n_b:
-            raise ValueError("composer must map 2*n_b -> n_b")
+        if (len(self.composer.layers) != 1 or self.composer.input_dim != 2 * self.n_b
+                or self.composer.output_dim != self.n_b):
+            raise ValueError("composer must be one layer mapping 2*n_b -> n_b")
 
 
 def encode_flows(bundle: AutoencoderBundle, flows: list[FlowRecord],
                  n_p: int | None = None) -> list[EmbeddedFlow]:
-    """Run the payload compressor over every packet of every flow."""
+    """Run the payload compressor over every packet of every flow.
+
+    Each flow's raw byte matrix is built straight from its packets'
+    payloads as one buffer. With layer 0 stored transposed (as training
+    stores it) the matrix ends at the flow's live width, the end of the
+    CHUNK-column chunk holding its last nonzero byte: the columns past it
+    are zeros, which the encoder skips anyway, so the codes are the bits of
+    the full n_p-wide rows. An encoder with a C-order layer 0 gets those
+    full rows.
+    """
     n_p = n_p if n_p is not None else bundle.n_p
+    if n_p != bundle.n_p:
+        raise ValueError(f"row length {n_p} != n_p={bundle.n_p}")
+    narrow = nn_core.stored_transposed(bundle.encoder.layers[0])
     out = []
     for flow in flows:
-        mat = np.stack([
-            np.asarray(extract_payload_vector(pkt, n_p).values, dtype=np.float64)
-            for pkt in flow.packets
-        ])
+        payloads = [pkt.payload[:n_p] for pkt in flow.packets]
+        width = n_p
+        if narrow:
+            last = max(len(p.rstrip(b"\0")) for p in payloads)
+            width = min(n_p, -(-last // nn_core.CHUNK) * nn_core.CHUNK)
+        buf = b"".join(p[:width].ljust(width, b"\0") for p in payloads)
+        mat = np.frombuffer(buf, dtype=np.uint8).reshape(len(payloads), width)
         z = payload_autoencoder.encode_matrix(bundle, mat)
-        out.append(EmbeddedFlow(flow_id=flow.flow_id, embeddings=np.atleast_2d(z),
-                                label=flow.label))
+        out.append(EmbeddedFlow(flow_id=flow.flow_id, embeddings=z, label=flow.label))
     return out
 
 
@@ -125,8 +140,9 @@ def fold_prefixes(rae: RaeBundle, codes: np.ndarray, offsets) -> np.ndarray:
     packet_codes.npz). Row r of the result is its flow's state after the
     packets up to row r: the flow's first code, then combine_pair of the
     previous state and the row's code. Step i composes every flow longer
-    than i in one product. The steps visit the flows longest first, so
-    the flows still folding are a leading slice of the step before's.
+    than i in one product, written into one pair buffer whose left half
+    holds the states. The steps visit the flows longest first, so the
+    flows still folding are a leading slice of the step before's.
 
     One flow gives the bits of a left fold of one-pair combine_pair calls.
     A batch may differ from that in the last bits, because BLAS sums a
@@ -148,16 +164,23 @@ def fold_prefixes(rae: RaeBundle, codes: np.ndarray, offsets) -> np.ndarray:
         x = codes[order]  # step-major
     if not live or live[0] != len(offsets) - 1:  # step 0 must hold every flow
         raise ValueError(f"flow {int(np.argmin(np.diff(offsets)))} has no packets")
-    parts = [x[:live[0]]]
-    lo = live[0]
+    # row r of the pair buffer: the state after row r, then the code that
+    # follows row r in its flow. A step reads the leading rows of the step
+    # before's block and writes the composer's product and activation
+    # straight into the left half of its own block.
+    n_b = rae.n_b
+    pairs = np.empty((len(x), 2 * n_b))
+    pairs[:live[0], :n_b] = x[:live[0]]
+    prev, lo = 0, live[0]  # first row of the step before's block, of this step's
     for k in live[1:]:
-        parts.append(combine_pair(rae, parts[-1][:k], x[lo:lo + k]))
-        lo += k
-    y = np.concatenate(parts)
+        pairs[prev:prev + k, n_b:] = x[lo:lo + k]
+        nn_core.affine_into(rae.composer.layers[0], pairs[prev:prev + k],
+                            out=pairs[lo:lo + k, :n_b])
+        prev, lo = lo, lo + k
     if order is None:
-        return y
+        return pairs[:, :n_b].copy()
     states = np.empty_like(codes)
-    states[order] = y
+    states[order] = pairs[:, :n_b]
     return states
 
 

@@ -76,7 +76,9 @@ class DenseNet:
         return forward(self, x)
 
     def copy(self) -> "DenseNet":
-        return DenseNet([Layer(l.w.copy(), l.b.copy(), l.activation) for l in self.layers])
+        # order="K" keeps a layer stored transposed so (see stored_transposed)
+        return DenseNet([Layer(l.w.copy(order="K"), l.b.copy(), l.activation)
+                         for l in self.layers])
 
 
 @dataclass
@@ -122,25 +124,29 @@ def init_dense_net(
     return DenseNet(layers)
 
 
-def _apply_activation(name: str, z: np.ndarray) -> np.ndarray:
+def _apply_activation(name: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The activation of z, written into out (a new array when out is None;
+    out may be z itself)."""
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     if name == "sigmoid":
-        # split by sign to avoid overflow in exp
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
+        # e = exp(-|z|) never overflows: 1/(1+e) where z >= 0, e/(1+e) below
+        e = np.copysign(z, -1.0)
+        np.exp(e, out=e)
+        denominator = np.add(e, 1.0)
+        np.copyto(e, 1.0, where=z >= 0)  # e is now the numerator
+        return np.divide(e, denominator, out=denominator if out is None else out)
     if name == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=out)
     if name == "identity":
-        return z
+        if out is None:
+            return z
+        np.copyto(out, z)
+        return out
     if name == "softmax":
-        shifted = z - z.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=-1, keepdims=True)
+        e = z - z.max(axis=-1, keepdims=True)
+        np.exp(e, out=e)
+        return np.divide(e, e.sum(axis=-1, keepdims=True), out=out)
     raise ValueError(f"unknown activation {name!r}")
 
 
@@ -165,11 +171,13 @@ def _activation_grad(name: str, z: np.ndarray, a: np.ndarray, da: np.ndarray) ->
 CHUNK = 256
 
 
-def live_width(x: np.ndarray) -> int:
+def live_width(x: np.ndarray, width: int | None = None) -> int:
     """The columns of x up to the end of the CHUNK-column chunk holding its
-    last nonzero column, at most x's width; 0 when x is all zero."""
+    last nonzero column, at most `width` (x's width by default); 0 when x
+    is all zero."""
     cols = np.flatnonzero(x.any(axis=0))
-    return 0 if cols.size == 0 else min(x.shape[1], (int(cols[-1]) // CHUNK + 1) * CHUNK)
+    width = x.shape[1] if width is None else width
+    return 0 if cols.size == 0 else min(width, (int(cols[-1]) // CHUNK + 1) * CHUNK)
 
 
 def chunked_affine(x: np.ndarray, wT: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -179,16 +187,39 @@ def chunked_affine(x: np.ndarray, wT: np.ndarray, b: np.ndarray) -> np.ndarray:
     A skipped chunk's terms are exact zeros and no chunk is ever cut, so
     each chunk's product is the same BLAS call whether or not later chunks
     run: the result equals the sum over every chunk bit for bit, on any
-    BLAS. A zero-padded input pays only for its live chunks. wT should be
+    BLAS. A zero-padded input pays only for its live chunks. x may also be
+    narrower than wT has rows: its missing columns count as zeros, and the
+    result is that of x padded with zeros to full width. wT should be
     C-contiguous, so that a chunk of it is one contiguous block.
     """
-    live = live_width(x)
+    live = live_width(x, wT.shape[0])
     if not live:
         return np.zeros((x.shape[0], wT.shape[1])) + b
+    if live > x.shape[1]:  # a narrow x ends inside its last live chunk
+        x = np.pad(x, ((0, 0), (0, live - x.shape[1])))
     z = x[:, :CHUNK] @ wT[:CHUNK]
     for lo in range(CHUNK, live, CHUNK):
         z += x[:, lo:lo + CHUNK] @ wT[lo:lo + CHUNK]
-    return z + b
+    z += b
+    return z
+
+
+def stored_transposed(layer: Layer) -> bool:
+    """Whether layer.w is the transpose of a C-contiguous array. Such a
+    layer runs through chunked_affine, and as layer 0 it takes an input
+    narrower than its width, whose missing columns count as zeros."""
+    return not layer.w.flags.c_contiguous
+
+
+def affine_into(layer: Layer, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """One layer on x, written into out: the bits of forward's product and
+    activation for that layer, without its checks and trace."""
+    if stored_transposed(layer):
+        out[...] = chunked_affine(x, layer.w.T, layer.b)
+    else:
+        np.matmul(x, layer.w.T, out=out)
+        out += layer.b
+    return _apply_activation(layer.activation, out, out=out)
 
 
 def _forward_trace(net: DenseNet, x: np.ndarray):
@@ -196,14 +227,17 @@ def _forward_trace(net: DenseNet, x: np.ndarray):
     zs, acts = [], [x]
     a = x
     for k, layer in enumerate(net.layers):
-        if a.shape[-1] != layer.w.shape[1]:
+        width, transposed = a.shape[-1], stored_transposed(layer)
+        if width > layer.w.shape[1] or (width < layer.w.shape[1]
+                                        and (k or not transposed)):
             raise ValueError(
-                f"layer {k} expects input dim {layer.w.shape[1]}, got {a.shape[-1]}"
+                f"layer {k} expects input dim {layer.w.shape[1]}, got {width}"
             )
-        if layer.w.flags.c_contiguous:
-            z = a @ layer.w.T + layer.b
-        else:  # stored transposed (w.T C-contiguous): the input may be padded
+        if transposed:  # w.T C-contiguous: the input may be padded or narrow
             z = chunked_affine(a, layer.w.T, layer.b)
+        else:
+            z = a @ layer.w.T
+            z += layer.b
         a = _apply_activation(layer.activation, z)
         zs.append(z)
         acts.append(a)

@@ -2,7 +2,8 @@
 
 Only classic PCAP is accepted (both endiannesses, microsecond and
 nanosecond timestamp variants, Ethernet link type, 802.1Q and QinQ tags
-skipped). PCAPNG is rejected.
+skipped, IPv6 hop-by-hop, routing, fragment and destination-options
+headers walked). PCAPNG is rejected.
 No TCP reassembly or IP defragmentation is attempted.
 """
 from __future__ import annotations
@@ -12,6 +13,7 @@ import csv
 import ipaddress
 import json
 import logging
+import socket
 import struct
 from dataclasses import dataclass, field
 
@@ -33,15 +35,22 @@ VLAN_TAG_TYPES = (0x8100, 0x88A8)  # 802.1Q tag, 802.1ad (QinQ) service tag
 PROTO_TCP = 6
 PROTO_UDP = 17
 
+# IPv6 extension headers walked to the L4 header: hop-by-hop options,
+# routing, fragment and destination options
+IPV6_FRAGMENT = 44
+IPV6_EXTENSION_HEADERS = (0, 43, IPV6_FRAGMENT, 60)
+
 TRUTH_COLUMNS = ("src_ip", "dst_ip", "src_port", "dst_port", "protocol", "label")
 
 # Why a frame is skipped:
 #   non_ip             ethertype neither IPv4 nor IPv6, or an IP version
 #                      nibble that disagrees with the ethertype
 #   non_tcp_udp        IP payload of another protocol (ICMP, ...)
-#   fragment           IPv4 fragment other than the first (no L4 header)
-#   short_header       an Ethernet, VLAN, IP, TCP or UDP header cut short,
-#                      or an IP/TCP header length below its minimum
+#   fragment           IPv4 or IPv6 fragment other than the first (no L4
+#                      header)
+#   short_header       an Ethernet, VLAN, IP, IPv6 extension, TCP or UDP
+#                      header cut short, or an IP/TCP header length below
+#                      its minimum
 #   zero_total_length  IPv4 total_length 0 (segmentation offload captures)
 SKIP_REASONS = ("non_ip", "non_tcp_udp", "fragment", "short_header", "zero_total_length")
 
@@ -202,8 +211,8 @@ def _parse_ipv4(timestamp: float, data: bytes) -> RawPacket | str:
     if total_length == 0:
         return "zero_total_length"
     proto = data[9]
-    src = str(ipaddress.ip_address(data[12:16]))
-    dst = str(ipaddress.ip_address(data[16:20]))
+    src = socket.inet_ntoa(data[12:16])
+    dst = socket.inet_ntoa(data[16:20])
     # Ethernet padding may extend past the IP datagram; the datagram may
     # also have been cut short by the snap length.
     l4 = data[ihl:max(ihl, min(total_length, len(data)))]
@@ -219,8 +228,22 @@ def _parse_ipv6(timestamp: float, data: bytes) -> RawPacket | str:
     next_header = data[6]
     src = str(ipaddress.ip_address(data[8:24]))
     dst = str(ipaddress.ip_address(data[24:40]))
-    l4 = data[40:40 + min(payload_length, max(0, len(data) - 40))]
-    return _parse_l4(timestamp, src, dst, next_header, l4)
+    payload = data[40:40 + min(payload_length, max(0, len(data) - 40))]
+    start = 0
+    while next_header in IPV6_EXTENSION_HEADERS:
+        if len(payload) < start + 8:
+            return "short_header"
+        if next_header == IPV6_FRAGMENT:
+            if struct.unpack(">H", payload[start + 2:start + 4])[0] >> 3:
+                return "fragment"  # not the first: no L4 header present
+            length = 8
+        else:  # hop-by-hop, routing, destination options: 8-byte units past the first
+            length = (payload[start + 1] + 1) * 8
+        next_header = payload[start]
+        start += length
+    if len(payload) < start:
+        return "short_header"
+    return _parse_l4(timestamp, src, dst, next_header, payload[start:])
 
 
 def _parse_l4(timestamp: float, src: str, dst: str, proto: int, l4: bytes) -> RawPacket | str:

@@ -97,11 +97,12 @@ def encode_matrix(bundle: AutoencoderBundle, x_raw: np.ndarray) -> np.ndarray:
     """Batch encode of raw 0-255 rows; preserves row order. An encoder
     trained here (or loaded from a file it was saved to) keeps layer 0
     transposed, so zero padding past a row's last live chunk costs no
-    multiply (nn_core.chunked_affine)."""
-    x_raw = np.atleast_2d(np.asarray(x_raw, dtype=np.float64))
-    if x_raw.shape[1] != bundle.n_p:
-        raise ValueError(f"row length {x_raw.shape[1]} != n_p={bundle.n_p}")
-    return nn_core.forward(bundle.encoder, x_raw / BYTE_SCALE)
+    multiply (nn_core.chunked_affine), and the rows may then be narrower
+    than n_p: the missing columns count as zeros."""
+    x = np.divide(np.atleast_2d(x_raw), BYTE_SCALE, dtype=np.float64)
+    if x.shape[1] > bundle.n_p:
+        raise ValueError(f"row length {x.shape[1]} > n_p={bundle.n_p}")
+    return nn_core.forward(bundle.encoder, x)
 
 
 def reconstruction_error(net: DenseNet, payloads) -> float:

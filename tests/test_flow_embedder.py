@@ -2,13 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ride import flow_embedder as fe, nn_core, payload_autoencoder as pa, tree_distiller
 from ride.classifier import ClassifierModel, predict_proba
 from ride.flow_embedder import EmbeddedFlow, FlowEmbedding, RaeBundle
 from ride.nn_core import DenseNet, Layer, TrainConfig
-from ride.packet_ingest import FlowRecord, RawPacket
+from ride.packet_ingest import FlowRecord, RawPacket, extract_payload_vector
 
 
 def _sum_rae(n_b=2):
@@ -350,3 +350,82 @@ def test_fold_prefixes_rejects_offsets_that_miss_the_codes():
     for offsets in ([0, 3], [1, 4], [0], [0, 2, 5]):
         with pytest.raises(ValueError, match="run from 0 to the 4 rows"):
             fe.fold_prefixes(rae, codes, offsets)
+
+
+def _full_width_codes(bundle, flow, n_p):
+    """The encoder input as built before the narrow matrix, kept as the
+    oracle: every packet's n_p-wide payload vector, stacked."""
+    mat = np.stack([np.asarray(extract_payload_vector(p, n_p).values, dtype=np.float64)
+                    for p in flow.packets])
+    return pa.encode_matrix(bundle, mat)
+
+
+def _encoder(n_p, layout):
+    """An n_p -> 32 -> 8 encoder with layer 0 in Fortran order, as training
+    stores a padded layer 0, or in C order, as a file from before loads."""
+    net = nn_core.init_dense_net([n_p, 32, 8], ["relu", "sigmoid"], seed=n_p)
+    w0 = net.layers[0].w
+    w0 = np.asfortranarray(w0) if layout == "F" else np.ascontiguousarray(w0)
+    enc = DenseNet([Layer(w0, net.layers[0].b, "relu"), net.layers[1]])
+    assert nn_core.stored_transposed(enc.layers[0]) == (layout == "F")
+    return pa.AutoencoderBundle(encoder=enc, n_p=n_p, n_b=8, h=32, final_train_mse=0.0)
+
+
+def _packet(payload):
+    return RawPacket(timestamp=0.0, src_addr="10.0.0.1", dst_addr="10.0.0.2",
+                     src_port=1, dst_port=2, protocol="TCP", payload=payload)
+
+
+@st.composite
+def payload_flows(draw):
+    """n_p, and a flow of 1-8 packets whose payloads may be empty, end in
+    zero bytes or run past n_p."""
+    n_p = draw(st.sampled_from([64, 300, 700, 1500]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    packets = []
+    for _ in range(draw(st.integers(1, 8))):
+        n = draw(st.one_of(st.just(0), st.integers(0, n_p + 40)))
+        body = rng.integers(0, 256, size=n, dtype=np.uint8).tobytes()
+        packets.append(_packet(body + b"\0" * draw(st.sampled_from([0, 0, 1, 7, 300]))))
+    return n_p, FlowRecord(flow_id="k", packets=packets, label="benign")
+
+
+@settings(max_examples=200)
+@given(drawn=payload_flows(), layout=st.sampled_from(["F", "C"]))
+def test_encode_flows_equals_the_full_width_rows_bit_for_bit(drawn, layout):
+    n_p, flow = drawn
+    bundle = _encoder(n_p, layout)
+    (got,) = fe.encode_flows(bundle, [flow], n_p=n_p)
+    assert np.array_equal(got.embeddings, _full_width_codes(bundle, flow, n_p))
+
+
+@pytest.mark.parametrize("n_p", [64, 300, 1500])
+@pytest.mark.parametrize("layout", ["F", "C"])
+def test_encode_flows_of_an_all_empty_flow_equals_the_full_width_rows(n_p, layout):
+    bundle = _encoder(n_p, layout)
+    flow = FlowRecord(flow_id="k", packets=[_packet(b""), _packet(b"\0" * 9)])
+    (got,) = fe.encode_flows(bundle, [flow], n_p=n_p)
+    assert got.embeddings.shape == (2, 8)
+    assert np.array_equal(got.embeddings, _full_width_codes(bundle, flow, n_p))
+
+
+def test_narrow_rows_need_a_transposed_layer_zero():
+    bundle = _encoder(300, "F")
+    x = np.random.default_rng(3).uniform(size=(2, 300))
+    x[:, 100:] = 0.0
+    # rows narrower than n_p are the zero-padded rows; wider ones are refused
+    assert np.array_equal(nn_core.forward(bundle.encoder, x[:, :100]),
+                          nn_core.forward(bundle.encoder, x))
+    with pytest.raises(ValueError, match="row length 301 > n_p=300"):
+        pa.encode_matrix(bundle, np.zeros((2, 301)))
+    with pytest.raises(ValueError, match="layer 0 expects input dim 300, got 100"):
+        nn_core.forward(_encoder(300, "C").encoder, x[:, :100])
+    # a copy keeps the layout; past layer 0 even a transposed layer takes
+    # its full width only
+    net = bundle.encoder.copy()
+    assert nn_core.stored_transposed(net.layers[0])
+    net.layers[1] = Layer(np.asfortranarray(np.ones((8, 40))), np.zeros(8), "sigmoid")
+    with pytest.raises(ValueError, match="layer 1 expects input dim 40, got 32"):
+        nn_core.forward(net, x)
+    with pytest.raises(ValueError, match="row length 200 != n_p=300"):
+        fe.encode_flows(bundle, [FlowRecord(flow_id="k", packets=[_packet(b"a")])], n_p=200)

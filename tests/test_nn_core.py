@@ -603,3 +603,77 @@ def test_random_nets_round_trip_bit_exactly(tmp_path_factory, net, seed):
     x = np.random.Generator(np.random.PCG64(seed)).normal(size=(5, net.input_dim))
     with np.errstate(all="ignore"):
         np.testing.assert_array_equal(forward(loaded, x), forward(net, x))
+
+
+def _masked_sigmoid(z):
+    """The sigmoid as written before the in-place form, kept as its oracle:
+    split by sign with boolean-mask gathers and scatters."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+_activation = nn_core._apply_activation
+
+
+def _masked_activation(name, z, out=None):
+    assert out is None
+    return _masked_sigmoid(z) if name == "sigmoid" else _activation(name, z)
+
+
+_SIGMOID_EDGES = np.array([0.0, -0.0, 745.0, -745.0, 800.0, -800.0, 1e308, -1e308,
+                           np.inf, -np.inf, 5e-324, -5e-324, 36.7, -36.7, 709.8, -709.8])
+
+
+@given(z=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=40),
+                    elements=st.floats(allow_nan=False)),
+       scale=st.sampled_from([1.0, 10.0, 1e3]))
+def test_sigmoid_equals_the_masked_formula_bit_for_bit(z, scale):
+    z = np.concatenate([z.ravel() / scale, _SIGMOID_EDGES])
+    with np.errstate(over="ignore"):
+        want = _masked_sigmoid(z)
+        got = nn_core._apply_activation("sigmoid", z)
+        in_place = z.copy()
+        same = nn_core._apply_activation("sigmoid", in_place, out=in_place)
+    assert same is in_place
+    for a in (got, same):  # the same bits, sign bits included
+        assert np.array_equal(a.view(np.uint64), want.view(np.uint64))
+
+
+def test_sigmoid_of_nan_is_nan():
+    z = np.array([np.nan, -np.nan, 1.0, np.nan])
+    got = nn_core._apply_activation("sigmoid", z)
+    assert np.isnan(got[[0, 1, 3]]).all()  # only the sign bit may differ
+    assert got[2] == _masked_sigmoid(z)[2]
+
+
+@pytest.mark.parametrize("name", nn_core.ACTIVATIONS)
+def test_activation_into_out_equals_the_new_array(name):
+    z = np.random.Generator(np.random.PCG64(4)).normal(scale=5, size=(6, 7))
+    want = nn_core._apply_activation(name, z.copy())
+    out = np.empty_like(z)
+    assert nn_core._apply_activation(name, z, out=out) is out
+    assert np.array_equal(out, want)
+    assert np.array_equal(nn_core._apply_activation(name, z, out=z), want)  # in place
+
+
+@pytest.mark.parametrize("n_in,h,width", [(24, 16, 24), (1500, 512, 40)])
+def test_autoencoder_training_matches_the_loop_with_the_masked_sigmoid(n_in, h, width):
+    """train() on a small payload autoencoder (relu, sigmoid, relu, sigmoid)
+    gives the weights of the out-of-place loop run with the masked sigmoid,
+    unpadded, and padded at the encoder's layer-0 shape (see
+    test_chunked_affine_equals_the_full_product_within_one_chunk)."""
+    x = _padded_rows(20, n_in, width, seed=9)
+    net = init_dense_net([n_in, h, 4, 16, n_in], ["relu", "sigmoid", "relu", "sigmoid"],
+                         seed=9)
+    cfg = TrainConfig(learning_rate=1e-2, batch_size=6, epochs=3, seed=9)
+    trained, history = train(net, x, x, "mse", cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nn_core, "_apply_activation", _masked_activation)
+        expected, batches = _reference_train(net, x, x, "mse", cfg)
+    assert nn_core.stored_transposed(trained.layers[0]) == (width < n_in)
+    _assert_same_weights(trained, expected)
+    assert history == [sum(value * size for value, size in epoch) / 20 for epoch in batches]

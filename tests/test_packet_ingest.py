@@ -1,5 +1,6 @@
 import csv
 import io
+import ipaddress
 import socket
 import struct
 
@@ -170,6 +171,58 @@ def test_ipv6_tcp_parse():
     assert p.payload == b"six"
 
 
+def ipv6(next_header, body, payload_length=None):
+    payload_length = len(body) if payload_length is None else payload_length
+    hdr = struct.pack(">IHBB", 6 << 28, payload_length, next_header, 64)
+    hdr += socket.inet_pton(socket.AF_INET6, "2001:db8::1")
+    hdr += socket.inet_pton(socket.AF_INET6, "2001:db8::2")
+    return eth(hdr + body, ethertype=0x86DD)
+
+
+def options_header(next_header, units=0):
+    """A hop-by-hop, routing or destination-options header: 8 + 8 * units
+    bytes, its length field counting the 8-byte units past the first."""
+    return bytes([next_header, units]) + b"\x01" * (6 + 8 * units)
+
+
+def fragment_header(next_header, offset=0, more=False):
+    return struct.pack(">BBHI", next_header, 0, offset << 3 | more, 7)
+
+
+@pytest.mark.parametrize("chain", [
+    [(0, 0)],                        # hop-by-hop options
+    [(43, 2)],                       # routing, 24 bytes
+    [(60, 1)],                       # destination options
+    [(44, None)],                    # fragment header of a first fragment
+    [(0, 0), (43, 1), (44, None), (60, 3)],
+])
+def test_ipv6_extension_headers_are_walked_to_the_l4_header(chain):
+    kinds = [kind for kind, _ in chain]
+    body = b""
+    for (kind, units), after in zip(chain, kinds[1:] + [6]):
+        body += fragment_header(after, more=True) if kind == 44 else options_header(after, units)
+    cap = pi.parse_pcap(global_header() + record(ipv6(kinds[0], body + tcp(b"ext", sport=7))))
+    assert cap.n_skipped == 0
+    p = cap.packets[0]
+    assert (p.src_addr, p.src_port, p.protocol, p.payload) == ("2001:db8::1", 7, "TCP", b"ext")
+
+
+def test_ipv6_non_first_fragment_and_cut_chains_are_skipped_by_reason():
+    frames = {
+        "fragment": ipv6(44, fragment_header(6, offset=10) + b"\xff" * 30),
+        # the options header says 16 bytes; the payload holds 12
+        "short_header": ipv6(0, options_header(6, units=1)[:12]),
+    }
+    cut_at_header = ipv6(60, options_header(6)[:5])  # fewer than 8 bytes left
+    cut_by_length = ipv6(43, options_header(6) + tcp(b"x"), payload_length=6)
+    no_l4 = ipv6(0, options_header(58) + b"\x80\x00" * 4)  # ICMPv6 after hop-by-hop
+    data = b"".join(record(f) for f in [*frames.values(), cut_at_header, cut_by_length, no_l4])
+    cap = pi.parse_pcap(global_header() + data)
+    assert cap.packets == []
+    assert cap.n_skipped_by_reason == dict(dict.fromkeys(pi.SKIP_REASONS, 0), fragment=1,
+                                           short_header=3, non_tcp_udp=1)
+
+
 def _tag_every_frame(pcap: bytes, tag_types: list[int]) -> bytes:
     """The capture with one 4-byte VLAN tag per entry of tag_types (its
     type field, outermost first) after each frame's MAC addresses."""
@@ -320,6 +373,15 @@ def test_random_records_parse_or_raise_pcap_format_error(frames, tail, endian):
     assert cap.n_skipped == sum(cap.n_skipped_by_reason.values())
     assert set(cap.n_skipped_by_reason) == set(pi.SKIP_REASONS)
     assert cap.n_truncated == (1 if tail else 0)
+
+
+@given(raw=st.binary(min_size=4, max_size=4))
+def test_ipv4_address_text_is_that_of_ipaddress(raw):
+    frame = eth(ipv4(tcp(b"a")))
+    frame = frame[:26] + raw + raw[::-1] + frame[34:]  # source, destination
+    p = pi.parse_pcap(global_header() + record(frame)).packets[0]
+    assert p.src_addr == str(ipaddress.ip_address(raw))
+    assert p.dst_addr == str(ipaddress.ip_address(raw[::-1]))
 
 
 addresses = st.one_of(st.ip_addresses(v=4), st.ip_addresses(v=6)).map(str)

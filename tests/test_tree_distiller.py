@@ -265,6 +265,30 @@ def test_pruning_path_hand_computed_with_tie_collapse():
     assert prune(tree, path.alphas[-1], path).predicted_class[0] == 0
 
 
+def test_pruning_path_folds_a_weakest_link_within_tolerance_into_the_entry_before():
+    """A hand-built table: node 1's split gains only 2**-42 (its alpha_eff,
+    within ALPHA_REL_TOL of the full tree's alpha 0), so collapsing it folds
+    into the first entry instead of adding a second entry at a tied alpha."""
+    tiny = 2.0 ** -42
+    assert tiny <= td.ALPHA_REL_TOL
+    #        0  1  2   3   4  5   6
+    tree = td.DecisionTree(
+        feature=[0, 1, -1, -1, 1, -1, -1], threshold=[0.5, 0.5, 0.0, 0.0, 0.5, 0.0, 0.0],
+        left=[1, 2, -1, -1, 5, -1, -1], right=[4, 3, -1, -1, 6, -1, -1],
+        depth=[0, 1, 2, 2, 1, 2, 2],
+        r_node=[1.0, 0.25 + tiny, 0.125, 0.125, 0.25, 0.0625, 0.0625],
+        predicted_class=[0, 0, 0, 0, 1, 1, 1],
+        counts=np.array([[8, 8], [8, 0], [4, 0], [4, 0], [0, 8], [0, 4], [0, 4]]),
+        class_names=["a", "b"])
+    path = pruning_path(tree)
+    # the fold keeps alphas strictly increasing: no second entry at ~0
+    assert path.entries == [td.PathEntry(0.0, 5), td.PathEntry(0.125, 3),
+                            td.PathEntry(0.5 - tiny, 1)]
+    # node 1 stops being internal at the folded entry's alpha, 0.0
+    assert path.collapse_alpha.tolist() == [0.5 - tiny, 0.0, 0.0, 0.0, 0.125, 0.0, 0.0]
+    assert prune(tree, 0.0, path).n_nodes == 5
+
+
 def test_prune_alpha_selection_semantics():
     x, y = hand_tie_dataset()
     tree = cart_train(x, y)
