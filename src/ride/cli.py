@@ -13,11 +13,12 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
+import operator
 import os
 import sys
 import time
 
-import jsonschema
 import numpy as np
 
 from . import (classifier, flow_embedder, hw_model, jshc_optimizer, nn_core,
@@ -223,6 +224,58 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
+# The JSON Schema keywords CONFIG_SCHEMA uses, checked by _validate. An
+# integer is a JSON integer (not 1.0) and a number a finite one (not NaN or
+# Infinity, which Python's json accepts); a bool is neither.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "null": lambda v: v is None,
+    "integer": lambda v: type(v) is int,
+    "number": lambda v: type(v) is int or (type(v) is float and math.isfinite(v)),
+}
+_BOUNDS = (("minimum", operator.lt, "less than the minimum of"),
+           ("exclusiveMinimum", operator.le, "less than or equal to the minimum of"),
+           ("maximum", operator.gt, "greater than the maximum of"),
+           ("exclusiveMaximum", operator.ge, "greater than or equal to the maximum of"))
+
+
+def _validate(value, schema: dict, path: tuple) -> None:
+    """Raise ConfigError naming the first place where value breaks schema.
+
+    Handles type, enum, the four bounds, properties with
+    additionalProperties false, and items. An unexpected key is reported
+    at its parent's path.
+    """
+    def fail(cause: str):
+        where = "/".join(str(p) for p in path) or "<root>"
+        raise ConfigError(f"config invalid at {where}: {cause}")
+
+    if "type" in schema:
+        types = schema["type"] if isinstance(schema["type"], list) else [schema["type"]]
+        if not any(_TYPES[t](value) for t in types):
+            fail(f"{value!r} is not of type {', '.join(map(repr, types))}")
+    if "enum" in schema and value not in schema["enum"]:
+        fail(f"{value!r} is not one of {schema['enum']!r}")
+    if _TYPES["number"](value):
+        for keyword, beyond, words in _BOUNDS:
+            if keyword in schema and beyond(value, schema[keyword]):
+                fail(f"{value!r} is {words} {schema[keyword]!r}")
+    if isinstance(value, dict) and "properties" in schema:
+        properties = schema["properties"]
+        unexpected = [key for key in value if key not in properties]
+        if unexpected and schema.get("additionalProperties") is False:
+            fail(f"unexpected key(s) {', '.join(map(repr, unexpected))}; "
+                 f"allowed: {', '.join(properties)}")
+        for key, item in value.items():
+            if key in properties:
+                _validate(item, properties[key], path + (key,))
+    if isinstance(value, list) and "items" in schema:
+        for index, item in enumerate(value):
+            _validate(item, schema["items"], path + (index,))
+
+
 def load_config(path: str | None, seed: int | None = None,
                 out_dir: str | None = None) -> dict:
     """Defaults deep-merged with the file; flags override file values."""
@@ -235,11 +288,7 @@ def load_config(path: str | None, seed: int | None = None,
                 user = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
-    try:
-        jsonschema.validate(user, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {where}: {exc.message}") from None
+    _validate(user, CONFIG_SCHEMA, ())
     cfg = _deep_merge(default_config(), user)
     if seed is not None:
         cfg["seed"] = seed

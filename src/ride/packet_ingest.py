@@ -1,9 +1,9 @@
 """Classic PCAP parsing, payload vectorization, flow grouping and labeling.
 
 Only classic PCAP is accepted (both endiannesses, microsecond and
-nanosecond timestamp variants, Ethernet link type, 802.1Q and QinQ tags
-skipped, IPv6 hop-by-hop, routing, fragment and destination-options
-headers walked). PCAPNG is rejected.
+nanosecond timestamp variants; Ethernet with 802.1Q and QinQ tags skipped,
+raw IP and Linux cooked (SLL) link types; IPv6 hop-by-hop, routing,
+fragment and destination-options headers walked). PCAPNG is rejected.
 No TCP reassembly or IP defragmentation is attempted.
 """
 from __future__ import annotations
@@ -27,6 +27,8 @@ PCAP_MAGIC_USEC = 0xA1B2C3D4
 PCAP_MAGIC_NSEC = 0xA1B23C4D
 PCAPNG_MAGIC = 0x0A0D0D0A
 LINKTYPE_ETHERNET = 1
+LINKTYPE_RAW = 101  # the frame is the IP datagram
+LINKTYPE_LINUX_SLL = 113  # 16-byte cooked header, protocol type at bytes 14-15
 
 ETHERTYPE_IPV4 = 0x0800
 ETHERTYPE_IPV6 = 0x86DD
@@ -43,12 +45,13 @@ IPV6_EXTENSION_HEADERS = (0, 43, IPV6_FRAGMENT, 60)
 TRUTH_COLUMNS = ("src_ip", "dst_ip", "src_port", "dst_port", "protocol", "label")
 
 # Why a frame is skipped:
-#   non_ip             ethertype neither IPv4 nor IPv6, or an IP version
-#                      nibble that disagrees with the ethertype
+#   non_ip             ethertype (or SLL protocol type) neither IPv4 nor
+#                      IPv6, or an IP version nibble that disagrees with it
+#                      or, on a raw-IP link, is neither 4 nor 6
 #   non_tcp_udp        IP payload of another protocol (ICMP, ...)
 #   fragment           IPv4 or IPv6 fragment other than the first (no L4
 #                      header)
-#   short_header       an Ethernet, VLAN, IP, IPv6 extension, TCP or UDP
+#   short_header       an Ethernet, VLAN, SLL, IP, IPv6 extension, TCP or UDP
 #                      header cut short, or an IP/TCP header length below
 #                      its minimum
 #   zero_total_length  IPv4 total_length 0 (segmentation offload captures)
@@ -146,8 +149,11 @@ def parse_pcap(capture_bytes: bytes) -> ParsedCapture:
     _vmaj, _vmin, _zone, _sig, _snaplen, network = struct.unpack(
         endian + "HHiIII", capture_bytes[4:24]
     )
-    if network != LINKTYPE_ETHERNET:
-        raise PcapFormatError(f"unsupported link type {network}; only Ethernet captures are handled")
+    parse_frame = _FRAME_PARSERS.get(network)
+    if parse_frame is None:
+        raise PcapFormatError(f"unsupported link type {network}; handled: Ethernet "
+                              f"({LINKTYPE_ETHERNET}), raw IP ({LINKTYPE_RAW}) and "
+                              f"Linux SLL ({LINKTYPE_LINUX_SLL})")
 
     result = ParsedCapture()
     offset = 24
@@ -167,7 +173,7 @@ def parse_pcap(capture_bytes: bytes) -> ParsedCapture:
             break
         frame = capture_bytes[offset:offset + incl_len]
         offset += incl_len
-        packet = _parse_ethernet(ts_sec + ts_frac * ts_scale, frame)
+        packet = parse_frame(ts_sec + ts_frac * ts_scale, frame)
         if isinstance(packet, str):
             result.n_skipped_by_reason[packet] += 1
         else:
@@ -188,12 +194,22 @@ def _parse_ethernet(timestamp: float, frame: bytes) -> RawPacket | str:
             return "short_header"
         ethertype = struct.unpack(">H", frame[start + 2:start + 4])[0]
         start += 4
-    body = frame[start:]
-    if ethertype == ETHERTYPE_IPV4:
-        return _parse_ipv4(timestamp, body)
-    if ethertype == ETHERTYPE_IPV6:
-        return _parse_ipv6(timestamp, body)
-    return "non_ip"
+    parse_ip = _IP_BY_ETHERTYPE.get(ethertype)
+    return "non_ip" if parse_ip is None else parse_ip(timestamp, frame[start:])
+
+
+def _parse_sll(timestamp: float, frame: bytes) -> RawPacket | str:
+    if len(frame) < 16:
+        return "short_header"
+    parse_ip = _IP_BY_ETHERTYPE.get(struct.unpack(">H", frame[14:16])[0])
+    return "non_ip" if parse_ip is None else parse_ip(timestamp, frame[16:])
+
+
+def _parse_raw_ip(timestamp: float, frame: bytes) -> RawPacket | str:
+    if not frame:
+        return "short_header"
+    parse_ip = _IP_BY_VERSION.get(frame[0] >> 4)
+    return "non_ip" if parse_ip is None else parse_ip(timestamp, frame)
 
 
 def _parse_ipv4(timestamp: float, data: bytes) -> RawPacket | str:
@@ -263,6 +279,12 @@ def _parse_l4(timestamp: float, src: str, dst: str, proto: int, l4: bytes) -> Ra
         return RawPacket(timestamp, src, dst, sport, dport, "UDP", l4[8:end])
     return "non_tcp_udp"
 
+
+_IP_BY_ETHERTYPE = {ETHERTYPE_IPV4: _parse_ipv4, ETHERTYPE_IPV6: _parse_ipv6}
+_IP_BY_VERSION = {4: _parse_ipv4, 6: _parse_ipv6}
+# one frame parser per link type, chosen once per capture
+_FRAME_PARSERS = {LINKTYPE_ETHERNET: _parse_ethernet, LINKTYPE_RAW: _parse_raw_ip,
+                  LINKTYPE_LINUX_SLL: _parse_sll}
 
 def extract_payload_vector(packet: RawPacket, n_p: int = DEFAULT_N_P) -> PayloadVector:
     """First min(len, n_p) payload bytes as 0-255 values, zero padded."""

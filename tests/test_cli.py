@@ -1,11 +1,16 @@
 """CLI orchestrator: config handling, stage wiring, exit codes, artifacts."""
 import csv
 import json
+import math
 import os
+import re
 import shutil
+import subprocess
+import sys
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ride import cli, nn_core, packet_ingest
 
@@ -14,6 +19,26 @@ from ride import cli, nn_core, packet_ingest
 
 def test_default_config_satisfies_its_own_schema():
     jsonschema.validate(cli.default_config(), cli.CONFIG_SCHEMA)
+    cli._validate(cli.default_config(), cli.CONFIG_SCHEMA, ())
+
+
+def _subschemas(schema, path=()):
+    """(path, schema) of every node of a schema; an array's items sit at index 0."""
+    yield path, schema
+    for key, sub in schema.get("properties", {}).items():
+        yield from _subschemas(sub, path + (key,))
+    if "items" in schema:
+        yield from _subschemas(schema["items"], path + (0,))
+
+
+def test_config_schema_uses_only_the_keywords_the_check_handles():
+    handled = {"type", "properties", "additionalProperties", "enum", "items",
+               "minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum"}
+    for _, schema in _subschemas(cli.CONFIG_SCHEMA):
+        assert set(schema) <= handled, schema
+        assert schema.get("additionalProperties", False) is False
+        types = schema.get("type", [])
+        assert set([types] if isinstance(types, str) else types) <= set(cli._TYPES)
 
 
 def test_load_config_none_gives_defaults():
@@ -65,6 +90,113 @@ def test_removed_config_knobs_exit_3_and_name_their_section(tmp_path, capsys):
         assert cli.main(["synth", "--config", str(path), "--out", str(tmp_path / "run")]) == 3
         assert f"config invalid at {where}:" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "run")
+
+
+@pytest.mark.parametrize("text, where", [
+    ('{"train": {"autoencoder": {"epochs": 1.0}}}', "train/autoencoder/epochs"),
+    ('{"embed": {"pair_cap": 100.0}}', "embed/pair_cap"),
+    ('{"quantize": {"beta": 4.0}}', "quantize/beta"),
+    ('{"train": {"rae": {"learning_rate": NaN}}}', "train/rae/learning_rate"),
+    ('{"jshc": {"tol": NaN}}', "jshc/tol"),
+    ('{"classifier": {"test_fraction": NaN}}', "classifier/test_fraction"),
+    ('{"jshc": {"alpha_set": [Infinity]}}', "jshc/alpha_set/0"),
+])
+def test_integral_floats_and_non_finite_numbers_exit_3(tmp_path, capsys, text, where):
+    """An integer key takes only a JSON integer and a number key only a
+    finite number, though JSON Schema's integer takes 1.0 and Python's json
+    reads NaN and Infinity."""
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert cli.main(["synth", "--config", str(path), "--out", str(tmp_path / "run")]) == 3
+    assert f"config invalid at {where}:" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "run")
+
+
+# The reference: jsonschema accepts a document exactly when _validate does,
+# apart from integral floats at integer keys and NaN or +-Infinity anywhere,
+# which only _validate refuses. When both refuse, _validate names a path
+# that jsonschema names too, or one that holds such a float.
+_REFERENCE = jsonschema.Draft202012Validator(cli.CONFIG_SCHEMA)
+_STRAYS = [None, True, False, "x", "", [], {}, 0, 1, -1, 0.5, 1.0, 2.0,
+           float("nan"), float("inf"), float("-inf"), 10**20]
+
+
+def _candidates(schema):
+    """Strays of every type, numbers on, just inside and just outside each
+    bound (as ints and floats), enum values and bad enum strings, and for
+    an object an unknown key."""
+    values = [b + d for key in ("minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum")
+              if key in schema for b in [schema[key]] for d in (-1, -0.5, 0, 0.5, 1)]
+    values += [float(v) for v in values] + schema.get("enum", []) + ["weird", "ADAM"]
+    return _STRAYS + values + [{"unknown": 1}, {"Seed": None}]
+
+
+def _assert_check_agrees(document):
+    reference_paths = {"/".join(map(str, e.absolute_path)) or "<root>"
+                       for e in _REFERENCE.iter_errors(document)}
+    try:
+        cli._validate(document, cli.CONFIG_SCHEMA, ())
+    except cli.ConfigError as exc:
+        where = re.fullmatch(r"config invalid at (.*?): .*", str(exc), re.S).group(1)
+        value = document
+        for part in ([] if where == "<root>" else where.split("/")):
+            value = value[int(part) if isinstance(value, list) else part]
+        refused_only_by_the_check = type(value) is float and (
+            value.is_integer() or not math.isfinite(value))
+        assert where in reference_paths or refused_only_by_the_check, (where, document)
+    else:
+        assert not reference_paths, document
+
+
+def test_config_check_agrees_with_jsonschema_on_every_candidate_at_every_key():
+    for path, schema in _subschemas(cli.CONFIG_SCHEMA):
+        for value in _candidates(schema):
+            for part in reversed(path):
+                value = [value] if part == 0 else {part: value}
+            _assert_check_agrees(value)
+
+
+def _one_in(n, rare, common):
+    # a middle index: hypothesis favours the ends of an integer range
+    return st.sampled_from(range(n)).flatmap(lambda i: rare if i == n // 2 else common)
+
+
+def _config_values(schema):
+    """Documents for one schema node, mostly of the right shape, with
+    candidate values, unknown keys and strays at every level."""
+    strays = st.sampled_from(_STRAYS)
+    if "properties" in schema:
+        known = st.fixed_dictionaries({}, optional={
+            key: _config_values(sub) for key, sub in schema["properties"].items()})
+        unknown = st.dictionaries(st.sampled_from(["unknown", "seed_", "Epochs"]), strays,
+                                  min_size=1, max_size=1)
+        document = st.builds(lambda a, b: {**a, **b}, known, _one_in(6, unknown, st.just({})))
+        return _one_in(8, strays, document)
+    options = [st.sampled_from(_candidates(schema)), st.integers(-3, 20), st.floats()]
+    if "items" in schema:
+        options.append(st.lists(_config_values(schema["items"]), max_size=3))
+    if "string" in schema.get("type", ()):
+        options.append(st.text(max_size=5))
+    return _one_in(4, strays, st.one_of(options))
+
+
+@settings(max_examples=200)
+@given(document=_config_values(cli.CONFIG_SCHEMA))
+def test_config_check_agrees_with_jsonschema(document):
+    _assert_check_agrees(document)
+
+
+def test_importing_ride_and_loading_a_config_does_not_import_jsonschema(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"train": {"rae": {"epochs": 3}}, "jshc": {"alpha_set": [0.5]}}))
+    modules = ("cli", "classifier", "flow_embedder", "hw_model", "jshc_optimizer", "nn_core",
+               "packet_ingest", "payload_autoencoder", "synth_data", "tree_distiller")
+    code = (f"import sys\nfrom ride import {', '.join(modules)}\n"
+            f"cli.load_config({str(config)!r})\nprint('jsonschema' in sys.modules)")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_deep_merge_replaces_scalars_and_recurses():

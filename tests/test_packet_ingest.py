@@ -80,7 +80,7 @@ def test_rejects_bad_inputs():
     with pytest.raises(pi.PcapFormatError):
         pi.parse_pcap(b"\xde\xad\xbe\xef" + b"\x00" * 20)
     with pytest.raises(pi.PcapFormatError):
-        pi.parse_pcap(global_header(network=101))  # raw-IP link type
+        pi.parse_pcap(global_header(network=105))  # 802.11 link type
 
 
 def test_non_ip_and_non_tcp_udp_are_skipped():
@@ -171,12 +171,16 @@ def test_ipv6_tcp_parse():
     assert p.payload == b"six"
 
 
-def ipv6(next_header, body, payload_length=None):
+def ipv6_datagram(next_header, body, payload_length=None):
     payload_length = len(body) if payload_length is None else payload_length
     hdr = struct.pack(">IHBB", 6 << 28, payload_length, next_header, 64)
     hdr += socket.inet_pton(socket.AF_INET6, "2001:db8::1")
     hdr += socket.inet_pton(socket.AF_INET6, "2001:db8::2")
-    return eth(hdr + body, ethertype=0x86DD)
+    return hdr + body
+
+
+def ipv6(next_header, body, payload_length=None):
+    return eth(ipv6_datagram(next_header, body, payload_length), ethertype=0x86DD)
 
 
 def options_header(next_header, units=0):
@@ -255,6 +259,50 @@ def test_vlan_and_qinq_tagged_frames_parse_like_untagged():
     cap = pi.parse_pcap(global_header() + record(eth(b"\x00\x01", ethertype=0x8100)))
     assert cap.packets == [] and cap.n_skipped == 1
 
+
+
+def sll(body, protocol=0x0800):
+    """A Linux cooked-capture (SLL) frame: packet type, ARPHRD type, address
+    length, 8 address bytes, then the protocol type."""
+    return struct.pack(">HHH8sH", 0, 1, 6, b"\xaa" * 6, protocol) + body
+
+
+LINK_FRAMINGS = {  # link type -> frame of (datagram, ethertype)
+    1: eth,
+    101: lambda datagram, ethertype: datagram,
+    113: sll,
+}
+
+
+@pytest.mark.parametrize("network", sorted(LINK_FRAMINGS))
+@pytest.mark.parametrize("version", [4, 6])
+@pytest.mark.parametrize("protocol", ["TCP", "UDP"])
+def test_tcp_and_udp_over_ipv4_and_ipv6_parse_on_every_link_type(network, version, protocol):
+    l4 = tcp(b"link", sport=7, dport=80) if protocol == "TCP" else udp(b"link", sport=7, dport=80)
+    proto = 6 if protocol == "TCP" else 17
+    if version == 4:
+        datagram, ethertype, src = ipv4(l4, proto=proto), 0x0800, "10.0.0.1"
+    else:
+        datagram, ethertype, src = ipv6_datagram(proto, l4), 0x86DD, "2001:db8::1"
+    frame = LINK_FRAMINGS[network](datagram, ethertype)
+    cap = pi.parse_pcap(global_header(network=network) + record(frame))
+    assert cap.n_skipped == 0
+    p = cap.packets[0]
+    assert (p.src_addr, p.src_port, p.dst_port, p.protocol, p.payload) == (
+        src, 7, 80, protocol, b"link")
+
+
+def test_sll_and_raw_ip_frames_without_a_packet_are_skipped_by_reason():
+    datagram = ipv4(tcp(b"ok"))
+    cases = {
+        113: [sll(datagram)[:15], sll(b"\x00" * 28, protocol=0x0806), sll(datagram)],
+        101: [b"", b"\x20" + datagram[1:], datagram],  # empty; IP version 2
+    }
+    for network, frames in cases.items():
+        cap = pi.parse_pcap(global_header(network=network) + b"".join(map(record, frames)))
+        assert cap.n_skipped_by_reason == dict(dict.fromkeys(pi.SKIP_REASONS, 0),
+                                               short_header=1, non_ip=1)
+        assert [p.payload for p in cap.packets] == [b"ok"]
 
 def test_extract_payload_vector_pads_and_truncates():
     p = pi.RawPacket(0.0, "a", "b", 1, 2, "TCP", b"\x01\x02\x03")
@@ -360,10 +408,11 @@ frames = st.one_of(
 
 
 @given(frames=st.lists(frames, max_size=8), tail=st.binary(max_size=15),
-       endian=st.sampled_from(["<", ">"]))
-def test_random_records_parse_or_raise_pcap_format_error(frames, tail, endian):
+       endian=st.sampled_from(["<", ">"]), network=st.sampled_from(sorted(LINK_FRAMINGS)))
+def test_random_records_parse_or_raise_pcap_format_error(frames, tail, endian, network):
     # the tail is shorter than a record header, so it always truncates
-    data = global_header(endian) + b"".join(record(f, endian=endian) for f in frames)
+    data = global_header(endian, network=network) + b"".join(
+        record(f, endian=endian) for f in frames)
     try:
         cap = pi.parse_pcap(data + tail)
     except pi.PcapFormatError:

@@ -1,10 +1,12 @@
 """Synthetic traffic generator: allocation, validation, and the parse
 round trip through the real ingest path."""
+import collections
 import csv
 import io
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ride import packet_ingest, synth_data as sd
 from conftest import labeled_flows_from_spec
@@ -102,6 +104,51 @@ def test_round_trip_through_ingest():
     assert labels.count("benign") == 10 and labels.count("attack") == 10
     lo, hi = spec.packets_per_flow
     assert all(lo <= len(f.packets) <= hi for f in labeled.flows)
+
+
+@st.composite
+def traffic_specs(draw):
+    """Small specs: 1-20 flows of 1-6 packets over 1-3 classes of any
+    schedule, motif, noise, byte rate and payload length."""
+    profiles = []
+    for c in range(draw(st.integers(1, 3))):
+        schedule = draw(st.sampled_from(sd.SCHEDULES))
+        motifs = draw(st.lists(st.binary(min_size=1, max_size=12), max_size=3,
+                               min_size=2 if schedule == "split_halves" else 1))
+        lo = draw(st.integers(0, 80))
+        profiles.append(sd.ClassProfile(
+            name=f"class{c}", motifs=motifs, schedule=schedule,
+            noise_rate=draw(st.floats(0, 1)), high_byte_rate=draw(st.floats(0, 1)),
+            payload_len=(lo, draw(st.integers(lo, lo + 80)))))
+    weights = draw(st.lists(st.integers(1, 10), min_size=len(profiles),
+                            max_size=len(profiles)))
+    lo = draw(st.integers(1, 4))
+    return sd.TrafficSpec(n_flows=draw(st.integers(1, 20)),
+                          packets_per_flow=(lo, draw(st.integers(lo, 6))),
+                          class_profiles=profiles,
+                          class_mix=[w / sum(weights) for w in weights],
+                          seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@given(spec=traffic_specs())
+def test_any_spec_round_trips_through_ingest_with_every_flow_labelled(spec):
+    pcap, truth = sd.generate(spec)
+    capture = packet_ingest.parse_pcap(pcap)
+    assert capture.n_skipped == 0 and capture.n_truncated == 0
+    truth_rows = list(csv.DictReader(io.StringIO(truth)))
+    labeled = packet_ingest.label_flows(packet_ingest.group_flows(capture.packets),
+                                        truth_rows)
+    assert labeled.n_dropped == 0 and len(labeled.flows) == spec.n_flows
+    lo, hi = spec.packets_per_flow
+    for flow in labeled.flows:
+        # flow i's client address is 10.i (three bytes); row i is its truth
+        client = next(p.src_addr for p in flow.packets if p.src_addr.startswith("10."))
+        a, b, c = map(int, client.split(".")[1:])
+        assert flow.label == truth_rows[a << 16 | b << 8 | c]["label"]
+        assert lo <= len(flow.packets) <= hi
+    names = [p.name for p in spec.class_profiles]
+    assert collections.Counter(f.label for f in labeled.flows) == collections.Counter(
+        names[c] for c in sd._allocate_classes(spec.class_mix, spec.n_flows))
 
 
 def test_timestamps_non_decreasing():
