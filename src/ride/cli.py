@@ -406,7 +406,9 @@ def stage_ingest(cfg: dict) -> dict:
             f"n_dropped={labeled.n_dropped}, classes seen: {classes})")
     packet_ingest.save_flows(labeled.flows, artifact_path(cfg, "flows"))
     return _write_summary(cfg, "ingest", {
-        "pcap": pcap_path, "truth_csv": truth_path,
+        # relative to the out dir, so that a run's files do not name where it ran
+        "pcap": os.path.relpath(pcap_path, cfg["out_dir"]),
+        "truth_csv": os.path.relpath(truth_path, cfg["out_dir"]),
         "n_packets": len(parsed.packets), "n_skipped": parsed.n_skipped,
         "n_skipped_by_reason": parsed.n_skipped_by_reason,
         "n_truncated": parsed.n_truncated,
@@ -414,18 +416,16 @@ def stage_ingest(cfg: dict) -> dict:
     })
 
 
-def _load_flow_payload_matrix(cfg: dict):
+def _load_flow_payload_matrix(cfg: dict) -> np.ndarray:
+    """Every packet's n_p payload bytes, zero padded, as one uint8 matrix."""
     flows = packet_ingest.load_flows(_require(artifact_path(cfg, "flows")))
     n_p = cfg["features"]["n_p"]
-    vectors = []
-    for flow in flows:
-        for pkt in flow.packets:
-            vectors.append(packet_ingest.extract_payload_vector(pkt, n_p).values)
-    return flows, np.array(vectors, dtype=np.float64)
+    return np.array([packet_ingest.extract_payload_vector(pkt, n_p).values
+                     for flow in flows for pkt in flow.packets], dtype=np.uint8)
 
 
 def stage_train_ae(cfg: dict) -> dict:
-    _flows, matrix = _load_flow_payload_matrix(cfg)
+    matrix = _load_flow_payload_matrix(cfg)
     train_cfg = _train_cfg(cfg, "autoencoder")
     sample_cap = cfg["sample_caps"]["ae_payloads"]
     bundle = payload_autoencoder.train_autoencoder(
@@ -542,13 +542,12 @@ def _prefix_points(rae, encoded: list) -> list:
 def _query_points(cfg: dict, rae, encoded: list) -> list:
     """The final states of QUERY_FLOWS_PER_TRAIN_FLOW query flows per
     training flow, folded in one batch."""
-    queries = flow_embedder.sample_query_flows(
+    codes, offsets, labels = flow_embedder.sample_query_flows(
         encoded, QUERY_FLOWS_PER_TRAIN_FLOW * len(encoded), seed=cfg["seed"])
-    codes, offsets = flow_embedder.stack_codes(queries)
     finals = flow_embedder.fold_prefixes(rae, codes, offsets)[offsets[1:] - 1]
-    return [flow_embedder.FlowEmbedding(flow_id=q.flow_id, values=v,
-                                        n_packets_folded=len(q.embeddings), label=q.label)
-            for q, v in zip(queries, finals)]
+    return [flow_embedder.FlowEmbedding(flow_id=f"query#{q}", values=v,
+                                        n_packets_folded=n, label=label)
+            for q, (v, n, label) in enumerate(zip(finals, np.diff(offsets).tolist(), labels))]
 
 
 def _distill_train_embeddings(cfg: dict, train: list) -> list:

@@ -142,7 +142,9 @@ def fold_prefixes(rae: RaeBundle, codes: np.ndarray, offsets) -> np.ndarray:
     previous state and the row's code. Step i composes every flow longer
     than i in one product, written into one pair buffer whose left half
     holds the states. The steps visit the flows longest first, so the
-    flows still folding are a leading slice of the step before's.
+    flows still folding are a leading slice of the step before's. Each
+    step reads its codes from `codes` itself, so besides `codes` the fold
+    holds the pair buffer and the states: three times the size of `codes`.
 
     One flow gives the bits of a left fold of one-pair combine_pair calls.
     A batch may differ from that in the last bits, because BLAS sums a
@@ -152,28 +154,31 @@ def fold_prefixes(rae: RaeBundle, codes: np.ndarray, offsets) -> np.ndarray:
     if codes.ndim != 2 or len(offsets) < 2 or offsets[0] != 0 or offsets[-1] != len(codes):
         raise ValueError(f"offsets must run from 0 to the {len(codes)} rows of codes")
     if len(offsets) == 2:  # one flow's rows are already in step order
-        order, live, x = None, [1] * len(codes), codes
+        order, live = None, [1] * len(codes)
     else:
         offsets = np.asarray(offsets)
         lengths = offsets[1:] - offsets[:-1]
         by_length = np.argsort(-lengths, kind="stable")
         steps = np.arange(lengths.max())[:, None]
         folding = lengths[by_length] > steps  # [i, j]: the j-th longest has an (i+1)-th packet
-        order = (offsets[by_length] + steps)[folding]
+        order = (offsets[by_length] + steps)[folding]  # the rows of codes, step-major
         live = np.count_nonzero(folding, axis=1).tolist()
-        x = codes[order]  # step-major
     if not live or live[0] != len(offsets) - 1:  # step 0 must hold every flow
         raise ValueError(f"flow {int(np.argmin(np.diff(offsets)))} has no packets")
+
+    def step_codes(rows: slice) -> np.ndarray:  # the codes of step-major rows
+        return codes[rows] if order is None else codes[order[rows]]
+
     # row r of the pair buffer: the state after row r, then the code that
     # follows row r in its flow. A step reads the leading rows of the step
     # before's block and writes the composer's product and activation
     # straight into the left half of its own block.
     n_b = rae.n_b
-    pairs = np.empty((len(x), 2 * n_b))
-    pairs[:live[0], :n_b] = x[:live[0]]
+    pairs = np.empty((len(codes), 2 * n_b))
+    pairs[:live[0], :n_b] = step_codes(slice(0, live[0]))
     prev, lo = 0, live[0]  # first row of the step before's block, of this step's
     for k in live[1:]:
-        pairs[prev:prev + k, n_b:] = x[lo:lo + k]
+        pairs[prev:prev + k, n_b:] = step_codes(slice(lo, lo + k))
         nn_core.affine_into(rae.composer.layers[0], pairs[prev:prev + k],
                             out=pairs[lo:lo + k, :n_b])
         prev, lo = lo, lo + k
@@ -199,7 +204,7 @@ def embed_flows(rae: RaeBundle, flows: list[EmbeddedFlow],
 
 
 def sample_query_flows(flows: list[EmbeddedFlow], n_flows: int,
-                       seed: int = 0) -> list[EmbeddedFlow]:
+                       seed: int = 0) -> tuple[np.ndarray, np.ndarray, list]:
     """Random packet sequences for querying a teacher off its training flows.
 
     Each sequence copies the class and the length of a training flow drawn
@@ -208,6 +213,10 @@ def sample_query_flows(flows: list[EmbeddedFlow], n_flows: int,
     packets within a class gives realistic inputs that no real flow
     visits, so a student labeled on them learns the teacher's function
     and not only its training points.
+
+    Returns the sequences as stack_codes lays flows out, gathered straight
+    into one matrix: (codes, offsets, labels), where sequence q owns rows
+    offsets[q]:offsets[q + 1] of codes and has class labels[q].
     """
     if not flows:
         raise ValueError("no flows to sample from")
@@ -226,9 +235,8 @@ def sample_query_flows(flows: list[EmbeddedFlow], n_flows: int,
     sources = rng.integers(0, len(flows), size=n_flows)
     packet_class = np.repeat(class_of[sources], lengths[sources])
     rows = pool_start[packet_class] + rng.integers(0, pool_size[packet_class])
-    sequences = np.split(pool[rows], np.cumsum(lengths[sources])[:-1])
-    return [EmbeddedFlow(flow_id=f"query#{q}", embeddings=seq, label=flows[s].label)
-            for q, (s, seq) in enumerate(zip(sources, sequences))]
+    offsets = np.concatenate([[0], np.cumsum(lengths[sources])]).astype(np.int64)
+    return pool[rows], offsets, [flows[s].label for s in sources]
 
 
 def prefix_embeddings(rae: RaeBundle, flow: EmbeddedFlow) -> list[FlowEmbedding]:

@@ -131,22 +131,23 @@ def _apply_activation(name: str, z: np.ndarray, out: np.ndarray | None = None) -
         return np.maximum(z, 0.0, out=out)
     if name == "sigmoid":
         # e = exp(-|z|) never overflows: 1/(1+e) where z >= 0, e/(1+e) below
+        nonneg = z >= 0
         e = np.copysign(z, -1.0)
         np.exp(e, out=e)
-        denominator = np.add(e, 1.0)
-        np.copyto(e, 1.0, where=z >= 0)  # e is now the numerator
-        return np.divide(e, denominator, out=denominator if out is None else out)
+        out = np.add(e, 1.0, out=out)  # the denominator; z may be out
+        np.copyto(e, 1.0, where=nonneg)  # e is now the numerator
+        return np.divide(e, out, out=out)
     if name == "tanh":
         return np.tanh(z, out=out)
     if name == "identity":
-        if out is None:
+        if out is None or out is z:
             return z
         np.copyto(out, z)
         return out
     if name == "softmax":
-        e = z - z.max(axis=-1, keepdims=True)
+        e = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
         np.exp(e, out=e)
-        return np.divide(e, e.sum(axis=-1, keepdims=True), out=out)
+        return np.divide(e, e.sum(axis=-1, keepdims=True), out=e)
     raise ValueError(f"unknown activation {name!r}")
 
 
@@ -180,9 +181,11 @@ def live_width(x: np.ndarray, width: int | None = None) -> int:
     return 0 if cols.size == 0 else min(width, (int(cols[-1]) // CHUNK + 1) * CHUNK)
 
 
-def chunked_affine(x: np.ndarray, wT: np.ndarray, b: np.ndarray) -> np.ndarray:
+def chunked_affine(x: np.ndarray, wT: np.ndarray, b: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """x @ wT + b as the sum of x[:, c] @ wT[c] over the CHUNK-column chunks
-    c in order, plus b, skipping the chunks past live_width(x).
+    c in order, plus b, skipping the chunks past live_width(x); written
+    into out (a new array when out is None).
 
     A skipped chunk's terms are exact zeros and no chunk is ever cut, so
     each chunk's product is the same BLAS call whether or not later chunks
@@ -194,14 +197,17 @@ def chunked_affine(x: np.ndarray, wT: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     live = live_width(x, wT.shape[0])
     if not live:
-        return np.zeros((x.shape[0], wT.shape[1])) + b
-    if live > x.shape[1]:  # a narrow x ends inside its last live chunk
-        x = np.pad(x, ((0, 0), (0, live - x.shape[1])))
-    z = x[:, :CHUNK] @ wT[:CHUNK]
-    for lo in range(CHUNK, live, CHUNK):
-        z += x[:, lo:lo + CHUNK] @ wT[lo:lo + CHUNK]
-    z += b
-    return z
+        if out is None:
+            out = np.empty((x.shape[0], wT.shape[1]))
+        out[...] = 0.0
+    else:
+        if live > x.shape[1]:  # a narrow x ends inside its last live chunk
+            x = np.pad(x, ((0, 0), (0, live - x.shape[1])))
+        out = np.matmul(x[:, :CHUNK], wT[:CHUNK], out=out)
+        for lo in range(CHUNK, live, CHUNK):
+            out += x[:, lo:lo + CHUNK] @ wT[lo:lo + CHUNK]
+    out += b
+    return out
 
 
 def stored_transposed(layer: Layer) -> bool:
@@ -211,48 +217,56 @@ def stored_transposed(layer: Layer) -> bool:
     return not layer.w.flags.c_contiguous
 
 
-def affine_into(layer: Layer, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """One layer on x, written into out: the bits of forward's product and
-    activation for that layer, without its checks and trace."""
+def _check_width(k: int, layer: Layer, width: int) -> None:
+    if width > layer.w.shape[1] or (width < layer.w.shape[1]
+                                    and (k or not stored_transposed(layer))):
+        raise ValueError(f"layer {k} expects input dim {layer.w.shape[1]}, got {width}")
+
+
+def _product(layer: Layer, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x @ layer.w.T + layer.b, written into out (a new array when out is
+    None). A layer stored transposed runs through chunked_affine, so its
+    input may be zero-padded or narrow."""
     if stored_transposed(layer):
-        out[...] = chunked_affine(x, layer.w.T, layer.b)
-    else:
-        np.matmul(x, layer.w.T, out=out)
-        out += layer.b
-    return _apply_activation(layer.activation, out, out=out)
+        return chunked_affine(x, layer.w.T, layer.b, out=out)
+    out = np.matmul(x, layer.w.T, out=out)
+    out += layer.b
+    return out
+
+
+def affine_into(layer: Layer, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """One layer on x: its product, then its activation written over the
+    product, all in out (a new array when out is None). No input check."""
+    z = _product(layer, x, out)
+    return _apply_activation(layer.activation, z, out=z)
 
 
 def _forward_trace(net: DenseNet, x: np.ndarray):
-    """Forward pass keeping pre-activations and activations per layer."""
+    """Forward pass keeping pre-activations and activations per layer, for
+    _backward."""
     zs, acts = [], [x]
-    a = x
     for k, layer in enumerate(net.layers):
-        width, transposed = a.shape[-1], stored_transposed(layer)
-        if width > layer.w.shape[1] or (width < layer.w.shape[1]
-                                        and (k or not transposed)):
-            raise ValueError(
-                f"layer {k} expects input dim {layer.w.shape[1]}, got {width}"
-            )
-        if transposed:  # w.T C-contiguous: the input may be padded or narrow
-            z = chunked_affine(a, layer.w.T, layer.b)
-        else:
-            z = a @ layer.w.T
-            z += layer.b
-        a = _apply_activation(layer.activation, z)
-        zs.append(z)
-        acts.append(a)
+        _check_width(k, layer, acts[-1].shape[-1])
+        zs.append(_product(layer, acts[-1]))
+        acts.append(_apply_activation(layer.activation, zs[-1]))
     return zs, acts
 
 
 def forward(net: DenseNet, x) -> np.ndarray:
-    """Run the net on a single vector or a (n, input_dim) batch."""
+    """Run the net on a single vector or a (n, input_dim) batch.
+
+    Each layer writes its activation over its own product, and no layer's
+    output outlives the next layer's product, so a batch holds at most two
+    layer outputs at once; x is never written. The products are full-batch:
+    BLAS may round a row differently in a product of another row count.
+    """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    _, acts = _forward_trace(net, x)
-    out = acts[-1]
-    return out[0] if single else out
+    a = x[None, :] if single else x
+    for k, layer in enumerate(net.layers):
+        _check_width(k, layer, a.shape[-1])
+        a = affine_into(layer, a)
+    return a[0] if single else a
 
 
 def loss_mse(pred, target) -> float:
@@ -263,7 +277,9 @@ def loss_mse(pred, target) -> float:
         raise ValueError(f"shape mismatch {pred.shape} vs {target.shape}")
     if pred.shape[0] == 0:
         raise ValueError("empty batch")
-    return float(((pred - target) ** 2).sum(axis=1).mean())
+    d = np.subtract(pred, target)
+    np.square(d, out=d)
+    return float(d.sum(axis=1).mean())
 
 
 def loss_cross_entropy(pred_probs, labels) -> float:

@@ -13,6 +13,7 @@ import csv
 import ipaddress
 import json
 import logging
+import os
 import socket
 import struct
 from dataclasses import dataclass, field
@@ -383,15 +384,23 @@ def _packet_from_json(doc: dict) -> RawPacket:
 
 
 def save_flows(flows: list[FlowRecord], path: str) -> None:
-    """Write the flow store as newline-delimited JSON."""
-    with open(path, "w") as fh:
-        for flow in flows:
-            doc = {
-                "flow_id": flow.flow_id,
-                "label": flow.label,
-                "packets": [_packet_to_json(p) for p in flow.packets],
-            }
-            fh.write(json.dumps(doc) + "\n")
+    """Write the flow store as newline-delimited JSON, to path + ".tmp" and
+    renamed, so a write that fails partway leaves any old store as it was
+    and no shorter one that would still load."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w") as fh:
+            for flow in flows:
+                doc = {
+                    "flow_id": flow.flow_id,
+                    "label": flow.label,
+                    "packets": [_packet_to_json(p) for p in flow.packets],
+                }
+                fh.write(json.dumps(doc) + "\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_flows(path: str) -> list[FlowRecord]:

@@ -46,6 +46,19 @@ def payloads_to_matrix(payloads) -> np.ndarray:
     return np.stack([np.asarray(p.values, dtype=np.float64) for p in payloads])
 
 
+def _raw_matrix(payloads) -> np.ndarray:
+    """The raw 0-255 rows: an array as it is (a uint8 matrix stays one),
+    payload vectors stacked."""
+    if isinstance(payloads, np.ndarray):
+        return np.atleast_2d(payloads)
+    return payloads_to_matrix(payloads)
+
+
+def _scaled(raw: np.ndarray) -> np.ndarray:
+    """Raw 0-255 rows scaled into [0, 1], as one new float64 matrix."""
+    return np.divide(np.atleast_2d(raw), BYTE_SCALE, dtype=np.float64)
+
+
 def training_rows(x: np.ndarray, sample_cap: int, seed: int | None) -> np.ndarray:
     """The rows of x the autoencoder trains on: all of them, or a sorted
     sample of sample_cap rows drawn with seed."""
@@ -67,11 +80,13 @@ def train_autoencoder(
 
     final_train_mse is the trained autoencoder's reconstruction error over
     the full input batch (scaled space), even when training ran on a
-    capped subsample.
+    capped subsample. payloads may be a raw uint8 matrix: only the training
+    rows are scaled, into the one float64 copy that training reads, and
+    that copy is dropped before the error is measured.
     """
     cfg = cfg or TrainConfig()
-    x = payloads_to_matrix(payloads) / BYTE_SCALE
-    n, n_p = x.shape
+    train_x = _scaled(training_rows(_raw_matrix(payloads), sample_cap, cfg.seed))
+    n, n_p = train_x.shape
     if n == 0:
         raise ValueError("empty payload batch")
     if not 1 <= n_b < n_p:
@@ -79,7 +94,6 @@ def train_autoencoder(
     if h < n_b:
         logger.warning("hidden width h=%d below bottleneck n_b=%d; capacity may suffer", h, n_b)
 
-    train_x = training_rows(x, sample_cap, cfg.seed)
     net = nn_core.init_dense_net(
         [n_p, h, n_b, h, n_p],
         ["relu", "sigmoid", "relu", "sigmoid"],
@@ -87,7 +101,7 @@ def train_autoencoder(
         weight_init_scale=cfg.weight_init_scale,
     )
     trained, history = nn_core.train(net, train_x, train_x, "mse", cfg)
-
+    del net, train_x
     return AutoencoderBundle(encoder=DenseNet(trained.layers[:2]), n_p=n_p, n_b=n_b, h=h,
                              final_train_mse=reconstruction_error(trained, payloads),
                              seed=cfg.seed, loss_curve=history)
@@ -99,7 +113,7 @@ def encode_matrix(bundle: AutoencoderBundle, x_raw: np.ndarray) -> np.ndarray:
     transposed, so zero padding past a row's last live chunk costs no
     multiply (nn_core.chunked_affine), and the rows may then be narrower
     than n_p: the missing columns count as zeros."""
-    x = np.divide(np.atleast_2d(x_raw), BYTE_SCALE, dtype=np.float64)
+    x = _scaled(x_raw)
     if x.shape[1] > bundle.n_p:
         raise ValueError(f"row length {x.shape[1]} > n_p={bundle.n_p}")
     return nn_core.forward(bundle.encoder, x)
@@ -107,8 +121,10 @@ def encode_matrix(bundle: AutoencoderBundle, x_raw: np.ndarray) -> np.ndarray:
 
 def reconstruction_error(net: DenseNet, payloads) -> float:
     """Mean squared L2 distance between scaled input and its round trip
-    through a full autoencoder net (encoder then decoder)."""
-    x = payloads_to_matrix(payloads) / BYTE_SCALE
+    through a full autoencoder net (encoder then decoder). At its peak it
+    holds three float64 copies of the batch: the scaled input, the output
+    and their difference."""
+    x = _scaled(_raw_matrix(payloads))
     if x.shape[0] == 0:
         raise ValueError("empty payload batch")
     return nn_core.loss_mse(nn_core.forward(net, x), x)

@@ -270,6 +270,29 @@ def test_ingest_fails_loudly_without_two_classes(tmp_path):
         assert not os.path.exists(cli.artifact_path(cfg, "flows"))
 
 
+def test_ingest_summary_names_its_inputs_relative_to_the_out_dir(tmp_path):
+    outs = [str(tmp_path / "a"), str(tmp_path / "deeper" / "b")]
+    for out in outs:
+        assert cli.main(["synth", "--out", out]) == 0
+        assert cli.main(["ingest", "--out", out]) == 0
+    a, b = (open(os.path.join(out, "summaries", "ingest.json"), "rb").read() for out in outs)
+    assert a == b
+    summary = json.loads(a)
+    assert (summary["pcap"], summary["truth_csv"]) == ("capture.pcap", "truth.csv")
+    # a capture outside the out dir is named by its path from there
+    config = tmp_path / "external.json"
+    config.write_text(json.dumps({"paths": {
+        "pcap": os.path.join(outs[0], "capture.pcap"),
+        "truth_csv": os.path.join(outs[0], "truth.csv")}}))
+    out = str(tmp_path / "c")
+    assert cli.main(["ingest", "--config", str(config), "--out", out]) == 0
+    with open(os.path.join(out, "summaries", "ingest.json")) as fh:
+        summary = json.load(fh)
+    assert summary["pcap"] == os.path.join("..", "a", "capture.pcap")
+    assert os.path.samefile(os.path.join(out, summary["truth_csv"]),
+                            os.path.join(outs[0], "truth.csv"))
+
+
 # --------------------------------------------------- fast full pipeline
 
 def _fast_config(tmp_path, name):

@@ -1,5 +1,7 @@
 """Recursive fold of packet embeddings into flow embeddings."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -131,17 +133,25 @@ def _final_states(rae, flows):
                           label=f.label) for f, v in zip(flows, values)]
 
 
+def _queries(flows, n_flows, seed):
+    """sample_query_flows's stacked sequences as flows."""
+    codes, offsets, labels = fe.sample_query_flows(flows, n_flows, seed=seed)
+    assert offsets[0] == 0 and offsets[-1] == len(codes) and len(labels) == n_flows
+    return [EmbeddedFlow(flow_id=f"query#{q}", embeddings=codes[lo:hi], label=label)
+            for q, (lo, hi, label) in enumerate(zip(offsets[:-1], offsets[1:], labels))]
+
+
 def test_query_sampler_draws_same_class_training_packets():
     train, test = _split_flows()
     rae = _trained_rae(seed=4)
-    queries = fe.sample_query_flows(train, 60, seed=5)
+    queries = _queries(train, 60, seed=5)
     states = _final_states(rae, queries)
 
     # deterministic for a seed, different for another
-    again = _final_states(rae, fe.sample_query_flows(train, 60, seed=5))
+    again = _final_states(rae, _queries(train, 60, seed=5))
     for a, b in zip(states, again):
         np.testing.assert_array_equal(a.values, b.values)
-    other = fe.sample_query_flows(train, 60, seed=6)
+    other = _queries(train, 60, seed=6)
     assert any(not np.array_equal(a.embeddings, b.embeddings)
                for a, b in zip(queries, other))
 
@@ -342,6 +352,25 @@ def test_fold_prefixes_is_the_left_fold_of_every_flow(lengths, n_b, seed):
     empty = np.insert(offsets, 1 + seed % len(lengths), offsets[1 + seed % len(lengths)])
     with pytest.raises(ValueError, match="has no packets"):
         fe.fold_prefixes(rae, codes, empty)
+
+
+def test_the_batch_fold_holds_under_four_copies_of_its_codes():
+    """The distill stage folds every query flow in one batch. numpy reports
+    its buffers to tracemalloc: each step reads its codes from `codes`
+    itself, so the fold adds the pair buffer and the states, three copies
+    of the codes, and no step-major copy of them."""
+    rng = np.random.default_rng(3)
+    lengths = rng.integers(1, 9, size=2000)
+    codes = rng.uniform(size=(int(lengths.sum()), 100))
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    rae = _tanh_rae(100, 3)
+    tracemalloc.start()
+    try:
+        fe.fold_prefixes(rae, codes, offsets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * codes.nbytes, f"peak {peak / codes.nbytes:.2f} copies of the codes"
 
 
 def test_fold_prefixes_rejects_offsets_that_miss_the_codes():

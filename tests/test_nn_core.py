@@ -5,7 +5,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ride import nn_core
@@ -588,6 +588,49 @@ def dense_nets(draw):
               draw(hnp.arrays(np.float64, (dims[k + 1],), elements=weights)),
               activations[k])
         for k in range(n_layers)])
+
+
+@given(net=dense_nets(), rows=st.integers(1, 5), single=st.booleans(),
+       wide=st.sampled_from([None, 3, 300, 700]), width_frac=st.floats(0, 1),
+       seed=st.integers(0, 2**32 - 1))
+def test_forward_is_the_last_activation_of_the_trace_bit_for_bit(net, rows, single, wide,
+                                                                  width_frac, seed):
+    """forward, which keeps no per-layer lists and writes each activation
+    over its product, gives the bits of _forward_trace (the pass _backward
+    runs) for every activation, and never writes its input. With `wide`,
+    layer 0 is stored transposed with that input width and takes an input
+    that is zero-padded past some column, or narrower than the layer."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    if wide is not None:
+        first = net.layers[0]
+        assume(first.w.shape[0] > 1)  # a one-row w is C- and F-contiguous at once
+        w = np.asfortranarray(rng.uniform(-1, 1, size=(first.w.shape[0], wide)))
+        net = DenseNet([Layer(w, first.b, first.activation)] + net.layers[1:])
+        assert nn_core.stored_transposed(net.layers[0])
+    width = net.input_dim if wide is None else max(1, round(width_frac * wide))
+    x = _padded_rows(rows, width, round(width_frac * width), seed)
+    x = x[0] if single else x
+    before = x.copy()
+    with np.errstate(all="ignore"):
+        got = forward(net, x)
+        want = nn_core._forward_trace(net, np.atleast_2d(x))[1][-1]
+    want = want[0] if single else want
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert x.tobytes() == before.tobytes()
+
+
+@given(pred=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=12),
+                       elements=st.floats(-1e150, 1e150)),
+       seed=st.integers(0, 2**32 - 1))
+def test_loss_mse_is_the_mean_row_sum_of_squares_bit_for_bit(pred, seed):
+    target = np.random.Generator(np.random.PCG64(seed)).normal(scale=1e3, size=pred.shape)
+    before = pred.copy(), target.copy()
+    with np.errstate(over="ignore"):
+        want = float(((np.atleast_2d(pred) - np.atleast_2d(target)) ** 2).sum(axis=1).mean())
+        got = loss_mse(pred, target)
+    assert np.array_equal(np.float64(got).view(np.uint64), np.float64(want).view(np.uint64))
+    assert pred.tobytes() == before[0].tobytes() and target.tobytes() == before[1].tobytes()
 
 
 @given(net=dense_nets(), seed=st.integers(0, 2**32 - 1))

@@ -376,6 +376,28 @@ def test_flow_ndjson_round_trip(tmp_path):
     assert loaded == flows
 
 
+def test_a_failed_flow_store_write_leaves_the_old_store(tmp_path, monkeypatch):
+    pcap, _ = synth_data.generate(synth_data.default_fixture(seed=3))
+    flows = pi.group_flows(pi.parse_pcap(pcap).packets)[:6]
+    path = tmp_path / "flows.ndjson"
+    pi.save_flows(flows[:2], str(path))
+    old = path.read_bytes()
+    written = []
+    original = pi._packet_to_json
+
+    def fail_on_the_fourth_flow(packet):
+        written.append(packet)
+        if len(written) > sum(len(f.packets) for f in flows[:3]):
+            raise OSError("disk full")
+        return original(packet)
+    monkeypatch.setattr(pi, "_packet_to_json", fail_on_the_fourth_flow)
+    with pytest.raises(OSError, match="disk full"):
+        pi.save_flows(flows, str(path))
+    assert path.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["flows.ndjson"]
+    assert pi.load_flows(str(path)) == flows[:2]
+
+
 def test_load_truth_csv(tmp_path):
     path = tmp_path / "truth.csv"
     path.write_text(

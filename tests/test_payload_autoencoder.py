@@ -1,4 +1,6 @@
-"""Payload autoencoder: scaling, shapes, trainability, persistence."""
+"""Payload autoencoder: scaling, shapes, trainability, persistence, memory."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,25 @@ def test_training_rows_are_the_rows_the_autoencoder_trains_on(monkeypatch):
     assert rows.shape == (10, 24)
     np.testing.assert_array_equal(seen[0], rows / pa.BYTE_SCALE)
     assert pa.training_rows(x, 30, 3) is x
+
+
+def test_training_holds_at_most_three_float64_copies_of_the_batch():
+    """numpy reports its buffers to tracemalloc. A uint8 batch is scaled
+    once for training; that copy and the untrained net are gone before the
+    error is measured, which holds the scaled batch, the output and their
+    difference."""
+    rng = np.random.default_rng(8)
+    x = np.zeros((400, 1500), dtype=np.uint8)  # one live chunk, as the fixture's payloads
+    x[:, :200] = rng.integers(0, 256, size=(400, 200))
+    n_params = sum(a * b + b for a, b in zip([1500, 64, 16, 64], [64, 16, 64, 1500]))
+    bound = 3 * x.size * 8 + 3 * n_params * 8  # the flat parameters, Adam's m and v
+    tracemalloc.start()
+    try:
+        pa.train_autoencoder(x, n_b=16, h=64, cfg=TrainConfig(epochs=1, seed=8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
 
 
 def test_rejects_non_compressing_bottleneck():
