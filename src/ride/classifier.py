@@ -195,11 +195,14 @@ def stratified_split(embeddings: list[FlowEmbedding], test_fraction: float = 0.2
     return train, test
 
 
-def save_model(model: ClassifierModel, path: str, embeddings_sha256: str) -> None:
-    """The classifier, with the hash of the embeddings file it learned from."""
+def save_model(model: ClassifierModel, path: str, rae_sha256: str,
+               packet_codes_sha256: str) -> None:
+    """The classifier, with the hashes of the RAE file and the packet-code
+    file whose folds it learned from."""
     nn_core.save_artifact(path, {"class_names": list(model.class_names),
                                  "loss_curve": model.loss_curve,
-                                 "embeddings_sha256": embeddings_sha256},
+                                 "rae_sha256": rae_sha256,
+                                 "packet_codes_sha256": packet_codes_sha256},
                           nets={"net": model.net})
 
 

@@ -2,7 +2,7 @@
 atomic artifact persistence, and a deterministic final report.
 
 Exit codes: 0 ok, 2 missing or stale upstream artifact, 3 bad config,
-4 runtime failure (a corrupt model file included). Measured wall-clock
+4 runtime failure (a corrupt model or JSON file included). Measured wall-clock
 timings are confined to timings.json / stage summaries so the final
 report stays byte-reproducible.
 """
@@ -37,7 +37,6 @@ ARTIFACTS = {
     "autoencoder": "autoencoder.npz",
     "rae": "rae.npz",
     "packet_codes": "packet_codes.npz",
-    "embeddings": "flow_embeddings.csv",
     "split": "split.json",
     "classifier": "classifier.npz",
     "tree": "tree.json",
@@ -365,9 +364,11 @@ def _check_lineage(paths: tuple[str, ...], field: str, upstream: str, rerun: str
                 f"re-run `ride {rerun}` and the stages after it")
 
 
-def _load_json(path: str):
-    with open(_require(path)) as fh:
-        return json.load(fh)
+def _load_json(path: str, parse=lambda doc: doc):
+    """parse(the JSON document at path). A document that does not parse,
+    or that parse finds lacking a key, raises ValueError naming path."""
+    with open(_require(path)) as fh, nn_core.file_errors(path, "JSON"):
+        return parse(json.load(fh))
 
 
 # ---------------------------------------------------------------- stages
@@ -453,27 +454,44 @@ def stage_embed(cfg: dict) -> dict:
     pairs = flow_embedder.sample_training_pairs(
         embedded, pair_cap=cfg["embed"]["pair_cap"], seed=rae_cfg.seed)
     rae = flow_embedder.train_rae(pairs, n_b=bundle.n_b, cfg=rae_cfg)
-    joint = flow_embedder.embed_flows(rae, embedded)
     flow_embedder.save_rae(rae, artifact_path(cfg, "rae"), ae_sha256)
     flow_embedder.save_packet_codes(embedded, artifact_path(cfg, "packet_codes"), ae_sha256)
-    # CSV written atomically via temp path + rename
-    csv_path = artifact_path(cfg, "embeddings")
-    flow_embedder.flow_embeddings_to_csv(joint, csv_path + ".tmp")
-    os.replace(csv_path + ".tmp", csv_path)
     return _write_summary(cfg, "embed", {
-        "n_flows": len(joint), "n_pairs": int(pairs.shape[0]),
+        "n_flows": len(embedded), "n_pairs": int(pairs.shape[0]),
         "final_recon_error": rae.final_recon_error,
     })
 
 
-def _load_split_embeddings(cfg: dict):
-    embeddings = flow_embedder.flow_embeddings_from_csv(
-        _require(artifact_path(cfg, "embeddings")))
-    split = _load_json(artifact_path(cfg, "split"))
-    by_id = {e.flow_id: e for e in embeddings}
-    train = [by_id[i] for i in split["train"]]
-    test = [by_id[i] for i in split["test"]]
-    return train, test
+def _stored_flows(cfg: dict):
+    """The RAE and every flow's packet codes, as the embed stage stored
+    them; StaleArtifactError when autoencoder.npz has changed since."""
+    codes_path = _require(artifact_path(cfg, "packet_codes"))
+    rae_path = _require(artifact_path(cfg, "rae"))
+    ae_path = _require(artifact_path(cfg, "autoencoder"))
+    _check_lineage((codes_path, rae_path), "autoencoder_sha256", ae_path, "embed")
+    return flow_embedder.load_rae(rae_path), flow_embedder.load_packet_codes(codes_path)
+
+
+def _split_flows(cfg: dict, flows: list) -> tuple[list, list]:
+    """The flows on each side of split.json, which is stale when it names a
+    flow they lack (ingest read another capture since train-clf ran)."""
+    path = artifact_path(cfg, "split")
+    sides = _load_json(path, lambda doc: (list(doc["train"]), list(doc["test"])))
+    by_id = {f.flow_id: f for f in flows}
+    unknown = [i for side in sides for i in side if i not in by_id]
+    if unknown:
+        raise StaleArtifactError(f"{path} names flow {unknown[0]!r}, which "
+                                 f"{artifact_path(cfg, 'packet_codes')} does not hold; "
+                                 "re-run `ride train-clf` and the stages after it")
+    return tuple([by_id[i] for i in side] for side in sides)
+
+
+def _test_embeddings(cfg: dict) -> list:
+    """The test flows' embeddings, each its own flow's fold of the stored
+    codes: a batch fold may differ in the last bits (see fold_prefixes)."""
+    rae, flows = _stored_flows(cfg)
+    _train, test = _split_flows(cfg, flows)
+    return flow_embedder.embed_flows(rae, test)
 
 
 def _labeled_matrix(embeddings: list, class_names: list[str]):
@@ -484,9 +502,8 @@ def _labeled_matrix(embeddings: list, class_names: list[str]):
 
 
 def stage_train_clf(cfg: dict) -> dict:
-    embeddings_path = _require(artifact_path(cfg, "embeddings"))
-    embeddings_sha256 = _file_sha256(embeddings_path)
-    embeddings = flow_embedder.flow_embeddings_from_csv(embeddings_path)
+    rae, flows = _stored_flows(cfg)
+    embeddings = flow_embedder.embed_flows(rae, flows)
     train, test = classifier.stratified_split(
         embeddings, test_fraction=cfg["classifier"]["test_fraction"], seed=cfg["seed"])
     atomic_write_json(artifact_path(cfg, "split"),
@@ -494,7 +511,8 @@ def stage_train_clf(cfg: dict) -> dict:
                        "test": [e.flow_id for e in test]})
     model = classifier.train_classifier(train, _train_cfg(cfg, "classifier"),
                                         hidden=cfg["classifier"]["hidden"])
-    classifier.save_model(model, artifact_path(cfg, "classifier"), embeddings_sha256)
+    classifier.save_model(model, artifact_path(cfg, "classifier"), _file_sha256(
+        artifact_path(cfg, "rae")), _file_sha256(artifact_path(cfg, "packet_codes")))
     # deterministic metrics only (timing lives in the eval stage)
     x_test, y_true = _labeled_matrix(test, model.class_names)
     y_pred = np.argmax(classifier.predict_proba(model, x_test), axis=1)
@@ -512,30 +530,21 @@ def stage_train_clf(cfg: dict) -> dict:
 QUERY_FLOWS_PER_TRAIN_FLOW = 20
 
 
-def _train_packet_codes(cfg: dict, train: list):
-    """The training split's flows as the packet-code matrices the embed
-    stage stored, and the RAE. Both record the hash of the autoencoder
-    file they came from; when that file has changed since (train-ae ran
-    again), they are stale and StaleArtifactError names them."""
-    codes_path = _require(artifact_path(cfg, "packet_codes"))
-    rae_path = _require(artifact_path(cfg, "rae"))
-    ae_path = _require(artifact_path(cfg, "autoencoder"))
-    _check_lineage((codes_path, rae_path), "autoencoder_sha256", ae_path, "embed")
-    wanted = {e.flow_id for e in train}
-    encoded = [f for f in flow_embedder.load_packet_codes(codes_path) if f.flow_id in wanted]
-    return encoded, flow_embedder.load_rae(rae_path)
-
-
 def _load_teacher(cfg: dict) -> classifier.ClassifierModel:
-    """The classifier, refused as stale when the embeddings file has
-    changed since train-clf read it (embed ran again)."""
+    """The classifier, refused as stale when the RAE or the packet codes it
+    learned from have changed since train-clf read them (embed ran again)."""
     path = _require(artifact_path(cfg, "classifier"))
-    _check_lineage((path,), "embeddings_sha256",
-                   _require(artifact_path(cfg, "embeddings")), "train-clf")
+    for name in ("rae", "packet_codes"):
+        _check_lineage((path,), f"{name}_sha256", _require(artifact_path(cfg, name)), "train-clf")
     return classifier.load_model(path)
 
 
 def _prefix_points(rae, encoded: list) -> list:
+    """The real points the distilled tree sees: every prefix of every
+    flow's fold, one per received packet, the last being the flow's
+    embedding. The first prefix of a flow is its first packet's raw payload
+    code, which lies off the folded embeddings the teacher was trained on;
+    measured, dropping those points made the tree no better."""
     return [p for ef in encoded for p in flow_embedder.prefix_embeddings(rae, ef)]
 
 
@@ -550,21 +559,6 @@ def _query_points(cfg: dict, rae, encoded: list) -> list:
             for q, (v, n, label) in enumerate(zip(finals, np.diff(offsets).tolist(), labels))]
 
 
-def _distill_train_embeddings(cfg: dict, train: list) -> list:
-    """The real points the distilled tree sees, rebuilt from the stored
-    artifacts: the distill stage fits the quantization ranges and measures
-    the train-side fidelity on these.
-
-    Every flow exposes one joint embedding per received packet, and all
-    of those prefixes are kept (the last one is the flow's final
-    embedding). The first prefix of a flow is its first packet's raw
-    payload code, which lies off the folded embeddings the teacher was
-    trained on; measured, dropping those points made the tree no better.
-    """
-    encoded, rae = _train_packet_codes(cfg, train)
-    return _prefix_points(rae, encoded)
-
-
 def stage_distill(cfg: dict) -> dict:
     """Grow the student tree on teacher labels of the prefix points plus
     query states: random same-class packet sequences folded by the RAE
@@ -574,10 +568,11 @@ def stage_distill(cfg: dict) -> dict:
     place axis-aligned splits on (query sampling, as in TREPAN and
     born-again trees)."""
     model = _load_teacher(cfg)
-    train, test = _load_split_embeddings(cfg)
-    encoded, rae = _train_packet_codes(cfg, train)
-    train_points = _prefix_points(rae, encoded)
-    queries = _query_points(cfg, rae, encoded)
+    rae, flows = _stored_flows(cfg)
+    train, test = _split_flows(cfg, flows)
+    test = flow_embedder.embed_flows(rae, test)
+    train_points = _prefix_points(rae, train)
+    queries = _query_points(cfg, rae, train)
     teacher_data = tree_distiller.generate_teacher_dataset(model, train_points + queries)
     tree = tree_distiller.cart_train(
         teacher_data.x, teacher_data.y_teacher,
@@ -607,7 +602,7 @@ def stage_distill(cfg: dict) -> dict:
 
 def stage_prune_sweep(cfg: dict) -> dict:
     tree = tree_distiller.load_tree(_require(artifact_path(cfg, "tree")))
-    _train, test = _load_split_embeddings(cfg)
+    test = _test_embeddings(cfg)
     path = tree_distiller.pruning_path(tree)
     x_test, y_true = _labeled_matrix(test, tree.class_names)
     walk = tree_distiller.tree_walk_batch(tree, x_test)
@@ -626,8 +621,8 @@ def stage_prune_sweep(cfg: dict) -> dict:
 
 def _load_ranges(cfg: dict) -> dict:
     """The quantization ranges the distill stage fitted."""
-    doc = _load_json(artifact_path(cfg, "ranges"))
-    return {int(f): (lo, hi) for f, (lo, hi) in doc.items()}
+    return _load_json(artifact_path(cfg, "ranges"),
+                      lambda doc: {int(f): (lo, hi) for f, (lo, hi) in doc.items()})
 
 
 def stage_quantize(cfg: dict) -> dict:
@@ -666,7 +661,7 @@ def stage_cost(cfg: dict) -> dict:
 
 
 def stage_jshc(cfg: dict) -> dict:
-    _train, test = _load_split_embeddings(cfg)
+    test = _test_embeddings(cfg)
     calib = _load_calibration(cfg)
     # the search starts from the very tree and ranges the distill stage wrote
     tree = tree_distiller.load_tree(_require(artifact_path(cfg, "tree")))
@@ -683,22 +678,23 @@ def stage_jshc(cfg: dict) -> dict:
     best_q = hw_model.quantize_tree(best_tree, result.best_beta, artifacts.quant_ranges)
     atomic_write_text(artifact_path(cfg, "qtree_best"),
                       json.dumps(hw_model.qtree_to_dict(best_q)))
-    atomic_write_json(artifact_path(cfg, "jshc"), {
+    summary = {
         "best_alpha": result.best_alpha, "best_beta": result.best_beta,
         "best_accuracy": result.best_accuracy, "best_f1": result.best.f1,
         "best_n_nodes": result.best.n_nodes,
         "best_cost": hw_model.cost_to_dict(result.best.cost),
         "n_grid_evals": len(result.sweep_log),
         "bisection_trace": [dataclasses.asdict(s) for s in result.bisection_trace],
-    })
-    return _write_summary(cfg, "jshc", _load_json(artifact_path(cfg, "jshc")))
+    }
+    atomic_write_json(artifact_path(cfg, "jshc"), summary)
+    return _write_summary(cfg, "jshc", summary)
 
 
 def stage_eval(cfg: dict) -> dict:
     model = _load_teacher(cfg)
     tree = tree_distiller.load_tree(_require(artifact_path(cfg, "tree")))
     qtree = hw_model.load_qtree(_require(artifact_path(cfg, "qtree_best")))
-    _train, test = _load_split_embeddings(cfg)
+    test = _test_embeddings(cfg)
     calib = _load_calibration(cfg)
     modeled = hw_model.cost_estimate(qtree, calib)
 

@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from . import nn_core
 from .tree_distiller import DecisionTree, tree_from_dict, tree_to_dict
 
 BETA_MIN = 1
@@ -78,13 +79,13 @@ def load_calibration(path: str | None = None) -> CostCalibration:
     """Read a JSON calibration (calibration_to_dict's layout) or the defaults."""
     if path is None:
         return default_calibration()
-    with open(path) as fh:
+    with open(path) as fh, nn_core.file_errors(path, "calibration"):
         doc = json.load(fh)
-    return CostCalibration(
-        power_mw_per_node={int(b): float(v) for b, v in doc["power_mw_per_node"].items()},
-        area_per_node={int(b): float(v) for b, v in doc["area_per_node"].items()},
-        latency_per_level_s=float(doc["latency_per_level_s"]),
-    )
+        return CostCalibration(
+            power_mw_per_node={int(b): float(v) for b, v in doc["power_mw_per_node"].items()},
+            area_per_node={int(b): float(v) for b, v in doc["area_per_node"].items()},
+            latency_per_level_s=float(doc["latency_per_level_s"]),
+        )
 
 
 @dataclass
@@ -219,11 +220,11 @@ def qtree_to_dict(qtree: QuantizedTree) -> dict:
 
 
 def load_qtree(path: str) -> QuantizedTree:
-    with open(path) as fh:
+    with open(path) as fh, nn_core.file_errors(path, "quantized tree"):
         doc = json.load(fh)
-    return QuantizedTree(
-        tree=tree_from_dict(doc["tree"]),
-        beta=doc["beta"],
-        ranges={int(f): (float(v[0]), float(v[1])) for f, v in doc["ranges"].items()},
-        level=[int(j) for j in doc["level"]],
-    )
+        return QuantizedTree(
+            tree=tree_from_dict(doc["tree"]),
+            beta=doc["beta"],
+            ranges={int(f): (float(v[0]), float(v[1])) for f, v in doc["ranges"].items()},
+            level=[int(j) for j in doc["level"]],
+        )

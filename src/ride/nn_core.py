@@ -3,10 +3,12 @@
 Shared by the payload autoencoder, the pair-composition autoencoder and
 the flow classifier. Everything runs in float64 so analytic gradients can
 be checked against central finite differences. save_artifact and
-load_artifact are the one writer and reader of every model file.
+load_artifact are the one writer and reader of every model file, and
+file_errors gives the readers of the JSON files their error messages.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import zipfile
@@ -586,27 +588,37 @@ def load_artifact(path: str, nets: tuple[str, ...] = (), arrays: tuple[str, ...]
     or weights whose shapes disagree with meta raises ValueError naming
     the path; a missing file raises FileNotFoundError.
     """
+    with open(path, "rb") as fh, file_errors(path, "model"):
+        if not zipfile.is_zipfile(fh):
+            raise ValueError("not a .npz archive")
+        fh.seek(0)
+        with np.load(fh, allow_pickle=False) as npz:
+            meta = _entry(npz, "meta")
+            if meta.dtype.kind != "U" or meta.ndim != 0:
+                raise ValueError("'meta' is not a JSON string")
+            meta = json.loads(meta.item())
+            if not isinstance(meta, dict):
+                raise ValueError("'meta' is not a JSON object")
+            missing = [f for f in fields if f not in meta]
+            if missing:
+                raise ValueError(f"'meta' lacks {missing}")
+            return (meta, {name: _read_net(npz, name, meta) for name in nets},
+                    {key: _entry(npz, key) for key in arrays})
+
+
+@contextlib.contextmanager
+def file_errors(path: str, kind: str):
+    """Turn what reading an open file raises when its content does not
+    parse or lacks a key or an entry into ValueError("bad {kind} file
+    {path}: ..."). Opening stays outside, so a missing file still raises
+    FileNotFoundError."""
     try:
-        with open(path, "rb") as fh:
-            if not zipfile.is_zipfile(fh):
-                raise ValueError("not a .npz archive")
-            fh.seek(0)
-            with np.load(fh, allow_pickle=False) as npz:
-                meta = _entry(npz, "meta")
-                if meta.dtype.kind != "U" or meta.ndim != 0:
-                    raise ValueError("'meta' is not a JSON string")
-                meta = json.loads(meta.item())
-                if not isinstance(meta, dict):
-                    raise ValueError("'meta' is not a JSON object")
-                missing = [f for f in fields if f not in meta]
-                if missing:
-                    raise ValueError(f"'meta' lacks {missing}")
-                return (meta, {name: _read_net(npz, name, meta) for name in nets},
-                        {key: _entry(npz, key) for key in arrays})
-    except FileNotFoundError:
-        raise
-    except (ValueError, OSError, EOFError, zipfile.BadZipFile) as exc:
-        raise ValueError(f"bad model file {path}: {exc}") from None
+        yield
+    except KeyError as exc:
+        raise ValueError(f"bad {kind} file {path}: no key {exc}") from None
+    except (ValueError, TypeError, IndexError, AttributeError, OSError, EOFError,
+            zipfile.BadZipFile) as exc:
+        raise ValueError(f"bad {kind} file {path}: {exc}") from None
 
 
 def _entry(npz, key: str) -> np.ndarray:

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import nn_core
+
 logger = logging.getLogger(__name__)
 
 DEFAULT_N_P = 1500
@@ -405,7 +407,7 @@ def save_flows(flows: list[FlowRecord], path: str) -> None:
 
 def load_flows(path: str) -> list[FlowRecord]:
     flows = []
-    with open(path) as fh:
+    with open(path) as fh, nn_core.file_errors(path, "flow store"):
         for line in fh:
             line = line.strip()
             if not line:

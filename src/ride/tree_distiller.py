@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import nn_core
 from .classifier import ClassifierModel, predict_proba
 from .flow_embedder import FlowEmbedding
 
@@ -424,7 +425,7 @@ def tree_from_dict(doc: dict) -> DecisionTree:
 
 
 def load_tree(path: str) -> DecisionTree:
-    with open(path) as fh:
+    with open(path) as fh, nn_core.file_errors(path, "tree"):
         return tree_from_dict(json.load(fh))
 
 

@@ -71,8 +71,11 @@ def nb_accuracies(run_a, tmp_path_factory):
 
 
 def _augmented_train(cfg: dict):
-    train, test = cli._load_split_embeddings(cfg)
-    return cli._distill_train_embeddings(cfg, train), test
+    """The distill stage's real training points (every prefix of every
+    training flow's fold) and the test flows' embeddings."""
+    rae, flows = cli._stored_flows(cfg)
+    train, test = cli._split_flows(cfg, flows)
+    return cli._prefix_points(rae, train), flow_embedder.embed_flows(rae, test)
 
 
 # --------------------------------------------- 1. pruning oracle equality
@@ -378,7 +381,7 @@ def test_criterion_10_byte_identical_reports(run_a, run_b):
 def test_criterion_11_inference_speed_ordering(run_a):
     model = classifier.load_model(cli.artifact_path(run_a, "classifier"))
     tree = tree_distiller.load_tree(cli.artifact_path(run_a, "tree"))
-    _train, test = cli._load_split_embeddings(run_a)
+    test = cli._test_embeddings(run_a)
 
     def best_total(predictor) -> float:
         return min(classifier.evaluate(predictor, test).inference_time_s

@@ -196,12 +196,13 @@ def test_model_round_trip(tmp_path):
     data = blobs()
     model = clf.train_classifier(data, cfg=TrainConfig(epochs=5, seed=9), hidden=8)
     path = tmp_path / "clf.npz"
-    clf.save_model(model, str(path), "ab" * 32)
+    clf.save_model(model, str(path), "ab" * 32, "cd" * 32)
     loaded = clf.load_model(str(path))
     assert loaded.class_names == model.class_names
     assert len(model.loss_curve) == 5 and loaded.loss_curve == model.loss_curve
-    meta, _, _ = nn_core.load_artifact(str(path), fields=("embeddings_sha256",))
-    assert meta["embeddings_sha256"] == "ab" * 32
+    meta, _, _ = nn_core.load_artifact(
+        str(path), fields=("rae_sha256", "packet_codes_sha256"))
+    assert (meta["rae_sha256"], meta["packet_codes_sha256"]) == ("ab" * 32, "cd" * 32)
     x = np.stack([e.values for e in data[:5]])
     np.testing.assert_allclose(clf.predict_proba(loaded, x), clf.predict_proba(model, x))
 

@@ -9,10 +9,11 @@ import subprocess
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ride import cli, nn_core, packet_ingest
+from ride import cli, flow_embedder, hw_model, nn_core, packet_ingest
 
 
 # ---------------------------------------------------------------- config
@@ -318,6 +319,13 @@ def test_run_all_writes_every_artifact(fast_run):
         assert os.path.exists(cli.artifact_path(fast_run, name)), name
     for stage in cli.STAGES:
         assert os.path.exists(cli.summary_path(fast_run, stage)), stage
+    # and nothing else: no temp file left behind, and no flow embeddings,
+    # which every stage folds from packet_codes.npz
+    out = fast_run["out_dir"]
+    assert sorted(os.listdir(out)) == sorted([*cli.ARTIFACTS.values(), "summaries"])
+    assert "flow_embeddings.csv" not in os.listdir(out)
+    assert sorted(os.listdir(os.path.join(out, "summaries"))) == sorted(
+        f"{stage}.json" for stage in cli.STAGES)
     # every field of both sweep tables is a plain number
     for name in ("prune_sweep", "sweep"):
         with open(cli.artifact_path(fast_run, name), newline="") as fh:
@@ -350,14 +358,39 @@ def test_timings_are_outside_the_report(fast_run):
     assert repr(timings["distilled_tree"]["total_s"]) not in report_text
 
 
+def _run_files(out: str) -> dict:
+    """Every file under a run dir by its path there, with its bytes."""
+    files = {}
+    for root, _dirs, names in os.walk(out):
+        for name in names:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                files[os.path.relpath(path, out)] = fh.read()
+    return files
+
+
 def test_rerun_is_byte_identical(fast_run, tmp_path):
+    """A second run in another out dir writes the same files, byte for
+    byte, but for the measured timings."""
     cfg2 = _fast_config(tmp_path, "again")
     cli.run_all(cfg2)
-    for name in ("report_json", "report_md", "tree", "autoencoder", "rae",
-                 "packet_codes", "classifier"):
-        a = open(cli.artifact_path(fast_run, name), "rb").read()
-        b = open(cli.artifact_path(cfg2, name), "rb").read()
-        assert a == b, name
+    a, b = _run_files(fast_run["out_dir"]), _run_files(cfg2["out_dir"])
+    assert sorted(a) == sorted(b)
+    differ = [path for path in a if a[path] != b[path]]
+    assert differ == [cli.ARTIFACTS["timings"]]
+
+
+def test_test_embeddings_are_the_per_flow_fold_of_the_stored_codes(fast_run):
+    rae = flow_embedder.load_rae(cli.artifact_path(fast_run, "rae"))
+    flows = flow_embedder.load_packet_codes(cli.artifact_path(fast_run, "packet_codes"))
+    folded = {e.flow_id: e for e in flow_embedder.embed_flows(rae, flows)}
+    with open(cli.artifact_path(fast_run, "split")) as fh:
+        split = json.load(fh)
+    test = cli._test_embeddings(fast_run)
+    assert [e.flow_id for e in test] == split["test"]
+    for e in test:
+        assert e.label == folded[e.flow_id].label
+        assert np.array_equal(e.values, folded[e.flow_id].values), e.flow_id
 
 
 def test_run_all_skips_synth_with_external_capture(fast_run, tmp_path):
@@ -416,10 +449,12 @@ def test_distill_refuses_codes_from_an_older_autoencoder(tmp_path, capsys):
     retrained = _fast_config_file(tmp_path, epochs=1)
     assert cli.main(["train-ae", "--config", retrained, "--out", out]) == 0
     capsys.readouterr()
-    assert cli.main(["distill", "--config", retrained, "--out", out]) == 2
-    err = capsys.readouterr().err
-    assert "stale artifact" in err and "re-run `ride embed`" in err
-    assert os.path.join(out, "packet_codes.npz") in err
+    # every stage that folds embeddings from the stored codes refuses them
+    for stage in ("train-clf", "distill", "prune-sweep", "jshc", "eval"):
+        assert cli.main([stage, "--config", retrained, "--out", out]) == 2, stage
+        err = capsys.readouterr().err
+        assert "stale artifact" in err and "re-run `ride embed`" in err, stage
+        assert os.path.join(out, "packet_codes.npz") in err, stage
     # embed again: now the classifier learned from older embeddings
     assert cli.main(["embed", "--config", retrained, "--out", out]) == 0
     capsys.readouterr()
@@ -441,7 +476,7 @@ def test_distill_and_eval_refuse_a_classifier_from_older_embeddings(tmp_path, ca
         err = capsys.readouterr().err
         assert "stale artifact" in err and "re-run `ride train-clf`" in err
         assert os.path.join(out, "classifier.npz") in err
-        assert os.path.join(out, "flow_embeddings.csv") in err
+        assert os.path.join(out, "rae.npz") in err
     # train the classifier again and the lineage holds
     assert cli.main(["train-clf", "--config", refolded, "--out", out]) == 0
     assert cli.main(["distill", "--config", refolded, "--out", out]) == 0
@@ -461,6 +496,67 @@ def test_missing_calibration_file_exits_2_and_names_it(fast_run, tmp_path, capsy
         assert cli.main([stage, "--config", str(config), "--out", out]) == 2, stage
         err = capsys.readouterr().err
         assert "missing upstream artifact" in err and missing in err, stage
+
+
+def test_a_split_naming_flows_the_codes_lack_exits_2(fast_run, tmp_path, capsys):
+    out = str(tmp_path / "copy")
+    shutil.copytree(fast_run["out_dir"], out)
+    split_path = os.path.join(out, "split.json")
+    with open(split_path) as fh:
+        split = json.load(fh)
+    split["test"].append("nope")  # as after ingest read another capture
+    with open(split_path, "w") as fh:
+        json.dump(split, fh)
+    config = _fast_config_file(tmp_path)
+    capsys.readouterr()
+    for stage in ("distill", "prune-sweep", "jshc", "eval"):
+        assert cli.main([stage, "--config", config, "--out", out]) == 2, stage
+        err = capsys.readouterr().err
+        assert "stale artifact" in err and split_path in err, stage
+        assert "'nope'" in err and "re-run `ride train-clf`" in err, stage
+
+
+@pytest.mark.parametrize("name, stage, drop", [
+    # drop None: the file is cut in half and no longer parses; else it
+    # lacks the key `drop`
+    ("tree.json", "prune-sweep", None),
+    ("qtree.json", "cost", "level"),
+    ("qtree_best.json", "eval", None),
+    ("split.json", "prune-sweep", "test"),
+    ("quant_ranges.json", "quantize", None),
+    ("flows.ndjson", "embed", None),
+    ("calibration.json", "cost", "area_per_node"),
+])
+def test_a_json_file_that_does_not_load_exits_4_and_names_it(
+        fast_run, tmp_path, capsys, name, stage, drop):
+    out = str(tmp_path / "copy")
+    shutil.copytree(fast_run["out_dir"], out)
+    path = os.path.join(out, name)
+    calibration = None
+    if name == "calibration.json":  # a user's table, named by the config
+        calibration = path
+        with open(path, "w") as fh:
+            json.dump(hw_model.calibration_to_dict(hw_model.default_calibration()), fh)
+    if drop is None:
+        with open(path, "r+b") as fh:
+            fh.truncate(os.path.getsize(path) // 2)
+    else:
+        with open(path) as fh:
+            doc = json.load(fh)
+        del doc[drop]
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+    cfg = _fast_config(tmp_path, "unused")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "features": cfg["features"], "embed": cfg["embed"], "train": cfg["train"],
+        "paths": {"calibration": calibration}}))
+    capsys.readouterr()
+    assert cli.main([stage, "--config", str(config), "--out", out]) == 4
+    err = capsys.readouterr().err
+    assert re.search(rf"error: ValueError: bad [A-Za-z ]+ file {re.escape(path)}: ", err), err
+    cause = "Unterminated string|Expecting" if drop is None else f"no key '{drop}'"
+    assert re.search(cause, err), err
 
 
 def test_bad_or_old_model_files_exit_loudly(fast_run, tmp_path, capsys):
