@@ -89,13 +89,10 @@ def train_classifier(embeddings: list[FlowEmbedding], cfg: TrainConfig | None = 
     class_names, y = encode_labels(raw_labels)
     if len(class_names) < 2:
         raise ValueError("training data contains a single class")
-    net = nn_core.init_dense_net(
-        [x.shape[1], hidden, len(class_names)],
-        ["relu", "softmax"],
-        seed=cfg.seed,
-        weight_init_scale=cfg.weight_init_scale,
-    )
-    trained, history = nn_core.train(net, x, y, "cross_entropy", cfg)
+    trained, history = nn_core.train(
+        nn_core.init_dense_net([x.shape[1], hidden, len(class_names)], ["relu", "softmax"],
+                               seed=cfg.seed, weight_init_scale=cfg.weight_init_scale),
+        x, y, "cross_entropy", cfg)
     return ClassifierModel(net=trained, class_names=class_names, loss_curve=history)
 
 

@@ -551,9 +551,9 @@ def _prefix_points(rae, encoded: list) -> list:
 def _query_points(cfg: dict, rae, encoded: list) -> list:
     """The final states of QUERY_FLOWS_PER_TRAIN_FLOW query flows per
     training flow, folded in one batch."""
-    codes, offsets, labels = flow_embedder.sample_query_flows(
+    pool, rows, offsets, labels = flow_embedder.sample_query_flows(
         encoded, QUERY_FLOWS_PER_TRAIN_FLOW * len(encoded), seed=cfg["seed"])
-    finals = flow_embedder.fold_prefixes(rae, codes, offsets)[offsets[1:] - 1]
+    finals = flow_embedder.fold_finals(rae, pool, offsets, rows)
     return [flow_embedder.FlowEmbedding(flow_id=f"query#{q}", values=v,
                                         n_packets_folded=n, label=label)
             for q, (v, n, label) in enumerate(zip(finals, np.diff(offsets).tolist(), labels))]

@@ -4,7 +4,8 @@ A recursive autoencoder learns one composition cell (two embeddings in,
 one out); its mirror reconstructor is only the training signal and is not
 kept. Folding a flow applies the cell left to right, one packet at a
 time, so the flow has a joint state after every packet: fold_prefixes
-computes them all, and the last one is the flow's embedding.
+computes them all, and fold_finals only the last one, the flow's
+embedding.
 """
 from __future__ import annotations
 
@@ -98,19 +99,32 @@ def sample_training_pairs(flows: list[EmbeddedFlow], pair_cap: int = DEFAULT_PAI
                           seed: int = 0) -> np.ndarray:
     """Adjacent-packet pairs as a (k, 2*n_b) matrix, capped by seeded sampling.
 
+    Pair p is the p-th adjacent pair in flow order, then packet order. The
+    pairs are counted, the capped indices drawn, and only the chosen rows
+    built, so no matrix of every pair exists.
+
     Raises ValueError when no flow contributes a pair (all single-packet).
     """
-    rows = []
-    for flow in flows:
-        e = flow.embeddings
-        for i in range(e.shape[0] - 1):
-            rows.append(np.concatenate([e[i], e[i + 1]]))
-    if not rows:
+    counts = np.array([max(f.embeddings.shape[0] - 1, 0) for f in flows], dtype=np.int64)
+    total = int(counts.sum())
+    if total == 0:
         raise ValueError("no flow has >= 2 packets; cannot form training pairs")
-    pairs = np.stack(rows)
-    if pairs.shape[0] > pair_cap:
+    chosen = np.arange(total)
+    if total > pair_cap:
         rng = np.random.Generator(np.random.PCG64(seed))
-        pairs = pairs[np.sort(rng.choice(pairs.shape[0], size=pair_cap, replace=False))]
+        chosen = np.sort(rng.choice(total, size=pair_cap, replace=False))
+    starts = np.cumsum(counts) - counts  # each flow's first pair index
+    # flow j's chosen pairs are chosen[bounds[j]:bounds[j + 1]]
+    bounds = np.searchsorted(chosen, np.append(starts, total)).tolist()
+    first = flows[0].embeddings
+    n_b = first.shape[1]
+    pairs = np.empty((chosen.size, 2 * n_b), dtype=first.dtype)
+    for j, flow in enumerate(flows):
+        lo, hi = bounds[j], bounds[j + 1]
+        if lo < hi:
+            i = chosen[lo:hi] - starts[j]
+            pairs[lo:hi, :n_b] = flow.embeddings[i]
+            pairs[lo:hi, n_b:] = flow.embeddings[i + 1]
     return pairs
 
 
@@ -120,9 +134,10 @@ def train_rae(pairs: np.ndarray, n_b: int, cfg: TrainConfig | None = None) -> Ra
     pairs = np.atleast_2d(np.asarray(pairs, dtype=np.float64))
     if pairs.shape[1] != 2 * n_b:
         raise ValueError(f"pair rows must have width 2*n_b={2 * n_b}")
-    net = nn_core.init_dense_net([2 * n_b, n_b, 2 * n_b], ["tanh", "tanh"],
-                                 seed=cfg.seed, weight_init_scale=cfg.weight_init_scale)
-    trained, history = nn_core.train(net, pairs, pairs, "mse", cfg)
+    trained, history = nn_core.train(
+        nn_core.init_dense_net([2 * n_b, n_b, 2 * n_b], ["tanh", "tanh"],
+                               seed=cfg.seed, weight_init_scale=cfg.weight_init_scale),
+        pairs, pairs, "mse", cfg)
     final = nn_core.loss_mse(nn_core.forward(trained, pairs), pairs)
     return RaeBundle(
         composer=DenseNet([trained.layers[0]]),
@@ -140,53 +155,85 @@ def fold_prefixes(rae: RaeBundle, codes: np.ndarray, offsets) -> np.ndarray:
     packet_codes.npz). Row r of the result is its flow's state after the
     packets up to row r: the flow's first code, then combine_pair of the
     previous state and the row's code. Step i composes every flow longer
-    than i in one product, written into one pair buffer whose left half
-    holds the states. The steps visit the flows longest first, so the
-    flows still folding are a leading slice of the step before's. Each
+    than i in one product. The steps visit the flows longest first, so the
+    flows still folding are a leading slice of the step before's, and the
+    fold alternates between two step blocks of (flows) x 2*n_b, each
+    product reading the one block and writing the other's left half. Each
     step reads its codes from `codes` itself, so besides `codes` the fold
-    holds the pair buffer and the states: three times the size of `codes`.
+    holds the two blocks and the states.
 
     One flow gives the bits of a left fold of one-pair combine_pair calls.
     A batch may differ from that in the last bits, because BLAS sums a
     many-row product differently from a one-row one.
     """
+    return _fold(rae, codes, offsets, True)
+
+
+def fold_finals(rae: RaeBundle, codes: np.ndarray, offsets, rows=None) -> np.ndarray:
+    """Row j: flow j's last state, the bits of fold_prefixes(rae, codes,
+    offsets)[offsets[j + 1] - 1], without holding the other states.
+
+    With `rows`, the stacked flows are codes[rows] (offsets index rows),
+    and each step reads its codes through it, so codes[rows] is never
+    gathered.
+    """
+    return _fold(rae, codes, offsets, False, rows)
+
+
+def _fold(rae: RaeBundle, codes: np.ndarray, offsets, every_step: bool,
+          rows=None) -> np.ndarray:
+    """The step loop of fold_prefixes (every state, one row per stacked
+    code) and fold_finals (each flow's state after its last step, one row
+    per flow). The stacked codes are codes[rows], or codes when rows is
+    None."""
     codes = np.asarray(codes, dtype=np.float64)
-    if codes.ndim != 2 or len(offsets) < 2 or offsets[0] != 0 or offsets[-1] != len(codes):
-        raise ValueError(f"offsets must run from 0 to the {len(codes)} rows of codes")
+    n_rows = len(codes) if rows is None else len(rows)
+    if codes.ndim != 2 or len(offsets) < 2 or offsets[0] != 0 or offsets[-1] != n_rows:
+        raise ValueError(f"offsets must run from 0 to the {n_rows} rows of codes")
     if len(offsets) == 2:  # one flow's rows are already in step order
-        order, live = None, [1] * len(codes)
+        order = by_length = None
+        live = [1] * n_rows
     else:
         offsets = np.asarray(offsets)
         lengths = offsets[1:] - offsets[:-1]
         by_length = np.argsort(-lengths, kind="stable")
         steps = np.arange(lengths.max())[:, None]
         folding = lengths[by_length] > steps  # [i, j]: the j-th longest has an (i+1)-th packet
-        order = (offsets[by_length] + steps)[folding]  # the rows of codes, step-major
+        order = (offsets[by_length] + steps)[folding]  # the stacked rows, step-major
         live = np.count_nonzero(folding, axis=1).tolist()
     if not live or live[0] != len(offsets) - 1:  # step 0 must hold every flow
         raise ValueError(f"flow {int(np.argmin(np.diff(offsets)))} has no packets")
+    source = order  # the rows of codes that the step-major rows read
+    if rows is not None:
+        rows = np.asarray(rows)
+        source = rows if order is None else rows[order]
 
-    def step_codes(rows: slice) -> np.ndarray:  # the codes of step-major rows
-        return codes[rows] if order is None else codes[order[rows]]
-
-    # row r of the pair buffer: the state after row r, then the code that
-    # follows row r in its flow. A step reads the leading rows of the step
-    # before's block and writes the composer's product and activation
-    # straight into the left half of its own block.
+    # Row j of a step block: the state of the j-th longest flow, then its
+    # next code. A step reads the leading rows of one block and writes the
+    # composer's product and activation into the left half of the other.
     n_b = rae.n_b
-    pairs = np.empty((len(codes), 2 * n_b))
-    pairs[:live[0], :n_b] = step_codes(slice(0, live[0]))
-    prev, lo = 0, live[0]  # first row of the step before's block, of this step's
-    for k in live[1:]:
-        pairs[prev:prev + k, n_b:] = step_codes(slice(lo, lo + k))
-        nn_core.affine_into(rae.composer.layers[0], pairs[prev:prev + k],
-                            out=pairs[lo:lo + k, :n_b])
-        prev, lo = lo, lo + k
-    if order is None:
-        return pairs[:, :n_b].copy()
-    states = np.empty_like(codes)
-    states[order] = pairs[:, :n_b]
-    return states
+    layer = rae.composer.layers[0]
+    out = np.empty((n_rows if every_step else live[0], n_b))
+    cur, nxt = np.empty((live[0], 2 * n_b)), np.empty((live[0], 2 * n_b))
+    cur[:, :n_b] = codes[_part(source, 0, live[0])]
+    lo = 0  # the first step-major row of this step
+    # k flows hold a state after this step, the first k_next of them fold on
+    for k, k_next in zip(live, live[1:] + [0]):
+        if every_step:
+            out[_part(order, lo, lo + k)] = cur[:k, :n_b]
+        elif k_next < k:  # the others end here
+            out[_part(by_length, k_next, k)] = cur[k_next:k, :n_b]
+        lo += k
+        if k_next:
+            cur[:k_next, n_b:] = codes[_part(source, lo, lo + k_next)]
+            nn_core.affine_into(layer, cur[:k_next], out=nxt[:k_next, :n_b])
+            cur, nxt = nxt, cur
+    return out
+
+
+def _part(index, lo: int, hi: int):
+    """Entries lo:hi of an index array; None is the identity."""
+    return slice(lo, hi) if index is None else index[lo:hi]
 
 
 def embed_flow(rae: RaeBundle, flow: EmbeddedFlow, order: str = "sequence") -> FlowEmbedding:
@@ -194,7 +241,7 @@ def embed_flow(rae: RaeBundle, flow: EmbeddedFlow, order: str = "sequence") -> F
     if order != "sequence":
         raise ValueError(f"unknown fold order {order!r}")
     e = flow.embeddings
-    return FlowEmbedding(flow_id=flow.flow_id, values=fold_prefixes(rae, e, [0, len(e)])[-1],
+    return FlowEmbedding(flow_id=flow.flow_id, values=fold_finals(rae, e, [0, len(e)])[0],
                          n_packets_folded=len(e), label=flow.label)
 
 
@@ -214,9 +261,11 @@ def sample_query_flows(flows: list[EmbeddedFlow], n_flows: int,
     visits, so a student labeled on them learns the teacher's function
     and not only its training points.
 
-    Returns the sequences as stack_codes lays flows out, gathered straight
-    into one matrix: (codes, offsets, labels), where sequence q owns rows
-    offsets[q]:offsets[q + 1] of codes and has class labels[q].
+    Returns (pool, rows, offsets, labels): the sequences stacked as
+    stack_codes lays flows out are pool[rows], where pool holds every
+    packet code of the flows once; sequence q owns entries
+    offsets[q]:offsets[q + 1] of rows and has class labels[q]. The
+    sequences are never gathered: fold_finals reads them through rows.
     """
     if not flows:
         raise ValueError("no flows to sample from")
@@ -236,7 +285,7 @@ def sample_query_flows(flows: list[EmbeddedFlow], n_flows: int,
     packet_class = np.repeat(class_of[sources], lengths[sources])
     rows = pool_start[packet_class] + rng.integers(0, pool_size[packet_class])
     offsets = np.concatenate([[0], np.cumsum(lengths[sources])]).astype(np.int64)
-    return pool[rows], offsets, [flows[s].label for s in sources]
+    return pool, rows, offsets, [flows[s].label for s in sources]
 
 
 def prefix_embeddings(rae: RaeBundle, flow: EmbeddedFlow) -> list[FlowEmbedding]:

@@ -236,11 +236,28 @@ def _product(layer: Layer, x: np.ndarray, out: np.ndarray | None = None) -> np.n
     return out
 
 
+# affine_into applies an activation to at most this many elements at once.
+ACTIVATION_BLOCK = 1 << 16
+
+
 def affine_into(layer: Layer, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """One layer on x: its product, then its activation written over the
-    product, all in out (a new array when out is None). No input check."""
+    product, all in out (a new array when out is None). No input check.
+
+    The product is one full-batch call. An output of more than
+    ACTIVATION_BLOCK elements gets its activation one block of rows at a
+    time, which bounds the sigmoid's temporaries; every activation is
+    elementwise or row-wise, so the bits are those of one call, which an
+    output that fits in a block still makes.
+    """
     z = _product(layer, x, out)
-    return _apply_activation(layer.activation, z, out=z)
+    if z.size <= ACTIVATION_BLOCK:
+        return _apply_activation(layer.activation, z, out=z)
+    rows = max(1, ACTIVATION_BLOCK // z.shape[1])
+    for lo in range(0, len(z), rows):
+        block = z[lo:lo + rows]
+        _apply_activation(layer.activation, block, out=block)
+    return z
 
 
 def _forward_trace(net: DenseNet, x: np.ndarray):
@@ -301,12 +318,24 @@ def loss_cross_entropy(pred_probs, labels) -> float:
 
 
 def _loss_value_and_grad(loss: str, pred: np.ndarray, target):
+    """The loss and its gradient with respect to pred. An mse target
+    narrower than pred counts as padded with zero columns: pred - 0 is
+    pred bit for bit, so d = pred - target is formed once, at full width,
+    and gives the gradient 2.0 * d / n and, squared in place, the value,
+    both as loss_mse and the out-of-place expression round them."""
     n = pred.shape[0]
     if loss == "mse":
         target = np.atleast_2d(np.asarray(target, dtype=np.float64))
-        value = loss_mse(pred, target)
-        grad = 2.0 * (pred - target) / n
-        return value, grad
+        width = target.shape[1]
+        if target.shape[0] != n or width > pred.shape[1]:
+            raise ValueError(f"shape mismatch {pred.shape} vs {target.shape}")
+        d = np.empty_like(pred)
+        np.subtract(pred[:, :width], target, out=d[:, :width])
+        d[:, width:] = pred[:, width:]
+        grad = np.multiply(d, 2.0)
+        np.divide(grad, n, out=grad)
+        np.square(d, out=d)
+        return float(d.sum(axis=1).mean()), grad
     if loss == "cross_entropy":
         y = np.atleast_1d(np.asarray(target)).astype(int)
         value = loss_cross_entropy(pred, y)
@@ -462,11 +491,17 @@ def train(net: DenseNet, x, targets, loss: str, cfg: TrainConfig):
     w -= lr*(m/corr1) / (sqrt(v/corr2) + eps).
 
     When x ends in all-zero chunks (zero padding: live_width(x) is below
-    its width), layer 0 is stored transposed, so its forward product runs
-    through chunked_affine, and the weights on the dead columns form the
-    tail of the buffer. Their gradient is exactly zero at every step, so
-    no step computes, reads or updates them: they keep their initial
-    values, as the full update would leave them.
+    the net's input width), layer 0 is stored transposed, so its forward
+    product runs through chunked_affine, and the weights on the dead
+    columns form the tail of the buffer. Their gradient is exactly zero at
+    every step, so no step computes, reads or updates them: they keep
+    their initial values, as the full update would leave them. x may
+    therefore stop at its live width: its missing columns count as zeros,
+    and so do those of an mse target narrower than the net's output. Both
+    give the weights and history of the zero-padded arrays, bit for bit.
+
+    The caller's net is copied into the buffer and not referenced after,
+    so a net built in the call's argument list is freed at that point.
     """
     if loss not in LOSSES:
         raise ValueError(f"unknown loss {loss!r}")
@@ -474,10 +509,13 @@ def train(net: DenseNet, x, targets, loss: str, cfg: TrainConfig):
     n = x.shape[0]
     if n == 0:
         raise ValueError("empty training set")
-    if x.shape[1] != net.input_dim:
-        raise ValueError(f"data dim {x.shape[1]} != net input dim {net.input_dim}")
+    if x.shape[1] > net.input_dim:
+        raise ValueError(f"data dim {x.shape[1]} > net input dim {net.input_dim}")
     if loss == "mse":
         targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+        if targets.shape[0] != n or targets.shape[1] > net.output_dim:
+            raise ValueError(f"targets {targets.shape} do not fit {n} rows of "
+                             f"net output dim {net.output_dim}")
     else:
         targets = np.atleast_1d(np.asarray(targets)).astype(int)
 
@@ -485,11 +523,10 @@ def train(net: DenseNet, x, targets, loss: str, cfg: TrainConfig):
     padded = live < net.input_dim
     size = sum(l.w.size + l.b.size for l in net.layers)
     params, grads = np.empty(size), np.empty(size)
-    layers = []
-    for layer, (w, b) in zip(net.layers, _flat_views(params, net.layers, padded)):
-        w[...], b[...] = layer.w, layer.b
-        layers.append(Layer(w, b, layer.activation))
-    net = DenseNet(layers)
+    views = _flat_views(params, net.layers, padded)
+    for k, (w, b) in enumerate(views):
+        w[...], b[...] = net.layers[k].w, net.layers[k].b
+    net = DenseNet([Layer(w, b, l.activation) for l, (w, b) in zip(net.layers, views)])
     grad_views = _flat_views(grads, net.layers, padded)
     if padded:  # only the live columns' gradient is ever written or read
         dw0, db0 = grad_views[0]

@@ -81,12 +81,14 @@ def train_autoencoder(
     final_train_mse is the trained autoencoder's reconstruction error over
     the full input batch (scaled space), even when training ran on a
     capped subsample. payloads may be a raw uint8 matrix: only the training
-    rows are scaled, into the one float64 copy that training reads, and
-    that copy is dropped before the error is measured.
+    rows are scaled, and only up to their live width (nn_core.live_width),
+    into the one float64 copy that training reads as input and as target;
+    the columns past it are zeros, which nn_core.train counts without
+    holding them. That copy is dropped before the error is measured.
     """
     cfg = cfg or TrainConfig()
-    train_x = _scaled(training_rows(_raw_matrix(payloads), sample_cap, cfg.seed))
-    n, n_p = train_x.shape
+    rows = training_rows(_raw_matrix(payloads), sample_cap, cfg.seed)
+    n, n_p = rows.shape
     if n == 0:
         raise ValueError("empty payload batch")
     if not 1 <= n_b < n_p:
@@ -94,14 +96,13 @@ def train_autoencoder(
     if h < n_b:
         logger.warning("hidden width h=%d below bottleneck n_b=%d; capacity may suffer", h, n_b)
 
-    net = nn_core.init_dense_net(
-        [n_p, h, n_b, h, n_p],
-        ["relu", "sigmoid", "relu", "sigmoid"],
-        seed=cfg.seed,
-        weight_init_scale=cfg.weight_init_scale,
-    )
-    trained, history = nn_core.train(net, train_x, train_x, "mse", cfg)
-    del net, train_x
+    train_x = _scaled(rows[:, :nn_core.live_width(rows)])
+    del rows
+    trained, history = nn_core.train(
+        nn_core.init_dense_net([n_p, h, n_b, h, n_p], ["relu", "sigmoid", "relu", "sigmoid"],
+                               seed=cfg.seed, weight_init_scale=cfg.weight_init_scale),
+        train_x, train_x, "mse", cfg)
+    del train_x
     return AutoencoderBundle(encoder=DenseNet(trained.layers[:2]), n_p=n_p, n_b=n_b, h=h,
                              final_train_mse=reconstruction_error(trained, payloads),
                              seed=cfg.seed, loss_curve=history)
@@ -121,13 +122,29 @@ def encode_matrix(bundle: AutoencoderBundle, x_raw: np.ndarray) -> np.ndarray:
 
 def reconstruction_error(net: DenseNet, payloads) -> float:
     """Mean squared L2 distance between scaled input and its round trip
-    through a full autoencoder net (encoder then decoder). At its peak it
-    holds three float64 copies of the batch: the scaled input, the output
-    and their difference."""
-    x = _scaled(_raw_matrix(payloads))
-    if x.shape[0] == 0:
+    through a full autoencoder net (encoder then decoder).
+
+    With layer 0 stored transposed (as training stores it when the rows
+    end in zero padding), only the payloads' live width is scaled, and the
+    error is formed in the output: x is subtracted from its live columns
+    (past them x is 0, and pred - 0 is pred bit for bit), then squared in
+    place, so the bits are those of loss_mse on the full-width rows. Of
+    the batch it holds one n x n_p float64 copy, the output, plus the
+    scaled live columns.
+    """
+    raw = _raw_matrix(payloads)
+    if raw.shape[0] == 0:
         raise ValueError("empty payload batch")
-    return nn_core.loss_mse(nn_core.forward(net, x), x)
+    if net.output_dim != raw.shape[1]:
+        raise ValueError(f"net output dim {net.output_dim} != payload width {raw.shape[1]}")
+    if nn_core.stored_transposed(net.layers[0]):
+        raw = raw[:, :nn_core.live_width(raw)]
+    x = _scaled(raw)
+    d = nn_core.forward(net, x)
+    live = d[:, :x.shape[1]]
+    np.subtract(live, x, out=live)
+    np.square(d, out=d)
+    return float(d.sum(axis=1).mean())
 
 
 def save_bundle(bundle: AutoencoderBundle, path: str) -> None:

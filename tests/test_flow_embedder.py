@@ -128,14 +128,15 @@ def _split_flows(seed=11):
 def _final_states(rae, flows):
     """The last fold state of every flow, all flows folded in one batch."""
     codes, offsets = fe.stack_codes(flows)
-    values = fe.fold_prefixes(rae, codes, offsets)[offsets[1:] - 1]
+    values = fe.fold_finals(rae, codes, offsets)
     return [FlowEmbedding(flow_id=f.flow_id, values=v, n_packets_folded=len(f.embeddings),
                           label=f.label) for f, v in zip(flows, values)]
 
 
 def _queries(flows, n_flows, seed):
     """sample_query_flows's stacked sequences as flows."""
-    codes, offsets, labels = fe.sample_query_flows(flows, n_flows, seed=seed)
+    pool, rows, offsets, labels = fe.sample_query_flows(flows, n_flows, seed=seed)
+    codes = pool[rows]
     assert offsets[0] == 0 and offsets[-1] == len(codes) and len(labels) == n_flows
     return [EmbeddedFlow(flow_id=f"query#{q}", embeddings=codes[lo:hi], label=label)
             for q, (lo, hi, label) in enumerate(zip(offsets[:-1], offsets[1:], labels))]
@@ -205,6 +206,32 @@ def test_sample_training_pairs_cap_is_seeded_subset():
     # every capped row exists in the full set
     full_rows = {tuple(r) for r in full}
     assert all(tuple(r) in full_rows for r in capped)
+
+
+def _every_pair_then_cap(flows, pair_cap, seed):
+    """sample_training_pairs as first written, kept as its oracle: one
+    concatenated row per adjacent pair, then the seeded cap."""
+    rows = [np.concatenate([f.embeddings[i], f.embeddings[i + 1]])
+            for f in flows for i in range(f.embeddings.shape[0] - 1)]
+    pairs = np.stack(rows)
+    if pairs.shape[0] > pair_cap:
+        rng = np.random.Generator(np.random.PCG64(seed))
+        pairs = pairs[np.sort(rng.choice(pairs.shape[0], size=pair_cap, replace=False))]
+    return pairs
+
+
+@given(lengths=st.lists(st.integers(1, 9), min_size=1, max_size=20).filter(
+           lambda ls: max(ls) > 1),
+       n_b=st.integers(1, 5), cap_frac=st.floats(0.05, 1.5), seed=st.integers(0, 2**32 - 1))
+def test_sample_training_pairs_equals_the_per_pair_construction(lengths, n_b, cap_frac, seed):
+    rng = np.random.default_rng(seed)
+    flows = [_flow(rng.normal(size=(n, n_b)), flow_id=str(j)) for j, n in enumerate(lengths)]
+    n_pairs = sum(n - 1 for n in lengths)
+    cap = max(1, round(cap_frac * n_pairs))  # below and above the pair count
+    got = fe.sample_training_pairs(flows, pair_cap=cap, seed=seed)
+    want = _every_pair_then_cap(flows, cap, seed)
+    assert got.shape == (min(cap, n_pairs), 2 * n_b)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_sample_training_pairs_needs_multipacket_flow():
@@ -371,6 +398,51 @@ def test_the_batch_fold_holds_under_four_copies_of_its_codes():
     finally:
         tracemalloc.stop()
     assert peak < 4 * codes.nbytes, f"peak {peak / codes.nbytes:.2f} copies of the codes"
+
+
+@given(lengths=st.lists(st.integers(1, 8), min_size=1, max_size=30),
+       n_b=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_fold_finals_are_the_last_prefix_states_bit_for_bit(lengths, n_b, seed):
+    """fold_finals gives fold_prefixes at offsets[1:] - 1, for a batch and
+    for each flow alone (embed_flow's one-flow fold), and reading the
+    stacked codes through a row index gives the bits of gathering them."""
+    rae = _tanh_rae(n_b, seed)
+    rng = np.random.default_rng(seed)
+    codes = rng.uniform(size=(sum(lengths), n_b))
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    finals = fe.fold_finals(rae, codes, offsets)
+    assert finals.tobytes() == fe.fold_prefixes(rae, codes, offsets)[offsets[1:] - 1].tobytes()
+    for j, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+        alone = fe.fold_finals(rae, codes[lo:hi], [0, hi - lo])
+        assert alone.tobytes() == fe.fold_prefixes(rae, codes[lo:hi], [0, hi - lo])[-1:].tobytes()
+        embedded = fe.embed_flow(rae, _flow(codes[lo:hi]))
+        assert embedded.values.tobytes() == alone[0].tobytes()
+        rows = rng.integers(0, len(codes), size=hi - lo)
+        assert (fe.fold_finals(rae, codes, [0, hi - lo], rows).tobytes()
+                == fe.fold_finals(rae, codes[rows], [0, hi - lo]).tobytes())
+    rows = rng.permutation(len(codes))
+    assert (fe.fold_finals(rae, codes, offsets, rows).tobytes()
+            == fe.fold_finals(rae, codes[rows], offsets).tobytes())
+
+
+def test_the_final_state_fold_holds_under_one_and_a_half_copies_of_its_codes():
+    """The distill stage folds every query flow in one batch and keeps only
+    the final states. numpy reports its buffers to tracemalloc: the fold
+    adds two step blocks of (flows) x 2*n_b and the (flows) x n_b finals,
+    here about 1.1 copies of the codes, and holds no state of any other
+    step."""
+    rng = np.random.default_rng(3)
+    lengths = rng.integers(1, 9, size=2000)
+    codes = rng.uniform(size=(int(lengths.sum()), 100))
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    rae = _tanh_rae(100, 3)
+    tracemalloc.start()
+    try:
+        fe.fold_finals(rae, codes, offsets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * codes.nbytes, f"peak {peak / codes.nbytes:.2f} copies of the codes"
 
 
 def test_fold_prefixes_rejects_offsets_that_miss_the_codes():

@@ -2,6 +2,7 @@ import json
 import os
 import re
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -417,6 +418,28 @@ def test_diverged_adam_leaves_no_thread_behind(two_workers):
     assert threading.active_count() == threads
 
 
+def test_train_frees_a_net_built_in_its_argument_list(monkeypatch):
+    """The untrained net is copied into the flat buffer and not referenced
+    after, so one passed straight from init_dense_net is gone before the
+    first step."""
+    refs, alive = [], []
+
+    def untrained():
+        net = init_dense_net([4, 3, 4], ["tanh", "identity"], seed=1)
+        refs.append(weakref.ref(net))
+        return net
+
+    original = nn_core._backward
+
+    def spy(*args):
+        alive.append(refs[0]() is not None)
+        return original(*args)
+    monkeypatch.setattr(nn_core, "_backward", spy)
+    x = np.random.Generator(np.random.PCG64(1)).normal(size=(6, 4))
+    train(untrained(), x, x, "mse", TrainConfig(epochs=2, batch_size=3, seed=1))
+    assert alive and not any(alive)
+
+
 def test_train_does_not_mutate_input_net():
     net = init_dense_net([2, 2], ["identity"], seed=0)
     w_before = net.layers[0].w.copy()
@@ -720,3 +743,66 @@ def test_autoencoder_training_matches_the_loop_with_the_masked_sigmoid(n_in, h, 
     assert nn_core.stored_transposed(trained.layers[0]) == (width < n_in)
     _assert_same_weights(trained, expected)
     assert history == [sum(value * size for value, size in epoch) / 20 for epoch in batches]
+
+
+@given(name=st.sampled_from(nn_core.ACTIVATIONS), cols=st.sampled_from([1, 3, 100, 1500]),
+       blocks=st.integers(0, 2), extra=st.integers(-2, 2), strided=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_row_block_activation_equals_one_call_bit_for_bit(name, cols, blocks, extra,
+                                                          strided, seed):
+    """affine_into applies the activation one block of rows at a time once
+    the output passes ACTIVATION_BLOCK elements: at row counts on both
+    sides of a block boundary, for every activation, into a new array or
+    into the left half of a wider buffer (as the fold writes), it gives the
+    bits of one activation call on the whole product."""
+    n = max(1, blocks * (nn_core.ACTIVATION_BLOCK // cols) + extra)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    layer = Layer(rng.normal(scale=4.0, size=(cols, 3)), rng.normal(size=cols), name)
+    x = rng.normal(scale=50.0, size=(n, 3))
+    with np.errstate(all="ignore"):
+        want = nn_core._apply_activation(name, nn_core._product(layer, x))
+        out = np.empty((n, 2 * cols))[:, :cols] if strided else None
+        got = nn_core.affine_into(layer, x, out=out)
+    assert out is None or got is out
+    assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
+@given(pred=hnp.arrays(np.float64, st.tuples(st.integers(1, 9), st.integers(1, 9)),
+                       elements=st.floats(-1e150, 1e150)),
+       width_frac=st.floats(0, 1), seed=st.integers(0, 2**32 - 1))
+def test_a_narrow_mse_target_counts_as_zero_padded_bit_for_bit(pred, width_frac, seed):
+    """The training loss on a target narrower than pred gives the value
+    loss_mse and the gradient 2.0 * (pred - target) / n of the target
+    padded with zeros to pred's width."""
+    n, m = pred.shape
+    width = round(width_frac * m)
+    target = np.random.Generator(np.random.PCG64(seed)).normal(scale=1e3, size=(n, width))
+    padded = np.zeros_like(pred)
+    padded[:, :width] = target
+    with np.errstate(over="ignore"):
+        value, grad = nn_core._loss_value_and_grad("mse", pred, target)
+        want_value = loss_mse(pred, padded)
+        want_grad = 2.0 * (pred - padded) / n
+    assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
+
+
+@settings(max_examples=12)
+@given(run=padded_training_runs(n_in=700, width_max=512, min_batch_rows=1),
+       autoencoder=st.booleans())
+def test_training_on_the_live_width_equals_the_padded_batch_bit_for_bit(run, autoencoder):
+    """train() on x cut at live_width(x), as train_autoencoder passes it,
+    gives the weights and history of the zero-padded x; so does an mse
+    target cut the same way (the autoencoder's target is its input)."""
+    net, x, targets, loss, cfg = run
+    if autoencoder:
+        net = init_dense_net([700, 16, 4, 16, 700], ["relu", "sigmoid", "relu", "sigmoid"],
+                             seed=cfg.seed)
+        targets, loss = x, "mse"
+    live = nn_core.live_width(x)
+    narrow = x[:, :live]
+    with np.errstate(all="ignore"):
+        trained, history = train(net, narrow, narrow if autoencoder else targets, loss, cfg)
+        expected, want = train(net, x, targets, loss, cfg)
+    _assert_same_weights(trained, expected)
+    assert history == want

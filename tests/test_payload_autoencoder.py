@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ride import nn_core, payload_autoencoder as pa
 from ride.nn_core import DenseNet, TrainConfig
@@ -128,16 +129,20 @@ def test_training_rows_are_the_rows_the_autoencoder_trains_on(monkeypatch):
     assert pa.training_rows(x, 30, 3) is x
 
 
-def test_training_holds_at_most_three_float64_copies_of_the_batch():
+def test_training_holds_at_most_three_float64_copies_of_the_batch(monkeypatch):
     """numpy reports its buffers to tracemalloc. A uint8 batch is scaled
-    once for training; that copy and the untrained net are gone before the
-    error is measured, which holds the scaled batch, the output and their
-    difference."""
+    once for training, up to its live width; that copy is gone before the
+    error is measured, which holds the output and the scaled live columns;
+    the untrained net is freed once training has copied it. So the peak
+    is under one float64 copy of the batch plus the flat parameters, their
+    gradients and Adam's m and v. Adam runs one worker here, whose scratch
+    (two blocks, 1 MB) fits the margin; each further worker adds 1 MB."""
+    monkeypatch.setattr(nn_core, "_usable_cpus", lambda: 1)
     rng = np.random.default_rng(8)
     x = np.zeros((400, 1500), dtype=np.uint8)  # one live chunk, as the fixture's payloads
     x[:, :200] = rng.integers(0, 256, size=(400, 200))
     n_params = sum(a * b + b for a, b in zip([1500, 64, 16, 64], [64, 16, 64, 1500]))
-    bound = 3 * x.size * 8 + 3 * n_params * 8  # the flat parameters, Adam's m and v
+    bound = x.size * 8 + 4 * n_params * 8
     tracemalloc.start()
     try:
         pa.train_autoencoder(x, n_b=16, h=64, cfg=TrainConfig(epochs=1, seed=8))
@@ -145,6 +150,52 @@ def test_training_holds_at_most_three_float64_copies_of_the_batch():
     finally:
         tracemalloc.stop()
     assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
+
+
+def _transposed(net: DenseNet) -> DenseNet:
+    """net with layer 0 stored transposed, as training stores it when its
+    input ends in zero padding."""
+    first = net.layers[0]
+    return DenseNet([nn_core.Layer(np.asfortranarray(first.w), first.b, first.activation)]
+                    + net.layers[1:])
+
+
+def test_reconstruction_error_holds_one_float64_copy_of_the_batch():
+    """numpy reports its buffers to tracemalloc. The error scales only the
+    live columns (one chunk of 1500 here) and is formed in the net's
+    output, so beside that output, one copy of the batch, it holds the
+    scaled live columns and the activations' row-block temporaries: under
+    1.5 copies (3.2 before it was computed in place)."""
+    rng = np.random.default_rng(8)
+    x = np.zeros((400, 1500), dtype=np.uint8)
+    x[:, :200] = rng.integers(0, 256, size=(400, 200))
+    net = _transposed(nn_core.init_dense_net([1500, 64, 16, 64, 1500],
+                                             ["relu", "sigmoid", "relu", "sigmoid"], seed=8))
+    tracemalloc.start()
+    try:
+        pa.reconstruction_error(net, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * x.size * 8, f"peak {peak / (x.size * 8):.2f} copies of the batch"
+
+
+@settings(max_examples=15)
+@given(n=st.integers(1, 40), width=st.integers(0, 700), transposed=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_reconstruction_error_is_loss_mse_of_the_full_rows_bit_for_bit(n, width, transposed,
+                                                                       seed):
+    """At live width and in place, the error keeps the bits of loss_mse on
+    the full-width scaled rows and their round trip."""
+    rng = np.random.default_rng(seed)
+    x = np.zeros((n, 700), dtype=np.uint8)
+    x[:, :width] = rng.integers(0, 256, size=(n, width))
+    net = nn_core.init_dense_net([700, 16, 4, 16, 700], ["relu", "sigmoid", "relu", "sigmoid"],
+                                 seed=seed)
+    net = _transposed(net) if transposed else net
+    scaled = x / pa.BYTE_SCALE
+    want = nn_core.loss_mse(nn_core.forward(net, scaled), scaled)
+    assert np.float64(pa.reconstruction_error(net, x)).tobytes() == np.float64(want).tobytes()
 
 
 def test_rejects_non_compressing_bottleneck():
