@@ -13,7 +13,6 @@ import numpy as np
 
 from . import nn_core
 from .nn_core import DenseNet, TrainConfig
-from .flow_embedder import FlowEmbedding
 
 DEFAULT_HIDDEN = 100
 
@@ -68,25 +67,21 @@ def encode_labels(labels: list[str]) -> tuple[list[str], np.ndarray]:
     return names, np.array([index[l] for l in labels], dtype=np.int64)
 
 
-def _embedding_matrix(embeddings: list[FlowEmbedding]) -> np.ndarray:
-    if not embeddings:
-        raise ValueError("empty embedding batch")
-    return np.stack([np.asarray(e.values, dtype=np.float64) for e in embeddings])
-
-
-def train_classifier(embeddings: list[FlowEmbedding], cfg: TrainConfig | None = None,
+def train_classifier(x: np.ndarray, labels: list[str], cfg: TrainConfig | None = None,
                      hidden: int = DEFAULT_HIDDEN) -> ClassifierModel:
-    """Train the softmax MLP on labeled flow embeddings.
+    """Train the softmax MLP on flow embeddings, one row of x per label.
 
-    Raises ValueError when fewer than two classes are present or any flow
+    Raises ValueError when fewer than two classes are present or any row
     is unlabeled.
     """
     cfg = cfg or TrainConfig()
-    x = _embedding_matrix(embeddings)
-    raw_labels = [e.label for e in embeddings]
-    if any(l is None for l in raw_labels):
-        raise ValueError("all embeddings must carry a label")
-    class_names, y = encode_labels(raw_labels)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or len(x) == 0 or len(x) != len(labels):
+        raise ValueError(f"need one label per row of a non-empty matrix, got x of "
+                         f"shape {x.shape} and {len(labels)} labels")
+    if any(l is None for l in labels):
+        raise ValueError("every row must carry a label")
+    class_names, y = encode_labels(labels)
     if len(class_names) < 2:
         raise ValueError("training data contains a single class")
     trained, history = nn_core.train(
@@ -96,22 +91,17 @@ def train_classifier(embeddings: list[FlowEmbedding], cfg: TrainConfig | None = 
     return ClassifierModel(net=trained, class_names=class_names, loss_curve=history)
 
 
-def _values_of(embedding) -> np.ndarray:
-    if isinstance(embedding, FlowEmbedding):
-        return np.asarray(embedding.values, dtype=np.float64)
-    return np.asarray(embedding, dtype=np.float64)
-
-
-def predict_proba(model: ClassifierModel, embedding) -> np.ndarray:
-    """Class-probability vector (or batch of them); rows sum to 1."""
-    x = _values_of(embedding)
+def predict_proba(model: ClassifierModel, x: np.ndarray) -> np.ndarray:
+    """Class-probability vector of one row (or of each row of a batch);
+    each sums to 1."""
+    x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != model.n_b:
         raise ValueError(f"embedding width {x.shape[-1]} != model input {model.n_b}")
     return nn_core.forward(model.net, x)
 
 
-def predict_label(model: ClassifierModel, embedding) -> str:
-    probs = predict_proba(model, _values_of(embedding))
+def predict_label(model: ClassifierModel, values: np.ndarray) -> str:
+    probs = predict_proba(model, values)
     if probs.ndim != 1:
         raise ValueError("predict_label takes a single embedding")
     return model.class_names[int(np.argmax(probs))]
@@ -142,22 +132,24 @@ def metrics_from_predictions(y_true: np.ndarray, y_pred: np.ndarray,
     return accuracy, f1, confusion
 
 
-def evaluate(predictor, embeddings: list[FlowEmbedding]) -> MetricsReport:
-    """Score any predict_label-capable model on labeled embeddings.
+def evaluate(predictor, x: np.ndarray, labels: list[str]) -> MetricsReport:
+    """Score any predict_label-capable model on the rows of x against
+    their labels.
 
     inference_time_s is the wall-clock time of the per-sample prediction
     loop over the whole batch.
     """
-    if not embeddings:
-        raise ValueError("empty evaluation batch")
+    if len(x) == 0 or len(x) != len(labels):
+        raise ValueError(f"need one label per row of a non-empty batch, got "
+                         f"{len(x)} rows and {len(labels)} labels")
     class_names = list(predictor.class_names)
     index = {name: i for i, name in enumerate(class_names)}
     try:
-        y_true = np.array([index[e.label] for e in embeddings], dtype=np.int64)
+        y_true = np.array([index[l] for l in labels], dtype=np.int64)
     except KeyError as exc:
         raise ValueError(f"label {exc} not known to the predictor") from None
 
-    values = [np.asarray(e.values, dtype=np.float64) for e in embeddings]
+    values = list(np.asarray(x, dtype=np.float64))
     t0 = time.perf_counter()
     predicted = [predictor.predict_label(v) for v in values]
     elapsed = time.perf_counter() - t0
@@ -168,15 +160,16 @@ def evaluate(predictor, embeddings: list[FlowEmbedding]) -> MetricsReport:
                          inference_time_s=elapsed, class_names=class_names)
 
 
-def stratified_split(embeddings: list[FlowEmbedding], test_fraction: float = 0.2,
-                     seed: int = 0) -> tuple[list[FlowEmbedding], list[FlowEmbedding]]:
-    """Seeded per-class split; corpus order is preserved within each side."""
+def stratified_split(labels: list[str], test_fraction: float = 0.2,
+                     seed: int = 0) -> tuple[list[int], list[int]]:
+    """Seeded per-class split of the positions of labels into (train,
+    test) index lists, each in ascending order."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must be in (0, 1)")
     rng = np.random.Generator(np.random.PCG64(seed))
     by_label: dict[str, list[int]] = {}
-    for i, e in enumerate(embeddings):
-        by_label.setdefault(str(e.label), []).append(i)
+    for i, label in enumerate(labels):
+        by_label.setdefault(str(label), []).append(i)
     test_idx = set()
     for label in sorted(by_label):
         idx = by_label[label]
@@ -187,9 +180,8 @@ def stratified_split(embeddings: list[FlowEmbedding], test_fraction: float = 0.2
             n_test = 0
         chosen = rng.choice(len(idx), size=n_test, replace=False)
         test_idx.update(idx[j] for j in chosen)
-    train = [e for i, e in enumerate(embeddings) if i not in test_idx]
-    test = [e for i, e in enumerate(embeddings) if i in test_idx]
-    return train, test
+    train = [i for i in range(len(labels)) if i not in test_idx]
+    return train, sorted(test_idx)
 
 
 def save_model(model: ClassifierModel, path: str, rae_sha256: str,

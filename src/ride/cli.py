@@ -420,9 +420,8 @@ def stage_ingest(cfg: dict) -> dict:
 def _load_flow_payload_matrix(cfg: dict) -> np.ndarray:
     """Every packet's n_p payload bytes, zero padded, as one uint8 matrix."""
     flows = packet_ingest.load_flows(_require(artifact_path(cfg, "flows")))
-    n_p = cfg["features"]["n_p"]
-    return np.array([packet_ingest.extract_payload_vector(pkt, n_p).values
-                     for flow in flows for pkt in flow.packets], dtype=np.uint8)
+    return packet_ingest.payload_matrix([pkt for flow in flows for pkt in flow.packets],
+                                        cfg["features"]["n_p"])
 
 
 def stage_train_ae(cfg: dict) -> dict:
@@ -472,9 +471,15 @@ def _stored_flows(cfg: dict):
     return flow_embedder.load_rae(rae_path), flow_embedder.load_packet_codes(codes_path)
 
 
-def _split_flows(cfg: dict, flows: list) -> tuple[list, list]:
-    """The flows on each side of split.json, which is stale when it names a
-    flow they lack (ingest read another capture since train-clf ran)."""
+def _split_flows(cfg: dict) -> tuple:
+    """The RAE and the stored flows on each side of split.json. Stale when
+    classifier.npz, which train-clf wrote with the split, learned from
+    another RAE or other packet codes (embed or ingest ran since), or when
+    the split names a flow the codes lack."""
+    rae, flows = _stored_flows(cfg)
+    clf_path = _require(artifact_path(cfg, "classifier"))
+    for name in ("rae", "packet_codes"):
+        _check_lineage((clf_path,), f"{name}_sha256", artifact_path(cfg, name), "train-clf")
     path = artifact_path(cfg, "split")
     sides = _load_json(path, lambda doc: (list(doc["train"]), list(doc["test"])))
     by_id = {f.flow_id: f for f in flows}
@@ -483,41 +488,41 @@ def _split_flows(cfg: dict, flows: list) -> tuple[list, list]:
         raise StaleArtifactError(f"{path} names flow {unknown[0]!r}, which "
                                  f"{artifact_path(cfg, 'packet_codes')} does not hold; "
                                  "re-run `ride train-clf` and the stages after it")
-    return tuple([by_id[i] for i in side] for side in sides)
+    train, test = ([by_id[i] for i in side] for side in sides)
+    return rae, train, test
 
 
-def _test_embeddings(cfg: dict) -> list:
-    """The test flows' embeddings, each its own flow's fold of the stored
-    codes: a batch fold may differ in the last bits (see fold_prefixes)."""
-    rae, flows = _stored_flows(cfg)
-    _train, test = _split_flows(cfg, flows)
-    return flow_embedder.embed_flows(rae, test)
-
-
-def _labeled_matrix(embeddings: list, class_names: list[str]):
-    """Stacked embedding values and their label ids in class_names."""
+def _fold(rae, flows: list, class_names: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """(x, ids): row j is flow j's joint embedding and ids[j] the id of its
+    label in class_names. Each flow is folded alone: a batch fold may
+    differ in the last bits (see fold_prefixes)."""
     index = {n: i for i, n in enumerate(class_names)}
-    return (np.stack([e.values for e in embeddings]),
-            np.array([index[e.label] for e in embeddings]))
+    x = np.stack([flow_embedder.fold_finals(rae, f.embeddings, [0, len(f.embeddings)])[0]
+                  for f in flows])
+    return x, np.array([index[f.label] for f in flows])
 
 
 def stage_train_clf(cfg: dict) -> dict:
     rae, flows = _stored_flows(cfg)
-    embeddings = flow_embedder.embed_flows(rae, flows)
+    labels = [f.label for f in flows]
     train, test = classifier.stratified_split(
-        embeddings, test_fraction=cfg["classifier"]["test_fraction"], seed=cfg["seed"])
+        labels, test_fraction=cfg["classifier"]["test_fraction"], seed=cfg["seed"])
     atomic_write_json(artifact_path(cfg, "split"),
-                      {"train": [e.flow_id for e in train],
-                       "test": [e.flow_id for e in test]})
-    model = classifier.train_classifier(train, _train_cfg(cfg, "classifier"),
+                      {"train": [flows[i].flow_id for i in train],
+                       "test": [flows[i].flow_id for i in test]})
+    # stratified_split leaves every class a training flow, so these are
+    # the trained model's class_names too
+    class_names, _ = classifier.encode_labels(labels)
+    x, y = _fold(rae, flows, class_names)
+    model = classifier.train_classifier(x[train], [labels[i] for i in train],
+                                        _train_cfg(cfg, "classifier"),
                                         hidden=cfg["classifier"]["hidden"])
     classifier.save_model(model, artifact_path(cfg, "classifier"), _file_sha256(
         artifact_path(cfg, "rae")), _file_sha256(artifact_path(cfg, "packet_codes")))
     # deterministic metrics only (timing lives in the eval stage)
-    x_test, y_true = _labeled_matrix(test, model.class_names)
-    y_pred = np.argmax(classifier.predict_proba(model, x_test), axis=1)
+    y_pred = np.argmax(classifier.predict_proba(model, x[test]), axis=1)
     acc, f1, confusion = classifier.metrics_from_predictions(
-        y_true, y_pred, model.k_classes)
+        y[test], y_pred, model.k_classes)
     n_params = sum(l.w.size + l.b.size for l in model.net.layers)
     return _write_summary(cfg, "train-clf", {
         "classes": model.class_names, "n_train": len(train), "n_test": len(test),
@@ -530,50 +535,32 @@ def stage_train_clf(cfg: dict) -> dict:
 QUERY_FLOWS_PER_TRAIN_FLOW = 20
 
 
-def _load_teacher(cfg: dict) -> classifier.ClassifierModel:
-    """The classifier, refused as stale when the RAE or the packet codes it
-    learned from have changed since train-clf read them (embed ran again)."""
-    path = _require(artifact_path(cfg, "classifier"))
-    for name in ("rae", "packet_codes"):
-        _check_lineage((path,), f"{name}_sha256", _require(artifact_path(cfg, name)), "train-clf")
-    return classifier.load_model(path)
-
-
-def _prefix_points(rae, encoded: list) -> list:
-    """The real points the distilled tree sees: every prefix of every
-    flow's fold, one per received packet, the last being the flow's
-    embedding. The first prefix of a flow is its first packet's raw payload
-    code, which lies off the folded embeddings the teacher was trained on;
-    measured, dropping those points made the tree no better."""
-    return [p for ef in encoded for p in flow_embedder.prefix_embeddings(rae, ef)]
-
-
-def _query_points(cfg: dict, rae, encoded: list) -> list:
-    """The final states of QUERY_FLOWS_PER_TRAIN_FLOW query flows per
-    training flow, folded in one batch."""
-    pool, rows, offsets, labels = flow_embedder.sample_query_flows(
-        encoded, QUERY_FLOWS_PER_TRAIN_FLOW * len(encoded), seed=cfg["seed"])
-    finals = flow_embedder.fold_finals(rae, pool, offsets, rows)
-    return [flow_embedder.FlowEmbedding(flow_id=f"query#{q}", values=v,
-                                        n_packets_folded=n, label=label)
-            for q, (v, n, label) in enumerate(zip(finals, np.diff(offsets).tolist(), labels))]
+def _test_split(cfg: dict, class_names: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """_fold of split.json's test flows, in its order."""
+    rae, _train, test = _split_flows(cfg)
+    return _fold(rae, test, class_names)
 
 
 def stage_distill(cfg: dict) -> dict:
-    """Grow the student tree on teacher labels of the prefix points plus
-    query states: random same-class packet sequences folded by the RAE
+    """Grow the student tree on teacher labels of two parts: the prefix
+    points, every state of every training flow's fold, one per received
+    packet, the last being the flow's embedding; and query states, random
+    same-class packet sequences folded by the RAE
     (QUERY_FLOWS_PER_TRAIN_FLOW per training flow, seeded by cfg["seed"]).
     The queries let the tree follow the teacher's boundary between the
     training flows, which the prefix points alone leave too sparse to
     place axis-aligned splits on (query sampling, as in TREPAN and
-    born-again trees)."""
-    model = _load_teacher(cfg)
-    rae, flows = _stored_flows(cfg)
-    train, test = _split_flows(cfg, flows)
-    test = flow_embedder.embed_flows(rae, test)
-    train_points = _prefix_points(rae, train)
-    queries = _query_points(cfg, rae, train)
-    teacher_data = tree_distiller.generate_teacher_dataset(model, train_points + queries)
+    born-again trees). The first prefix of a flow is its first packet's
+    raw payload code, which lies off the folded embeddings the teacher was
+    trained on; measured, dropping those points made the tree no better."""
+    model = classifier.load_model(_require(artifact_path(cfg, "classifier")))
+    rae, train, test = _split_flows(cfg)
+    x_prefix = np.concatenate([
+        flow_embedder.fold_prefixes(rae, f.embeddings, [0, len(f.embeddings)]) for f in train])
+    pool, rows, offsets = flow_embedder.sample_query_flows(
+        train, QUERY_FLOWS_PER_TRAIN_FLOW * len(train), seed=cfg["seed"])
+    teacher_data = tree_distiller.generate_teacher_dataset(
+        model, np.concatenate([x_prefix, flow_embedder.fold_finals(rae, pool, offsets, rows)]))
     tree = tree_distiller.cart_train(
         teacher_data.x, teacher_data.y_teacher,
         max_depth=cfg["tree"]["max_depth"],
@@ -583,28 +570,29 @@ def stage_distill(cfg: dict) -> dict:
     atomic_write_text(artifact_path(cfg, "tree"),
                       json.dumps(tree_distiller.tree_to_dict(tree)))
     atomic_write_text(artifact_path(cfg, "rules"), tree_distiller.rules_text(tree))
-    # quantization ranges come from the real points only, not the queries
-    ranges = hw_model.fit_quantization_ranges(tree, teacher_data.x[:len(train_points)])
+    # quantization ranges come from the prefix points only, not the queries
+    ranges = hw_model.fit_quantization_ranges(tree, x_prefix)
     atomic_write_json(artifact_path(cfg, "ranges"),
                       {str(f): [lo, hi] for f, (lo, hi) in sorted(ranges.items())})
-    x_test, y_true = _labeled_matrix(test, tree.class_names)
+    x_test, y_true = _fold(rae, test, tree.class_names)
     y_pred = tree_distiller.tree_predict_batch(tree, x_test)
     acc, f1, _ = classifier.metrics_from_predictions(y_true, y_pred, tree.k)
+    agrees = (tree_distiller.tree_predict_batch(tree, x_prefix)
+              == teacher_data.y_teacher[:len(x_prefix)])
     return _write_summary(cfg, "distill", {
         "n_nodes": tree.n_nodes, "n_leaves": tree.n_leaves,
         "max_depth": tree.max_depth, "n_distill_samples": len(teacher_data.x),
-        "n_query_points": len(queries),
-        "fidelity_train": tree_distiller.fidelity(tree, model, train_points),
-        "fidelity_test": tree_distiller.fidelity(tree, model, test),
+        "n_query_points": len(offsets) - 1,
+        "fidelity_train": float(np.mean(agrees)),
+        "fidelity_test": tree_distiller.fidelity(tree, model, x_test),
         "test_accuracy": acc, "test_f1": f1,
     })
 
 
 def stage_prune_sweep(cfg: dict) -> dict:
     tree = tree_distiller.load_tree(_require(artifact_path(cfg, "tree")))
-    test = _test_embeddings(cfg)
+    x_test, y_true = _test_split(cfg, tree.class_names)
     path = tree_distiller.pruning_path(tree)
-    x_test, y_true = _labeled_matrix(test, tree.class_names)
     walk = tree_distiller.tree_walk_batch(tree, x_test)
     rows = []
     for entry in path.entries:
@@ -640,10 +628,6 @@ def stage_quantize(cfg: dict) -> dict:
     })
 
 
-def _budget_from_cfg(cfg: dict) -> hw_model.ResourceBudget:
-    return hw_model.budget_from_dict(cfg["jshc"]["z_max"])
-
-
 def _load_calibration(cfg: dict) -> hw_model.CostCalibration:
     path = cfg["paths"]["calibration"]
     return hw_model.load_calibration(None if path is None else _require(path))
@@ -653,23 +637,24 @@ def stage_cost(cfg: dict) -> dict:
     qtree = hw_model.load_qtree(_require(artifact_path(cfg, "qtree")))
     calib = _load_calibration(cfg)
     cost = hw_model.cost_estimate(qtree, calib)
-    feasible, violated = hw_model.check_constraint(cost, _budget_from_cfg(cfg))
+    feasible, violated = hw_model.check_constraint(
+        cost, hw_model.ResourceBudget(**cfg["jshc"]["z_max"]))
     return _write_summary(cfg, "cost", {
-        **hw_model.cost_to_dict(cost),
+        **dataclasses.asdict(cost),
         "feasible": feasible, "violated": violated,
     })
 
 
 def stage_jshc(cfg: dict) -> dict:
-    test = _test_embeddings(cfg)
-    calib = _load_calibration(cfg)
     # the search starts from the very tree and ranges the distill stage wrote
     tree = tree_distiller.load_tree(_require(artifact_path(cfg, "tree")))
-    x_test, y_test = _labeled_matrix(test, tree.class_names)
+    x_test, y_test = _test_split(cfg, tree.class_names)
+    calib = _load_calibration(cfg)
     artifacts = jshc_optimizer.JshcArtifacts(
         eval_x=x_test, eval_y=y_test, class_names=tree.class_names, calib=calib,
         tree=tree, quant_ranges=_load_ranges(cfg))
-    jcfg = jshc_optimizer.JshcConfig(**{**cfg["jshc"], "z_max": _budget_from_cfg(cfg)})
+    jcfg = jshc_optimizer.JshcConfig(
+        **{**cfg["jshc"], "z_max": hw_model.ResourceBudget(**cfg["jshc"]["z_max"])})
     result = jshc_optimizer.jshc_optimize(jcfg, artifacts)
     sweep_path = artifact_path(cfg, "sweep")
     jshc_optimizer.sweep_to_csv(result.sweep_log, sweep_path + ".tmp")
@@ -682,7 +667,7 @@ def stage_jshc(cfg: dict) -> dict:
         "best_alpha": result.best_alpha, "best_beta": result.best_beta,
         "best_accuracy": result.best_accuracy, "best_f1": result.best.f1,
         "best_n_nodes": result.best.n_nodes,
-        "best_cost": hw_model.cost_to_dict(result.best.cost),
+        "best_cost": dataclasses.asdict(result.best.cost),
         "n_grid_evals": len(result.sweep_log),
         "bisection_trace": [dataclasses.asdict(s) for s in result.bisection_trace],
     }
@@ -691,10 +676,11 @@ def stage_jshc(cfg: dict) -> dict:
 
 
 def stage_eval(cfg: dict) -> dict:
-    model = _load_teacher(cfg)
+    model = classifier.load_model(_require(artifact_path(cfg, "classifier")))
     tree = tree_distiller.load_tree(_require(artifact_path(cfg, "tree")))
     qtree = hw_model.load_qtree(_require(artifact_path(cfg, "qtree_best")))
-    test = _test_embeddings(cfg)
+    x_test, y_test = _test_split(cfg, model.class_names)
+    labels = [model.class_names[i] for i in y_test]
     calib = _load_calibration(cfg)
     modeled = hw_model.cost_estimate(qtree, calib)
 
@@ -703,15 +689,15 @@ def stage_eval(cfg: dict) -> dict:
     metrics = {}
     timings = {}
     for name, predictor in predictors:
-        report = classifier.evaluate(predictor, test)
+        report = classifier.evaluate(predictor, x_test, labels)
         metrics[name] = {
             "accuracy": report.accuracy, "f1": report.f1,
             "confusion": report.confusion.tolist(),
         }
         timings[name] = {
             "total_s": report.inference_time_s,
-            "per_sample_s": report.inference_time_s / len(test),
-            "n_samples": len(test),
+            "per_sample_s": report.inference_time_s / len(labels),
+            "n_samples": len(labels),
         }
     timings["modeled_hardware"] = {
         "per_sample_s": modeled.inference_time_s,
@@ -719,7 +705,7 @@ def stage_eval(cfg: dict) -> dict:
     }
     atomic_write_json(artifact_path(cfg, "timings"), timings)
     return _write_summary(cfg, "eval", {
-        "n_test": len(test), "metrics": metrics,
+        "n_test": len(labels), "metrics": metrics,
         "modeled_hardware_latency_s": modeled.inference_time_s,
         "timings_file": ARTIFACTS["timings"],
     })

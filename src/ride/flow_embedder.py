@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import nn_core, payload_autoencoder
+from . import nn_core, packet_ingest, payload_autoencoder
 from .nn_core import DenseNet, TrainConfig
 from .packet_ingest import FlowRecord
 from .payload_autoencoder import AutoencoderBundle
@@ -38,7 +38,6 @@ class FlowEmbedding:
     """The folded joint embedding for one flow."""
     flow_id: str
     values: np.ndarray  # (n_b,)
-    n_packets_folded: int
     label: str | None = None
 
 
@@ -74,14 +73,12 @@ def encode_flows(bundle: AutoencoderBundle, flows: list[FlowRecord],
     narrow = nn_core.stored_transposed(bundle.encoder.layers[0])
     out = []
     for flow in flows:
-        payloads = [pkt.payload[:n_p] for pkt in flow.packets]
         width = n_p
         if narrow:
-            last = max(len(p.rstrip(b"\0")) for p in payloads)
+            last = max(len(pkt.payload[:n_p].rstrip(b"\0")) for pkt in flow.packets)
             width = min(n_p, -(-last // nn_core.CHUNK) * nn_core.CHUNK)
-        buf = b"".join(p[:width].ljust(width, b"\0") for p in payloads)
-        mat = np.frombuffer(buf, dtype=np.uint8).reshape(len(payloads), width)
-        z = payload_autoencoder.encode_matrix(bundle, mat)
+        z = payload_autoencoder.encode_matrix(
+            bundle, packet_ingest.payload_matrix(flow.packets, width))
         out.append(EmbeddedFlow(flow_id=flow.flow_id, embeddings=z, label=flow.label))
     return out
 
@@ -242,7 +239,7 @@ def embed_flow(rae: RaeBundle, flow: EmbeddedFlow, order: str = "sequence") -> F
         raise ValueError(f"unknown fold order {order!r}")
     e = flow.embeddings
     return FlowEmbedding(flow_id=flow.flow_id, values=fold_finals(rae, e, [0, len(e)])[0],
-                         n_packets_folded=len(e), label=flow.label)
+                         label=flow.label)
 
 
 def embed_flows(rae: RaeBundle, flows: list[EmbeddedFlow],
@@ -251,7 +248,7 @@ def embed_flows(rae: RaeBundle, flows: list[EmbeddedFlow],
 
 
 def sample_query_flows(flows: list[EmbeddedFlow], n_flows: int,
-                       seed: int = 0) -> tuple[np.ndarray, np.ndarray, list]:
+                       seed: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Random packet sequences for querying a teacher off its training flows.
 
     Each sequence copies the class and the length of a training flow drawn
@@ -261,11 +258,11 @@ def sample_query_flows(flows: list[EmbeddedFlow], n_flows: int,
     visits, so a student labeled on them learns the teacher's function
     and not only its training points.
 
-    Returns (pool, rows, offsets, labels): the sequences stacked as
-    stack_codes lays flows out are pool[rows], where pool holds every
-    packet code of the flows once; sequence q owns entries
-    offsets[q]:offsets[q + 1] of rows and has class labels[q]. The
-    sequences are never gathered: fold_finals reads them through rows.
+    Returns (pool, rows, offsets): the sequences stacked as stack_codes
+    lays flows out are pool[rows], where pool holds every packet code of
+    the flows once; sequence q owns entries offsets[q]:offsets[q + 1] of
+    rows. The sequences are never gathered: fold_finals reads them
+    through rows.
     """
     if not flows:
         raise ValueError("no flows to sample from")
@@ -285,7 +282,7 @@ def sample_query_flows(flows: list[EmbeddedFlow], n_flows: int,
     packet_class = np.repeat(class_of[sources], lengths[sources])
     rows = pool_start[packet_class] + rng.integers(0, pool_size[packet_class])
     offsets = np.concatenate([[0], np.cumsum(lengths[sources])]).astype(np.int64)
-    return pool, rows, offsets, [flows[s].label for s in sources]
+    return pool, rows, offsets
 
 
 def prefix_embeddings(rae: RaeBundle, flow: EmbeddedFlow) -> list[FlowEmbedding]:
@@ -299,8 +296,7 @@ def prefix_embeddings(rae: RaeBundle, flow: EmbeddedFlow) -> list[FlowEmbedding]
     outputs of the fold.
     """
     e = flow.embeddings
-    return [FlowEmbedding(flow_id=f"{flow.flow_id}#{k + 1}", values=state,
-                          n_packets_folded=k + 1, label=flow.label)
+    return [FlowEmbedding(flow_id=f"{flow.flow_id}#{k + 1}", values=state, label=flow.label)
             for k, state in enumerate(fold_prefixes(rae, e, [0, len(e)]))]
 
 
@@ -327,9 +323,7 @@ def flow_embeddings_from_csv(path: str) -> list[FlowEmbedding]:
             values = np.array([float(v) for v in row[2:]], dtype=np.float64)
             if values.shape[0] != n_b:
                 raise ValueError("ragged embedding row")
-            out.append(FlowEmbedding(flow_id=row[0], values=values,
-                                     n_packets_folded=0,
-                                     label=row[1] or None))
+            out.append(FlowEmbedding(flow_id=row[0], values=values, label=row[1] or None))
     return out
 
 

@@ -10,7 +10,7 @@ estimate; supply a JSON calibration file to override.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -200,14 +200,6 @@ def check_constraint(cost: HardwareCost, budget: ResourceBudget) -> tuple[bool, 
     if budget.max_latency_s is not None and cost.inference_time_s > budget.max_latency_s:
         violated.append("latency")
     return (not violated, violated)
-
-
-def budget_from_dict(doc: dict) -> ResourceBudget:
-    return ResourceBudget(**doc)
-
-
-def cost_to_dict(cost: HardwareCost) -> dict:
-    return asdict(cost)
 
 
 def qtree_to_dict(qtree: QuantizedTree) -> dict:

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import hw_model, tree_distiller
 from .classifier import ClassifierModel, metrics_from_predictions
-from .flow_embedder import FlowEmbedding
 from .hw_model import CostCalibration, HardwareCost, ResourceBudget
 from .tree_distiller import DecisionTree, PruningPath, generate_teacher_dataset
 
@@ -113,24 +112,26 @@ class JshcArtifacts:
         return self._walks[beta]
 
 
-def artifacts_from_embeddings(teacher: ClassifierModel,
-                              train_embeddings: list[FlowEmbedding],
-                              eval_embeddings: list[FlowEmbedding],
+def artifacts_from_embeddings(teacher: ClassifierModel, train_x: np.ndarray,
+                              eval_x: np.ndarray, eval_labels: list[str],
                               calib: CostCalibration | None = None,
                               **tree_params) -> JshcArtifacts:
-    """Grow the tree on teacher labels of the training side, fit its
-    quantization ranges there, and score against eval ground truth.
+    """Grow the tree on teacher labels of the training rows, fit its
+    quantization ranges there, and score against the eval rows' labels,
+    which the teacher must know.
 
     tree_params are passed to cart_train (max_depth, min_samples_leaf,
     criterion).
     """
-    train = generate_teacher_dataset(teacher, train_embeddings)
-    eval_ds = generate_teacher_dataset(teacher, eval_embeddings)
-    if np.any(eval_ds.y_true < 0):
+    index = {name: i for i, name in enumerate(teacher.class_names)}
+    if any(label not in index for label in eval_labels):
         raise ValueError("eval embeddings must carry labels known to the teacher")
+    train = generate_teacher_dataset(teacher, train_x)
     tree = tree_distiller.cart_train(train.x, train.y_teacher,
                                      class_names=train.class_names, **tree_params)
-    return JshcArtifacts(eval_x=eval_ds.x, eval_y=eval_ds.y_true,
+    return JshcArtifacts(eval_x=np.asarray(eval_x, dtype=np.float64),
+                         eval_y=np.array([index[label] for label in eval_labels],
+                                         dtype=np.int64),
                          class_names=list(teacher.class_names),
                          calib=calib or hw_model.default_calibration(),
                          tree=tree,

@@ -289,6 +289,15 @@ _IP_BY_VERSION = {4: _parse_ipv4, 6: _parse_ipv6}
 _FRAME_PARSERS = {LINKTYPE_ETHERNET: _parse_ethernet, LINKTYPE_RAW: _parse_raw_ip,
                   LINKTYPE_LINUX_SLL: _parse_sll}
 
+
+def payload_matrix(packets: list[RawPacket], width: int) -> np.ndarray:
+    """The first `width` payload bytes of each packet, zero padded, as the
+    rows of one read-only (len(packets), width) uint8 matrix over a single
+    bytes buffer."""
+    buf = b"".join(pkt.payload[:width].ljust(width, b"\0") for pkt in packets)
+    return np.frombuffer(buf, dtype=np.uint8).reshape(len(packets), width)
+
+
 def extract_payload_vector(packet: RawPacket, n_p: int = DEFAULT_N_P) -> PayloadVector:
     """First min(len, n_p) payload bytes as 0-255 values, zero padded."""
     if n_p < 1:

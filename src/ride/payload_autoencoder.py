@@ -39,21 +39,6 @@ class AutoencoderBundle:
             raise ValueError("encoder dims disagree with n_p/n_b")
 
 
-def payloads_to_matrix(payloads) -> np.ndarray:
-    """Stack payload vectors into a raw 0-255 float64 matrix."""
-    if isinstance(payloads, np.ndarray):
-        return np.atleast_2d(payloads.astype(np.float64))
-    return np.stack([np.asarray(p.values, dtype=np.float64) for p in payloads])
-
-
-def _raw_matrix(payloads) -> np.ndarray:
-    """The raw 0-255 rows: an array as it is (a uint8 matrix stays one),
-    payload vectors stacked."""
-    if isinstance(payloads, np.ndarray):
-        return np.atleast_2d(payloads)
-    return payloads_to_matrix(payloads)
-
-
 def _scaled(raw: np.ndarray) -> np.ndarray:
     """Raw 0-255 rows scaled into [0, 1], as one new float64 matrix."""
     return np.divide(np.atleast_2d(raw), BYTE_SCALE, dtype=np.float64)
@@ -80,14 +65,15 @@ def train_autoencoder(
 
     final_train_mse is the trained autoencoder's reconstruction error over
     the full input batch (scaled space), even when training ran on a
-    capped subsample. payloads may be a raw uint8 matrix: only the training
-    rows are scaled, and only up to their live width (nn_core.live_width),
+    capped subsample. payloads is a matrix of raw 0-255 rows, such as
+    packet_ingest.payload_matrix's uint8 one: only the training rows are
+    scaled, and only up to their live width (nn_core.live_width),
     into the one float64 copy that training reads as input and as target;
     the columns past it are zeros, which nn_core.train counts without
     holding them. That copy is dropped before the error is measured.
     """
     cfg = cfg or TrainConfig()
-    rows = training_rows(_raw_matrix(payloads), sample_cap, cfg.seed)
+    rows = training_rows(np.atleast_2d(payloads), sample_cap, cfg.seed)
     n, n_p = rows.shape
     if n == 0:
         raise ValueError("empty payload batch")
@@ -132,7 +118,7 @@ def reconstruction_error(net: DenseNet, payloads) -> float:
     the batch it holds one n x n_p float64 copy, the output, plus the
     scaled live columns.
     """
-    raw = _raw_matrix(payloads)
+    raw = np.atleast_2d(payloads)
     if raw.shape[0] == 0:
         raise ValueError("empty payload batch")
     if net.output_dim != raw.shape[1]:

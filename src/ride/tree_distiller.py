@@ -19,7 +19,6 @@ import numpy as np
 
 from . import nn_core
 from .classifier import ClassifierModel, predict_proba
-from .flow_embedder import FlowEmbedding
 
 GAIN_TOL = 1e-12
 ALPHA_REL_TOL = 1e-12
@@ -87,7 +86,6 @@ _COLUMNS = ("feature", "threshold", "left", "right", "depth", "r_node", "predict
 class TeacherDataset:
     x: np.ndarray                    # (n, n_b)
     y_teacher: np.ndarray            # teacher argmax ids
-    y_true: np.ndarray               # ground-truth ids (-1 if unlabeled)
     class_names: list[str]
 
 
@@ -136,18 +134,13 @@ def entropy(counts: np.ndarray) -> float:
 _IMPURITY = {"gini": gini, "entropy": entropy}
 
 
-def generate_teacher_dataset(teacher: ClassifierModel,
-                             embeddings: list[FlowEmbedding]) -> TeacherDataset:
-    """Label every embedding with the teacher's argmax prediction."""
-    if not embeddings:
+def generate_teacher_dataset(teacher: ClassifierModel, x: np.ndarray) -> TeacherDataset:
+    """Label every row of x with the teacher's argmax prediction."""
+    x = np.asarray(x, dtype=np.float64)
+    if len(x) == 0:
         raise ValueError("empty embedding batch")
-    x = np.stack([np.asarray(e.values, dtype=np.float64) for e in embeddings])
-    probs = predict_proba(teacher, x)
-    y_teacher = np.argmax(probs, axis=1).astype(np.int64)
-    index = {name: i for i, name in enumerate(teacher.class_names)}
-    y_true = np.array([index.get(e.label, -1) for e in embeddings], dtype=np.int64)
-    return TeacherDataset(x=x, y_teacher=y_teacher, y_true=y_true,
-                          class_names=list(teacher.class_names))
+    y_teacher = np.argmax(predict_proba(teacher, x), axis=1).astype(np.int64)
+    return TeacherDataset(x=x, y_teacher=y_teacher, class_names=list(teacher.class_names))
 
 
 def _plogp(p: np.ndarray) -> np.ndarray:
@@ -397,10 +390,9 @@ def labels_at(tree: DecisionTree, walk: np.ndarray, alpha: float,
     return np.asarray(tree.predicted_class, dtype=np.int64)[node]
 
 
-def fidelity(tree: DecisionTree, teacher: ClassifierModel,
-             embeddings: list[FlowEmbedding]) -> float:
-    """Fraction of embeddings where the student reproduces the teacher."""
-    data = generate_teacher_dataset(teacher, embeddings)
+def fidelity(tree: DecisionTree, teacher: ClassifierModel, x: np.ndarray) -> float:
+    """Fraction of the rows of x where the student reproduces the teacher."""
+    data = generate_teacher_dataset(teacher, x)
     return float(np.mean(tree_predict_batch(tree, data.x) == data.y_teacher))
 
 

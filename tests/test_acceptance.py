@@ -72,10 +72,13 @@ def nb_accuracies(run_a, tmp_path_factory):
 
 def _augmented_train(cfg: dict):
     """The distill stage's real training points (every prefix of every
-    training flow's fold) and the test flows' embeddings."""
-    rae, flows = cli._stored_flows(cfg)
-    train, test = cli._split_flows(cfg, flows)
-    return cli._prefix_points(rae, train), flow_embedder.embed_flows(rae, test)
+    training flow's fold, stacked), the test flows' embeddings and their
+    labels."""
+    rae, train, test = cli._split_flows(cfg)
+    x_prefix = np.stack([p.values for f in train
+                         for p in flow_embedder.prefix_embeddings(rae, f)])
+    x_test = np.stack([e.values for e in flow_embedder.embed_flows(rae, test)])
+    return x_prefix, x_test, [f.label for f in test]
 
 
 # --------------------------------------------- 1. pruning oracle equality
@@ -165,8 +168,7 @@ def test_criterion_02_gradient_checks():
 
 def test_criterion_03_quantization_exact_recovery(run_a):
     base = tree_distiller.load_tree(cli.artifact_path(run_a, "tree"))
-    train_points, _test = _augmented_train(run_a)
-    x = np.stack([e.values for e in train_points])
+    x, _x_test, _labels = _augmented_train(run_a)
     ranges = hw_model.fit_quantization_ranges(base, x)
     winner_alpha = _summary(run_a, "jshc")["best_alpha"]
     winner = tree_distiller.prune(base, winner_alpha, tree_distiller.pruning_path(base))
@@ -280,17 +282,19 @@ def test_criterion_07_flow_embeddings_beat_first_packet(ambiguous_run):
     flows = packet_ingest.load_flows(cli.artifact_path(cfg, "flows"))
     bundle = payload_autoencoder.load_bundle(cli.artifact_path(cfg, "autoencoder"))
     encoded = flow_embedder.encode_flows(bundle, flows, n_p=cfg["features"]["n_p"])
-    firsts = {f.flow_id: flow_embedder.FlowEmbedding(
-                  flow_id=f.flow_id, values=np.atleast_2d(f.embeddings)[0],
-                  n_packets_folded=1, label=f.label)
-              for f in encoded}
+    by_id = {f.flow_id: f for f in encoded}
     with open(cli.artifact_path(cfg, "split")) as fh:
         split = json.load(fh)
-    train = [firsts[i] for i in split["train"]]
-    test = [firsts[i] for i in split["test"]]
-    model = classifier.train_classifier(train, cli._train_cfg(cfg, "classifier"),
+
+    def first_packets(side):
+        flows = [by_id[i] for i in split[side]]
+        return (np.stack([np.atleast_2d(f.embeddings)[0] for f in flows]),
+                [f.label for f in flows])
+
+    model = classifier.train_classifier(*first_packets("train"),
+                                        cli._train_cfg(cfg, "classifier"),
                                         hidden=cfg["classifier"]["hidden"])
-    first_f1 = classifier.evaluate(model, test).f1
+    first_f1 = classifier.evaluate(model, *first_packets("test")).f1
 
     ok = flow_f1 - first_f1 >= 0.05
     _gate(7, ok,
@@ -311,9 +315,8 @@ def test_criterion_08_bottleneck_width_robustness(nb_accuracies):
 
 def _fresh_artifacts(cfg: dict):
     model = classifier.load_model(cli.artifact_path(cfg, "classifier"))
-    train_points, test = _augmented_train(cfg)
     return jshc_optimizer.artifacts_from_embeddings(
-        model, train_points, test, hw_model.load_calibration(None),
+        model, *_augmented_train(cfg), hw_model.load_calibration(None),
         max_depth=cfg["tree"]["max_depth"],
         min_samples_leaf=cfg["tree"]["min_samples_leaf"],
         criterion=cfg["tree"]["criterion"])
@@ -381,10 +384,11 @@ def test_criterion_10_byte_identical_reports(run_a, run_b):
 def test_criterion_11_inference_speed_ordering(run_a):
     model = classifier.load_model(cli.artifact_path(run_a, "classifier"))
     tree = tree_distiller.load_tree(cli.artifact_path(run_a, "tree"))
-    test = cli._test_embeddings(run_a)
+    x_test, y_test = cli._test_split(run_a, model.class_names)
+    labels = [model.class_names[i] for i in y_test]
 
     def best_total(predictor) -> float:
-        return min(classifier.evaluate(predictor, test).inference_time_s
+        return min(classifier.evaluate(predictor, x_test, labels).inference_time_s
                    for _ in range(5))
 
     tree_total = best_total(tree)
@@ -400,7 +404,7 @@ def test_criterion_11_inference_speed_ordering(run_a):
 
     ok = ratio >= 10 and modeled < reported_tree
     _gate(11, ok,
-          f"per-sample tree {tree_total / len(test):.2e} s vs MLP "
-          f"{mlp_total / len(test):.2e} s ({ratio:.1f}x >= 10x); modeled "
+          f"per-sample tree {tree_total / len(labels):.2e} s vs MLP "
+          f"{mlp_total / len(labels):.2e} s ({ratio:.1f}x >= 10x); modeled "
           f"hardware latency {modeled:.1e} s reported separately and < "
           f"measured tree batch time {reported_tree:.2e} s")

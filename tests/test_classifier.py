@@ -2,23 +2,22 @@ import numpy as np
 import pytest
 
 from ride import classifier as clf, nn_core
-from ride.flow_embedder import FlowEmbedding
 from ride.nn_core import DenseNet, Layer, TrainConfig
 
 
-def emb(values, label=None, fid="f0"):
-    return FlowEmbedding(flow_id=fid, values=np.asarray(values, dtype=np.float64),
-                         n_packets_folded=1, label=label)
+def points(*rows):
+    """(x, labels) from (values, label) pairs."""
+    return (np.array([values for values, _ in rows], dtype=np.float64),
+            [label for _, label in rows])
 
 
 def blobs(n_per_class=40, centers=((0.2, 0.2), (0.8, 0.8)), labels=("benign", "attack"),
           seed=0, spread=0.08):
+    """(x, labels): n_per_class normal points around each center."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    out = []
-    for c, (center, label) in enumerate(zip(centers, labels)):
-        pts = rng.normal(loc=center, scale=spread, size=(n_per_class, len(center)))
-        out.extend(emb(p, label, f"{label}{i}") for i, p in enumerate(pts))
-    return out
+    x = np.concatenate([rng.normal(loc=center, scale=spread, size=(n_per_class, len(center)))
+                        for center in centers])
+    return x, [label for label in labels for _ in range(n_per_class)]
 
 
 # ----------------------------------------------------------- label coding
@@ -79,20 +78,20 @@ def test_metrics_rejects_bad_shapes():
 # --------------------------------------------------------------- training
 
 def test_train_classifier_learns_blobs():
-    data = blobs()
+    x, labels = blobs()
     model = clf.train_classifier(
-        data, cfg=TrainConfig(learning_rate=5e-3, batch_size=16, epochs=60, seed=1),
+        x, labels, cfg=TrainConfig(learning_rate=5e-3, batch_size=16, epochs=60, seed=1),
         hidden=16)
     assert model.class_names == ["benign", "attack"]  # benign pinned to id 0
-    preds = [model.predict_label(e.values) for e in data]
-    acc = np.mean([p == e.label for p, e in zip(preds, data)])
+    preds = [model.predict_label(v) for v in x]
+    acc = np.mean([p == label for p, label in zip(preds, labels)])
     assert acc == 1.0
 
 
 def test_train_classifier_benign_is_class_zero():
-    data = blobs(labels=("Benign", "dos"))
+    x, labels = blobs(labels=("Benign", "dos"))
     model = clf.train_classifier(
-        data, cfg=TrainConfig(learning_rate=5e-3, epochs=30, seed=0), hidden=8)
+        x, labels, cfg=TrainConfig(learning_rate=5e-3, epochs=30, seed=0), hidden=8)
     assert model.class_names[0] == "Benign"
     assert model.k_classes == 2
 
@@ -100,21 +99,21 @@ def test_train_classifier_benign_is_class_zero():
 def test_train_classifier_validation():
     single = blobs(labels=("benign", "benign"))
     with pytest.raises(ValueError, match="single class"):
-        clf.train_classifier(single, cfg=TrainConfig(epochs=1))
-    unlabeled = [emb([0.0, 0.0]), emb([1.0, 1.0], "x")]
+        clf.train_classifier(*single, cfg=TrainConfig(epochs=1))
+    unlabeled = points(([0.0, 0.0], None), ([1.0, 1.0], "x"))
     with pytest.raises(ValueError, match="label"):
-        clf.train_classifier(unlabeled, cfg=TrainConfig(epochs=1))
+        clf.train_classifier(*unlabeled, cfg=TrainConfig(epochs=1))
     with pytest.raises(ValueError):
-        clf.train_classifier([], cfg=TrainConfig(epochs=1))
+        clf.train_classifier(np.empty((0, 2)), [], cfg=TrainConfig(epochs=1))
 
 
 def test_predict_proba_single_and_batch():
-    data = blobs()
-    model = clf.train_classifier(data, cfg=TrainConfig(epochs=5, seed=2), hidden=8)
-    single = clf.predict_proba(model, data[0].values)
+    x, labels = blobs()
+    model = clf.train_classifier(x, labels, cfg=TrainConfig(epochs=5, seed=2), hidden=8)
+    single = clf.predict_proba(model, x[0])
     assert single.shape == (2,)
     assert single.sum() == pytest.approx(1.0)
-    batch = clf.predict_proba(model, np.stack([e.values for e in data[:7]]))
+    batch = clf.predict_proba(model, x[:7])
     assert batch.shape == (7, 2)
     np.testing.assert_allclose(batch[0], single)
     with pytest.raises(ValueError, match="width"):
@@ -132,9 +131,9 @@ class StubPredictor:
 
 
 def test_evaluate_with_duck_typed_predictor():
-    data = [emb([0.0], "benign"), emb([1.0], "attack"),
-            emb([0.9], "benign"), emb([0.2], "benign")]
-    report = clf.evaluate(StubPredictor(), data)
+    x, labels = points(([0.0], "benign"), ([1.0], "attack"),
+                       ([0.9], "benign"), ([0.2], "benign"))
+    report = clf.evaluate(StubPredictor(), x, labels)
     assert report.accuracy == pytest.approx(0.75)
     np.testing.assert_array_equal(report.confusion, [[2, 1], [0, 1]])
     assert report.f1 == pytest.approx(2 / 3)
@@ -144,57 +143,52 @@ def test_evaluate_with_duck_typed_predictor():
 
 def test_evaluate_rejects_unknown_label_and_empty():
     with pytest.raises(ValueError, match="not known"):
-        clf.evaluate(StubPredictor(), [emb([0.0], "weird")])
+        clf.evaluate(StubPredictor(), *points(([0.0], "weird")))
     with pytest.raises(ValueError):
-        clf.evaluate(StubPredictor(), [])
+        clf.evaluate(StubPredictor(), np.empty((0, 1)), [])
 
 
 # ------------------------------------------------------------------ split
 
 def test_stratified_split_counts_and_determinism():
-    data = blobs(n_per_class=50)
-    train, test = clf.stratified_split(data, test_fraction=0.2, seed=3)
+    _x, labels = blobs(n_per_class=50)
+    train, test = clf.stratified_split(labels, test_fraction=0.2, seed=3)
     assert len(train) == 80 and len(test) == 20
     for side, n_expected in ((train, 40), (test, 10)):
         for label in ("benign", "attack"):
-            assert sum(e.label == label for e in side) == n_expected
-    train2, test2 = clf.stratified_split(data, test_fraction=0.2, seed=3)
-    assert [e.flow_id for e in test] == [e.flow_id for e in test2]
-    train3, test3 = clf.stratified_split(data, test_fraction=0.2, seed=4)
-    assert [e.flow_id for e in test] != [e.flow_id for e in test3]
+            assert sum(labels[i] == label for i in side) == n_expected
+    train2, test2 = clf.stratified_split(labels, test_fraction=0.2, seed=3)
+    assert test == test2
+    train3, test3 = clf.stratified_split(labels, test_fraction=0.2, seed=4)
+    assert test != test3
 
 
 def test_stratified_split_preserves_order_and_partitions():
-    data = blobs(n_per_class=25)
-    ids = [e.flow_id for e in data]
-    train, test = clf.stratified_split(data, seed=0)
-    got = sorted(e.flow_id for e in train + test)
-    assert got == sorted(ids)
-    pos = {fid: i for i, fid in enumerate(ids)}
-    train_pos = [pos[e.flow_id] for e in train]
-    assert train_pos == sorted(train_pos)
+    _x, labels = blobs(n_per_class=25)
+    train, test = clf.stratified_split(labels, seed=0)
+    assert sorted(train + test) == list(range(len(labels)))
+    assert train == sorted(train)
 
 
 def test_stratified_split_small_class_keeps_one_on_each_side():
-    data = blobs(n_per_class=2) + [emb([0.5, 0.5], "rare", "r0"),
-                                   emb([0.6, 0.6], "rare", "r1")]
-    train, test = clf.stratified_split(data, test_fraction=0.2, seed=1)
-    assert sum(e.label == "rare" for e in train) == 1
-    assert sum(e.label == "rare" for e in test) == 1
+    labels = blobs(n_per_class=2)[1] + ["rare", "rare"]
+    train, test = clf.stratified_split(labels, test_fraction=0.2, seed=1)
+    assert sum(labels[i] == "rare" for i in train) == 1
+    assert sum(labels[i] == "rare" for i in test) == 1
 
 
 def test_stratified_split_validates_fraction():
     with pytest.raises(ValueError):
-        clf.stratified_split(blobs(), test_fraction=0.0)
+        clf.stratified_split(blobs()[1], test_fraction=0.0)
     with pytest.raises(ValueError):
-        clf.stratified_split(blobs(), test_fraction=1.0)
+        clf.stratified_split(blobs()[1], test_fraction=1.0)
 
 
 # ---------------------------------------------------------- serialization
 
 def test_model_round_trip(tmp_path):
-    data = blobs()
-    model = clf.train_classifier(data, cfg=TrainConfig(epochs=5, seed=9), hidden=8)
+    x, labels = blobs()
+    model = clf.train_classifier(x, labels, cfg=TrainConfig(epochs=5, seed=9), hidden=8)
     path = tmp_path / "clf.npz"
     clf.save_model(model, str(path), "ab" * 32, "cd" * 32)
     loaded = clf.load_model(str(path))
@@ -203,7 +197,7 @@ def test_model_round_trip(tmp_path):
     meta, _, _ = nn_core.load_artifact(
         str(path), fields=("rae_sha256", "packet_codes_sha256"))
     assert (meta["rae_sha256"], meta["packet_codes_sha256"]) == ("ab" * 32, "cd" * 32)
-    x = np.stack([e.values for e in data[:5]])
+    x = x[:5]
     np.testing.assert_allclose(clf.predict_proba(loaded, x), clf.predict_proba(model, x))
 
 

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ride import cli, flow_embedder, hw_model, nn_core, packet_ingest
+from ride import (classifier, cli, flow_embedder, hw_model, nn_core, packet_ingest,
+                  tree_distiller)
 
 
 # ---------------------------------------------------------------- config
@@ -386,11 +387,45 @@ def test_test_embeddings_are_the_per_flow_fold_of_the_stored_codes(fast_run):
     folded = {e.flow_id: e for e in flow_embedder.embed_flows(rae, flows)}
     with open(cli.artifact_path(fast_run, "split")) as fh:
         split = json.load(fh)
-    test = cli._test_embeddings(fast_run)
-    assert [e.flow_id for e in test] == split["test"]
-    for e in test:
-        assert e.label == folded[e.flow_id].label
-        assert np.array_equal(e.values, folded[e.flow_id].values), e.flow_id
+    names = classifier.load_model(cli.artifact_path(fast_run, "classifier")).class_names
+    x, ids = cli._test_split(fast_run, names)
+    assert x.shape == (len(split["test"]), 8) and len(ids) == len(split["test"])
+    for row, i, flow_id in zip(x, ids, split["test"]):
+        assert names[i] == folded[flow_id].label
+        assert np.array_equal(row, folded[flow_id].values), flow_id
+
+
+def _prefix_oracle(cfg: dict) -> np.ndarray:
+    """The training flows' prefix points through the object API: every
+    prefix_embeddings value of each training flow, stacked."""
+    rae, train, _test = cli._split_flows(cfg)
+    return np.stack([p.values for f in train for p in flow_embedder.prefix_embeddings(rae, f)])
+
+
+def test_distill_points_are_the_prefix_points_then_the_query_finals(
+        fast_run, tmp_path, monkeypatch):
+    cfg = dict(fast_run, out_dir=str(tmp_path / "copy"))
+    shutil.copytree(fast_run["out_dir"], cfg["out_dir"])
+    seen = []
+    generate = tree_distiller.generate_teacher_dataset
+    monkeypatch.setattr(tree_distiller, "generate_teacher_dataset",
+                        lambda teacher, x: seen.append(x) or generate(teacher, x))
+    cli.run_stage("distill", cfg)
+    x = seen[0]  # then fidelity_test labels the test flows
+    rae, train, _test = cli._split_flows(cfg)
+    pool, rows, offsets = flow_embedder.sample_query_flows(
+        train, cli.QUERY_FLOWS_PER_TRAIN_FLOW * len(train), seed=cfg["seed"])
+    want = np.concatenate([_prefix_oracle(cfg), flow_embedder.fold_finals(rae, pool, offsets, rows)])
+    assert x.shape == want.shape and np.array_equal(x, want)
+
+
+def test_distill_fidelity_train_is_a_separate_teacher_pass_on_the_prefix_points(fast_run):
+    with open(cli.summary_path(fast_run, "distill")) as fh:
+        distill = json.load(fh)
+    tree = tree_distiller.load_tree(cli.artifact_path(fast_run, "tree"))
+    model = classifier.load_model(cli.artifact_path(fast_run, "classifier"))
+    assert distill["fidelity_train"] == tree_distiller.fidelity(
+        tree, model, _prefix_oracle(fast_run))
 
 
 def test_run_all_skips_synth_with_external_capture(fast_run, tmp_path):
@@ -471,15 +506,36 @@ def test_distill_and_eval_refuse_a_classifier_from_older_embeddings(tmp_path, ca
     refolded = _fast_config_file(tmp_path, "rae", epochs=1)
     assert cli.main(["embed", "--config", refolded, "--out", out]) == 0
     capsys.readouterr()
-    for stage in ("distill", "eval"):
-        assert cli.main([stage, "--config", refolded, "--out", out]) == 2
+    # the tree and the split belong to the old RAE's embeddings too
+    for stage in ("distill", "prune-sweep", "jshc", "eval"):
+        assert cli.main([stage, "--config", refolded, "--out", out]) == 2, stage
         err = capsys.readouterr().err
-        assert "stale artifact" in err and "re-run `ride train-clf`" in err
-        assert os.path.join(out, "classifier.npz") in err
-        assert os.path.join(out, "rae.npz") in err
+        assert "stale artifact" in err and "re-run `ride train-clf`" in err, stage
+        assert os.path.join(out, "classifier.npz") in err, stage
+        assert os.path.join(out, "rae.npz") in err, stage
     # train the classifier again and the lineage holds
     assert cli.main(["train-clf", "--config", refolded, "--out", out]) == 0
     assert cli.main(["distill", "--config", refolded, "--out", out]) == 0
+
+
+def test_prune_sweep_and_jshc_refuse_a_split_of_another_capture(tmp_path, capsys):
+    """A seed-8 capture encoded and embedded in a seed-7 run dir: the
+    fixture reuses every flow id, so only lineage tells the split is stale."""
+    out = str(tmp_path / "run")
+    config = _fast_config_file(tmp_path)
+    assert cli.main(["all", "--config", config, "--out", out]) == 0
+    for stage in ("synth", "ingest", "train-ae", "embed"):
+        assert cli.main([stage, "--config", config, "--seed", "8", "--out", out]) == 0
+    flows = flow_embedder.load_packet_codes(os.path.join(out, "packet_codes.npz"))
+    with open(os.path.join(out, "split.json")) as fh:
+        split = json.load(fh)
+    assert set(split["train"] + split["test"]) <= {f.flow_id for f in flows}
+    capsys.readouterr()
+    for stage in ("prune-sweep", "jshc"):
+        assert cli.main([stage, "--config", config, "--out", out]) == 2, stage
+        err = capsys.readouterr().err
+        assert "stale artifact" in err and "re-run `ride train-clf`" in err, stage
+        assert os.path.join(out, "classifier.npz") in err, stage
 
 
 def test_missing_calibration_file_exits_2_and_names_it(fast_run, tmp_path, capsys):

@@ -57,7 +57,6 @@ def test_sequence_fold_is_left_fold():
     for i in range(1, 4):
         acc = fe.combine_pair(rae, acc, e[i])
     np.testing.assert_array_equal(out.values, acc)
-    assert out.n_packets_folded == 4
     assert out.label == "benign"
 
 
@@ -73,7 +72,6 @@ def test_single_packet_flow_passes_through():
     e = np.random.default_rng(2).normal(size=(1, 3))
     out = fe.embed_flow(rae, _flow(e), order="sequence")
     np.testing.assert_array_equal(out.values, e[0])
-    assert out.n_packets_folded == 1
     # the returned vector is a copy, not a view into the flow matrix
     out.values[0] = 99.0
     assert e[0, 0] != 99.0
@@ -94,7 +92,6 @@ def test_prefix_embeddings_snapshots():
     e = np.array([[1.0, 0.0], [2.0, 0.0], [4.0, 0.0]])
     prefixes = fe.prefix_embeddings(rae, _flow(e, flow_id="fx", label="attack"))
     assert [p.flow_id for p in prefixes] == ["fx#1", "fx#2", "fx#3"]
-    assert [p.n_packets_folded for p in prefixes] == [1, 2, 3]
     assert all(p.label == "attack" for p in prefixes)
     np.testing.assert_allclose(prefixes[0].values, [1.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(prefixes[1].values, [3.0, 0.0], atol=1e-15)
@@ -129,17 +126,20 @@ def _final_states(rae, flows):
     """The last fold state of every flow, all flows folded in one batch."""
     codes, offsets = fe.stack_codes(flows)
     values = fe.fold_finals(rae, codes, offsets)
-    return [FlowEmbedding(flow_id=f.flow_id, values=v, n_packets_folded=len(f.embeddings),
-                          label=f.label) for f, v in zip(flows, values)]
+    return [FlowEmbedding(flow_id=f.flow_id, values=v, label=f.label)
+            for f, v in zip(flows, values)]
 
 
 def _queries(flows, n_flows, seed):
-    """sample_query_flows's stacked sequences as flows."""
-    pool, rows, offsets, labels = fe.sample_query_flows(flows, n_flows, seed=seed)
+    """sample_query_flows's stacked sequences as flows, each labeled with
+    the class of the training flow that holds its first code."""
+    pool, rows, offsets = fe.sample_query_flows(flows, n_flows, seed=seed)
     codes = pool[rows]
-    assert offsets[0] == 0 and offsets[-1] == len(codes) and len(labels) == n_flows
-    return [EmbeddedFlow(flow_id=f"query#{q}", embeddings=codes[lo:hi], label=label)
-            for q, (lo, hi, label) in enumerate(zip(offsets[:-1], offsets[1:], labels))]
+    assert offsets[0] == 0 and offsets[-1] == len(codes) and len(offsets) == n_flows + 1
+    label_of = {tuple(r): f.label for f in flows for r in f.embeddings}
+    return [EmbeddedFlow(flow_id=f"query#{q}", embeddings=codes[lo:hi],
+                         label=label_of[tuple(codes[lo])])
+            for q, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:]))]
 
 
 def test_query_sampler_draws_same_class_training_packets():
@@ -178,8 +178,8 @@ def test_query_sampler_draws_same_class_training_packets():
     layer = Layer(w=np.array([[-4.0, -4.0, -4.0], [4.0, 4.0, 4.0]]),
                   b=np.array([3.0, -3.0]), activation="softmax")
     teacher = ClassifierModel(net=DenseNet([layer]), class_names=["benign", "attack"])
-    data = tree_distiller.generate_teacher_dataset(teacher, states)
     x = np.stack([s.values for s in states])
+    data = tree_distiller.generate_teacher_dataset(teacher, x)
     np.testing.assert_array_equal(
         data.y_teacher, np.argmax(predict_proba(teacher, x), axis=1))
     np.testing.assert_array_equal(data.x, x)
@@ -275,10 +275,8 @@ def test_encode_flows_shapes_and_values():
 
 def test_embeddings_csv_round_trip(tmp_path):
     embs = [
-        FlowEmbedding(flow_id="a", values=np.array([0.1, -2.5e-7]),
-                      n_packets_folded=3, label="benign"),
-        FlowEmbedding(flow_id="b", values=np.array([1e300, 0.0]),
-                      n_packets_folded=1, label=None),
+        FlowEmbedding(flow_id="a", values=np.array([0.1, -2.5e-7]), label="benign"),
+        FlowEmbedding(flow_id="b", values=np.array([1e300, 0.0]), label=None),
     ]
     path = tmp_path / "emb.csv"
     fe.flow_embeddings_to_csv(embs, str(path))

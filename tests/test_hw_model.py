@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -217,7 +218,7 @@ def test_check_constraint_lists_violations():
 
 
 def test_budget_from_dict_partial():
-    b = hw.budget_from_dict({"max_power_mw": 3.0})
+    b = hw.ResourceBudget(**{"max_power_mw": 3.0})
     assert b.max_power_mw == 3.0 and b.max_area_units is None
 
 
@@ -240,6 +241,6 @@ def test_qtree_round_trip(tmp_path):
 def test_cost_to_dict_round_trip():
     cost = hw.HardwareCost(power_mw=1.0, area_units=2.0, inference_time_s=3e-5,
                            n_nodes=7, beta=4)
-    doc = hw.cost_to_dict(cost)
+    doc = dataclasses.asdict(cost)
     assert doc == {"power_mw": 1.0, "area_units": 2.0, "inference_time_s": 3e-5,
                    "n_nodes": 7, "beta": 4}

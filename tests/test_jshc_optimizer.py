@@ -23,7 +23,6 @@ import pytest
 
 from ride import hw_model, jshc_optimizer as jo, tree_distiller
 from ride.classifier import ClassifierModel
-from ride.flow_embedder import FlowEmbedding
 from ride.hw_model import ResourceBudget
 from ride.jshc_optimizer import JshcArtifacts, JshcConfig, NoFeasibleConfigError
 from ride.nn_core import DenseNet, Layer
@@ -230,15 +229,11 @@ def _teacher_model():
 
 def test_artifacts_from_embeddings_teacher_labels_train():
     teacher = _teacher_model()
-    train = [FlowEmbedding(flow_id=f"t{i}", values=np.array([float(i)]),
-                           n_packets_folded=1, label=None) for i in range(8)]
-    eval_ = [FlowEmbedding(flow_id=f"e{i}", values=np.array([v]),
-                           n_packets_folded=1,
-                           label="attack" if v > 3.5 else "benign")
-             for i, v in enumerate([0.0, 2.0, 5.0, 7.0])]
-    art = jo.artifacts_from_embeddings(teacher, train, eval_)
+    train_x = np.arange(8, dtype=np.float64).reshape(-1, 1)
+    eval_x = np.array([[0.0], [2.0], [5.0], [7.0]])
+    eval_labels = ["attack" if v > 3.5 else "benign" for v in eval_x[:, 0]]
+    art = jo.artifacts_from_embeddings(teacher, train_x, eval_x, eval_labels)
     # the tree is grown on the teacher's labels, which it reproduces exactly
-    train_x = np.stack([e.values for e in train])
     np.testing.assert_array_equal(tree_distiller.tree_predict_batch(art.tree, train_x),
                                   [0, 0, 0, 0, 1, 1, 1, 1])
     assert art.quant_ranges == {0: (0.0, 7.0)}
@@ -249,12 +244,8 @@ def test_artifacts_from_embeddings_teacher_labels_train():
 
 def test_artifacts_from_embeddings_rejects_unlabeled_eval():
     teacher = _teacher_model()
-    train = [FlowEmbedding(flow_id="t", values=np.array([1.0]),
-                           n_packets_folded=1)]
-    bad_eval = [FlowEmbedding(flow_id="e", values=np.array([1.0]),
-                              n_packets_folded=1, label=None)]
     with pytest.raises(ValueError):
-        jo.artifacts_from_embeddings(teacher, train, bad_eval)
+        jo.artifacts_from_embeddings(teacher, np.array([[1.0]]), np.array([[1.0]]), [None])
 
 
 def test_sweep_to_csv_round_trip(tmp_path):

@@ -304,6 +304,21 @@ def test_sll_and_raw_ip_frames_without_a_packet_are_skipped_by_reason():
                                                short_header=1, non_ip=1)
         assert [p.payload for p in cap.packets] == [b"ok"]
 
+def test_payload_matrix_pads_and_truncates():
+    packets = [pi.RawPacket(0.0, "a", "b", 1, 2, "TCP", payload)
+               for payload in (b"\x01\x02\x03", b"", b"\x04\x05\x06\x07\x08\x09")]
+    m = pi.payload_matrix(packets, 5)
+    assert m.dtype == np.uint8 and m.shape == (3, 5)
+    np.testing.assert_array_equal(m, [[1, 2, 3, 0, 0], [0, 0, 0, 0, 0], [4, 5, 6, 7, 8]])
+    # each row is the packet's payload vector at that width
+    for width in (1, 2, 6, 9):
+        np.testing.assert_array_equal(
+            pi.payload_matrix(packets, width),
+            [pi.extract_payload_vector(p, width).values for p in packets])
+    assert pi.payload_matrix(packets, 0).shape == (3, 0)
+    assert pi.payload_matrix([], 4).shape == (0, 4)
+
+
 def test_extract_payload_vector_pads_and_truncates():
     p = pi.RawPacket(0.0, "a", "b", 1, 2, "TCP", b"\x01\x02\x03")
     vec = pi.extract_payload_vector(p, n_p=5)

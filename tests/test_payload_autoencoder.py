@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from ride import nn_core, payload_autoencoder as pa
 from ride.nn_core import DenseNet, TrainConfig
-from ride.packet_ingest import PayloadVector
 
 
 def _payloads(n, n_p, seed=0):
@@ -19,16 +18,6 @@ def _bundle(n_p=24, n_b=4, h=16, seed=0, epochs=0, x=None):
     x = _payloads(12, n_p, seed=seed) if x is None else x
     cfg = TrainConfig(epochs=epochs, seed=seed)
     return pa.train_autoencoder(x, n_b=n_b, h=h, cfg=cfg)
-
-
-def test_payloads_to_matrix_accepts_vectors_and_arrays():
-    pv = [PayloadVector(values=np.arange(6, dtype=np.float64)),
-          PayloadVector(values=np.ones(6))]
-    m = pa.payloads_to_matrix(pv)
-    assert m.shape == (2, 6)
-    assert m[0, 3] == 3.0
-    arr = pa.payloads_to_matrix(np.arange(6).reshape(1, 6))
-    assert arr.dtype == np.float64 and arr.shape == (1, 6)
 
 
 def test_encode_scales_bytes_before_the_network():

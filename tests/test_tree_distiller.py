@@ -546,21 +546,16 @@ def test_one_walk_per_beta_gives_every_pruned_quantized_tree(data):
 
 def test_generate_teacher_dataset_and_fidelity():
     from ride.classifier import ClassifierModel
-    from ride.flow_embedder import FlowEmbedding
     from ride.nn_core import DenseNet, Layer
 
     # teacher: predicts class 1 iff first coordinate > 0 (sharp logistic)
     w = np.array([[-10.0, 0.0], [10.0, 0.0]])
     net = DenseNet([Layer(w, np.zeros(2), "softmax")])
     teacher = ClassifierModel(net=net, class_names=["benign", "attack"])
-    embs = [FlowEmbedding(flow_id=f"f{i}", values=np.array([v, 0.5]),
-                          n_packets_folded=1, label=lab)
-            for i, (v, lab) in enumerate([(-1.0, "benign"), (-0.5, "unknown"),
-                                          (0.5, "attack"), (1.0, "attack")])]
-    data = td.generate_teacher_dataset(teacher, embs)
+    x = np.array([[v, 0.5] for v in (-1.0, -0.5, 0.5, 1.0)])
+    data = td.generate_teacher_dataset(teacher, x)
     np.testing.assert_array_equal(data.y_teacher, [0, 0, 1, 1])
-    np.testing.assert_array_equal(data.y_true, [0, -1, 1, 1])
     tree = cart_train(data.x, data.y_teacher, class_names=teacher.class_names)
-    assert td.fidelity(tree, teacher, embs) == 1.0
+    assert td.fidelity(tree, teacher, x) == 1.0
     with pytest.raises(ValueError):
-        td.generate_teacher_dataset(teacher, [])
+        td.generate_teacher_dataset(teacher, np.empty((0, 2)))
