@@ -27,9 +27,6 @@ from .nn_core import TrainConfig
 
 logger = logging.getLogger(__name__)
 
-STAGES = ["synth", "ingest", "train-ae", "embed", "train-clf", "distill",
-          "prune-sweep", "quantize", "cost", "jshc", "eval", "report"]
-
 ARTIFACTS = {
     "pcap": "capture.pcap",
     "truth": "truth.csv",
@@ -67,150 +64,96 @@ class StaleArtifactError(RuntimeError):
 
 # ---------------------------------------------------------------- config
 
-_TRAIN_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "learning_rate": {"type": "number", "minimum": 0},
-        "batch_size": {"type": "integer", "minimum": 1},
-        "epochs": {"type": "integer", "minimum": 0},
-        "seed": {"type": ["integer", "null"]},
-        "weight_init_scale": {"type": "number", "exclusiveMinimum": 0},
-        "optimizer": {"enum": ["adam", "sgd"]},
+def _train_section(learning_rate: float, epochs: int) -> dict:
+    """One `train` section; its keys are TrainConfig's fields."""
+    return {
+        "learning_rate": (learning_rate, {"type": "number", "minimum": 0}),
+        "batch_size": (32, {"type": "integer", "minimum": 1}),
+        "epochs": (epochs, {"type": "integer", "minimum": 0}),
+        "seed": (None, {"type": ["integer", "null"]}),  # None: the top-level seed
+        "weight_init_scale": (1.0, {"type": "number", "exclusiveMinimum": 0}),
+        "optimizer": ("adam", {"enum": ["adam", "sgd"]}),
+    }
+
+
+# Every config key, declared once: a section is a dict, and a key maps to
+# (its default, the JSON Schema of its values). CONFIG_SCHEMA and
+# default_config() are read off this table in its order, which is the
+# order "allowed: ..." lists the keys of a section in.
+_CONFIG = {
+    "seed": (7, {"type": "integer"}),
+    "out_dir": ("ride_out", {"type": "string"}),
+    "paths": {
+        "pcap": (None, {"type": ["string", "null"]}),
+        "truth_csv": (None, {"type": ["string", "null"]}),
+        "calibration": (None, {"type": ["string", "null"]}),
     },
+    "synth": {
+        "fixture": ("default", {"enum": ["default", "ambiguous"]}),
+        "seed": (None, {"type": ["integer", "null"]}),
+    },
+    "features": {
+        "n_p": (1500, {"type": "integer", "minimum": 1}),
+        "n_b": (100, {"type": "integer", "minimum": 1}),
+        "h": (512, {"type": "integer", "minimum": 1}),
+    },
+    "train": {
+        "autoencoder": _train_section(3e-3, 20),
+        "rae": _train_section(1e-3, 250),
+        "classifier": _train_section(3e-3, 80),
+    },
+    "embed": {
+        "order": ("sequence", {"enum": ["sequence"]}),
+        "pair_cap": (20000, {"type": "integer", "minimum": 1}),
+    },
+    "classifier": {
+        "hidden": (100, {"type": "integer", "minimum": 1}),
+        "test_fraction": (0.2, {"type": "number", "exclusiveMinimum": 0,
+                                "exclusiveMaximum": 1}),
+    },
+    "tree": {
+        "max_depth": (None, {"type": ["integer", "null"], "minimum": 1}),
+        "min_samples_leaf": (5, {"type": "integer", "minimum": 1}),
+        "criterion": ("gini", {"enum": ["gini", "entropy"]}),
+    },
+    "quantize": {"beta": (11, {"type": "integer", "minimum": 1, "maximum": 16})},
+    "jshc": {
+        "alpha_set": (None, {"type": ["array", "null"],
+                             "items": {"type": "number", "minimum": 0}}),
+        "beta_set": (None, {"type": ["array", "null"],
+                            "items": {"type": "integer", "minimum": 1}}),
+        "min_beta": (1, {"type": "integer", "minimum": 1}),
+        "max_beta": (11, {"type": "integer", "minimum": 1}),
+        "tol": (1.0, {"type": "number", "exclusiveMinimum": 0}),
+        "max_iter": (20, {"type": "integer", "minimum": 0}),
+        "z_max": {
+            "max_power_mw": (None, {"type": ["number", "null"]}),
+            "max_area_units": (None, {"type": ["number", "null"]}),
+            "max_latency_s": (None, {"type": ["number", "null"]}),
+        },
+    },
+    "sample_caps": {"ae_payloads": (50000, {"type": "integer", "minimum": 1})},
 }
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "seed": {"type": "integer"},
-        "out_dir": {"type": "string"},
-        "paths": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "pcap": {"type": ["string", "null"]},
-                "truth_csv": {"type": ["string", "null"]},
-                "calibration": {"type": ["string", "null"]},
-            },
-        },
-        "synth": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "fixture": {"enum": ["default", "ambiguous"]},
-                "seed": {"type": ["integer", "null"]},
-            },
-        },
-        "features": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "n_p": {"type": "integer", "minimum": 1},
-                "n_b": {"type": "integer", "minimum": 1},
-                "h": {"type": "integer", "minimum": 1},
-            },
-        },
-        "train": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "autoencoder": _TRAIN_SCHEMA,
-                "rae": _TRAIN_SCHEMA,
-                "classifier": _TRAIN_SCHEMA,
-            },
-        },
-        "embed": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "order": {"enum": ["sequence"]},
-                "pair_cap": {"type": "integer", "minimum": 1},
-            },
-        },
-        "classifier": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "hidden": {"type": "integer", "minimum": 1},
-                "test_fraction": {"type": "number", "exclusiveMinimum": 0,
-                                  "exclusiveMaximum": 1},
-            },
-        },
-        "tree": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "max_depth": {"type": ["integer", "null"], "minimum": 1},
-                "min_samples_leaf": {"type": "integer", "minimum": 1},
-                "criterion": {"enum": ["gini", "entropy"]},
-            },
-        },
-        "quantize": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"beta": {"type": "integer", "minimum": 1, "maximum": 16}},
-        },
-        "jshc": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "alpha_set": {"type": ["array", "null"],
-                              "items": {"type": "number", "minimum": 0}},
-                "beta_set": {"type": ["array", "null"],
-                             "items": {"type": "integer", "minimum": 1}},
-                "min_beta": {"type": "integer", "minimum": 1},
-                "max_beta": {"type": "integer", "minimum": 1},
-                "tol": {"type": "number", "exclusiveMinimum": 0},
-                "max_iter": {"type": "integer", "minimum": 0},
-                "z_max": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "max_power_mw": {"type": ["number", "null"]},
-                        "max_area_units": {"type": ["number", "null"]},
-                        "max_latency_s": {"type": ["number", "null"]},
-                    },
-                },
-            },
-        },
-        "sample_caps": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "ae_payloads": {"type": "integer", "minimum": 1},
-            },
-        },
-    },
-}
+
+def _schema(node) -> dict:
+    if not isinstance(node, dict):
+        return node[1]
+    return {"type": "object", "additionalProperties": False,
+            "properties": {key: _schema(sub) for key, sub in node.items()}}
+
+
+CONFIG_SCHEMA = _schema(_CONFIG)
 
 
 def default_config() -> dict:
-    return {
-        "seed": 7,
-        "out_dir": "ride_out",
-        "paths": {"pcap": None, "truth_csv": None, "calibration": None},
-        "synth": {"fixture": "default", "seed": None},
-        "features": {"n_p": 1500, "n_b": 100, "h": 512},
-        "train": {
-            "autoencoder": {"learning_rate": 3e-3, "batch_size": 32, "epochs": 20,
-                            "seed": None, "weight_init_scale": 1.0, "optimizer": "adam"},
-            "rae": {"learning_rate": 1e-3, "batch_size": 32, "epochs": 250,
-                    "seed": None, "weight_init_scale": 1.0, "optimizer": "adam"},
-            "classifier": {"learning_rate": 3e-3, "batch_size": 32, "epochs": 80,
-                           "seed": None, "weight_init_scale": 1.0, "optimizer": "adam"},
-        },
-        "embed": {"order": "sequence", "pair_cap": 20000},
-        "classifier": {"hidden": 100, "test_fraction": 0.2},
-        "tree": {"max_depth": None, "min_samples_leaf": 5, "criterion": "gini"},
-        "quantize": {"beta": 11},
-        "jshc": {"alpha_set": None, "beta_set": None, "min_beta": 1, "max_beta": 11,
-                 "tol": 1.0, "max_iter": 20,
-                 "z_max": {"max_power_mw": None, "max_area_units": None,
-                           "max_latency_s": None}},
-        "sample_caps": {"ae_payloads": 50000},
-    }
+    """Every key at its default, in new dicts at each call: callers change
+    the config they load."""
+    def defaults(node):
+        if not isinstance(node, dict):
+            return node[0]
+        return {key: defaults(sub) for key, sub in node.items()}
+    return defaults(_CONFIG)
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -300,10 +243,7 @@ def load_config(path: str | None, seed: int | None = None,
 
 def _train_cfg(cfg: dict, section: str) -> TrainConfig:
     t = cfg["train"][section]
-    return TrainConfig(
-        learning_rate=t["learning_rate"], batch_size=t["batch_size"],
-        epochs=t["epochs"], seed=cfg["seed"] if t["seed"] is None else t["seed"],
-        weight_init_scale=t["weight_init_scale"], optimizer=t["optimizer"])
+    return TrainConfig(**{**t, "seed": cfg["seed"] if t["seed"] is None else t["seed"]})
 
 
 # ------------------------------------------------------------- artifacts
@@ -323,28 +263,17 @@ def _require(path: str) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
+    with nn_core.atomic_open(path) as fh:
         fh.write(text)
-    os.replace(tmp, path)
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
+    with nn_core.atomic_open(path, "wb") as fh:
         fh.write(data)
-    os.replace(tmp, path)
 
 
 def atomic_write_json(path: str, obj) -> None:
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _write_summary(cfg: dict, stage: str, summary: dict) -> dict:
-    atomic_write_json(summary_path(cfg, stage), summary)
-    return summary
 
 
 def _file_sha256(path: str) -> str:
@@ -382,11 +311,11 @@ def stage_synth(cfg: dict) -> dict:
     pcap_bytes, truth_csv = synth_data.generate(spec)
     atomic_write_bytes(artifact_path(cfg, "pcap"), pcap_bytes)
     atomic_write_text(artifact_path(cfg, "truth"), truth_csv)
-    return _write_summary(cfg, "synth", {
+    return {
         "fixture": fixture, "seed": seed, "n_flows": spec.n_flows,
         "pcap_bytes": len(pcap_bytes),
         "class_mix": {p.name: m for p, m in zip(spec.class_profiles, spec.class_mix)},
-    })
+    }
 
 
 def stage_ingest(cfg: dict) -> dict:
@@ -406,7 +335,7 @@ def stage_ingest(cfg: dict) -> dict:
             f"(n_packets={len(parsed.packets)}, n_skipped={parsed.n_skipped}, "
             f"n_dropped={labeled.n_dropped}, classes seen: {classes})")
     packet_ingest.save_flows(labeled.flows, artifact_path(cfg, "flows"))
-    return _write_summary(cfg, "ingest", {
+    return {
         # relative to the out dir, so that a run's files do not name where it ran
         "pcap": os.path.relpath(pcap_path, cfg["out_dir"]),
         "truth_csv": os.path.relpath(truth_path, cfg["out_dir"]),
@@ -414,7 +343,7 @@ def stage_ingest(cfg: dict) -> dict:
         "n_skipped_by_reason": parsed.n_skipped_by_reason,
         "n_truncated": parsed.n_truncated,
         "n_flows": len(labeled.flows), "n_dropped": labeled.n_dropped,
-    })
+    }
 
 
 def _load_flow_payload_matrix(cfg: dict) -> np.ndarray:
@@ -435,12 +364,12 @@ def stage_train_ae(cfg: dict) -> dict:
     # the encoder weights past the training rows' live width never move
     live = nn_core.live_width(
         payload_autoencoder.training_rows(matrix, sample_cap, train_cfg.seed))
-    return _write_summary(cfg, "train-ae", {
+    return {
         "n_payloads": int(matrix.shape[0]), "n_p": bundle.n_p, "n_b": bundle.n_b,
         "h": bundle.h, "final_train_mse": bundle.final_train_mse,
         "live_input_width": live,
         "n_encoder_weights_skipped": (bundle.n_p - live) * bundle.h,
-    })
+    }
 
 
 def stage_embed(cfg: dict) -> dict:
@@ -455,10 +384,10 @@ def stage_embed(cfg: dict) -> dict:
     rae = flow_embedder.train_rae(pairs, n_b=bundle.n_b, cfg=rae_cfg)
     flow_embedder.save_rae(rae, artifact_path(cfg, "rae"), ae_sha256)
     flow_embedder.save_packet_codes(embedded, artifact_path(cfg, "packet_codes"), ae_sha256)
-    return _write_summary(cfg, "embed", {
+    return {
         "n_flows": len(embedded), "n_pairs": int(pairs.shape[0]),
         "final_recon_error": rae.final_recon_error,
-    })
+    }
 
 
 def _stored_flows(cfg: dict):
@@ -524,11 +453,11 @@ def stage_train_clf(cfg: dict) -> dict:
     acc, f1, confusion = classifier.metrics_from_predictions(
         y[test], y_pred, model.k_classes)
     n_params = sum(l.w.size + l.b.size for l in model.net.layers)
-    return _write_summary(cfg, "train-clf", {
+    return {
         "classes": model.class_names, "n_train": len(train), "n_test": len(test),
         "test_accuracy": acc, "test_f1": f1, "confusion": confusion.tolist(),
         "n_parameters": int(n_params),
-    })
+    }
 
 
 # Teacher-labeled query flows per training flow in the distillation set.
@@ -579,14 +508,14 @@ def stage_distill(cfg: dict) -> dict:
     acc, f1, _ = classifier.metrics_from_predictions(y_true, y_pred, tree.k)
     agrees = (tree_distiller.tree_predict_batch(tree, x_prefix)
               == teacher_data.y_teacher[:len(x_prefix)])
-    return _write_summary(cfg, "distill", {
+    return {
         "n_nodes": tree.n_nodes, "n_leaves": tree.n_leaves,
         "max_depth": tree.max_depth, "n_distill_samples": len(teacher_data.x),
         "n_query_points": len(offsets) - 1,
         "fidelity_train": float(np.mean(agrees)),
         "fidelity_test": tree_distiller.fidelity(tree, model, x_test),
         "test_accuracy": acc, "test_f1": f1,
-    })
+    }
 
 
 def stage_prune_sweep(cfg: dict) -> dict:
@@ -604,7 +533,7 @@ def stage_prune_sweep(cfg: dict) -> dict:
                      "test_accuracy": acc, "test_f1": f1})
     lines = [",".join(rows[0])] + [",".join(repr(v) for v in r.values()) for r in rows]
     atomic_write_text(artifact_path(cfg, "prune_sweep"), "\n".join(lines) + "\n")
-    return _write_summary(cfg, "prune-sweep", {"n_entries": len(rows), "path": rows})
+    return {"n_entries": len(rows), "path": rows}
 
 
 def _load_ranges(cfg: dict) -> dict:
@@ -622,10 +551,10 @@ def stage_quantize(cfg: dict) -> dict:
                       json.dumps(hw_model.qtree_to_dict(qtree)))
     snap = [abs(q - t) for q, t, f in zip(qtree.tree.threshold, tree.threshold, tree.feature)
             if f >= 0]
-    return _write_summary(cfg, "quantize", {
+    return {
         "beta": beta, "n_features_ranged": len(ranges),
         "max_snap_error": max(snap) if snap else 0.0,
-    })
+    }
 
 
 def _load_calibration(cfg: dict) -> hw_model.CostCalibration:
@@ -639,10 +568,10 @@ def stage_cost(cfg: dict) -> dict:
     cost = hw_model.cost_estimate(qtree, calib)
     feasible, violated = hw_model.check_constraint(
         cost, hw_model.ResourceBudget(**cfg["jshc"]["z_max"]))
-    return _write_summary(cfg, "cost", {
+    return {
         **dataclasses.asdict(cost),
         "feasible": feasible, "violated": violated,
-    })
+    }
 
 
 def stage_jshc(cfg: dict) -> dict:
@@ -656,9 +585,7 @@ def stage_jshc(cfg: dict) -> dict:
     jcfg = jshc_optimizer.JshcConfig(
         **{**cfg["jshc"], "z_max": hw_model.ResourceBudget(**cfg["jshc"]["z_max"])})
     result = jshc_optimizer.jshc_optimize(jcfg, artifacts)
-    sweep_path = artifact_path(cfg, "sweep")
-    jshc_optimizer.sweep_to_csv(result.sweep_log, sweep_path + ".tmp")
-    os.replace(sweep_path + ".tmp", sweep_path)
+    jshc_optimizer.sweep_to_csv(result.sweep_log, artifact_path(cfg, "sweep"))
     best_tree = tree_distiller.prune(tree, result.best_alpha, artifacts.path())
     best_q = hw_model.quantize_tree(best_tree, result.best_beta, artifacts.quant_ranges)
     atomic_write_text(artifact_path(cfg, "qtree_best"),
@@ -672,7 +599,7 @@ def stage_jshc(cfg: dict) -> dict:
         "bisection_trace": [dataclasses.asdict(s) for s in result.bisection_trace],
     }
     atomic_write_json(artifact_path(cfg, "jshc"), summary)
-    return _write_summary(cfg, "jshc", summary)
+    return summary
 
 
 def stage_eval(cfg: dict) -> dict:
@@ -704,11 +631,11 @@ def stage_eval(cfg: dict) -> dict:
         "beta": modeled.beta, "n_nodes": modeled.n_nodes,
     }
     atomic_write_json(artifact_path(cfg, "timings"), timings)
-    return _write_summary(cfg, "eval", {
+    return {
         "n_test": len(labels), "metrics": metrics,
         "modeled_hardware_latency_s": modeled.inference_time_s,
         "timings_file": ARTIFACTS["timings"],
-    })
+    }
 
 
 def stage_report(cfg: dict) -> dict:
@@ -768,7 +695,7 @@ def stage_report(cfg: dict) -> dict:
            f"out of this report; see `{ARTIFACTS['timings']}`.",
            ""]
     atomic_write_text(artifact_path(cfg, "report_md"), "\n".join(md))
-    return _write_summary(cfg, "report", {"rows": len(rows)})
+    return {"rows": len(rows)}
 
 
 _STAGE_FUNCS = {
@@ -785,14 +712,18 @@ _STAGE_FUNCS = {
     "eval": stage_eval,
     "report": stage_report,
 }
+STAGES = list(_STAGE_FUNCS)
 
 
 def run_stage(stage: str, cfg: dict) -> dict:
+    """Run one stage and write the summary it returns to
+    summaries/<stage>.json."""
     if stage not in _STAGE_FUNCS:
         raise ConfigError(f"unknown stage {stage!r}; choose from {STAGES + ['all']}")
     os.makedirs(cfg["out_dir"], exist_ok=True)
     t0 = time.perf_counter()
     summary = _STAGE_FUNCS[stage](cfg)
+    atomic_write_json(summary_path(cfg, stage), summary)
     logger.info("stage %s finished in %.2fs", stage, time.perf_counter() - t0)
     return summary
 

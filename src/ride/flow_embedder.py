@@ -300,20 +300,9 @@ def prefix_embeddings(rae: RaeBundle, flow: EmbeddedFlow) -> list[FlowEmbedding]
             for k, state in enumerate(fold_prefixes(rae, e, [0, len(e)]))]
 
 
-def flow_embeddings_to_csv(embeddings: list[FlowEmbedding], path: str) -> None:
-    """flow_id,label,v_1..v_n_b — one row per flow, input order preserved."""
-    if not embeddings:
-        raise ValueError("nothing to write")
-    n_b = embeddings[0].values.shape[0]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["flow_id", "label"] + [f"v_{i + 1}" for i in range(n_b)])
-        for emb in embeddings:
-            writer.writerow([emb.flow_id, emb.label if emb.label is not None else ""]
-                            + [repr(float(v)) for v in emb.values])
-
-
 def flow_embeddings_from_csv(path: str) -> list[FlowEmbedding]:
+    """Read a header row, then flow_id,label,v_1..v_n_b per flow; an empty
+    label reads as None."""
     out = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import hw_model, tree_distiller
-from .classifier import ClassifierModel, metrics_from_predictions
+from . import hw_model, nn_core, tree_distiller
+from .classifier import metrics_from_predictions
 from .hw_model import CostCalibration, HardwareCost, ResourceBudget
-from .tree_distiller import DecisionTree, PruningPath, generate_teacher_dataset
+from .tree_distiller import DecisionTree, PruningPath
 
 DEFAULT_BETA_RANGE = (1, 11)
 
@@ -110,32 +110,6 @@ class JshcArtifacts:
             qtree = hw_model.quantize_tree(self.tree, beta, self.quant_ranges)
             self._walks[beta] = tree_distiller.tree_walk_batch(qtree.tree, self.eval_x)
         return self._walks[beta]
-
-
-def artifacts_from_embeddings(teacher: ClassifierModel, train_x: np.ndarray,
-                              eval_x: np.ndarray, eval_labels: list[str],
-                              calib: CostCalibration | None = None,
-                              **tree_params) -> JshcArtifacts:
-    """Grow the tree on teacher labels of the training rows, fit its
-    quantization ranges there, and score against the eval rows' labels,
-    which the teacher must know.
-
-    tree_params are passed to cart_train (max_depth, min_samples_leaf,
-    criterion).
-    """
-    index = {name: i for i, name in enumerate(teacher.class_names)}
-    if any(label not in index for label in eval_labels):
-        raise ValueError("eval embeddings must carry labels known to the teacher")
-    train = generate_teacher_dataset(teacher, train_x)
-    tree = tree_distiller.cart_train(train.x, train.y_teacher,
-                                     class_names=train.class_names, **tree_params)
-    return JshcArtifacts(eval_x=np.asarray(eval_x, dtype=np.float64),
-                         eval_y=np.array([index[label] for label in eval_labels],
-                                         dtype=np.int64),
-                         class_names=list(teacher.class_names),
-                         calib=calib or hw_model.default_calibration(),
-                         tree=tree,
-                         quant_ranges=hw_model.fit_quantization_ranges(tree, train.x))
 
 
 def default_alpha_set(artifacts: JshcArtifacts) -> list[float]:
@@ -237,7 +211,8 @@ def jshc_optimize(cfg: JshcConfig, artifacts: JshcArtifacts) -> JshcResult:
 
 
 def sweep_to_csv(log: list[ConfigEval], path: str) -> None:
-    with open(path, "w", newline="") as fh:
+    """One row per evaluated (alpha, beta) cell, written atomically."""
+    with nn_core.atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["alpha", "beta", "accuracy", "f1", "n_nodes",
                          "power_mw", "area_units", "latency_s", "feasible"])

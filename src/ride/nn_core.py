@@ -3,8 +3,9 @@
 Shared by the payload autoencoder, the pair-composition autoencoder and
 the flow classifier. Everything runs in float64 so analytic gradients can
 be checked against central finite differences. save_artifact and
-load_artifact are the one writer and reader of every model file, and
-file_errors gives the readers of the JSON files their error messages.
+load_artifact are the one writer and reader of every model file,
+atomic_open the one way any artifact is written, and file_errors gives
+the readers of the JSON files their error messages.
 """
 from __future__ import annotations
 
@@ -74,9 +75,6 @@ class DenseNet:
     def output_dim(self) -> int:
         return self.layers[-1].w.shape[0]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return forward(self, x)
-
     def copy(self) -> "DenseNet":
         # order="K" keeps a layer stored transposed so (see stored_transposed)
         return DenseNet([Layer(l.w.copy(order="K"), l.b.copy(), l.activation)
@@ -91,9 +89,6 @@ class TrainConfig:
     seed: int = 0
     weight_init_scale: float = 1.0
     optimizer: str = "adam"  # "sgd" or "adam"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.learning_rate < 0:
@@ -375,6 +370,9 @@ def _backward(net: DenseNet, x: np.ndarray, target, loss: str, grads) -> float:
     return value
 
 
+# Adam's moment decay rates and denominator floor (Kingma & Ba's defaults).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 # Adam walks the flat buffers in blocks of this many float64 elements
 # (512 KiB per buffer), so its passes over a block stay in cache.
 ADAM_BLOCK = 1 << 16
@@ -451,10 +449,9 @@ class _Adam:
 
     def step(self) -> None:
         self.t += 1
-        cfg = self.cfg
-        b1, b2 = cfg.adam_beta1, cfg.adam_beta2
-        coeffs = (cfg.learning_rate, b1, b2, 1.0 - b1 ** self.t, 1.0 - b2 ** self.t,
-                  cfg.adam_eps)
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
+        coeffs = (self.cfg.learning_rate, b1, b2, 1.0 - b1 ** self.t, 1.0 - b2 ** self.t,
+                  ADAM_EPS)
         futures = [self.pool.submit(self._share, k, coeffs)
                    for k in range(1, len(self.shares))]
         self._share(0, coeffs)
@@ -597,7 +594,7 @@ def save_artifact(path: str, meta: dict, nets: dict[str, DenseNet] | None = None
     `meta` string that also gets each net's dims and activations.
 
     Net `name` stores layer k as `name.w<k>` and `name.b<k>`, float64.
-    The file is a .npz archive, written to `path + ".tmp"` and renamed.
+    The file is a .npz archive, written through atomic_open.
     """
     entries = dict(arrays or {})
     if nets:
@@ -609,11 +606,25 @@ def save_artifact(path: str, meta: dict, nets: dict[str, DenseNet] | None = None
             for k, layer in enumerate(net.layers):
                 entries[f"{name}.w{k}"] = layer.w
                 entries[f"{name}.b{k}"] = layer.b
+    with atomic_open(path, "wb") as fh:  # a file object, so savez adds no ".npz"
+        np.savez(fh, meta=np.array(json.dumps(meta, sort_keys=True)), **entries)
+
+
+@contextlib.contextmanager
+def atomic_open(path: str, mode: str = "w", **kwargs):
+    """Yield path + ".tmp" opened for writing (open's mode and kwargs), and
+    rename it over path when the block ends. A block that raises removes
+    the temp file, so any old file at path stays as it was and no shorter
+    one takes its place. The parent directory is made when missing."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:  # a file object, so savez adds no ".npz"
-        np.savez(fh, meta=np.array(json.dumps(meta, sort_keys=True)), **entries)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_artifact(path: str, nets: tuple[str, ...] = (), arrays: tuple[str, ...] = (),

