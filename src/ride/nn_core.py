@@ -10,8 +10,14 @@ the readers of the JSON files their error messages.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
+import hashlib
 import json
+import logging
 import os
+import platform
+import shlex
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -22,6 +28,8 @@ ACTIVATIONS = ("relu", "sigmoid", "tanh", "identity", "softmax")
 LOSSES = ("mse", "cross_entropy")
 
 PROB_FLOOR = 1e-12  # clamp applied to probabilities before log
+
+logger = logging.getLogger(__name__)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -426,13 +434,141 @@ def _adam_block(p, g, m, v, s1, s2, lr, b1, b2, corr1, corr2, eps) -> None:
     np.subtract(p, s2, out=p)
 
 
+# _adam_block as one C loop: the same operations in the same order, each
+# rounded once, so the bits are _adam_block's. -ffp-contract=off keeps the
+# compiler from fusing a*b + c into one FMA (GCC does so by default in GNU
+# C mode), and without -ffast-math nothing is reordered; -fno-math-errno
+# only lets sqrt vectorize, and sqrt stays correctly rounded.
+_ADAM_C = """
+#include <math.h>
+#include <stddef.h>
+void ride_adam(double *restrict p, const double *restrict g, double *restrict m,
+               double *restrict v, size_t n, double lr, double b1, double c1,
+               double b2, double c2, double corr1, double corr2, double eps)
+{
+    for (size_t i = 0; i < n; i++) {
+        m[i] = m[i] * b1 + g[i] * c1;
+        v[i] = v[i] * b2 + (g[i] * g[i]) * c2;
+        p[i] = p[i] - ((m[i] / corr1) * lr) / (sqrt(v[i] / corr2) + eps);
+    }
+}
+"""
+_ADAM_FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
+_COMPILE_TIMEOUT_S = 120
+
+
+def _compiler() -> list[str]:
+    """The C compiler command: sysconfig's CC, else cc."""
+    import sysconfig
+    return shlex.split(sysconfig.get_config_var("CC") or "cc")
+
+
+def _compile_adam(cc: list[str], path: str) -> None:
+    """Compile _ADAM_C to the library at path and write its sha256 to
+    path + ".sha256", each through a temp name of this process's own that
+    replaces the file only once complete. OSError names what failed."""
+    import subprocess  # not at module level: a process that only scores never compiles
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        subprocess.run([*cc, *_ADAM_FLAGS, "-x", "c", "-", "-o", tmp], input=_ADAM_C.encode(),
+                       capture_output=True, check=True, timeout=_COMPILE_TIMEOUT_S)
+        with open(tmp, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        os.replace(tmp, path)
+        with open(tmp, "w") as fh:
+            fh.write(digest)
+        os.replace(tmp, path + ".sha256")
+    except FileNotFoundError:
+        raise OSError(f"no compiler {cc[0]!r}") from None
+    except subprocess.CalledProcessError as exc:
+        lines = exc.stderr.decode(errors="replace").strip().splitlines()
+        raise OSError(f"{cc[0]} exited {exc.returncode}: {lines[-1] if lines else ''}") from None
+    except subprocess.TimeoutExpired:
+        raise OSError(f"{cc[0]} took over {_COMPILE_TIMEOUT_S} s") from None
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _open_adam(path: str):
+    """The kernel in the library at path, once the file matches the sha256
+    beside it (the loader may crash on a truncated library rather than
+    raise) and the kernel steps a probe to _adam_block's bits; OSError
+    otherwise."""
+    with open(path, "rb") as lib, open(path + ".sha256") as digest:
+        if hashlib.sha256(lib.read()).hexdigest() != digest.read():
+            raise OSError(f"{path} does not match its sha256")
+    try:
+        kernel = ctypes.CDLL(path).ride_adam
+    except AttributeError:
+        raise OSError(f"{path} has no ride_adam") from None
+    kernel.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_size_t] + [ctypes.c_double] * 8
+    kernel.restype = None
+    # random gradients of mixed scale, a few zero, subnormal and huge, past a SIMD width
+    rng = np.random.Generator(np.random.PCG64(0))
+    g = rng.normal(size=1027) * 10.0 ** rng.integers(-12, 4, size=1027)
+    g[:6] = 0.0, 5e-324, -2.5e-310, 1e150, -1e300, 1e300
+    ours, theirs = [[np.linspace(-1, 1, g.size), g, np.zeros_like(g), np.zeros_like(g)]
+                    for _ in range(2)]
+    with np.errstate(all="ignore"):
+        for t in (1, 2, 3):
+            coeffs = (1e-3, ADAM_BETA1, ADAM_BETA2, 1 - ADAM_BETA1 ** t, 1 - ADAM_BETA2 ** t,
+                      ADAM_EPS)
+            _adam_block(*theirs, np.empty_like(g), np.empty_like(g), *coeffs)
+            _call_adam(kernel, [a.ctypes.data for a in ours], g.size, coeffs)
+    if not all(np.array_equal(a.view(np.uint64), b.view(np.uint64))
+               for a, b in zip(ours, theirs)):
+        raise OSError(f"{path} disagrees with numpy's Adam step")
+    return kernel
+
+
+def _call_adam(kernel, pointers: list[int], n: int, coeffs: tuple) -> None:
+    """kernel on n elements from each of the addresses of p, g, m and v,
+    with _adam_block's coefficients."""
+    lr, b1, b2, corr1, corr2, eps = coeffs
+    kernel(*pointers, n, lr, b1, 1 - b1, b2, 1 - b2, corr1, corr2, eps)
+
+
+@functools.cache
+def _adam_kernel():
+    """The compiled Adam step of this process, or None; the first call logs
+    which Adam runs.
+
+    The library is cached under $XDG_CACHE_HOME/ride (~/.cache/ride), named
+    by the sha256 of the source, flags, compiler and machine, and built on
+    first use. A cached file that is missing, does not match the sha256
+    recorded beside it or does not load is built again, once. No
+    compiler, a compile error, an unwritable directory or a library that
+    does not load or does not match _adam_block leaves None: numpy's
+    _adam_block runs, with the same bits, only slower.
+    """
+    cc = _compiler()
+    key = json.dumps([_ADAM_C, _ADAM_FLAGS, cc, platform.machine()])
+    cache = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
+    path = os.path.join(cache, "ride", f"adam-{hashlib.sha256(key.encode()).hexdigest()}.so")
+    try:
+        try:
+            kernel = _open_adam(path)
+        except OSError:  # absent, truncated or foreign: build it
+            _compile_adam(cc, path)
+            kernel = _open_adam(path)
+    except OSError as exc:
+        logger.info("Adam: numpy (%s)", exc)
+        return None
+    logger.info("Adam: compiled kernel %s", path)
+    return kernel
+
+
 class _Adam:
     """Adam over one flat parameter buffer and its flat gradient buffer.
 
     The blocks are split into one contiguous share per worker; the caller
-    works share 0 and a thread pool the others, since numpy ufuncs release
-    the GIL on blocks this large. With one share no pool exists. close()
-    shuts the pool down.
+    works share 0 and a thread pool the others, since the compiled kernel
+    (one call per share) and numpy's ufuncs both release the GIL. With one
+    share no pool exists. Without the kernel, _adam_block walks each share
+    block by block through two scratch buffers. close() shuts the pool
+    down.
     """
 
     def __init__(self, params: np.ndarray, grads: np.ndarray, cfg: TrainConfig):
@@ -443,8 +579,17 @@ class _Adam:
         n_workers = max(1, min(_usable_cpus(), n_blocks))
         cuts = [k * n_blocks // n_workers * ADAM_BLOCK for k in range(n_workers)]
         self.shares = list(zip(cuts, cuts[1:] + [params.size]))
-        block = min(ADAM_BLOCK, params.size)
-        self.scratch = [(np.empty(block), np.empty(block)) for _ in self.shares]
+        self.kernel = _adam_kernel()
+        if self.kernel is not None:
+            buffers = (params, grads, self.m, self.v)
+            if not all(a.dtype == np.float64 and a.flags.c_contiguous and a.size == params.size
+                       for a in buffers):
+                raise ValueError("Adam needs contiguous float64 buffers of one size")
+            self.pointers = [[a.ctypes.data + lo * a.itemsize for a in buffers]
+                             for lo, _ in self.shares]
+        else:
+            block = min(ADAM_BLOCK, params.size)
+            self.scratch = [(np.empty(block), np.empty(block)) for _ in self.shares]
         self.pool = ThreadPoolExecutor(n_workers - 1) if n_workers > 1 else None
 
     def step(self) -> None:
@@ -459,8 +604,11 @@ class _Adam:
             future.result()
 
     def _share(self, k: int, coeffs: tuple) -> None:
-        s1, s2 = self.scratch[k]
         lo, hi = self.shares[k]
+        if self.kernel is not None:
+            _call_adam(self.kernel, self.pointers[k], hi - lo, coeffs)
+            return
+        s1, s2 = self.scratch[k]
         for start in range(lo, hi, ADAM_BLOCK):
             blk = slice(start, min(start + ADAM_BLOCK, hi))
             n = blk.stop - start

@@ -329,12 +329,21 @@ def group_flows(packets: list[RawPacket]) -> list[FlowRecord]:
     return list(flows.values())
 
 
+def _int_within(text: str, top: int) -> bool:
+    """Whether text is decimal digits, space around them aside, for an
+    integer in 0..top (normalize_protocol reads a number only so)."""
+    digits = text.strip()
+    return digits.isascii() and digits.isdigit() and int(digits) <= top
+
+
 def load_truth_csv(path: str) -> list[dict]:
     """Read a ground-truth CSV; extra columns beyond the required six are
     ignored. A file that does not decode, lacks a required column, or has
-    a row with a required value empty or missing or a port that is not an
-    integer raises ValueError("bad truth file <path>: ..."), naming the
-    line."""
+    a row with a required value empty or missing, a port that is not an
+    integer in 0-65535 or a protocol that is neither TCP nor UDP (in any
+    case) nor an integer in 0-255 raises ValueError("bad truth file
+    <path>: ..."), naming the line and the value. A row of another IP
+    protocol (ICMP's 1, say) loads, and matches no flow."""
     with open(path, newline="") as fh, nn_core.file_errors(path, "truth"):
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
@@ -348,11 +357,13 @@ def load_truth_csv(path: str) -> list[dict]:
             if empty:
                 raise ValueError(f"line {reader.line_num}: no value for {', '.join(empty)}")
             for port in ("src_port", "dst_port"):
-                try:
-                    int(row[port])
-                except ValueError:
+                if not _int_within(row[port], 65535):
                     raise ValueError(f"line {reader.line_num}: {port} {row[port]!r} "
-                                     "is not an integer") from None
+                                     "is not an integer in 0-65535")
+            protocol = row["protocol"]
+            if protocol.strip().upper() not in ("TCP", "UDP") and not _int_within(protocol, 255):
+                raise ValueError(f"line {reader.line_num}: protocol {protocol!r} is not "
+                                 "TCP, UDP or an integer in 0-255")
             rows.append(dict(row))
         return rows
 

@@ -215,11 +215,15 @@ def test_importing_ride_and_loading_a_config_does_not_import_jsonschema(tmp_path
     modules = ("cli", "classifier", "flow_embedder", "hw_model", "jshc_optimizer", "nn_core",
                "packet_ingest", "payload_autoencoder", "synth_data", "tree_distiller")
     code = (f"import sys\nfrom ride import {', '.join(modules)}\n"
-            f"cli.load_config({str(config)!r})\nprint('jsonschema' in sys.modules)")
+            f"cli.load_config({str(config)!r})\n"
+            "print('jsonschema' in sys.modules, 'subprocess' in sys.modules)")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+    cache = tmp_path / "cache"
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src, XDG_CACHE_HOME=str(cache)),
                          capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"  # nor subprocess: no compiler is started
+    assert not cache.exists()
 
 
 def test_deep_merge_replaces_scalars_and_recurses():
@@ -340,7 +344,14 @@ _TRUTH_HEADER = b"src_ip,dst_ip,src_port,dst_port,protocol,label\n"
      "line 2: src_port 'notaport' is not an integer"),
     (b"10.0.0.1,10.0.0.2,1234,80,TCP,benign\n10.0.0.1,10.0.0.2,1234\n",
      "line 3: no value for dst_port, protocol, label"),
-], ids=["not_utf8", "port_not_an_integer", "short_row"])
+    (b"10.0.0.1,10.0.0.2,1234,80,TPC,benign\n",
+     "line 2: protocol 'TPC' is not TCP, UDP or an integer in 0-255"),
+    (b"10.0.0.1,10.0.0.2,1234,80,UDP,benign\n10.0.0.1,10.0.0.2,1234,80,300,benign\n",
+     "line 3: protocol '300' is not TCP, UDP or an integer in 0-255"),
+    (b"10.0.0.1,10.0.0.2,1234,70000,TCP,benign\n",
+     "line 2: dst_port '70000' is not an integer in 0-65535"),
+], ids=["not_utf8", "port_not_an_integer", "short_row", "protocol_typo", "protocol_300",
+        "port_70000"])
 def test_a_bad_truth_file_exits_4_and_names_it(tmp_path, capsys, rows, cause):
     out = str(tmp_path / "run")
     assert cli.main(["synth", "--out", out]) == 0

@@ -1,6 +1,12 @@
+import contextlib
+import functools
 import json
+import logging
 import os
 import re
+import shutil
+import subprocess
+import sys
 import threading
 import weakref
 
@@ -148,6 +154,30 @@ def test_train_zero_learning_rate_keeps_weights_and_history_constant():
         np.testing.assert_array_equal(l0.w, l1.w)
 
 
+ADAM_PATHS = ("kernel", "numpy")
+
+
+def _require_kernel():
+    """Skip where no C compiler is found; fail where one is and the
+    compiled Adam step still is not there."""
+    if nn_core._adam_kernel() is None:
+        if shutil.which(nn_core._compiler()[0]) is None:
+            pytest.skip("no C compiler: the compiled Adam step cannot be built")
+        pytest.fail("a C compiler is found, but the compiled Adam step did not load")
+
+
+@contextlib.contextmanager
+def adam_path(name):
+    """Train with the compiled Adam step ("kernel") or with numpy's
+    _adam_block forced ("numpy")."""
+    with pytest.MonkeyPatch.context() as mp:
+        if name == "numpy":
+            mp.setattr(nn_core, "_adam_kernel", lambda: None)
+        else:
+            _require_kernel()
+        yield
+
+
 def _reference_train(net, x, targets, loss, cfg):
     """The out-of-place training loop train() replaced, kept as its oracle:
     fresh gradient arrays every step and Adam as whole-array expressions.
@@ -252,11 +282,14 @@ def training_runs(draw):
 def test_train_matches_the_out_of_place_loop_bit_for_bit(run):
     net, x, targets, loss, cfg = run
     with np.errstate(all="ignore"):
-        trained, history = train(net, x, targets, loss, cfg)
         expected, batches = _reference_train(net, x, targets, loss, cfg)
-    _assert_same_weights(trained, expected)
-    n = x.shape[0]
-    assert history == [sum(value * size for value, size in epoch) / n for epoch in batches]
+        for adam in ADAM_PATHS:
+            with adam_path(adam):
+                trained, history = train(net, x, targets, loss, cfg)
+            _assert_same_weights(trained, expected)
+            n = x.shape[0]
+            assert history == [sum(value * size for value, size in epoch) / n
+                               for epoch in batches]
 
 
 def _padded_rows(n, n_in, width, seed):
@@ -332,12 +365,15 @@ def padded_training_runs(draw, n_in, width_max, min_batch_rows):
 def test_padded_training_matches_the_out_of_place_loop_bit_for_bit(run):
     net, x, targets, loss, cfg = run
     with np.errstate(all="ignore"):
-        trained, history = train(net, x, targets, loss, cfg)
         expected, batches = _reference_train(net, x, targets, loss, cfg)
-    assert not trained.layers[0].w.flags.c_contiguous  # layer 0 stored transposed
-    _assert_same_weights(trained, expected)
-    n = x.shape[0]
-    assert history == [sum(value * size for value, size in epoch) / n for epoch in batches]
+        for adam in ADAM_PATHS:
+            with adam_path(adam):
+                trained, history = train(net, x, targets, loss, cfg)
+            assert not trained.layers[0].w.flags.c_contiguous  # layer 0 stored transposed
+            _assert_same_weights(trained, expected)
+            n = x.shape[0]
+            assert history == [sum(value * size for value, size in epoch) / n
+                               for epoch in batches]
 
 
 class _SizedAdam(nn_core._Adam):
@@ -395,14 +431,18 @@ def test_adam_split_over_two_workers_matches_the_out_of_place_loop(two_workers):
     x = np.random.Generator(np.random.PCG64(5)).uniform(size=(37, 400))
     y = np.random.Generator(np.random.PCG64(6)).uniform(size=(37, 40))
     cfg = TrainConfig(learning_rate=1e-2, batch_size=8, epochs=2, seed=5)
-    threads = threading.active_count()
-    trained, _ = train(net, x, y, "mse", cfg)
-    assert two_workers == [1]  # one pool thread besides the caller
-    assert threading.active_count() == threads
-    _assert_same_weights(trained, _reference_train(net, x, y, "mse", cfg)[0])
-    # a net of one block gets no pool
-    train(init_dense_net([3, 2], ["identity"], seed=0), x[:, :3], y[:, :2], "mse", cfg)
-    assert two_workers == [1]
+    expected = _reference_train(net, x, y, "mse", cfg)[0]
+    for adam in ADAM_PATHS:
+        two_workers.clear()
+        threads = threading.active_count()
+        with adam_path(adam):
+            trained, _ = train(net, x, y, "mse", cfg)
+            assert two_workers == [1]  # one pool thread besides the caller
+            assert threading.active_count() == threads
+            _assert_same_weights(trained, expected)
+            # a net of one block gets no pool
+            train(init_dense_net([3, 2], ["identity"], seed=0), x[:, :3], y[:, :2], "mse", cfg)
+            assert two_workers == [1]
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -416,6 +456,121 @@ def test_diverged_adam_leaves_no_thread_behind(two_workers):
         train(net, x, np.zeros((4, 40)), "mse", cfg)
     assert two_workers == [1]
     assert threading.active_count() == threads
+
+
+# zero, the smallest subnormals, the largest normal and huge gradients
+_SPECIAL_GRADIENTS = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.7976931348623157e308,
+                      1e300, -1e300)
+
+
+@given(size=st.one_of(st.integers(1, 70), st.integers(1, 2 * nn_core.ADAM_BLOCK + 5)),
+       lr=st.floats(1e-8, 10.0), t0=st.integers(0, 10**6), steps=st.integers(1, 4),
+       specials=st.lists(st.sampled_from(_SPECIAL_GRADIENTS), max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_compiled_adam_step_is_adam_block_bit_for_bit(size, lr, t0, steps, specials, seed):
+    """_Adam with the kernel and with numpy's _adam_block forced, carrying
+    m and v over several steps from step t0 on, on gradients from 1e-320 to
+    1e300 in scale with zero, subnormal and huge values placed among them."""
+    _require_kernel()
+    rng = np.random.Generator(np.random.PCG64(seed))
+    params = rng.normal(size=size)
+    adams = []
+    for adam in ADAM_PATHS:
+        with adam_path(adam):
+            adams.append(nn_core._Adam(params.copy(), np.empty(size),
+                                       TrainConfig(learning_rate=lr)))
+        adams[-1].t = t0
+    assert adams[0].kernel is not None and adams[1].kernel is None
+    try:
+        with np.errstate(all="ignore"):
+            for _ in range(steps):
+                g = rng.normal(size=size) * 10.0 ** float(rng.integers(-320, 301))
+                g[rng.integers(0, size, size=len(specials))] = specials
+                for adam in adams:
+                    adam.grads[...] = g
+                    adam.step()
+    finally:
+        for adam in adams:
+            adam.close()
+    kernel, numpy_ = adams
+    for name in ("params", "m", "v"):
+        assert np.array_equal(getattr(kernel, name).view(np.uint64),
+                              getattr(numpy_, name).view(np.uint64)), name
+
+
+def _fresh_adam_kernel(monkeypatch, cache, compiler=None):
+    """Point _adam_kernel's memo, cache directory and, when given, its
+    compiler lookup at new values for this test."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    if compiler is not None:
+        monkeypatch.setattr(nn_core, "_compiler", lambda: compiler)
+    monkeypatch.setattr(nn_core, "_adam_kernel",
+                        functools.cache(nn_core._adam_kernel.__wrapped__))
+
+
+def test_without_a_compiler_training_falls_back_with_the_same_bits(tmp_path, monkeypatch,
+                                                                     caplog):
+    net = init_dense_net([30, 12, 30], ["relu", "sigmoid"], seed=3)
+    x = np.random.Generator(np.random.PCG64(3)).uniform(size=(20, 30))
+    cfg = TrainConfig(learning_rate=1e-2, batch_size=6, epochs=2, seed=3)
+    expected, batches = _reference_train(net, x, x, "mse", cfg)
+    _fresh_adam_kernel(monkeypatch, tmp_path / "cache", [str(tmp_path / "no-such-cc")])
+    with caplog.at_level(logging.INFO, logger="ride.nn_core"):
+        trained, history = train(net, x, x, "mse", cfg)
+        train(net, x, x, "mse", cfg)
+    assert caplog.messages == [f"Adam: numpy (no compiler '{tmp_path / 'no-such-cc'}')"]
+    _assert_same_weights(trained, expected)
+    assert history == [sum(value * size for value, size in epoch) / 20 for epoch in batches]
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
+
+def test_an_unwritable_cache_directory_falls_back(tmp_path, monkeypatch, caplog):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    _fresh_adam_kernel(monkeypatch, not_a_dir)
+    with caplog.at_level(logging.INFO, logger="ride.nn_core"):
+        assert nn_core._adam_kernel() is None
+    [message] = caplog.messages
+    assert message.startswith("Adam: numpy (") and str(not_a_dir) in message
+
+
+_LOADER = """
+import logging, subprocess
+calls, run = [], subprocess.run
+def counting_run(*args, **kwargs):
+    calls.append(args)
+    return run(*args, **kwargs)
+subprocess.run = counting_run
+logging.basicConfig(level=logging.INFO, format="%(message)s")
+from ride import nn_core
+print(nn_core._adam_kernel() is not None, len(calls))
+"""
+
+
+def _load_kernel_in_a_fresh_process(cache):
+    """(whether the kernel loaded, compiler runs, log) of a new process
+    with its cache under `cache`."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run([sys.executable, "-c", _LOADER], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src, XDG_CACHE_HOME=str(cache)),
+                          check=True, timeout=300)
+    loaded, compiles = done.stdout.split()
+    return loaded == "True", int(compiles), done.stderr
+
+
+def test_the_cached_kernel_loads_in_a_fresh_process_and_a_truncated_one_is_rebuilt(tmp_path):
+    _require_kernel()
+    assert _load_kernel_in_a_fresh_process(tmp_path)[:2] == (True, 1)
+    lib, digest = sorted((tmp_path / "ride").iterdir())
+    assert digest.name == lib.name + ".sha256"
+    loaded, compiles, log = _load_kernel_in_a_fresh_process(tmp_path)
+    assert (loaded, compiles) == (True, 0)
+    assert log == f"Adam: compiled kernel {lib}\n"
+    whole = lib.read_bytes()
+    lib.write_bytes(whole[:len(whole) // 3])
+    assert _load_kernel_in_a_fresh_process(tmp_path)[:2] == (True, 1)
+    assert lib.read_bytes() == whole  # the build is deterministic
+    assert sorted((tmp_path / "ride").iterdir()) == [lib, digest]  # no temp file left
 
 
 def test_train_frees_a_net_built_in_its_argument_list(monkeypatch):

@@ -423,6 +423,22 @@ def test_load_truth_csv(tmp_path):
     assert rows == [truth_row("10.0.0.1", "10.0.0.2", "1234", "80", "TCP", "attack")]
 
 
+def test_a_truth_row_of_another_ip_protocol_loads_and_matches_no_flow(tmp_path):
+    path = tmp_path / "truth.csv"
+    path.write_text(
+        "src_ip,dst_ip,src_port,dst_port,protocol,label\n"
+        "10.0.0.1,10.0.0.2,1234,80,tcp,attack\n"
+        "10.0.0.1,10.0.0.2,0,0,1,benign\n"
+        "10.0.0.1,10.0.0.2,1234,80,17,benign\n"
+    )
+    rows = pi.load_truth_csv(str(path))
+    assert [row["protocol"] for row in rows] == ["tcp", "1", "17"]
+    capture = pi.parse_pcap(global_header() + record(eth(ipv4(tcp(b"GET")))))
+    result = pi.label_flows(pi.group_flows(capture.packets), rows)
+    assert [(f.flow_id, f.label) for f in result.flows] == [
+        ("10.0.0.1:1234|10.0.0.2:80|TCP", "attack")]
+
+
 # ------------------------------------------------------ property tests
 
 @given(data=st.binary(max_size=200))
