@@ -12,11 +12,9 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import hashlib
 import json
 import logging
 import os
-import platform
 import shlex
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
@@ -463,22 +461,14 @@ def _compiler() -> list[str]:
     return shlex.split(sysconfig.get_config_var("CC") or "cc")
 
 
-def _compile_adam(cc: list[str], path: str) -> None:
-    """Compile _ADAM_C to the library at path and write its sha256 to
-    path + ".sha256", each through a temp name of this process's own that
-    replaces the file only once complete. OSError names what failed."""
+def _build_adam(cc: list[str], directory: str) -> str:
+    """Compile _ADAM_C to a library in directory; its path. OSError names
+    what failed."""
     import subprocess  # not at module level: a process that only scores never compiles
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = f"{path}.{os.getpid()}.tmp"
+    path = os.path.join(directory, "ride_adam.so")
     try:
-        subprocess.run([*cc, *_ADAM_FLAGS, "-x", "c", "-", "-o", tmp], input=_ADAM_C.encode(),
+        subprocess.run([*cc, *_ADAM_FLAGS, "-x", "c", "-", "-o", path], input=_ADAM_C.encode(),
                        capture_output=True, check=True, timeout=_COMPILE_TIMEOUT_S)
-        with open(tmp, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
-        os.replace(tmp, path)
-        with open(tmp, "w") as fh:
-            fh.write(digest)
-        os.replace(tmp, path + ".sha256")
     except FileNotFoundError:
         raise OSError(f"no compiler {cc[0]!r}") from None
     except subprocess.CalledProcessError as exc:
@@ -486,19 +476,12 @@ def _compile_adam(cc: list[str], path: str) -> None:
         raise OSError(f"{cc[0]} exited {exc.returncode}: {lines[-1] if lines else ''}") from None
     except subprocess.TimeoutExpired:
         raise OSError(f"{cc[0]} took over {_COMPILE_TIMEOUT_S} s") from None
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    return path
 
 
 def _open_adam(path: str):
-    """The kernel in the library at path, once the file matches the sha256
-    beside it (the loader may crash on a truncated library rather than
-    raise) and the kernel steps a probe to _adam_block's bits; OSError
-    otherwise."""
-    with open(path, "rb") as lib, open(path + ".sha256") as digest:
-        if hashlib.sha256(lib.read()).hexdigest() != digest.read():
-            raise OSError(f"{path} does not match its sha256")
+    """The kernel in the library at path, once it steps a probe to
+    _adam_block's bits; OSError otherwise."""
     try:
         kernel = ctypes.CDLL(path).ride_adam
     except AttributeError:
@@ -519,7 +502,7 @@ def _open_adam(path: str):
             _call_adam(kernel, [a.ctypes.data for a in ours], g.size, coeffs)
     if not all(np.array_equal(a.view(np.uint64), b.view(np.uint64))
                for a, b in zip(ours, theirs)):
-        raise OSError(f"{path} disagrees with numpy's Adam step")
+        raise OSError("the compiled step disagrees with numpy's")
     return kernel
 
 
@@ -535,28 +518,22 @@ def _adam_kernel():
     """The compiled Adam step of this process, or None; the first call logs
     which Adam runs.
 
-    The library is cached under $XDG_CACHE_HOME/ride (~/.cache/ride), named
-    by the sha256 of the source, flags, compiler and machine, and built on
-    first use. A cached file that is missing, does not match the sha256
-    recorded beside it or does not load is built again, once. No
-    compiler, a compile error, an unwritable directory or a library that
-    does not load or does not match _adam_block leaves None: numpy's
-    _adam_block runs, with the same bits, only slower.
+    The kernel is built with sysconfig's CC (or cc) into a temp directory
+    of this process's own, loaded, and the directory removed: the loaded
+    library stays mapped. No compiler, a compile error, no writable temp
+    directory, a library that does not load or a kernel that does not match
+    _adam_block on a probe leaves None: numpy's _adam_block runs, with the
+    same bits, only slower.
     """
+    import tempfile
     cc = _compiler()
-    key = json.dumps([_ADAM_C, _ADAM_FLAGS, cc, platform.machine()])
-    cache = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
-    path = os.path.join(cache, "ride", f"adam-{hashlib.sha256(key.encode()).hexdigest()}.so")
     try:
-        try:
-            kernel = _open_adam(path)
-        except OSError:  # absent, truncated or foreign: build it
-            _compile_adam(cc, path)
-            kernel = _open_adam(path)
+        with tempfile.TemporaryDirectory(prefix="ride-adam-", ignore_cleanup_errors=True) as tmp:
+            kernel = _open_adam(_build_adam(cc, tmp))
     except OSError as exc:
         logger.info("Adam: numpy (%s)", exc)
         return None
-    logger.info("Adam: compiled kernel %s", path)
+    logger.info("Adam: compiled kernel (built by %s)", shlex.join(cc))
     return kernel
 
 

