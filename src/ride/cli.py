@@ -118,9 +118,9 @@ _CONFIG = {
     },
     "quantize": {"beta": (11, {"type": "integer", "minimum": 1, "maximum": 16})},
     "jshc": {
-        "alpha_set": (None, {"type": ["array", "null"],
+        "alpha_set": (None, {"type": ["array", "null"], "minItems": 1,
                              "items": {"type": "number", "minimum": 0}}),
-        "beta_set": (None, {"type": ["array", "null"],
+        "beta_set": (None, {"type": ["array", "null"], "minItems": 1,
                             "items": {"type": "integer", "minimum": 1}}),
         "min_beta": (1, {"type": "integer", "minimum": 1}),
         "max_beta": (11, {"type": "integer", "minimum": 1}),
@@ -187,8 +187,8 @@ def _validate(value, schema: dict, path: tuple) -> None:
     """Raise ConfigError naming the first place where value breaks schema.
 
     Handles type, enum, the four bounds, properties with
-    additionalProperties false, and items. An unexpected key is reported
-    at its parent's path.
+    additionalProperties false, items and minItems. An unexpected key is
+    reported at its parent's path.
     """
     def fail(cause: str):
         where = "/".join(str(p) for p in path) or "<root>"
@@ -213,6 +213,8 @@ def _validate(value, schema: dict, path: tuple) -> None:
         for key, item in value.items():
             if key in properties:
                 _validate(item, properties[key], path + (key,))
+    if isinstance(value, list) and len(value) < schema.get("minItems", 0):
+        fail(f"{value!r} has fewer than {schema['minItems']} item(s)")
     if isinstance(value, list) and "items" in schema:
         for index, item in enumerate(value):
             _validate(item, schema["items"], path + (index,))
@@ -521,14 +523,14 @@ def stage_distill(cfg: dict) -> dict:
 def stage_prune_sweep(cfg: dict) -> dict:
     tree = tree_distiller.load_tree(_require(artifact_path(cfg, "tree")))
     x_test, y_true = _test_split(cfg, tree.class_names)
-    path = tree_distiller.pruning_path(tree)
     walk = tree_distiller.tree_walk_batch(tree, x_test)
     rows = []
-    for entry in path.entries:
-        y_pred = tree_distiller.labels_at(tree, walk, entry.alpha_eff, path)
+    # the column's distinct values are the pruning path's alphas
+    for alpha in sorted(set(tree.collapse_alpha)):
+        y_pred = tree_distiller.labels_at(tree, walk, alpha)
         acc, f1, _ = classifier.metrics_from_predictions(y_true, y_pred, tree.k)
-        n_nodes, max_depth = tree_distiller.pruned_shape(tree, entry.alpha_eff, path)
-        rows.append({"alpha": entry.alpha_eff, "n_nodes": n_nodes,
+        n_nodes, max_depth = tree_distiller.pruned_shape(tree, alpha)
+        rows.append({"alpha": alpha, "n_nodes": n_nodes,
                      "n_leaves": (n_nodes + 1) // 2, "max_depth": max_depth,
                      "test_accuracy": acc, "test_f1": f1})
     lines = [",".join(rows[0])] + [",".join(repr(v) for v in r.values()) for r in rows]
@@ -580,13 +582,13 @@ def stage_jshc(cfg: dict) -> dict:
     x_test, y_test = _test_split(cfg, tree.class_names)
     calib = _load_calibration(cfg)
     artifacts = jshc_optimizer.JshcArtifacts(
-        eval_x=x_test, eval_y=y_test, class_names=tree.class_names, calib=calib,
-        tree=tree, quant_ranges=_load_ranges(cfg))
+        eval_x=x_test, eval_y=y_test, calib=calib, tree=tree,
+        quant_ranges=_load_ranges(cfg))
     jcfg = jshc_optimizer.JshcConfig(
         **{**cfg["jshc"], "z_max": hw_model.ResourceBudget(**cfg["jshc"]["z_max"])})
     result = jshc_optimizer.jshc_optimize(jcfg, artifacts)
     jshc_optimizer.sweep_to_csv(result.sweep_log, artifact_path(cfg, "sweep"))
-    best_tree = tree_distiller.prune(tree, result.best_alpha, artifacts.path())
+    best_tree = tree_distiller.prune(tree, result.best_alpha)
     best_q = hw_model.quantize_tree(best_tree, result.best_beta, artifacts.quant_ranges)
     atomic_write_text(artifact_path(cfg, "qtree_best"),
                       json.dumps(hw_model.qtree_to_dict(best_q)))

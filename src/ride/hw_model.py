@@ -146,8 +146,9 @@ def quantize_tree(tree: DecisionTree, beta: int,
                   ranges: dict[int, tuple[float, float]]) -> QuantizedTree:
     """Snap every split threshold to the nearest of 2^beta uniform levels
     over its feature's range (midway ties snap up), in one vectorized step
-    over the threshold column. Topology, features and leaf classes are
-    untouched: the quantized tree shares those columns with the input."""
+    over the threshold column. Topology, features, leaf classes and the
+    collapse_alpha column are untouched: the quantized tree shares every
+    column but threshold with the input."""
     if beta < 1:
         raise ValueError("beta must be >= 1")
     n_levels = 2 ** beta

@@ -18,7 +18,7 @@ import numpy as np
 from . import hw_model, nn_core, tree_distiller
 from .classifier import metrics_from_predictions
 from .hw_model import CostCalibration, HardwareCost, ResourceBudget
-from .tree_distiller import DecisionTree, PruningPath
+from .tree_distiller import DecisionTree
 
 DEFAULT_BETA_RANGE = (1, 11)
 
@@ -29,7 +29,7 @@ class NoFeasibleConfigError(ValueError):
 
 @dataclass
 class JshcConfig:
-    alpha_set: list[float] | None = None   # None -> the tree's own path alphas
+    alpha_set: list[float] | None = None   # None -> the tree's own collapse alphas
     beta_set: list[int] | None = None      # None -> min_beta..max_beta
     min_beta: int = DEFAULT_BETA_RANGE[0]
     max_beta: int = DEFAULT_BETA_RANGE[1]
@@ -87,21 +87,14 @@ class JshcResult:
 class JshcArtifacts:
     """Everything an (alpha, beta) evaluation needs: the distilled tree,
     its quantization ranges and the scored split, with lazy caching of the
-    pruning path, of the walks at each beta and of every evaluated cell."""
+    walks at each beta and of every evaluated cell."""
     eval_x: np.ndarray
     eval_y: np.ndarray           # ground-truth labels for scoring
-    class_names: list[str]
     calib: CostCalibration
     tree: DecisionTree = field(repr=False)
     quant_ranges: dict = field(repr=False)
-    _path: PruningPath | None = field(default=None, repr=False)
     _walks: dict = field(default_factory=dict, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
-
-    def path(self) -> PruningPath:
-        if self._path is None:
-            self._path = tree_distiller.pruning_path(self.tree)
-        return self._path
 
     def walk(self, beta: int) -> np.ndarray:
         """The eval rows' walks through the tree quantized at beta: pruning
@@ -113,14 +106,14 @@ class JshcArtifacts:
 
 
 def default_alpha_set(artifacts: JshcArtifacts) -> list[float]:
-    """The base tree's own breakpoints (plus 0) — every pruned shape shows up."""
-    return sorted(set([0.0] + artifacts.path().alphas))
+    """The base tree's own breakpoints (0 among them): every pruned shape shows up."""
+    return sorted(set(artifacts.tree.collapse_alpha))
 
 
 def evaluate_config(alpha: float, beta: int, artifacts: JshcArtifacts,
                     budget: ResourceBudget | None = None) -> ConfigEval:
     """Prune at alpha, quantize at beta, score on the eval split, from the
-    walks at beta and the path's column.
+    walks at beta and the tree's collapse_alpha column.
 
     Deterministic and cached by (alpha, beta); feasibility is recomputed
     against the given budget on every call.
@@ -129,11 +122,10 @@ def evaluate_config(alpha: float, beta: int, artifacts: JshcArtifacts,
         raise ValueError("need alpha >= 0 and beta >= 1")
     key = (float(alpha), int(beta))
     if key not in artifacts._cache:
-        tree, path = artifacts.tree, artifacts.path()
-        y_pred = tree_distiller.labels_at(tree, artifacts.walk(beta), alpha, path)
-        accuracy, f1, _ = metrics_from_predictions(artifacts.eval_y, y_pred,
-                                                   len(artifacts.class_names))
-        n_nodes, max_depth = tree_distiller.pruned_shape(tree, alpha, path)
+        tree = artifacts.tree
+        y_pred = tree_distiller.labels_at(tree, artifacts.walk(beta), alpha)
+        accuracy, f1, _ = metrics_from_predictions(artifacts.eval_y, y_pred, tree.k)
+        n_nodes, max_depth = tree_distiller.pruned_shape(tree, alpha)
         cost = hw_model.shape_cost(n_nodes, max_depth, beta, artifacts.calib)
         artifacts._cache[key] = (accuracy, f1, cost)
     accuracy, f1, cost = artifacts._cache[key]

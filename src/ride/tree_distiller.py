@@ -13,7 +13,7 @@ R(T) + alpha * |leaves| for every alpha.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,6 +45,7 @@ class DecisionTree:
     depth: list[int]              # edges from the root
     r_node: list[float]           # R(t) = (n_t/N) * impurity(t)
     predicted_class: list[int]    # argmax counts, ties -> lowest id
+    collapse_alpha: list[float]   # PruningPath.collapse_alpha of this tree
     counts: np.ndarray            # (n_nodes, k) training samples routed here
     class_names: list[str]
     criterion: str = "gini"
@@ -79,7 +80,8 @@ class DecisionTree:
 
 
 # DecisionTree's list columns, in field order
-_COLUMNS = ("feature", "threshold", "left", "right", "depth", "r_node", "predicted_class")
+_COLUMNS = ("feature", "threshold", "left", "right", "depth", "r_node", "predicted_class",
+            "collapse_alpha")
 
 
 @dataclass
@@ -99,20 +101,9 @@ class PathEntry:
 class PruningPath:
     """collapse_alpha[i] is the alpha_eff of the first entry in which node
     i is no longer internal (0.0 at a leaf); it never grows from parent to
-    child. feature is the tree's own column, which fixes its topology."""
+    child. Its distinct values are the entries' alphas."""
     entries: list[PathEntry]
     collapse_alpha: np.ndarray
-    feature: list[int]
-
-    @property
-    def alphas(self) -> list[float]:
-        return [e.alpha_eff for e in self.entries]
-
-    def column(self, tree: DecisionTree) -> np.ndarray:
-        """collapse_alpha, for this path's tree or a quantized copy of it."""
-        if tree.feature != self.feature:
-            raise ValueError("the pruning path belongs to a tree of another topology")
-        return self.collapse_alpha
 
 
 def gini(counts: np.ndarray) -> float:
@@ -219,7 +210,8 @@ def cart_train(x: np.ndarray, y: np.ndarray, max_depth: int | None = None,
                min_samples_leaf: int = 1, criterion: str = "gini",
                class_names: list[str] | None = None) -> DecisionTree:
     """Greedy binary splitting; only strictly impurity-reducing splits are
-    kept, so every internal node has a positive pruning alpha."""
+    kept, so every internal node has a positive pruning alpha. The grown
+    tree carries its pruning path's collapse_alpha column."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.int64)
     if x.shape[0] == 0 or x.shape[1] == 0 or x.shape[0] != y.shape[0]:
@@ -251,7 +243,8 @@ def cart_train(x: np.ndarray, y: np.ndarray, max_depth: int | None = None,
         counts = np.bincount(y[order[0]], minlength=k).astype(np.float64)
         node_id = len(rows)
         imp = impurity(counts)
-        row = [-1, 0.0, -1, -1, depth, (m / n_total) * imp, int(np.argmax(counts))]
+        # collapse_alpha is a stand-in until the path is computed below
+        row = [-1, 0.0, -1, -1, depth, (m / n_total) * imp, int(np.argmax(counts)), 0.0]
         rows.append(row)
         node_counts.append(counts)
         can_split = (imp > 0.0 and m >= 2 * min_samples_leaf
@@ -269,9 +262,10 @@ def cart_train(x: np.ndarray, y: np.ndarray, max_depth: int | None = None,
         return node_id
 
     build(np.argsort(xt, axis=1), 0)
-    return DecisionTree(**{c: list(v) for c, v in zip(_COLUMNS, zip(*rows))},
+    tree = DecisionTree(**{c: list(v) for c, v in zip(_COLUMNS, zip(*rows))},
                         counts=np.array(node_counts), class_names=list(names),
                         criterion=criterion)
+    return replace(tree, collapse_alpha=pruning_path(tree).collapse_alpha.tolist())
 
 
 def _subtree_sums(internal: np.ndarray, left: np.ndarray, right: np.ndarray,
@@ -293,7 +287,8 @@ def pruning_path(tree: DecisionTree) -> PruningPath:
     node ids. Every minimizer of alpha_eff collapses simultaneously (ties
     within relative tolerance; the recorded alpha is their minimum), which
     makes alpha strictly increasing and node counts strictly decreasing. A
-    collapse stamps its alpha on its preorder span of nodes still internal."""
+    collapse stamps its alpha on its preorder span of nodes still internal.
+    Reads only the tree's topology and r_node, not its collapse_alpha."""
     feature, left, right, depth, r_node = (np.array(getattr(tree, c)) for c in
                                            ("feature", "left", "right", "depth", "r_node"))
     _, base_leaves = _subtree_sums(feature >= 0, left, right, depth, r_node)
@@ -316,32 +311,33 @@ def pruning_path(tree: DecisionTree) -> PruningPath:
             np.minimum(span, alpha, out=span)
         entries.append(PathEntry(alpha_eff=alpha,
                                  n_nodes=1 + 2 * int(np.count_nonzero(collapse == np.inf))))
-    return PruningPath(entries=entries, collapse_alpha=collapse, feature=tree.feature)
+    return PruningPath(entries=entries, collapse_alpha=collapse)
 
 
-def prune(tree: DecisionTree, alpha: float, path: PruningPath) -> DecisionTree:
+def prune(tree: DecisionTree, alpha: float) -> DecisionTree:
     """Subtree minimizing R(T) + alpha*|leaves|, as one keep mask over the
-    path's column (PruningPath.column)."""
+    tree's collapse_alpha column."""
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    internal = path.column(tree) > alpha
     col = {c: np.array(getattr(tree, c)) for c in _COLUMNS}
+    internal = col["collapse_alpha"] > alpha
     # keep the root and the children of every node still internal at alpha
     keep = np.zeros(tree.n_nodes, dtype=bool)
     keep[np.r_[0, col["left"][internal], col["right"][internal]]] = True
     new_id = np.cumsum(keep) - 1
     col["left"], col["right"] = new_id[col["left"]], new_id[col["right"]]
-    for c, blank in (("feature", -1), ("threshold", 0.0), ("left", -1), ("right", -1)):
+    for c, blank in (("feature", -1), ("threshold", 0.0), ("left", -1), ("right", -1),
+                     ("collapse_alpha", 0.0)):
         col[c][~internal] = blank
     return DecisionTree(**{c: v[keep].tolist() for c, v in col.items()},
                         counts=tree.counts[keep], class_names=tree.class_names,
                         criterion=tree.criterion)
 
 
-def pruned_shape(tree: DecisionTree, alpha: float, path: PruningPath) -> tuple[int, int]:
-    """(n_nodes, max_depth) of prune(tree, alpha, path), read off the column:
-    the deepest leaf hangs below the deepest internal node."""
-    depth = np.asarray(tree.depth)[path.column(tree) > alpha]
+def pruned_shape(tree: DecisionTree, alpha: float) -> tuple[int, int]:
+    """(n_nodes, max_depth) of prune(tree, alpha), read off the column: the
+    deepest leaf hangs below the deepest internal node."""
+    depth = np.asarray(tree.depth)[np.asarray(tree.collapse_alpha) > alpha]
     return 1 + 2 * depth.size, int(depth.max()) + 1 if depth.size else 0
 
 
@@ -381,11 +377,10 @@ def tree_predict_batch(tree: DecisionTree, x: np.ndarray) -> np.ndarray:
     return np.asarray(tree.predicted_class, dtype=np.int64)[tree_walk_batch(tree, x)[:, -1]]
 
 
-def labels_at(tree: DecisionTree, walk: np.ndarray, alpha: float,
-              path: PruningPath) -> np.ndarray:
-    """tree_predict_batch of prune(tree, alpha, path) from the rows' walks of
-    the unpruned tree: the class of the first node on a walk that is a leaf."""
-    is_leaf = path.column(tree)[walk] <= alpha
+def labels_at(tree: DecisionTree, walk: np.ndarray, alpha: float) -> np.ndarray:
+    """tree_predict_batch of prune(tree, alpha) from the rows' walks of the
+    unpruned tree: the class of the first node on a walk that is a leaf."""
+    is_leaf = np.asarray(tree.collapse_alpha)[walk] <= alpha
     node = walk[np.arange(walk.shape[0]), np.argmax(is_leaf, axis=1)]
     return np.asarray(tree.predicted_class, dtype=np.int64)[node]
 
@@ -409,7 +404,7 @@ def tree_from_dict(doc: dict) -> DecisionTree:
     missing = [c for c in _COLUMNS + ("counts",) if c not in doc]
     if missing:
         raise ValueError(f"tree document lacks node columns {missing}; a tree "
-                         f"written in the older per-node layout must be regenerated")
+                         f"written in an older layout must be regenerated")
     return DecisionTree(**{c: list(doc[c]) for c in _COLUMNS},
                         counts=np.array(doc["counts"], dtype=np.float64),
                         class_names=list(doc["class_names"]),

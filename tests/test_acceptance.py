@@ -113,21 +113,22 @@ def test_criterion_01_ccp_equals_exhaustive_subtree_minimizer():
         tree = tree_distiller.cart_train(x, y, max_depth=3, min_samples_leaf=5)
         assert tree.n_nodes <= 15
         path = tree_distiller.pruning_path(tree)
+        alphas = [e.alpha_eff for e in path.entries]
         subtrees = _anchored_subtrees(tree)
         probes = sorted(set(
-            [0.0, path.alphas[-1] + 1.0] + path.alphas
-            + [(a + b) / 2 for a, b in zip(path.alphas[1:], path.alphas[2:])]))
+            [0.0, alphas[-1] + 1.0] + alphas
+            + [(a + b) / 2 for a, b in zip(alphas[1:], alphas[2:])]))
         for alpha in probes:
             best = min(r + alpha * l for r, l in subtrees)
             best_leaves = min(l for r, l in subtrees
                               if r + alpha * l <= best + 1e-12)
-            got = tree_distiller.prune(tree, alpha, path)
+            got = tree_distiller.prune(tree, alpha)
             assert got.n_leaves == best_leaves, f"seed={seed} alpha={alpha}"
             objective = _risk(got) + alpha * got.n_leaves
             assert objective == pytest.approx(best, abs=1e-12)
         for e0, e1 in zip(path.entries, path.entries[1:]):
-            t0 = tree_distiller.prune(tree, e0.alpha_eff, path)
-            t1 = tree_distiller.prune(tree, e1.alpha_eff, path)
+            t0 = tree_distiller.prune(tree, e0.alpha_eff)
+            t1 = tree_distiller.prune(tree, e1.alpha_eff)
             tie = (_risk(t1) - _risk(t0)) / (t0.n_leaves - t1.n_leaves)
             worst_alpha_err = max(worst_alpha_err, abs(tie - e1.alpha_eff))
     _gate(1, worst_alpha_err < 1e-9,
@@ -168,7 +169,7 @@ def test_criterion_03_quantization_exact_recovery(run_a):
     x = _prefix_points(run_a)
     ranges = hw_model.fit_quantization_ranges(base, x)
     winner_alpha = _summary(run_a, "jshc")["best_alpha"]
-    winner = tree_distiller.prune(base, winner_alpha, tree_distiller.pruning_path(base))
+    winner = tree_distiller.prune(base, winner_alpha)
 
     exact = {}
     for name, tree in (("base", base), ("winner", winner)):
@@ -316,7 +317,7 @@ def _fresh_artifacts(cfg: dict):
     tree = tree_distiller.load_tree(cli.artifact_path(cfg, "tree"))
     x_test, y_test = cli._test_split(cfg, tree.class_names)
     return jshc_optimizer.JshcArtifacts(
-        eval_x=x_test, eval_y=y_test, class_names=tree.class_names,
+        eval_x=x_test, eval_y=y_test,
         calib=hw_model.load_calibration(None), tree=tree,
         quant_ranges=cli._load_ranges(cfg))
 

@@ -34,7 +34,7 @@ def _subschemas(schema, path=()):
 
 
 def test_config_schema_uses_only_the_keywords_the_check_handles():
-    handled = {"type", "properties", "additionalProperties", "enum", "items",
+    handled = {"type", "properties", "additionalProperties", "enum", "items", "minItems",
                "minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum"}
     for _, schema in _subschemas(cli.CONFIG_SCHEMA):
         assert set(schema) <= handled, schema
@@ -132,6 +132,15 @@ def test_integral_floats_and_non_finite_numbers_exit_3(tmp_path, capsys, text, w
     path.write_text(text)
     assert cli.main(["synth", "--config", str(path), "--out", str(tmp_path / "run")]) == 3
     assert f"config invalid at {where}:" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "run")
+
+
+def test_an_empty_alpha_or_beta_set_exits_3_before_any_stage_runs(tmp_path, capsys):
+    for key in ("alpha_set", "beta_set"):
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps({"jshc": {key: []}}))
+        assert cli.main(["all", "--config", str(path), "--out", str(tmp_path / "run")]) == 3
+        assert f"config invalid at jshc/{key}:" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "run")
 
 
@@ -557,6 +566,25 @@ def test_stage_summaries_carry_key_metrics(fast_run):
         train_ae = json.load(fh)
     assert train_ae["live_input_width"] == nn_core.CHUNK
     assert train_ae["n_encoder_weights_skipped"] == (1500 - nn_core.CHUNK) * 32
+
+
+def test_ride_all_computes_the_pruning_path_once(tmp_path, monkeypatch):
+    """cart_train stores the path's column with the tree; prune-sweep and
+    jshc read it off the tree instead of computing the path again."""
+    calls = []
+    original = tree_distiller.pruning_path
+
+    def spy(tree):
+        calls.append(tree.n_nodes)
+        return original(tree)
+
+    monkeypatch.setattr(tree_distiller, "pruning_path", spy)
+    cfg = _fast_config(tmp_path, "run")
+    cli.run_all(cfg)
+    assert len(calls) == 1
+    for stage in ("prune-sweep", "jshc"):
+        cli.run_stage(stage, cfg)
+    assert len(calls) == 1
 
 
 def _fast_config_file(tmp_path, section="autoencoder", **overrides):

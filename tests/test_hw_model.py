@@ -148,7 +148,8 @@ def test_quantize_preserves_topology_and_leaves():
     tree, x = organic_tree()
     q = hw.quantize_tree(tree, 4, hw.fit_quantization_ranges(tree, x))
     assert q.n_nodes == tree.n_nodes
-    for col in ("feature", "left", "right", "depth", "r_node", "predicted_class"):
+    for col in ("feature", "left", "right", "depth", "r_node", "predicted_class",
+                "collapse_alpha"):
         assert getattr(q.tree, col) == getattr(tree, col), col
     np.testing.assert_array_equal(q.tree.counts, tree.counts)
 

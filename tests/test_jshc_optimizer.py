@@ -33,7 +33,7 @@ def _toy_artifacts():
     eval_y = np.array([0, 0, 0, 1, 1, 1], dtype=np.int64)
     class_names = ["benign", "attack"]
     tree = tree_distiller.cart_train(train_x, train_y, class_names=class_names)
-    return JshcArtifacts(eval_x=eval_x, eval_y=eval_y, class_names=class_names,
+    return JshcArtifacts(eval_x=eval_x, eval_y=eval_y,
                          calib=hw_model.default_calibration(), tree=tree,
                          quant_ranges=hw_model.fit_quantization_ranges(tree, train_x))
 

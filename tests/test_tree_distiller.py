@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -248,6 +249,10 @@ def hand_tie_dataset():
     return arr[:, :3], arr[:, 3].astype(int)
 
 
+def alphas(path):
+    return [e.alpha_eff for e in path.entries]
+
+
 def test_pruning_path_hand_computed_with_tie_collapse():
     x, y = hand_tie_dataset()
     tree = cart_train(x, y)
@@ -257,12 +262,14 @@ def test_pruning_path_hand_computed_with_tie_collapse():
     # both depth-1 internal nodes share alpha_eff (0.1875) and collapse together
     path = pruning_path(tree)
     assert [e.n_nodes for e in path.entries] == [7, 3, 1]
-    assert path.alphas == pytest.approx([0.0, 0.1875, 0.3125])
+    assert alphas(path) == pytest.approx([0.0, 0.1875, 0.3125])
     # the path is one column: the alpha at which each node stops being internal
     assert path.collapse_alpha.tolist() == pytest.approx(
         [0.3125, 0.1875, 0.0, 0.0, 0.1875, 0.0, 0.0])
+    # cart_train stores that column with the tree
+    assert tree.collapse_alpha == path.collapse_alpha.tolist()
     # collapsed root predicts the lowest class id among tied counts [3,1,1,3]
-    assert prune(tree, path.alphas[-1], path).predicted_class[0] == 0
+    assert prune(tree, alphas(path)[-1]).predicted_class[0] == 0
 
 
 def test_pruning_path_folds_a_weakest_link_within_tolerance_into_the_entry_before():
@@ -278,39 +285,30 @@ def test_pruning_path_folds_a_weakest_link_within_tolerance_into_the_entry_befor
         depth=[0, 1, 2, 2, 1, 2, 2],
         r_node=[1.0, 0.25 + tiny, 0.125, 0.125, 0.25, 0.0625, 0.0625],
         predicted_class=[0, 0, 0, 0, 1, 1, 1],
+        collapse_alpha=[0.0] * 7,  # a stand-in: pruning_path does not read it
         counts=np.array([[8, 8], [8, 0], [4, 0], [4, 0], [0, 8], [0, 4], [0, 4]]),
         class_names=["a", "b"])
     path = pruning_path(tree)
+    tree = dataclasses.replace(tree, collapse_alpha=path.collapse_alpha.tolist())
     # the fold keeps alphas strictly increasing: no second entry at ~0
     assert path.entries == [td.PathEntry(0.0, 5), td.PathEntry(0.125, 3),
                             td.PathEntry(0.5 - tiny, 1)]
     # node 1 stops being internal at the folded entry's alpha, 0.0
     assert path.collapse_alpha.tolist() == [0.5 - tiny, 0.0, 0.0, 0.0, 0.125, 0.0, 0.0]
-    assert prune(tree, 0.0, path).n_nodes == 5
+    assert prune(tree, 0.0).n_nodes == 5
 
 
 def test_prune_alpha_selection_semantics():
     x, y = hand_tie_dataset()
     tree = cart_train(x, y)
-    path = pruning_path(tree)
-    assert prune(tree, 0.0, path).n_nodes == 7
-    assert prune(tree, 0.18, path).n_nodes == 7
-    assert prune(tree, 0.1875, path).n_nodes == 3
-    assert prune(tree, 0.31, path).n_nodes == 3
-    assert prune(tree, 0.3125, path).n_nodes == 1
-    assert prune(tree, 99.0, path).n_nodes == 1
+    assert prune(tree, 0.0).n_nodes == 7
+    assert prune(tree, 0.18).n_nodes == 7
+    assert prune(tree, 0.1875).n_nodes == 3
+    assert prune(tree, 0.31).n_nodes == 3
+    assert prune(tree, 0.3125).n_nodes == 1
+    assert prune(tree, 99.0).n_nodes == 1
     with pytest.raises(ValueError):
-        prune(tree, -0.1, path)
-
-
-def test_prune_refuses_the_path_of_another_tree():
-    x, y = hand_tie_dataset()
-    tree = cart_train(x, y)
-    other = pruning_path(cart_train(x, y, max_depth=1))
-    with pytest.raises(ValueError, match="topology"):
-        prune(tree, 0.0, other)
-    with pytest.raises(ValueError, match="topology"):
-        td.labels_at(tree, td.tree_walk_batch(tree, x), 0.0, other)
+        prune(tree, -0.1)
 
 
 # ------------------------------------------------- exhaustive pruning oracle
@@ -340,21 +338,21 @@ def risk(tree, i=0):
 def check_path_against_brute_force(tree, atol=1e-9):
     path = pruning_path(tree)
     subtrees = anchored_subtrees(tree)
-    alphas = path.alphas
-    probes = [0.0] + alphas[1:] + [alphas[-1] + 1.0]
-    for lo, hi in zip(alphas[1:], alphas[2:]):
+    path_alphas = alphas(path)
+    probes = [0.0] + path_alphas[1:] + [path_alphas[-1] + 1.0]
+    for lo, hi in zip(path_alphas[1:], path_alphas[2:]):
         probes.append((lo + hi) / 2.0)
     for alpha in probes:
         best = min(r + alpha * l for r, l in subtrees)
         # smallest optimal subtree, as pruning theory guarantees uniqueness
         best_leaves = min(l for r, l in subtrees if r + alpha * l <= best + 1e-12)
-        got = prune(tree, alpha, path)
+        got = prune(tree, alpha)
         got_r = risk(got)
         assert got.n_leaves == best_leaves, f"alpha={alpha}"
         assert got_r + alpha * got.n_leaves == pytest.approx(best, abs=1e-12)
     # each recorded alpha is the objective tie point between adjacent trees
     for (e0, e1) in zip(path.entries, path.entries[1:]):
-        t0, t1 = prune(tree, e0.alpha_eff, path), prune(tree, e1.alpha_eff, path)
+        t0, t1 = prune(tree, e0.alpha_eff), prune(tree, e1.alpha_eff)
         r0 = risk(t0)
         r1 = risk(t1)
         l0, l1 = t0.n_leaves, t1.n_leaves
@@ -378,8 +376,8 @@ def test_pruning_path_monotone_on_larger_tree():
     y = ((x[:, 0] > 0).astype(int) + (x[:, 1] > 0.5)).astype(int)
     tree = cart_train(x, y)
     path = pruning_path(tree)
-    assert path.alphas[0] == 0.0
-    assert all(a < b for a, b in zip(path.alphas, path.alphas[1:]))
+    assert alphas(path)[0] == 0.0
+    assert all(a < b for a, b in zip(alphas(path), alphas(path)[1:]))
     sizes = [e.n_nodes for e in path.entries]
     assert all(a > b for a, b in zip(sizes, sizes[1:]))
     assert sizes[-1] == 1
@@ -464,8 +462,7 @@ def probes(tree, x):
 
 def path_trees(tree):
     """The pruned tree of every path entry."""
-    path = pruning_path(tree)
-    return [prune(tree, e.alpha_eff, path) for e in path.entries]
+    return [prune(tree, e.alpha_eff) for e in pruning_path(tree).entries]
 
 
 @given(small_datasets())
@@ -487,7 +484,7 @@ def test_dict_round_trip_reproduces_every_column(data):
     for t in path_trees(tree):
         back = tree_from_dict(json.loads(json.dumps(tree_to_dict(t))))
         for col in ("feature", "threshold", "left", "right", "depth", "r_node",
-                    "predicted_class", "class_names", "criterion"):
+                    "predicted_class", "collapse_alpha", "class_names", "criterion"):
             assert getattr(back, col) == getattr(t, col), col
         np.testing.assert_array_equal(back.counts, t.counts)
 
@@ -515,11 +512,11 @@ def test_path_entries_are_preorder_tables(data):
 def test_path_alphas_increase_and_node_counts_decrease(data):
     tree, _x = grow(data)
     path = pruning_path(tree)
-    assert path.alphas[0] == 0.0 and path.entries[-1].n_nodes == 1
-    assert all(a < b for a, b in zip(path.alphas, path.alphas[1:]))
+    assert alphas(path)[0] == 0.0 and path.entries[-1].n_nodes == 1
+    assert all(a < b for a, b in zip(alphas(path), alphas(path)[1:]))
     sizes = [e.n_nodes for e in path.entries]
     assert all(a > b for a, b in zip(sizes, sizes[1:]))
-    assert sizes == [prune(tree, e.alpha_eff, path).n_nodes for e in path.entries]
+    assert sizes == [prune(tree, e.alpha_eff).n_nodes for e in path.entries]
 
 
 @given(small_datasets())
@@ -528,18 +525,42 @@ def test_one_walk_per_beta_gives_every_pruned_quantized_tree(data):
     off one walk of the quantized unpruned tree equal the pruned, quantized
     tree's."""
     tree, x = grow(data)
-    path = pruning_path(tree)
+    path_alphas = alphas(pruning_path(tree))
     ranges = hw_model.fit_quantization_ranges(tree, x)
     rows = probes(tree, x)
     for beta in (1, 4, 16):
         qbase = hw_model.quantize_tree(tree, beta, ranges).tree
         walk = td.tree_walk_batch(qbase, rows)
-        for alpha in path.alphas + [path.alphas[-1] + 1.0]:
-            qtree = hw_model.quantize_tree(prune(tree, alpha, path), beta, ranges).tree
-            np.testing.assert_array_equal(td.labels_at(qbase, walk, alpha, path),
+        for alpha in path_alphas + [path_alphas[-1] + 1.0]:
+            qtree = hw_model.quantize_tree(prune(tree, alpha), beta, ranges).tree
+            np.testing.assert_array_equal(td.labels_at(qbase, walk, alpha),
                                           tree_predict_batch(qtree, rows))
-            assert tree_to_dict(prune(qbase, alpha, path)) == tree_to_dict(qtree)
-            assert td.pruned_shape(qbase, alpha, path) == (qtree.n_nodes, qtree.max_depth)
+            assert tree_to_dict(prune(qbase, alpha)) == tree_to_dict(qtree)
+            assert td.pruned_shape(qbase, alpha) == (qtree.n_nodes, qtree.max_depth)
+
+
+@given(small_datasets())
+def test_the_collapse_alpha_column_is_the_path_of_every_tree_that_carries_it(data):
+    """The column's distinct values are the path's alphas; every pruned
+    tree carries its own path's column, bit for bit; quantizing keeps it
+    (test_dict_round_trip_reproduces_every_column covers the dict round
+    trip)."""
+    tree, x = grow(data)
+    path = pruning_path(tree)
+    assert sorted(set(tree.collapse_alpha)) == sorted(set([0.0] + alphas(path)))
+    for alpha in sorted(set(tree.collapse_alpha)):
+        pruned = prune(tree, alpha)
+        assert pruned.collapse_alpha == pruning_path(pruned).collapse_alpha.tolist()
+    ranges = hw_model.fit_quantization_ranges(tree, x)
+    assert hw_model.quantize_tree(tree, 3, ranges).tree.collapse_alpha == tree.collapse_alpha
+
+
+def test_a_tree_document_without_the_collapse_alpha_column_must_be_regenerated():
+    x, y = hand_tie_dataset()
+    doc = tree_to_dict(cart_train(x, y))
+    del doc["collapse_alpha"]
+    with pytest.raises(ValueError, match="collapse_alpha.*must be regenerated"):
+        tree_from_dict(doc)
 
 
 # ---------------------------------------------------------------- teacher
