@@ -86,7 +86,7 @@ def train_classifier(x: np.ndarray, labels: list[str], cfg: TrainConfig | None =
         raise ValueError("training data contains a single class")
     trained, history = nn_core.train(
         nn_core.init_dense_net([x.shape[1], hidden, len(class_names)], ["relu", "softmax"],
-                               seed=cfg.seed, weight_init_scale=cfg.weight_init_scale),
+                               seed=cfg.seed),
         x, y, "cross_entropy", cfg)
     return ClassifierModel(net=trained, class_names=class_names, loss_curve=history)
 
@@ -184,14 +184,9 @@ def stratified_split(labels: list[str], test_fraction: float = 0.2,
     return train, sorted(test_idx)
 
 
-def save_model(model: ClassifierModel, path: str, rae_sha256: str,
-               packet_codes_sha256: str) -> None:
-    """The classifier, with the hashes of the RAE file and the packet-code
-    file whose folds it learned from."""
+def save_model(model: ClassifierModel, path: str) -> None:
     nn_core.save_artifact(path, {"class_names": list(model.class_names),
-                                 "loss_curve": model.loss_curve,
-                                 "rae_sha256": rae_sha256,
-                                 "packet_codes_sha256": packet_codes_sha256},
+                                 "loss_curve": model.loss_curve},
                           nets={"net": model.net})
 
 

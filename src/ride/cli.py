@@ -42,11 +42,12 @@ ARTIFACTS = {
     "ranges": "quant_ranges.json",
     "qtree": "qtree.json",
     "qtree_best": "qtree_best.json",
-    "jshc": "jshc_result.json",
+    "jshc": "summaries/jshc.json",  # the jshc stage's summary
     "sweep": "jshc_sweep.csv",
     "timings": "timings.json",
     "report_json": "report.json",
     "report_md": "report.md",
+    "manifest": "manifest.json",
 }
 
 
@@ -71,10 +72,11 @@ def _train_section(learning_rate: float, epochs: int) -> dict:
         "batch_size": (32, {"type": "integer", "minimum": 1}),
         "epochs": (epochs, {"type": "integer", "minimum": 0}),
         "seed": (None, {"type": ["integer", "null"]}),  # None: the top-level seed
-        "weight_init_scale": (1.0, {"type": "number", "exclusiveMinimum": 0}),
-        "optimizer": ("adam", {"enum": ["adam", "sgd"]}),
     }
 
+
+# A bit width the default cost calibration covers.
+_BETA = {"type": "integer", "minimum": hw_model.BETA_MIN, "maximum": hw_model.BETA_MAX}
 
 # Every config key, declared once: a section is a dict, and a key maps to
 # (its default, the JSON Schema of its values). CONFIG_SCHEMA and
@@ -116,14 +118,13 @@ _CONFIG = {
         "min_samples_leaf": (5, {"type": "integer", "minimum": 1}),
         "criterion": ("gini", {"enum": ["gini", "entropy"]}),
     },
-    "quantize": {"beta": (11, {"type": "integer", "minimum": 1, "maximum": 16})},
+    "quantize": {"beta": (11, _BETA)},
     "jshc": {
         "alpha_set": (None, {"type": ["array", "null"], "minItems": 1,
                              "items": {"type": "number", "minimum": 0}}),
-        "beta_set": (None, {"type": ["array", "null"], "minItems": 1,
-                            "items": {"type": "integer", "minimum": 1}}),
-        "min_beta": (1, {"type": "integer", "minimum": 1}),
-        "max_beta": (11, {"type": "integer", "minimum": 1}),
+        "beta_set": (None, {"type": ["array", "null"], "minItems": 1, "items": _BETA}),
+        "min_beta": (1, _BETA),
+        "max_beta": (11, _BETA),
         "tol": (1.0, {"type": "number", "exclusiveMinimum": 0}),
         "max_iter": (20, {"type": "integer", "minimum": 0}),
         "z_max": {
@@ -278,27 +279,10 @@ def atomic_write_json(path: str, obj) -> None:
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _file_sha256(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
-def _check_lineage(paths: tuple[str, ...], field: str, upstream: str, rerun: str) -> None:
-    """StaleArtifactError unless each model file in `paths` records in its
-    meta `field` the sha256 of the file `upstream` holds now."""
-    current = _file_sha256(upstream)
-    for path in paths:
-        meta, _, _ = nn_core.load_artifact(path, fields=(field,))
-        if meta[field] != current:
-            raise StaleArtifactError(
-                f"{path} was built from another {upstream} than the one there now; "
-                f"re-run `ride {rerun}` and the stages after it")
-
-
 def _load_json(path: str, parse=lambda doc: doc):
     """parse(the JSON document at path). A document that does not parse,
     or that parse finds lacking a key, raises ValueError naming path."""
-    with open(_require(path)) as fh, nn_core.file_errors(path, "JSON"):
+    with open(path) as fh, nn_core.file_errors(path, "JSON"):
         return parse(json.load(fh))
 
 
@@ -350,7 +334,7 @@ def stage_ingest(cfg: dict) -> dict:
 
 def _load_flow_payload_matrix(cfg: dict) -> np.ndarray:
     """Every packet's n_p payload bytes, zero padded, as one uint8 matrix."""
-    flows = packet_ingest.load_flows(_require(artifact_path(cfg, "flows")))
+    flows = packet_ingest.load_flows(artifact_path(cfg, "flows"))
     return packet_ingest.payload_matrix([pkt for flow in flows for pkt in flow.packets],
                                         cfg["features"]["n_p"])
 
@@ -375,42 +359,26 @@ def stage_train_ae(cfg: dict) -> dict:
 
 
 def stage_embed(cfg: dict) -> dict:
-    flows = packet_ingest.load_flows(_require(artifact_path(cfg, "flows")))
-    ae_path = _require(artifact_path(cfg, "autoencoder"))
-    bundle = payload_autoencoder.load_bundle(ae_path)
-    ae_sha256 = _file_sha256(ae_path)
+    flows = packet_ingest.load_flows(artifact_path(cfg, "flows"))
+    bundle = payload_autoencoder.load_bundle(artifact_path(cfg, "autoencoder"))
     embedded = flow_embedder.encode_flows(bundle, flows, n_p=cfg["features"]["n_p"])
     rae_cfg = _train_cfg(cfg, "rae")
     pairs = flow_embedder.sample_training_pairs(
         embedded, pair_cap=cfg["embed"]["pair_cap"], seed=rae_cfg.seed)
     rae = flow_embedder.train_rae(pairs, n_b=bundle.n_b, cfg=rae_cfg)
-    flow_embedder.save_rae(rae, artifact_path(cfg, "rae"), ae_sha256)
-    flow_embedder.save_packet_codes(embedded, artifact_path(cfg, "packet_codes"), ae_sha256)
+    flow_embedder.save_rae(rae, artifact_path(cfg, "rae"))
+    flow_embedder.save_packet_codes(embedded, artifact_path(cfg, "packet_codes"))
     return {
         "n_flows": len(embedded), "n_pairs": int(pairs.shape[0]),
         "final_recon_error": rae.final_recon_error,
     }
 
 
-def _stored_flows(cfg: dict):
-    """The RAE and every flow's packet codes, as the embed stage stored
-    them; StaleArtifactError when autoencoder.npz has changed since."""
-    codes_path = _require(artifact_path(cfg, "packet_codes"))
-    rae_path = _require(artifact_path(cfg, "rae"))
-    ae_path = _require(artifact_path(cfg, "autoencoder"))
-    _check_lineage((codes_path, rae_path), "autoencoder_sha256", ae_path, "embed")
-    return flow_embedder.load_rae(rae_path), flow_embedder.load_packet_codes(codes_path)
-
-
 def _split_flows(cfg: dict) -> tuple:
     """The RAE and the stored flows on each side of split.json. Stale when
-    classifier.npz, which train-clf wrote with the split, learned from
-    another RAE or other packet codes (embed or ingest ran since), or when
     the split names a flow the codes lack."""
-    rae, flows = _stored_flows(cfg)
-    clf_path = _require(artifact_path(cfg, "classifier"))
-    for name in ("rae", "packet_codes"):
-        _check_lineage((clf_path,), f"{name}_sha256", artifact_path(cfg, name), "train-clf")
+    rae = flow_embedder.load_rae(artifact_path(cfg, "rae"))
+    flows = flow_embedder.load_packet_codes(artifact_path(cfg, "packet_codes"))
     path = artifact_path(cfg, "split")
     sides = _load_json(path, lambda doc: (list(doc["train"]), list(doc["test"])))
     by_id = {f.flow_id: f for f in flows}
@@ -434,7 +402,8 @@ def _fold(rae, flows: list, class_names: list[str]) -> tuple[np.ndarray, np.ndar
 
 
 def stage_train_clf(cfg: dict) -> dict:
-    rae, flows = _stored_flows(cfg)
+    rae = flow_embedder.load_rae(artifact_path(cfg, "rae"))
+    flows = flow_embedder.load_packet_codes(artifact_path(cfg, "packet_codes"))
     labels = [f.label for f in flows]
     train, test = classifier.stratified_split(
         labels, test_fraction=cfg["classifier"]["test_fraction"], seed=cfg["seed"])
@@ -448,8 +417,7 @@ def stage_train_clf(cfg: dict) -> dict:
     model = classifier.train_classifier(x[train], [labels[i] for i in train],
                                         _train_cfg(cfg, "classifier"),
                                         hidden=cfg["classifier"]["hidden"])
-    classifier.save_model(model, artifact_path(cfg, "classifier"), _file_sha256(
-        artifact_path(cfg, "rae")), _file_sha256(artifact_path(cfg, "packet_codes")))
+    classifier.save_model(model, artifact_path(cfg, "classifier"))
     # deterministic metrics only (timing lives in the eval stage)
     y_pred = np.argmax(classifier.predict_proba(model, x[test]), axis=1)
     acc, f1, confusion = classifier.metrics_from_predictions(
@@ -484,7 +452,7 @@ def stage_distill(cfg: dict) -> dict:
     born-again trees). The first prefix of a flow is its first packet's
     raw payload code, which lies off the folded embeddings the teacher was
     trained on; measured, dropping those points made the tree no better."""
-    model = classifier.load_model(_require(artifact_path(cfg, "classifier")))
+    model = classifier.load_model(artifact_path(cfg, "classifier"))
     rae, train, test = _split_flows(cfg)
     x_prefix = np.concatenate([
         flow_embedder.fold_prefixes(rae, f.embeddings, [0, len(f.embeddings)]) for f in train])
@@ -521,7 +489,7 @@ def stage_distill(cfg: dict) -> dict:
 
 
 def stage_prune_sweep(cfg: dict) -> dict:
-    tree = tree_distiller.load_tree(_require(artifact_path(cfg, "tree")))
+    tree = tree_distiller.load_tree(artifact_path(cfg, "tree"))
     x_test, y_true = _test_split(cfg, tree.class_names)
     walk = tree_distiller.tree_walk_batch(tree, x_test)
     rows = []
@@ -545,7 +513,7 @@ def _load_ranges(cfg: dict) -> dict:
 
 
 def stage_quantize(cfg: dict) -> dict:
-    tree = tree_distiller.load_tree(_require(artifact_path(cfg, "tree")))
+    tree = tree_distiller.load_tree(artifact_path(cfg, "tree"))
     ranges = _load_ranges(cfg)
     beta = cfg["quantize"]["beta"]
     qtree = hw_model.quantize_tree(tree, beta, ranges)
@@ -565,7 +533,7 @@ def _load_calibration(cfg: dict) -> hw_model.CostCalibration:
 
 
 def stage_cost(cfg: dict) -> dict:
-    qtree = hw_model.load_qtree(_require(artifact_path(cfg, "qtree")))
+    qtree = hw_model.load_qtree(artifact_path(cfg, "qtree"))
     calib = _load_calibration(cfg)
     cost = hw_model.cost_estimate(qtree, calib)
     feasible, violated = hw_model.check_constraint(
@@ -578,7 +546,7 @@ def stage_cost(cfg: dict) -> dict:
 
 def stage_jshc(cfg: dict) -> dict:
     # the search starts from the very tree and ranges the distill stage wrote
-    tree = tree_distiller.load_tree(_require(artifact_path(cfg, "tree")))
+    tree = tree_distiller.load_tree(artifact_path(cfg, "tree"))
     x_test, y_test = _test_split(cfg, tree.class_names)
     calib = _load_calibration(cfg)
     artifacts = jshc_optimizer.JshcArtifacts(
@@ -592,7 +560,7 @@ def stage_jshc(cfg: dict) -> dict:
     best_q = hw_model.quantize_tree(best_tree, result.best_beta, artifacts.quant_ranges)
     atomic_write_text(artifact_path(cfg, "qtree_best"),
                       json.dumps(hw_model.qtree_to_dict(best_q)))
-    summary = {
+    return {
         "best_alpha": result.best_alpha, "best_beta": result.best_beta,
         "best_accuracy": result.best_accuracy, "best_f1": result.best.f1,
         "best_n_nodes": result.best.n_nodes,
@@ -600,14 +568,12 @@ def stage_jshc(cfg: dict) -> dict:
         "n_grid_evals": len(result.sweep_log),
         "bisection_trace": [dataclasses.asdict(s) for s in result.bisection_trace],
     }
-    atomic_write_json(artifact_path(cfg, "jshc"), summary)
-    return summary
 
 
 def stage_eval(cfg: dict) -> dict:
-    model = classifier.load_model(_require(artifact_path(cfg, "classifier")))
-    tree = tree_distiller.load_tree(_require(artifact_path(cfg, "tree")))
-    qtree = hw_model.load_qtree(_require(artifact_path(cfg, "qtree_best")))
+    model = classifier.load_model(artifact_path(cfg, "classifier"))
+    tree = tree_distiller.load_tree(artifact_path(cfg, "tree"))
+    qtree = hw_model.load_qtree(artifact_path(cfg, "qtree_best"))
     x_test, y_test = _test_split(cfg, model.class_names)
     labels = [model.class_names[i] for i in y_test]
     calib = _load_calibration(cfg)
@@ -700,33 +666,86 @@ def stage_report(cfg: dict) -> dict:
     return {"rows": len(rows)}
 
 
-_STAGE_FUNCS = {
-    "synth": stage_synth,
-    "ingest": stage_ingest,
-    "train-ae": stage_train_ae,
-    "embed": stage_embed,
-    "train-clf": stage_train_clf,
-    "distill": stage_distill,
-    "prune-sweep": stage_prune_sweep,
-    "quantize": stage_quantize,
-    "cost": stage_cost,
-    "jshc": stage_jshc,
-    "eval": stage_eval,
-    "report": stage_report,
+def _file(name: str) -> str:
+    """The path in the out dir of an artifact or of a stage's summary."""
+    return ARTIFACTS.get(name) or f"summaries/{name}.json"
+
+
+# Each stage: its function, the artifacts it reads and those it writes. A
+# name is an ARTIFACTS key or a stage, for the summary every stage writes.
+# classifier.npz is read with split.json, which train-clf writes with it;
+# timings.json is left out, as its wall-clock times differ between runs.
+_SPLIT_FLOWS = ("split", "rae", "packet_codes")
+_STAGE_TABLE = {
+    "synth": (stage_synth, (), ("pcap", "truth")),
+    "ingest": (stage_ingest, ("pcap", "truth"), ("flows",)),
+    "train-ae": (stage_train_ae, ("flows",), ("autoencoder",)),
+    "embed": (stage_embed, ("flows", "autoencoder"), ("rae", "packet_codes")),
+    "train-clf": (stage_train_clf, ("rae", "packet_codes"), ("split", "classifier")),
+    "distill": (stage_distill, ("classifier", *_SPLIT_FLOWS), ("tree", "rules", "ranges")),
+    "prune-sweep": (stage_prune_sweep, ("tree", "classifier", *_SPLIT_FLOWS), ("prune_sweep",)),
+    "quantize": (stage_quantize, ("tree", "ranges"), ("qtree",)),
+    "cost": (stage_cost, ("qtree",), ()),
+    "jshc": (stage_jshc, ("tree", "ranges", "classifier", *_SPLIT_FLOWS), ("sweep", "qtree_best")),
+    "eval": (stage_eval, ("classifier", "tree", "qtree_best", *_SPLIT_FLOWS), ()),
+    "report": (stage_report, ("train-clf", "distill", "jshc", "eval"),
+               ("report_json", "report_md")),
 }
-STAGES = list(_STAGE_FUNCS)
+STAGES = list(_STAGE_TABLE)
+_WRITER = {_file(name): stage for stage, (_, _, writes) in _STAGE_TABLE.items()
+           for name in (*writes, stage)}
+
+
+def _check_inputs(cfg: dict, manifest: dict, reads: list[str]) -> None:
+    """StaleArtifactError unless each file in reads has a record whose
+    inputs' sha256s are their records now (records are compared: a file is
+    hashed once, when written), naming the earliest stage to re-run."""
+    stale = {}  # the stage that wrote a stale file -> [(that file, a changed input)]
+    for file in reads:
+        if file not in manifest:
+            raise StaleArtifactError(
+                f"{os.path.join(cfg['out_dir'], file)} has no record in {ARTIFACTS['manifest']}; "
+                f"re-run `ride {_WRITER[file]}` and the stages after it")
+        for upstream, sha256 in manifest[file]["inputs"].items():
+            if manifest.get(upstream, {}).get("sha256") != sha256:
+                stale.setdefault(manifest[file]["stage"], []).append((file, upstream))
+    if stale:
+        stage = min(stale, key=STAGES.index)
+        files, upstreams = ([os.path.join(cfg["out_dir"], f) for f in dict.fromkeys(side)]
+                            for side in zip(*stale[stage]))
+        raise StaleArtifactError(
+            f"{' and '.join(files)} {'was' if len(files) == 1 else 'were'} built from another "
+            f"version of {' and '.join(upstreams)}; re-run `ride {stage}` and the stages after it")
 
 
 def run_stage(stage: str, cfg: dict) -> dict:
     """Run one stage and write the summary it returns to
-    summaries/<stage>.json."""
-    if stage not in _STAGE_FUNCS:
+    summaries/<stage>.json.
+
+    manifest.json keeps, for each file a stage wrote in the out dir, its
+    sha256, the stage and the sha256 of each file the stage read there
+    (not paths.*). Those must exist and pass _check_inputs first.
+    """
+    if stage not in _STAGE_TABLE:
         raise ConfigError(f"unknown stage {stage!r}; choose from {STAGES + ['all']}")
-    os.makedirs(cfg["out_dir"], exist_ok=True)
+    func, reads, writes = _STAGE_TABLE[stage]
+    external = {"pcap": cfg["paths"]["pcap"], "truth": cfg["paths"]["truth_csv"]}
+    reads = [_file(name) for name in reads if not external.get(name)]
+    for file in reads:
+        _require(os.path.join(cfg["out_dir"], file))
+    path = artifact_path(cfg, "manifest")
+    manifest = _load_json(path) if os.path.exists(path) else {}
+    _check_inputs(cfg, manifest, reads)
     t0 = time.perf_counter()
-    summary = _STAGE_FUNCS[stage](cfg)
+    summary = func(cfg)
     atomic_write_json(summary_path(cfg, stage), summary)
     logger.info("stage %s finished in %.2fs", stage, time.perf_counter() - t0)
+    inputs = {file: manifest[file]["sha256"] for file in reads}
+    for file in map(_file, (*writes, stage)):
+        with open(os.path.join(cfg["out_dir"], file), "rb") as fh:
+            manifest[file] = {"sha256": hashlib.sha256(fh.read()).hexdigest(),
+                              "stage": stage, "inputs": inputs}
+    atomic_write_json(path, manifest)
     return summary
 
 
@@ -761,11 +780,9 @@ def main(argv: list[str] | None = None) -> int:
             run_all(cfg)
         else:
             run_stage(args.stage, cfg)
-    except MissingArtifactError as exc:
-        print(f"error: missing upstream artifact: {exc}", file=sys.stderr)
-        return 2
-    except StaleArtifactError as exc:
-        print(f"error: stale artifact: {exc}", file=sys.stderr)
+    except (MissingArtifactError, StaleArtifactError) as exc:
+        what = "stale" if isinstance(exc, StaleArtifactError) else "missing upstream"
+        print(f"error: {what} artifact: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

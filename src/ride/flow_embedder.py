@@ -132,8 +132,7 @@ def train_rae(pairs: np.ndarray, n_b: int, cfg: TrainConfig | None = None) -> Ra
     if pairs.shape[1] != 2 * n_b:
         raise ValueError(f"pair rows must have width 2*n_b={2 * n_b}")
     trained, history = nn_core.train(
-        nn_core.init_dense_net([2 * n_b, n_b, 2 * n_b], ["tanh", "tanh"],
-                               seed=cfg.seed, weight_init_scale=cfg.weight_init_scale),
+        nn_core.init_dense_net([2 * n_b, n_b, 2 * n_b], ["tanh", "tanh"], seed=cfg.seed),
         pairs, pairs, "mse", cfg)
     final = nn_core.loss_mse(nn_core.forward(trained, pairs), pairs)
     return RaeBundle(
@@ -316,11 +315,9 @@ def flow_embeddings_from_csv(path: str) -> list[FlowEmbedding]:
     return out
 
 
-def save_rae(rae: RaeBundle, path: str, autoencoder_sha256: str) -> None:
-    """The RAE, with the hash of the autoencoder file whose codes it folds."""
+def save_rae(rae: RaeBundle, path: str) -> None:
     nn_core.save_artifact(path, {"final_recon_error": rae.final_recon_error, "seed": rae.seed,
-                                 "loss_curve": rae.loss_curve,
-                                 "autoencoder_sha256": autoencoder_sha256},
+                                 "loss_curve": rae.loss_curve},
                           nets={"composer": rae.composer})
 
 
@@ -345,12 +342,11 @@ def stack_codes(flows: list[EmbeddedFlow]) -> tuple[np.ndarray, np.ndarray]:
             np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64))
 
 
-def save_packet_codes(flows: list[EmbeddedFlow], path: str, autoencoder_sha256: str) -> None:
+def save_packet_codes(flows: list[EmbeddedFlow], path: str) -> None:
     """Every flow's packet codes in one file, as stack_codes lays them
-    out; flow j has flow_ids[j] and labels[j]. The meta records the hash
-    of the autoencoder file that encoded them."""
+    out; flow j has flow_ids[j] and labels[j]."""
     codes, offsets = stack_codes(flows)
-    nn_core.save_artifact(path, {"autoencoder_sha256": autoencoder_sha256}, arrays={
+    nn_core.save_artifact(path, {}, arrays={
         "codes": codes,
         "offsets": offsets,
         "flow_ids": np.array([f.flow_id for f in flows], dtype=str),

@@ -93,8 +93,6 @@ class TrainConfig:
     batch_size: int = 32
     epochs: int = 10
     seed: int = 0
-    weight_init_scale: float = 1.0
-    optimizer: str = "adam"  # "sgd" or "adam"
 
     def __post_init__(self):
         if self.learning_rate < 0:
@@ -103,8 +101,6 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
 def init_dense_net(
@@ -656,7 +652,7 @@ def train(net: DenseNet, x, targets, loss: str, cfg: TrainConfig):
         size -= (net.input_dim - live) * net.layers[0].w.shape[0]
     params, grads = params[:size], grads[:size]
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    adam = _Adam(params, grads, cfg) if cfg.optimizer == "adam" else None
+    adam = _Adam(params, grads, cfg)
 
     history = []
     try:
@@ -669,15 +665,10 @@ def train(net: DenseNet, x, targets, loss: str, cfg: TrainConfig):
                 if not np.isfinite(value):
                     raise TrainingDivergedError(epoch, bstart // cfg.batch_size)
                 epoch_loss += value * idx.size
-                if adam is not None:
-                    adam.step()
-                else:
-                    np.multiply(grads, cfg.learning_rate, out=grads)
-                    np.subtract(params, grads, out=params)
+                adam.step()
             history.append(epoch_loss / n)
     finally:
-        if adam is not None:
-            adam.close()
+        adam.close()
     return net, history
 
 

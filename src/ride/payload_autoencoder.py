@@ -86,7 +86,7 @@ def train_autoencoder(
     del rows
     trained, history = nn_core.train(
         nn_core.init_dense_net([n_p, h, n_b, h, n_p], ["relu", "sigmoid", "relu", "sigmoid"],
-                               seed=cfg.seed, weight_init_scale=cfg.weight_init_scale),
+                               seed=cfg.seed),
         train_x, train_x, "mse", cfg)
     del train_x
     return AutoencoderBundle(encoder=DenseNet(trained.layers[:2]), n_p=n_p, n_b=n_b, h=h,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ride import classifier as clf, nn_core
+from ride import classifier as clf
 from ride.nn_core import DenseNet, Layer, TrainConfig
 
 
@@ -190,13 +190,10 @@ def test_model_round_trip(tmp_path):
     x, labels = blobs()
     model = clf.train_classifier(x, labels, cfg=TrainConfig(epochs=5, seed=9), hidden=8)
     path = tmp_path / "clf.npz"
-    clf.save_model(model, str(path), "ab" * 32, "cd" * 32)
+    clf.save_model(model, str(path))
     loaded = clf.load_model(str(path))
     assert loaded.class_names == model.class_names
     assert len(model.loss_curve) == 5 and loaded.loss_curve == model.loss_curve
-    meta, _, _ = nn_core.load_artifact(
-        str(path), fields=("rae_sha256", "packet_codes_sha256"))
-    assert (meta["rae_sha256"], meta["packet_codes_sha256"]) == ("ab" * 32, "cd" * 32)
     x = x[:5]
     np.testing.assert_allclose(clf.predict_proba(loaded, x), clf.predict_proba(model, x))
 

@@ -1,5 +1,6 @@
 """CLI orchestrator: config handling, stage wiring, exit codes, artifacts."""
 import csv
+import hashlib
 import json
 import math
 import os
@@ -103,11 +104,14 @@ def test_load_config_rejects_bad_input(tmp_path):
 
 
 def test_removed_config_knobs_exit_3_and_name_their_section(tmp_path, capsys):
-    """A config naming a fold order or a sample cap the program does not
-    have is refused, not silently ignored."""
+    """A config naming a fold order, a sample cap or a training knob the
+    program does not have is refused, not silently ignored."""
     for name, section, where in (
             ("order", {"embed": {"order": "greedy_min"}}, "embed/order"),
-            ("caps", {"sample_caps": {"rae_pairs": 5000}}, "sample_caps")):
+            ("caps", {"sample_caps": {"rae_pairs": 5000}}, "sample_caps"),
+            ("optimizer", {"train": {"rae": {"optimizer": "sgd"}}}, "train/rae"),
+            ("init", {"train": {"classifier": {"weight_init_scale": 0.5}}},
+             "train/classifier")):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(section))
         assert cli.main(["synth", "--config", str(path), "--out", str(tmp_path / "run")]) == 3
@@ -141,6 +145,16 @@ def test_an_empty_alpha_or_beta_set_exits_3_before_any_stage_runs(tmp_path, caps
         path.write_text(json.dumps({"jshc": {key: []}}))
         assert cli.main(["all", "--config", str(path), "--out", str(tmp_path / "run")]) == 3
         assert f"config invalid at jshc/{key}:" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "run")
+
+
+@pytest.mark.parametrize("jshc", [{"max_beta": 17}, {"min_beta": 17}, {"beta_set": [4, 20]}])
+def test_a_jshc_bit_width_beyond_the_calibration_exits_3_before_any_stage_runs(
+        tmp_path, capsys, jshc):
+    path = tmp_path / "beta.json"
+    path.write_text(json.dumps({"jshc": jshc}))
+    assert cli.main(["all", "--config", str(path), "--out", str(tmp_path / "run")]) == 3
+    assert f"greater than the maximum of {hw_model.BETA_MAX}" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "run")
 
 
@@ -424,7 +438,8 @@ def test_run_all_writes_every_artifact(fast_run):
     # and nothing else: no temp file left behind, and no flow embeddings,
     # which every stage folds from packet_codes.npz
     out = fast_run["out_dir"]
-    assert sorted(os.listdir(out)) == sorted([*cli.ARTIFACTS.values(), "summaries"])
+    assert sorted(os.listdir(out)) == sorted(
+        {path.split("/")[0] for path in cli.ARTIFACTS.values()} | {"summaries"})
     assert "flow_embeddings.csv" not in os.listdir(out)
     assert sorted(os.listdir(os.path.join(out, "summaries"))) == sorted(
         f"{stage}.json" for stage in cli.STAGES)
@@ -656,6 +671,69 @@ def test_prune_sweep_and_jshc_refuse_a_split_of_another_capture(tmp_path, capsys
         err = capsys.readouterr().err
         assert "stale artifact" in err and "re-run `ride train-clf`" in err, stage
         assert os.path.join(out, "classifier.npz") in err, stage
+
+
+def test_the_manifest_records_each_file_a_stage_wrote(fast_run):
+    """Every run-dir file but the timings and the manifest itself has a
+    record: its sha256, the stage that wrote it and the records of the
+    files that stage read."""
+    out = fast_run["out_dir"]
+    with open(cli.artifact_path(fast_run, "manifest")) as fh:
+        manifest = json.load(fh)
+    files = _run_files(out)
+    assert sorted(manifest) == sorted(set(files) - {"timings.json", "manifest.json"})
+    for file, record in manifest.items():
+        assert record["sha256"] == hashlib.sha256(files[file]).hexdigest(), file
+    sha = {file: record["sha256"] for file, record in manifest.items()}
+    assert manifest["rae.npz"] == {"sha256": sha["rae.npz"], "stage": "embed", "inputs": {
+        "flows.ndjson": sha["flows.ndjson"], "autoencoder.npz": sha["autoencoder.npz"]}}
+    assert manifest["capture.pcap"]["inputs"] == {}
+    assert manifest["summaries/report.json"]["inputs"] == {
+        f"summaries/{stage}.json": sha[f"summaries/{stage}.json"]
+        for stage in ("train-clf", "distill", "jshc", "eval")}
+
+
+def test_what_was_built_from_a_re_distilled_tree_s_predecessor_is_stale(tmp_path, capsys):
+    """After `ride all`, distill again with max_depth 2: each stage that
+    reads a file built from the old tree exits 2 and names that file, the
+    tree and the stage to re-run; those that read the new tree run."""
+    out = str(tmp_path / "run")
+    config = _fast_config_file(tmp_path)
+    assert cli.main(["all", "--config", config, "--out", out]) == 0
+    with open(config) as fh:
+        shallow = {**json.load(fh), "tree": {"max_depth": 2}}
+    config = tmp_path / "shallow.json"
+    config.write_text(json.dumps(shallow))
+    with open(os.path.join(out, "summaries", "distill.json")) as fh:
+        assert json.load(fh)["max_depth"] > 2
+    assert cli.main(["distill", "--config", str(config), "--out", out]) == 0
+    capsys.readouterr()
+    for stage, stale, rerun in (("cost", "qtree.json", "quantize"),
+                                ("eval", "qtree_best.json", "jshc"),
+                                ("report", os.path.join("summaries", "jshc.json"), "jshc")):
+        assert cli.main([stage, "--config", str(config), "--out", out]) == 2, stage
+        err = capsys.readouterr().err
+        assert "stale artifact" in err and f"re-run `ride {rerun}`" in err, stage
+        assert os.path.join(out, stale) in err and os.path.join(out, "tree.json") in err, stage
+    for stage in ("prune-sweep", "quantize", "jshc", "cost", "eval", "report"):
+        assert cli.main([stage, "--config", str(config), "--out", out]) == 0, stage
+    with open(os.path.join(out, "report.json")) as fh:
+        rows = {r["predictor"]: r for r in json.load(fh)["predictors"]}
+    with open(os.path.join(out, "summaries", "distill.json")) as fh:
+        assert rows["distilled_tree"]["size"] == json.load(fh)["n_nodes"] <= 7
+    assert rows["quantized_tree"]["size"] <= rows["distilled_tree"]["size"]
+
+
+def test_a_run_dir_without_a_manifest_exits_2_naming_the_input_and_its_stage(
+        fast_run, tmp_path, capsys):
+    out = str(tmp_path / "copy")
+    shutil.copytree(fast_run["out_dir"], out)
+    os.remove(os.path.join(out, "manifest.json"))
+    capsys.readouterr()
+    assert cli.main(["distill", "--config", _fast_config_file(tmp_path), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"{os.path.join(out, 'classifier.npz')} has no record in " in err
+    assert "re-run `ride train-clf`" in err
 
 
 def test_missing_calibration_file_exits_2_and_names_it(fast_run, tmp_path, capsys):

@@ -295,7 +295,7 @@ def test_embeddings_csv_round_trip(tmp_path):
 def test_rae_round_trip(tmp_path):
     rae = _trained_rae(epochs=2)
     path = tmp_path / "rae.npz"
-    fe.save_rae(rae, str(path), autoencoder_sha256="ab" * 32)
+    fe.save_rae(rae, str(path))
     loaded = fe.load_rae(str(path))
     assert loaded.n_b == rae.n_b
     assert loaded.final_recon_error == rae.final_recon_error
@@ -332,13 +332,11 @@ def test_packet_codes_round_trip(tmp_path):
     flows = [_flow(np.arange(6.0).reshape(3, 2), flow_id="a", label="benign"),
              _flow(np.array([[1e300, -2.5e-7]]), flow_id="b|c", label="attack")]
     path = str(tmp_path / "codes.npz")
-    fe.save_packet_codes(flows, path, autoencoder_sha256="cd" * 32)
+    fe.save_packet_codes(flows, path)
     loaded = fe.load_packet_codes(path)
     assert [(f.flow_id, f.label) for f in loaded] == [("a", "benign"), ("b|c", "attack")]
     for got, want in zip(loaded, flows, strict=True):
         np.testing.assert_array_equal(got.embeddings, want.embeddings)
-    meta, _, _ = nn_core.load_artifact(path, fields=("autoencoder_sha256",))
-    assert meta["autoencoder_sha256"] == "cd" * 32
     with np.load(path, allow_pickle=False) as npz:
         entries = {k: npz[k] for k in npz.files}
     entries["codes"] = entries["codes"][:3]  # the offsets still end at row 4

@@ -214,20 +214,15 @@ def _reference_train(net, x, targets, loss, cfg):
                 grads_w[k] = dz.T @ acts[k]
                 grads_b[k] = dz.sum(axis=0)
                 da = dz @ layer.w
-            if cfg.optimizer == "adam":
-                t += 1
-                corr1, corr2 = 1.0 - b1 ** t, 1.0 - b2 ** t
-                for k, layer in enumerate(net.layers):
-                    m_w[k] = b1 * m_w[k] + (1 - b1) * grads_w[k]
-                    v_w[k] = b2 * v_w[k] + (1 - b2) * grads_w[k] ** 2
-                    m_b[k] = b1 * m_b[k] + (1 - b1) * grads_b[k]
-                    v_b[k] = b2 * v_b[k] + (1 - b2) * grads_b[k] ** 2
-                    layer.w -= cfg.learning_rate * (m_w[k] / corr1) / (np.sqrt(v_w[k] / corr2) + eps)
-                    layer.b -= cfg.learning_rate * (m_b[k] / corr1) / (np.sqrt(v_b[k] / corr2) + eps)
-            else:
-                for k, layer in enumerate(net.layers):
-                    layer.w -= cfg.learning_rate * grads_w[k]
-                    layer.b -= cfg.learning_rate * grads_b[k]
+            t += 1
+            corr1, corr2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for k, layer in enumerate(net.layers):
+                m_w[k] = b1 * m_w[k] + (1 - b1) * grads_w[k]
+                v_w[k] = b2 * v_w[k] + (1 - b2) * grads_w[k] ** 2
+                m_b[k] = b1 * m_b[k] + (1 - b1) * grads_b[k]
+                v_b[k] = b2 * v_b[k] + (1 - b2) * grads_b[k] ** 2
+                layer.w -= cfg.learning_rate * (m_w[k] / corr1) / (np.sqrt(v_w[k] / corr2) + eps)
+                layer.b -= cfg.learning_rate * (m_b[k] / corr1) / (np.sqrt(v_b[k] / corr2) + eps)
         batches.append(epoch)
     return net, batches
 
@@ -281,7 +276,7 @@ def training_runs(draw):
                else rng.integers(0, dims[-1], size=n))
     cfg = TrainConfig(learning_rate=draw(st.sampled_from([1e-3, 1e-2, 1e-1])),
                       batch_size=draw(st.integers(1, 5)), epochs=draw(st.integers(1, 3)),
-                      seed=seed, optimizer=draw(st.sampled_from(["adam", "sgd"])))
+                      seed=seed)
     return net, x, targets, loss, cfg
 
 
@@ -362,8 +357,7 @@ def padded_training_runs(draw, n_in, width_max, min_batch_rows):
     rng = np.random.Generator(np.random.PCG64(seed))
     targets = (rng.normal(size=(n, k)) if loss == "mse" else rng.integers(0, k, size=n))
     cfg = TrainConfig(learning_rate=draw(st.sampled_from([1e-3, 1e-2, 1e-1])),
-                      batch_size=batch, epochs=draw(st.integers(1, 2)), seed=seed,
-                      optimizer=draw(st.sampled_from(["adam", "sgd"])))
+                      batch_size=batch, epochs=draw(st.integers(1, 2)), seed=seed)
     return net, x, targets, loss, cfg
 
 
@@ -409,8 +403,7 @@ def test_padded_training_never_updates_the_dead_columns(run):
     _assert_same_weights(first, second)
     assert history == history2
     n_params = sum(l.w.size + l.b.size for l in net.layers)
-    if cfg.optimizer == "adam":
-        assert sizes == [n_params - (700 - live) * w0.shape[0]] * 2
+    assert sizes == [n_params - (700 - live) * w0.shape[0]] * 2
 
 
 class _CountingPool(nn_core.ThreadPoolExecutor):
@@ -600,20 +593,12 @@ def test_train_does_not_mutate_input_net():
     np.testing.assert_array_equal(net.layers[0].w, w_before)
 
 
-def test_sgd_single_step_hand_computed():
+def test_adam_single_step_hand_computed():
     # one weight, one sample: w=2, x=1, target=0, mse loss
     # pred=2, dL/dpred = 2*(2-0)/1 = 4, dW = 4*1, db = 4
     net = DenseNet([Layer(np.array([[2.0]]), np.array([0.0]), "identity")])
-    cfg = TrainConfig(learning_rate=0.01, batch_size=1, epochs=1, seed=0, optimizer="sgd")
-    trained, _ = train(net, np.array([[1.0]]), np.array([[0.0]]), "mse", cfg)
-    assert trained.layers[0].w[0, 0] == pytest.approx(2.0 - 0.01 * 4.0)
-    assert trained.layers[0].b[0] == pytest.approx(-0.01 * 4.0)
-
-
-def test_adam_single_step_hand_computed():
-    net = DenseNet([Layer(np.array([[2.0]]), np.array([0.0]), "identity")])
     lr = 0.01
-    cfg = TrainConfig(learning_rate=lr, batch_size=1, epochs=1, seed=0, optimizer="adam")
+    cfg = TrainConfig(learning_rate=lr, batch_size=1, epochs=1, seed=0)
     trained, _ = train(net, np.array([[1.0]]), np.array([[0.0]]), "mse", cfg)
     g = 4.0
     m_hat = (0.1 * g) / (1 - 0.9)
@@ -649,9 +634,9 @@ def test_train_learns_xor():
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_train_divergence_raises():
     net = DenseNet([Layer(np.array([[1.0]]), np.array([0.0]), "identity")])
-    x = np.array([[1e5]])
+    x = np.array([[1e150]])  # an Adam step moves w by about lr: w * x must overflow
     target = np.array([[0.0]])
-    cfg = TrainConfig(learning_rate=1e30, batch_size=1, epochs=8, seed=0, optimizer="sgd")
+    cfg = TrainConfig(learning_rate=1e30, batch_size=1, epochs=8, seed=0)
     with pytest.raises(TrainingDivergedError):
         train(net, x, target, "mse", cfg)
 
@@ -671,8 +656,6 @@ def test_train_config_validation():
         TrainConfig(learning_rate=-1e-3)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
-    with pytest.raises(ValueError):
-        TrainConfig(optimizer="rmsprop")
 
 
 def test_serialization_round_trip(tmp_path):
