@@ -30,7 +30,7 @@ logger = logging.getLogger(__name__)
 ARTIFACTS = {
     "pcap": "capture.pcap",
     "truth": "truth.csv",
-    "flows": "flows.ndjson",
+    "flows": "flows.npz",
     "autoencoder": "autoencoder.npz",
     "rae": "rae.npz",
     "packet_codes": "packet_codes.npz",
@@ -697,11 +697,12 @@ _WRITER = {_file(name): stage for stage, (_, _, writes) in _STAGE_TABLE.items()
 
 
 def _check_inputs(cfg: dict, manifest: dict, reads: list[str]) -> None:
-    """StaleArtifactError unless each file in reads has a record whose
-    inputs' sha256s are their records now (records are compared: a file is
-    hashed once, when written), naming the earliest stage to re-run."""
+    """StaleArtifactError unless each file in reads has a record, and the
+    records up from theirs list inputs whose records are unchanged (a file
+    is hashed once, when written), naming the earliest stage to re-run."""
     stale = {}  # the stage that wrote a stale file -> [(that file, a changed input)]
-    for file in reads:
+    todo = list(reads)
+    for file in todo:  # the reads, then the recorded files they were built from
         if file not in manifest:
             raise StaleArtifactError(
                 f"{os.path.join(cfg['out_dir'], file)} has no record in {ARTIFACTS['manifest']}; "
@@ -709,6 +710,8 @@ def _check_inputs(cfg: dict, manifest: dict, reads: list[str]) -> None:
         for upstream, sha256 in manifest[file]["inputs"].items():
             if manifest.get(upstream, {}).get("sha256") != sha256:
                 stale.setdefault(manifest[file]["stage"], []).append((file, upstream))
+            if upstream in manifest and upstream not in todo:
+                todo.append(upstream)
     if stale:
         stage = min(stale, key=STAGES.index)
         files, upstreams = ([os.path.join(cfg["out_dir"], f) for f in dict.fromkeys(side)]
@@ -716,6 +719,11 @@ def _check_inputs(cfg: dict, manifest: dict, reads: list[str]) -> None:
         raise StaleArtifactError(
             f"{' and '.join(files)} {'was' if len(files) == 1 else 'were'} built from another "
             f"version of {' and '.join(upstreams)}; re-run `ride {stage}` and the stages after it")
+
+
+def _sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def run_stage(stage: str, cfg: dict) -> dict:
@@ -734,17 +742,22 @@ def run_stage(stage: str, cfg: dict) -> dict:
     for file in reads:
         _require(os.path.join(cfg["out_dir"], file))
     path = artifact_path(cfg, "manifest")
-    manifest = _load_json(path) if os.path.exists(path) else {}
+    manifest = {} if not os.path.exists(path) else _load_json(path, lambda doc: {
+        f: {k: r[k] for k in ("sha256", "stage", "inputs")} for f, r in doc.items()})
     _check_inputs(cfg, manifest, reads)
+    outputs = {file: os.path.join(cfg["out_dir"], file) for file in map(_file, (*writes, stage))}
     t0 = time.perf_counter()
-    summary = func(cfg)
-    atomic_write_json(summary_path(cfg, stage), summary)
+    try:
+        summary = func(cfg)
+        atomic_write_json(summary_path(cfg, stage), summary)
+    except BaseException:  # the files the stage changed lose their records
+        atomic_write_json(path, {f: r for f, r in manifest.items() if f not in outputs or (
+            os.path.exists(outputs[f]) and _sha256(outputs[f]) == r["sha256"])})
+        raise
     logger.info("stage %s finished in %.2fs", stage, time.perf_counter() - t0)
     inputs = {file: manifest[file]["sha256"] for file in reads}
-    for file in map(_file, (*writes, stage)):
-        with open(os.path.join(cfg["out_dir"], file), "rb") as fh:
-            manifest[file] = {"sha256": hashlib.sha256(fh.read()).hexdigest(),
-                              "stage": stage, "inputs": inputs}
+    for file, out in outputs.items():
+        manifest[file] = {"sha256": _sha256(out), "stage": stage, "inputs": inputs}
     atomic_write_json(path, manifest)
     return summary
 

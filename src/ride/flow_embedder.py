@@ -357,13 +357,9 @@ def save_packet_codes(flows: list[EmbeddedFlow], path: str) -> None:
 def load_packet_codes(path: str) -> list[EmbeddedFlow]:
     _meta, _, arrays = nn_core.load_artifact(path, arrays=_PACKET_CODE_ARRAYS)
     codes, offsets, flow_ids, labels = (arrays[k] for k in _PACKET_CODE_ARRAYS)
-    n = flow_ids.size
-    if (codes.ndim != 2 or flow_ids.ndim != 1 or offsets.shape != (n + 1,)
-            or labels.shape != (n,)
-            or offsets.dtype.kind != "i" or offsets[0] != 0 or offsets[-1] != codes.shape[0]
-            or np.any(np.diff(offsets) < 1)):
+    if (codes.ndim != 2 or flow_ids.ndim != 1 or labels.shape != flow_ids.shape
+            or not nn_core.fits_offsets(offsets, flow_ids.size, codes.shape[0])):
         raise ValueError(f"bad model file {path}: codes {codes.shape}, offsets "
-                         f"{offsets.shape} and {n} flows do not fit together")
-    return [EmbeddedFlow(flow_id=str(flow_ids[j]), embeddings=codes[offsets[j]:offsets[j + 1]],
-                         label=str(labels[j]))
-            for j in range(n)]
+                         f"{offsets.shape} and {flow_ids.size} flows do not fit together")
+    return [EmbeddedFlow(flow_id=str(flow_id), embeddings=codes[start:end], label=str(label))
+            for flow_id, label, start, end in zip(flow_ids, labels, offsets, offsets[1:])]

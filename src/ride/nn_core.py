@@ -3,9 +3,9 @@
 Shared by the payload autoencoder, the pair-composition autoencoder and
 the flow classifier. Everything runs in float64 so analytic gradients can
 be checked against central finite differences. save_artifact and
-load_artifact are the one writer and reader of every model file,
-atomic_open the one way any artifact is written, and file_errors gives
-the readers of the JSON files their error messages.
+load_artifact are the one writer and reader of every model file and of
+the flow store, atomic_open the one way any artifact is written, and
+file_errors gives every reader its error messages.
 """
 from __future__ import annotations
 
@@ -744,15 +744,15 @@ def atomic_open(path: str, mode: str = "w", **kwargs):
 
 
 def load_artifact(path: str, nets: tuple[str, ...] = (), arrays: tuple[str, ...] = (),
-                  fields: tuple[str, ...] = ()):
+                  fields: tuple[str, ...] = (), kind: str = "model"):
     """Read a file save_artifact wrote: (meta, {name: DenseNet}, {key: array}).
 
     Only the named nets and arrays are read, and `fields` must be in meta.
     A file that is no .npz archive, lacks an entry, holds an object array
-    or weights whose shapes disagree with meta raises ValueError naming
-    the path; a missing file raises FileNotFoundError.
+    or weights whose shapes disagree with meta raises ValueError("bad
+    {kind} file {path}: ..."); a missing file raises FileNotFoundError.
     """
-    with open(path, "rb") as fh, file_errors(path, "model"):
+    with open(path, "rb") as fh, file_errors(path, kind):
         if not zipfile.is_zipfile(fh):
             raise ValueError("not a .npz archive")
         fh.seek(0)
@@ -783,6 +783,12 @@ def file_errors(path: str, kind: str):
     except (ValueError, TypeError, IndexError, AttributeError, OSError, EOFError,
             zipfile.BadZipFile) as exc:
         raise ValueError(f"bad {kind} file {path}: {exc}") from None
+
+
+def fits_offsets(offsets: np.ndarray, n: int, rows: int, least: int = 1) -> bool:
+    """Whether the n runs offsets[j]:offsets[j + 1] cut `rows` rows in order, each >= `least`."""
+    return (offsets.shape == (n + 1,) and offsets.dtype.kind == "i" and offsets[0] == 0
+            and offsets[-1] == rows and not np.any(np.diff(offsets) < least))
 
 
 def _entry(npz, key: str) -> np.ndarray:

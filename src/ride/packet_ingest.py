@@ -8,10 +8,8 @@ No TCP reassembly or IP defragmentation is attempted.
 """
 from __future__ import annotations
 
-import base64
 import csv
 import ipaddress
-import json
 import logging
 import socket
 import struct
@@ -396,55 +394,42 @@ def label_flows(flows: list[FlowRecord], truth: list[dict]) -> LabelResult:
     return LabelResult(flows=labeled, n_dropped=dropped)
 
 
-def _packet_to_json(pkt: RawPacket) -> dict:
-    return {
-        "timestamp": pkt.timestamp,
-        "src_addr": pkt.src_addr,
-        "dst_addr": pkt.dst_addr,
-        "src_port": pkt.src_port,
-        "dst_port": pkt.dst_port,
-        "protocol": pkt.protocol,
-        "payload_b64": base64.b64encode(pkt.payload).decode("ascii"),
-    }
-
-
-def _packet_from_json(doc: dict) -> RawPacket:
-    return RawPacket(
-        timestamp=doc["timestamp"],
-        src_addr=doc["src_addr"],
-        dst_addr=doc["dst_addr"],
-        src_port=doc["src_port"],
-        dst_port=doc["dst_port"],
-        protocol=doc["protocol"],
-        payload=base64.b64decode(doc["payload_b64"]),
-    )
+_PACKET_ARRAYS = {"timestamp": "f8", "src_addr": "S", "dst_addr": "S",
+                  "src_port": "u2", "dst_port": "u2", "protocol": "S"}
 
 
 def save_flows(flows: list[FlowRecord], path: str) -> None:
-    """Write the flow store as newline-delimited JSON, atomically
-    (nn_core.atomic_open): a write that fails partway leaves any old store
-    as it was and no shorter one that would still load."""
-    with nn_core.atomic_open(path) as fh:
-        for flow in flows:
-            doc = {
-                "flow_id": flow.flow_id,
-                "label": flow.label,
-                "packets": [_packet_to_json(p) for p in flow.packets],
-            }
-            fh.write(json.dumps(doc) + "\n")
+    """Write the flow store as one .npz (nn_core.save_artifact): flow j has
+    flow_ids[j] and meta["labels"][j] (JSON keeps any str whole) and owns
+    packets offsets[j]:offsets[j + 1]; packet i has the _PACKET_ARRAYS at i
+    and bytes payload_end[i - 1]:payload_end[i] of payload."""
+    packets = [pkt for flow in flows for pkt in flow.packets]
+    nn_core.save_artifact(path, {"labels": [flow.label for flow in flows]}, arrays={
+        "flow_ids": np.array([flow.flow_id for flow in flows], dtype="S"),
+        "offsets": np.cumsum([0] + [len(flow.packets) for flow in flows], dtype=np.int64),
+        **{name: np.array([getattr(pkt, name) for pkt in packets], dtype=dtype)
+           for name, dtype in _PACKET_ARRAYS.items()},
+        "payload_end": np.cumsum([len(pkt.payload) for pkt in packets], dtype=np.int64),
+        "payload": np.frombuffer(b"".join(pkt.payload for pkt in packets), dtype=np.uint8),
+    })
 
 
 def load_flows(path: str) -> list[FlowRecord]:
-    flows = []
-    with open(path) as fh, nn_core.file_errors(path, "flow store"):
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            doc = json.loads(line)
-            flows.append(FlowRecord(
-                flow_id=doc["flow_id"],
-                packets=[_packet_from_json(p) for p in doc["packets"]],
-                label=doc["label"],
-            ))
-    return flows
+    """The flows save_flows wrote. A store whose arrays do not fit together
+    raises ValueError("bad flow store file <path>: ...")."""
+    names = ("flow_ids", "offsets", *_PACKET_ARRAYS, "payload_end", "payload")
+    meta, _, arrays = nn_core.load_artifact(path, arrays=names, fields=("labels",),
+                                            kind="flow store")
+    with nn_core.file_errors(path, "flow store"):  # strict zips check the other lengths
+        n, n_packets, payload = arrays["flow_ids"].size, arrays["timestamp"].size, arrays["payload"]
+        if (payload.dtype != np.uint8 or not nn_core.fits_offsets(arrays["offsets"], n, n_packets)
+                or not nn_core.fits_offsets(np.concatenate([[0], arrays["payload_end"]]),
+                                            n_packets, payload.size, least=0)):
+            raise ValueError(f"arrays {({k: a.shape for k, a in arrays.items()})} do not fit")
+        lists = {name: (a.astype(str) if a.dtype.kind == "S" else a).tolist()
+                 for name, a in arrays.items() if name != "payload"}
+        data, ends, offsets = payload.tobytes(), [0] + lists["payload_end"], lists["offsets"]
+        packets = [RawPacket(*fields, data[start:end]) for *fields, start, end in zip(
+            *(lists[name] for name in _PACKET_ARRAYS), ends[:-1], ends[1:], strict=True)]
+        return [FlowRecord(flow_id, packets[start:end], label) for flow_id, label, start, end
+                in zip(lists["flow_ids"], meta["labels"], offsets[:-1], offsets[1:], strict=True)]

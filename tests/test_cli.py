@@ -384,7 +384,7 @@ def test_a_bad_truth_file_exits_4_and_names_it(tmp_path, capsys, rows, cause):
     assert cli.main(["ingest", "--config", str(config), "--out", out]) == 4
     err = capsys.readouterr().err
     assert f"bad truth file {truth}: " in err and cause in err
-    assert not os.path.exists(os.path.join(out, "flows.ndjson"))
+    assert not os.path.exists(os.path.join(out, cli.ARTIFACTS["flows"]))
 
 
 def test_ingest_summary_names_its_inputs_relative_to_the_out_dir(tmp_path):
@@ -686,7 +686,7 @@ def test_the_manifest_records_each_file_a_stage_wrote(fast_run):
         assert record["sha256"] == hashlib.sha256(files[file]).hexdigest(), file
     sha = {file: record["sha256"] for file, record in manifest.items()}
     assert manifest["rae.npz"] == {"sha256": sha["rae.npz"], "stage": "embed", "inputs": {
-        "flows.ndjson": sha["flows.ndjson"], "autoencoder.npz": sha["autoencoder.npz"]}}
+        "flows.npz": sha["flows.npz"], "autoencoder.npz": sha["autoencoder.npz"]}}
     assert manifest["capture.pcap"]["inputs"] == {}
     assert manifest["summaries/report.json"]["inputs"] == {
         f"summaries/{stage}.json": sha[f"summaries/{stage}.json"]
@@ -778,7 +778,6 @@ def test_a_split_naming_flows_the_codes_lack_exits_2(fast_run, tmp_path, capsys)
     ("qtree_best.json", "eval", None),
     ("split.json", "prune-sweep", "test"),
     ("quant_ranges.json", "quantize", None),
-    ("flows.ndjson", "embed", None),
     ("calibration.json", "cost", "area_per_node"),
 ])
 def test_a_json_file_that_does_not_load_exits_4_and_names_it(
@@ -813,6 +812,17 @@ def test_a_json_file_that_does_not_load_exits_4_and_names_it(
     assert re.search(cause, err), err
 
 
+def test_a_cut_short_flow_store_exits_4_and_names_it(fast_run, tmp_path, capsys):
+    out = str(tmp_path / "copy")
+    shutil.copytree(fast_run["out_dir"], out)
+    store = os.path.join(out, cli.ARTIFACTS["flows"])
+    with open(store, "r+b") as fh:  # the flow store is read as a model archive
+        fh.truncate(os.path.getsize(store) // 2)
+    capsys.readouterr()
+    assert cli.main(["embed", "--out", out]) == 4
+    assert f"bad flow store file {store}: not a .npz archive" in capsys.readouterr().err
+
+
 def test_bad_or_old_model_files_exit_loudly(fast_run, tmp_path, capsys):
     out = str(tmp_path / "copy")
     shutil.copytree(fast_run["out_dir"], out)
@@ -829,3 +839,94 @@ def test_bad_or_old_model_files_exit_loudly(fast_run, tmp_path, capsys):
     assert cli.main(["embed", "--out", out]) == 2
     err = capsys.readouterr().err
     assert "missing upstream artifact" in err and ae_path in err
+
+
+def _store_with(path: str, **changes) -> None:
+    """Rewrite the flow store at path with some of its arrays replaced."""
+    with np.load(path, allow_pickle=False) as npz:
+        entries = {key: npz[key] for key in npz.files}
+    with open(path, "wb") as fh:
+        np.savez(fh, **{**entries, **{k: change(entries[k]) for k, change in changes.items()}})
+
+
+@pytest.mark.parametrize("changes", [
+    {"offsets": lambda offsets: offsets[:-1]},  # one flow short
+    {"offsets": lambda offsets: offsets[::-1].copy()},  # runs backwards
+    {"payload_end": lambda ends: ends + 1},  # past the joined payload
+    {"payload": lambda payload: payload[:-1]},  # the last payload cut short
+    {"protocol": lambda protocol: protocol[1:]},  # one packet short
+], ids=["offsets_short", "offsets_backwards", "payload_end_past", "payload_short",
+        "protocol_short"])
+def test_a_flow_store_whose_arrays_do_not_fit_exits_4_and_names_it(
+        fast_run, tmp_path, capsys, changes):
+    out = str(tmp_path / "copy")
+    shutil.copytree(fast_run["out_dir"], out)
+    store = os.path.join(out, cli.ARTIFACTS["flows"])
+    _store_with(store, **changes)
+    capsys.readouterr()
+    assert cli.main(["embed", "--config", _fast_config_file(tmp_path), "--out", out]) == 4
+    assert f"error: ValueError: bad flow store file {store}: " in capsys.readouterr().err
+
+
+def test_a_manifest_record_without_a_key_exits_4_and_names_the_manifest(
+        fast_run, tmp_path, capsys):
+    out = str(tmp_path / "copy")
+    shutil.copytree(fast_run["out_dir"], out)
+    path = os.path.join(out, cli.ARTIFACTS["manifest"])
+    with open(path) as fh:
+        manifest = json.load(fh)
+    del manifest["classifier.npz"]["inputs"]
+    with open(path, "w") as fh:
+        json.dump(manifest, fh)
+    capsys.readouterr()
+    assert cli.main(["distill", "--config", _fast_config_file(tmp_path), "--out", out]) == 4
+    assert f"bad JSON file {path}: no key 'inputs'" in capsys.readouterr().err
+
+
+def test_a_stage_that_fails_partway_leaves_what_it_wrote_unrecorded(
+        fast_run, tmp_path, capsys, monkeypatch):
+    """distill writes a new tree.json, then fails before the ranges: quantize
+    must not pair that tree with the old quant_ranges.json."""
+    out = str(tmp_path / "copy")
+    shutil.copytree(fast_run["out_dir"], out)
+    with open(_fast_config_file(tmp_path)) as fh:
+        shallow = {**json.load(fh), "tree": {"max_depth": 2}}
+    config = tmp_path / "shallow.json"
+    config.write_text(json.dumps(shallow))
+
+    def fail(tree, x):
+        raise RuntimeError("injected")
+    monkeypatch.setattr(hw_model, "fit_quantization_ranges", fail)
+    tree_path = os.path.join(out, "tree.json")
+    with open(tree_path, "rb") as fh:
+        old_tree = fh.read()
+    assert cli.main(["distill", "--config", str(config), "--out", out]) == 4
+    with open(tree_path, "rb") as fh:
+        assert fh.read() != old_tree
+    capsys.readouterr()
+    assert cli.main(["quantize", "--config", str(config), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"{tree_path} has no record in " in err and "re-run `ride distill`" in err
+    # the files distill left as they were keep their records
+    with open(os.path.join(out, "manifest.json")) as fh:
+        manifest = json.load(fh)
+    assert "quant_ranges.json" in manifest and "summaries/distill.json" in manifest
+    monkeypatch.undo()
+    assert cli.main(["distill", "--config", str(config), "--out", out]) == 0
+    assert cli.main(["quantize", "--config", str(config), "--out", out]) == 0
+
+
+def test_the_earliest_stale_stage_is_named_at_once(fast_run, tmp_path, capsys):
+    """After synth and ingest read a seed-8 capture, distill names train-ae,
+    the first stage built from the old flow store, not embed."""
+    out = str(tmp_path / "copy")
+    shutil.copytree(fast_run["out_dir"], out)
+    config = _fast_config_file(tmp_path)
+    for stage in ("synth", "ingest"):
+        assert cli.main([stage, "--config", config, "--seed", "8", "--out", out]) == 0
+    capsys.readouterr()
+    assert cli.main(["distill", "--config", config, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "stale artifact" in err and "re-run `ride train-ae`" in err
+    assert f"{os.path.join(out, 'autoencoder.npz')} was built from another version of " \
+           f"{os.path.join(out, cli.ARTIFACTS['flows'])}" in err

@@ -381,35 +381,78 @@ def test_label_flows_conflict_raises():
         pi.label_flows([], rows)
 
 
-def test_flow_ndjson_round_trip(tmp_path):
+def test_flow_store_round_trip(tmp_path):
     cap = pi.parse_pcap(one_packet_capture(payload=b"\x00\x01\xffhello"))
     flows = pi.group_flows(cap.packets)
     flows[0].label = "benign"
-    path = tmp_path / "flows.ndjson"
+    path = tmp_path / "flows.npz"
     pi.save_flows(flows, str(path))
     loaded = pi.load_flows(str(path))
     assert loaded == flows
 
 
+_ADDRESSES = st.one_of(
+    st.integers(0, 2**32 - 1).map(lambda n: str(ipaddress.IPv4Address(n))),
+    st.integers(0, 2**128 - 1).map(lambda n: str(ipaddress.IPv6Address(n))))
+_PORTS = st.sampled_from([0, 65535]) | st.integers(0, 65535)
+# empty, a full 1,500 bytes ending in zeros, or short
+_PAYLOADS = st.sampled_from([b"", bytes(range(256)) * 5 + bytes(220)]) | st.binary(max_size=64)
+# any text, and text ending in a NUL, which a numpy str array would drop
+_LABELS = st.text(min_size=1) | st.text().map(lambda text: text + "\0")
+
+
+@st.composite
+def stored_flows(draw):
+    """Flows as ingest groups them: 1-4 packets between two endpoints, under
+    a non-empty str label."""
+    flows = []
+    for _ in range(draw(st.integers(0, 4))):
+        src, dst, sport, dport = draw(_ADDRESSES), draw(_ADDRESSES), draw(_PORTS), draw(_PORTS)
+        protocol = draw(st.sampled_from(["TCP", "UDP"]))
+        packets = [pi.RawPacket(draw(st.floats(0, 2**32)), src, dst, sport, dport, protocol,
+                                draw(_PAYLOADS))
+                   for _ in range(draw(st.integers(1, 4)))]
+        flows.append(pi.FlowRecord(pi.canonical_flow_key(src, dst, sport, dport, protocol),
+                                   packets, draw(_LABELS)))
+    return flows
+
+
+@given(flows=stored_flows())
+def test_the_flow_store_gives_back_the_flows_it_was_given(tmp_path_factory, flows):
+    path = str(tmp_path_factory.mktemp("store") / "flows.npz")
+    pi.save_flows(flows, path)
+    assert pi.load_flows(path) == flows
+
+
+class _FullDisk:
+    """A file that takes `room` bytes, then raises as a full disk does."""
+
+    def __init__(self, fh, room):
+        self.fh, self.room = fh, room
+
+    def write(self, data):
+        if self.fh.tell() + len(data) > self.room:
+            raise OSError("disk full")
+        return self.fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+
 def test_a_failed_flow_store_write_leaves_the_old_store(tmp_path, monkeypatch):
     pcap, _ = synth_data.generate(synth_data.default_fixture(seed=3))
     flows = pi.group_flows(pi.parse_pcap(pcap).packets)[:6]
-    path = tmp_path / "flows.ndjson"
+    path = tmp_path / "flows.npz"
+    pi.save_flows(flows, str(path))
+    room = path.stat().st_size // 2  # the disk fills halfway through the new store
     pi.save_flows(flows[:2], str(path))
     old = path.read_bytes()
-    written = []
-    original = pi._packet_to_json
-
-    def fail_on_the_fourth_flow(packet):
-        written.append(packet)
-        if len(written) > sum(len(f.packets) for f in flows[:3]):
-            raise OSError("disk full")
-        return original(packet)
-    monkeypatch.setattr(pi, "_packet_to_json", fail_on_the_fourth_flow)
+    savez = np.savez
+    monkeypatch.setattr(np, "savez", lambda fh, **entries: savez(_FullDisk(fh, room), **entries))
     with pytest.raises(OSError, match="disk full"):
         pi.save_flows(flows, str(path))
     assert path.read_bytes() == old
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["flows.ndjson"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["flows.npz"]
     assert pi.load_flows(str(path)) == flows[:2]
 
 
