@@ -66,12 +66,11 @@ class StaleArtifactError(RuntimeError):
 # ---------------------------------------------------------------- config
 
 def _train_section(learning_rate: float, epochs: int) -> dict:
-    """One `train` section; its keys are TrainConfig's fields."""
+    """One `train` section; its keys are TrainConfig's fields but the run's seed."""
     return {
         "learning_rate": (learning_rate, {"type": "number", "minimum": 0}),
         "batch_size": (32, {"type": "integer", "minimum": 1}),
         "epochs": (epochs, {"type": "integer", "minimum": 0}),
-        "seed": (None, {"type": ["integer", "null"]}),  # None: the top-level seed
     }
 
 
@@ -118,15 +117,12 @@ _CONFIG = {
         "min_samples_leaf": (5, {"type": "integer", "minimum": 1}),
         "criterion": ("gini", {"enum": ["gini", "entropy"]}),
     },
-    "quantize": {"beta": (11, _BETA)},
     "jshc": {
         "alpha_set": (None, {"type": ["array", "null"], "minItems": 1,
                              "items": {"type": "number", "minimum": 0}}),
         "beta_set": (None, {"type": ["array", "null"], "minItems": 1, "items": _BETA}),
         "min_beta": (1, _BETA),
         "max_beta": (11, _BETA),
-        "tol": (1.0, {"type": "number", "exclusiveMinimum": 0}),
-        "max_iter": (20, {"type": "integer", "minimum": 0}),
         "z_max": {
             "max_power_mw": (None, {"type": ["number", "null"]}),
             "max_area_units": (None, {"type": ["number", "null"]}),
@@ -245,8 +241,7 @@ def load_config(path: str | None, seed: int | None = None,
 
 
 def _train_cfg(cfg: dict, section: str) -> TrainConfig:
-    t = cfg["train"][section]
-    return TrainConfig(**{**t, "seed": cfg["seed"] if t["seed"] is None else t["seed"]})
+    return TrainConfig(**cfg["train"][section], seed=cfg["seed"])
 
 
 # ------------------------------------------------------------- artifacts
@@ -515,7 +510,7 @@ def _load_ranges(cfg: dict) -> dict:
 def stage_quantize(cfg: dict) -> dict:
     tree = tree_distiller.load_tree(artifact_path(cfg, "tree"))
     ranges = _load_ranges(cfg)
-    beta = cfg["quantize"]["beta"]
+    beta = cfg["jshc"]["max_beta"]  # the top of the beta range the search refines over
     qtree = hw_model.quantize_tree(tree, beta, ranges)
     atomic_write_text(artifact_path(cfg, "qtree"),
                       json.dumps(hw_model.qtree_to_dict(qtree)))
@@ -673,7 +668,6 @@ def _file(name: str) -> str:
 
 # Each stage: its function, the artifacts it reads and those it writes. A
 # name is an ARTIFACTS key or a stage, for the summary every stage writes.
-# classifier.npz is read with split.json, which train-clf writes with it;
 # timings.json is left out, as its wall-clock times differ between runs.
 _SPLIT_FLOWS = ("split", "rae", "packet_codes")
 _STAGE_TABLE = {
@@ -683,10 +677,10 @@ _STAGE_TABLE = {
     "embed": (stage_embed, ("flows", "autoencoder"), ("rae", "packet_codes")),
     "train-clf": (stage_train_clf, ("rae", "packet_codes"), ("split", "classifier")),
     "distill": (stage_distill, ("classifier", *_SPLIT_FLOWS), ("tree", "rules", "ranges")),
-    "prune-sweep": (stage_prune_sweep, ("tree", "classifier", *_SPLIT_FLOWS), ("prune_sweep",)),
+    "prune-sweep": (stage_prune_sweep, ("tree", *_SPLIT_FLOWS), ("prune_sweep",)),
     "quantize": (stage_quantize, ("tree", "ranges"), ("qtree",)),
     "cost": (stage_cost, ("qtree",), ()),
-    "jshc": (stage_jshc, ("tree", "ranges", "classifier", *_SPLIT_FLOWS), ("sweep", "qtree_best")),
+    "jshc": (stage_jshc, ("tree", "ranges", *_SPLIT_FLOWS), ("sweep", "qtree_best")),
     "eval": (stage_eval, ("classifier", "tree", "qtree_best", *_SPLIT_FLOWS), ()),
     "report": (stage_report, ("train-clf", "distill", "jshc", "eval"),
                ("report_json", "report_md")),

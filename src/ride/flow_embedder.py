@@ -331,7 +331,7 @@ def load_rae(path: str) -> RaeBundle:
                      loss_curve=meta.get("loss_curve", []))
 
 
-_PACKET_CODE_ARRAYS = ("codes", "offsets", "flow_ids", "labels")
+_PACKET_CODE_ARRAYS = ("codes", "offsets", "flow_ids")
 
 
 def stack_codes(flows: list[EmbeddedFlow]) -> tuple[np.ndarray, np.ndarray]:
@@ -344,22 +344,23 @@ def stack_codes(flows: list[EmbeddedFlow]) -> tuple[np.ndarray, np.ndarray]:
 
 def save_packet_codes(flows: list[EmbeddedFlow], path: str) -> None:
     """Every flow's packet codes in one file, as stack_codes lays them
-    out; flow j has flow_ids[j] and labels[j]."""
+    out; flow j has flow_ids[j] (ASCII bytes) and meta["labels"][j] (JSON
+    keeps any str whole, where a numpy str array drops trailing NULs)."""
     codes, offsets = stack_codes(flows)
-    nn_core.save_artifact(path, {}, arrays={
-        "codes": codes,
-        "offsets": offsets,
-        "flow_ids": np.array([f.flow_id for f in flows], dtype=str),
-        "labels": np.array([str(f.label) for f in flows], dtype=str),
-    })
+    nn_core.save_artifact(path, {"labels": [f.label for f in flows]}, arrays={
+        "codes": codes, "offsets": offsets,
+        "flow_ids": np.array([f.flow_id for f in flows], dtype="S")})
 
 
 def load_packet_codes(path: str) -> list[EmbeddedFlow]:
-    _meta, _, arrays = nn_core.load_artifact(path, arrays=_PACKET_CODE_ARRAYS)
-    codes, offsets, flow_ids, labels = (arrays[k] for k in _PACKET_CODE_ARRAYS)
-    if (codes.ndim != 2 or flow_ids.ndim != 1 or labels.shape != flow_ids.shape
+    meta, _, arrays = nn_core.load_artifact(path, arrays=_PACKET_CODE_ARRAYS, fields=("labels",))
+    codes, offsets, flow_ids = (arrays[k] for k in _PACKET_CODE_ARRAYS)
+    labels = meta["labels"]
+    if (codes.ndim != 2 or flow_ids.ndim != 1 or not isinstance(labels, list)
+            or len(labels) != flow_ids.size
             or not nn_core.fits_offsets(offsets, flow_ids.size, codes.shape[0])):
-        raise ValueError(f"bad model file {path}: codes {codes.shape}, offsets "
-                         f"{offsets.shape} and {flow_ids.size} flows do not fit together")
-    return [EmbeddedFlow(flow_id=str(flow_id), embeddings=codes[start:end], label=str(label))
-            for flow_id, label, start, end in zip(flow_ids, labels, offsets, offsets[1:])]
+        raise ValueError(f"bad model file {path}: codes {codes.shape}, offsets {offsets.shape}, "
+                         f"{flow_ids.size} flow ids and the labels do not fit together")
+    return [EmbeddedFlow(flow_id=flow_id, embeddings=codes[start:end], label=label)
+            for flow_id, label, start, end in zip(flow_ids.astype(str).tolist(), labels,
+                                                   offsets, offsets[1:])]

@@ -33,8 +33,6 @@ class JshcConfig:
     beta_set: list[int] | None = None      # None -> min_beta..max_beta
     min_beta: int = DEFAULT_BETA_RANGE[0]
     max_beta: int = DEFAULT_BETA_RANGE[1]
-    tol: float = 1.0
-    max_iter: int = 20
     z_max: ResourceBudget = field(default_factory=ResourceBudget)
 
     def __post_init__(self):
@@ -42,10 +40,6 @@ class JshcConfig:
             raise ValueError("min_beta must not exceed max_beta")
         if self.min_beta < 1:
             raise ValueError("beta starts at 1 bit")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be nonnegative")
         if self.alpha_set is not None:
             if not self.alpha_set:
                 raise ValueError("alpha_set must be non-empty")
@@ -163,16 +157,15 @@ def bisect_beta(best_alpha: float, cfg: JshcConfig, artifacts: JshcArtifacts,
     """Integer bisection over beta at a fixed alpha.
 
     The interval moves by the raw accuracy rule (left up on >=, right
-    down otherwise); the returned winner is the best feasible evaluation
-    seen, never worse than the incumbent from the grid phase.
+    down otherwise) until it stops moving, within ceil(log2(max_beta -
+    min_beta)) + 1 steps; the winner is the best feasible evaluation seen,
+    never worse than the incumbent from the grid phase.
     """
     left, right = cfg.min_beta, cfg.max_beta
-    tol = max(cfg.tol, 1.0)
     best = incumbent
     best_acc_seen = incumbent.accuracy if incumbent is not None else -1.0
     trace: list[BisectStep] = []
-    iters = 0
-    while right - left >= tol and iters < cfg.max_iter:
+    while left < right:
         mid = int(math.floor((left + right) / 2.0 + 0.5))
         ev = evaluate_config(best_alpha, mid, artifacts, cfg.z_max)
         trace.append(BisectStep(left=left, right=right, mid=mid,
@@ -187,7 +180,6 @@ def bisect_beta(best_alpha: float, cfg: JshcConfig, artifacts: JshcArtifacts,
             right = mid
         if (left, right) == prev:  # interval stalled at integer resolution
             break
-        iters += 1
     if best is None:
         raise NoFeasibleConfigError("bisection found no feasible beta")
     return best, trace

@@ -197,15 +197,6 @@ def _sorted_split(xt: np.ndarray, order: np.ndarray, y: np.ndarray, k: int,
     return best
 
 
-def _best_split(x: np.ndarray, y: np.ndarray, k: int, impurity,
-                parent_impurity: float, min_samples_leaf: int):
-    """Scan midpoint candidates on every feature of an unsorted batch;
-    returns (gain, feature, threshold) or None, as _sorted_split."""
-    xt = np.ascontiguousarray(x.T)
-    return _sorted_split(xt, np.argsort(xt, axis=1), y, k, impurity,
-                         parent_impurity, min_samples_leaf)
-
-
 def cart_train(x: np.ndarray, y: np.ndarray, max_depth: int | None = None,
                min_samples_leaf: int = 1, criterion: str = "gini",
                class_names: list[str] | None = None) -> DecisionTree:

@@ -104,14 +104,19 @@ def test_load_config_rejects_bad_input(tmp_path):
 
 
 def test_removed_config_knobs_exit_3_and_name_their_section(tmp_path, capsys):
-    """A config naming a fold order, a sample cap or a training knob the
-    program does not have is refused, not silently ignored."""
+    """A config naming a fold order, a sample cap, a training or search
+    knob or a section the program does not have is refused, not silently
+    ignored."""
     for name, section, where in (
             ("order", {"embed": {"order": "greedy_min"}}, "embed/order"),
             ("caps", {"sample_caps": {"rae_pairs": 5000}}, "sample_caps"),
             ("optimizer", {"train": {"rae": {"optimizer": "sgd"}}}, "train/rae"),
             ("init", {"train": {"classifier": {"weight_init_scale": 0.5}}},
-             "train/classifier")):
+             "train/classifier"),
+            ("seed", {"train": {"rae": {"seed": 3}}}, "train/rae"),
+            ("tol", {"jshc": {"tol": 0.5}}, "jshc"),
+            ("max_iter", {"jshc": {"max_iter": 20}}, "jshc"),
+            ("quantize", {"quantize": {"beta": 11}}, "<root>")):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(section))
         assert cli.main(["synth", "--config", str(path), "--out", str(tmp_path / "run")]) == 3
@@ -122,9 +127,9 @@ def test_removed_config_knobs_exit_3_and_name_their_section(tmp_path, capsys):
 @pytest.mark.parametrize("text, where", [
     ('{"train": {"autoencoder": {"epochs": 1.0}}}', "train/autoencoder/epochs"),
     ('{"embed": {"pair_cap": 100.0}}', "embed/pair_cap"),
-    ('{"quantize": {"beta": 4.0}}', "quantize/beta"),
+    ('{"jshc": {"max_beta": 4.0}}', "jshc/max_beta"),
     ('{"train": {"rae": {"learning_rate": NaN}}}', "train/rae/learning_rate"),
-    ('{"jshc": {"tol": NaN}}', "jshc/tol"),
+    ('{"jshc": {"z_max": {"max_power_mw": NaN}}}', "jshc/z_max/max_power_mw"),
     ('{"classifier": {"test_fraction": NaN}}', "classifier/test_fraction"),
     ('{"jshc": {"alpha_set": [Infinity]}}', "jshc/alpha_set/0"),
 ])
@@ -671,6 +676,28 @@ def test_prune_sweep_and_jshc_refuse_a_split_of_another_capture(tmp_path, capsys
         err = capsys.readouterr().err
         assert "stale artifact" in err and "re-run `ride train-clf`" in err, stage
         assert os.path.join(out, "classifier.npz") in err, stage
+
+
+def test_prune_sweep_and_jshc_refuse_the_tree_of_a_re_trained_classifier(tmp_path, capsys):
+    """They do not read classifier.npz; the tree's record, which lists it,
+    tells them the tree was distilled from another classifier, though
+    the split stays byte for byte the same."""
+    out = str(tmp_path / "run")
+    config = _fast_config_file(tmp_path)
+    assert cli.main(["all", "--config", config, "--out", out]) == 0
+    split = (tmp_path / "run" / "split.json").read_bytes()
+    wider = tmp_path / "wider.json"
+    with open(config) as fh:
+        wider.write_text(json.dumps({**json.load(fh), "classifier": {"hidden": 50}}))
+    assert cli.main(["train-clf", "--config", str(wider), "--out", out]) == 0
+    assert (tmp_path / "run" / "split.json").read_bytes() == split
+    capsys.readouterr()
+    for stage, stale in (("prune-sweep", "tree.json was"),
+                         ("jshc", f"tree.json and {os.path.join(out, 'quant_ranges.json')} were")):
+        assert cli.main([stage, "--config", str(wider), "--out", out]) == 2, stage
+        assert (f"{os.path.join(out, stale)} built from another version of "
+                f"{os.path.join(out, 'classifier.npz')}; re-run `ride distill`"
+                ) in capsys.readouterr().err, stage
 
 
 def test_the_manifest_records_each_file_a_stage_wrote(fast_run):

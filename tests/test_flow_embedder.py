@@ -1,5 +1,6 @@
 """Recursive fold of packet embeddings into flow embeddings."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -329,21 +330,34 @@ def test_rae_file_with_a_reconstructor_still_loads(tmp_path):
 
 
 def test_packet_codes_round_trip(tmp_path):
-    flows = [_flow(np.arange(6.0).reshape(3, 2), flow_id="a", label="benign"),
-             _flow(np.array([[1e300, -2.5e-7]]), flow_id="b|c", label="attack")]
+    """Labels come back whole: one ending in NUL, which a numpy str array
+    drops (so labels `x` and `x` + NUL would merge into one class), and a
+    non-ASCII one."""
+    labels = ["benign", "attack", "x", "x\0", "ataque-é"]
+    flows = [_flow(np.arange(6.0).reshape(3, 2), flow_id="a", label=labels[0]),
+             _flow(np.array([[1e300, -2.5e-7]]), flow_id="b|c", label=labels[1])]
+    flows += [_flow(np.full((1, 2), float(j)), flow_id=f"f{j}", label=label)
+              for j, label in enumerate(labels[2:])]
     path = str(tmp_path / "codes.npz")
     fe.save_packet_codes(flows, path)
     loaded = fe.load_packet_codes(path)
-    assert [(f.flow_id, f.label) for f in loaded] == [("a", "benign"), ("b|c", "attack")]
+    assert [(f.flow_id, f.label) for f in loaded] == list(
+        zip(["a", "b|c", "f0", "f1", "f2"], labels, strict=True))
     for got, want in zip(loaded, flows, strict=True):
         np.testing.assert_array_equal(got.embeddings, want.embeddings)
     with np.load(path, allow_pickle=False) as npz:
         entries = {k: npz[k] for k in npz.files}
-    entries["codes"] = entries["codes"][:3]  # the offsets still end at row 4
-    with open(path, "wb") as fh:
-        np.savez(fh, **entries)
-    with pytest.raises(ValueError, match="codes.npz: codes .* do not fit together"):
-        fe.load_packet_codes(path)
+    short = dict(entries, codes=entries["codes"][:5])  # the offsets still end at row 6
+    meta = json.loads(entries["meta"].item())
+    one_label_less = dict(entries, meta=np.array(json.dumps({"labels": meta["labels"][:-1]})))
+    # the layout before the labels moved to meta: a str array beside the codes
+    labels_array = dict(entries, meta=np.array("{}"), labels=np.array(labels, dtype=str))
+    for bad, cause in ((short, "codes .* do not fit"), (one_label_less, "codes .* do not fit"),
+                       (labels_array, "'meta' lacks")):
+        with open(path, "wb") as fh:
+            np.savez(fh, **bad)
+        with pytest.raises(ValueError, match=f"bad model file .*codes.npz: {cause}"):
+            fe.load_packet_codes(path)
 
 
 def _tanh_rae(n_b, seed):

@@ -17,9 +17,13 @@ snapped threshold moves past x = 4), which pins the expected winner to
 alpha selection key.
 """
 import csv
+import dataclasses
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ride import hw_model, jshc_optimizer as jo, tree_distiller
 from ride.hw_model import ResourceBudget
@@ -137,15 +141,78 @@ def test_bisect_adjacent_interval_is_single_evaluation():
     assert best.feasible
 
 
-def test_bisect_max_iter_zero_returns_incumbent():
+def test_bisect_without_a_feasible_beta_or_an_incumbent_raises():
     art = _toy_artifacts()
-    cfg = JshcConfig(max_iter=0)
-    incumbent = jo.evaluate_config(0.1875, 4, art)
-    best, trace = jo.bisect_beta(0.1875, cfg, art, incumbent=incumbent)
-    assert trace == []
-    assert (best.alpha, best.beta) == (0.1875, 4)
+    cfg = JshcConfig(z_max=ResourceBudget(max_area_units=0.5))  # no beta fits
     with pytest.raises(NoFeasibleConfigError):
         jo.bisect_beta(0.1875, cfg, art, incumbent=None)
+
+
+def _bisect_beta_with_knobs(best_alpha, cfg, artifacts, incumbent=None, tol=1.0, max_iter=20):
+    """bisect_beta as it was while JshcConfig had tol and max_iter, at
+    their defaults: the reference the knob-free loop must match."""
+    left, right = cfg.min_beta, cfg.max_beta
+    tol = max(tol, 1.0)
+    best = incumbent
+    best_acc_seen = incumbent.accuracy if incumbent is not None else -1.0
+    trace = []
+    iters = 0
+    while right - left >= tol and iters < max_iter:
+        mid = int(math.floor((left + right) / 2.0 + 0.5))
+        ev = jo.evaluate_config(best_alpha, mid, artifacts, cfg.z_max)
+        trace.append(jo.BisectStep(left=left, right=right, mid=mid,
+                                   accuracy=ev.accuracy, feasible=ev.feasible))
+        if ev.feasible and (best is None or jo._rank(ev) > jo._rank(best)):
+            best = ev
+        prev = (left, right)
+        if ev.accuracy >= best_acc_seen:
+            best_acc_seen = ev.accuracy
+            left = mid
+        else:
+            right = mid
+        if (left, right) == prev:
+            break
+        iters += 1
+    if best is None:
+        raise NoFeasibleConfigError("bisection found no feasible beta")
+    return best, trace
+
+
+@st.composite
+def _bisect_cases(draw):
+    """A beta range within 1..16, a per-beta accuracy and feasibility
+    table (few accuracies, so ties occur) and an optional feasible
+    incumbent read off the table."""
+    min_beta = draw(st.integers(1, 16))
+    max_beta = draw(st.integers(min_beta, 16))
+    accuracy = draw(st.lists(st.sampled_from([0.0, 0.5, 0.75, 1.0]), min_size=17, max_size=17))
+    feasible = draw(st.lists(st.booleans(), min_size=17, max_size=17))
+    incumbent = draw(st.none() | st.integers(1, 16))
+    return min_beta, max_beta, accuracy, feasible, incumbent
+
+
+@given(case=_bisect_cases())
+def test_bisect_beta_matches_the_loop_with_tol_and_max_iter(case):
+    min_beta, max_beta, accuracy, feasible, incumbent_beta = case
+
+    def table(alpha, beta, artifacts, budget=None):
+        return jo.ConfigEval(alpha=alpha, beta=beta, accuracy=accuracy[beta], f1=accuracy[beta],
+                             cost=None, feasible=feasible[beta], n_nodes=1)
+
+    cfg = JshcConfig(min_beta=min_beta, max_beta=max_beta)
+    incumbent = None if incumbent_beta is None else dataclasses.replace(
+        table(0.5, incumbent_beta, None), feasible=True)
+    with mock.patch.object(jo, "evaluate_config", table):
+        try:
+            want = _bisect_beta_with_knobs(0.5, cfg, None, incumbent)
+        except NoFeasibleConfigError:
+            with pytest.raises(NoFeasibleConfigError):
+                jo.bisect_beta(0.5, cfg, None, incumbent)
+            return
+        got = jo.bisect_beta(0.5, cfg, None, incumbent)
+    assert got == want
+    width = max_beta - min_beta
+    assert len(got[1]) <= ((width - 1).bit_length() + 1 if width else 0)
 
 
 def test_bisect_trace_stays_in_bounds_and_never_worse_than_incumbent():
@@ -210,10 +277,6 @@ def test_config_validation():
         JshcConfig(min_beta=5, max_beta=4)
     with pytest.raises(ValueError):
         JshcConfig(min_beta=0)
-    with pytest.raises(ValueError):
-        JshcConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        JshcConfig(max_iter=-1)
     with pytest.raises(ValueError):
         JshcConfig(alpha_set=[-0.5])
 

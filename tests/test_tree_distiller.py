@@ -80,7 +80,8 @@ def test_best_split_matches_brute_force(seed, criterion):
     msl = int(rng.integers(1, 4))
     imp_fn = {"gini": gini, "entropy": entropy}[criterion]
     parent = imp_fn(np.bincount(y, minlength=k).astype(float))
-    got = td._best_split(x, y, k, imp_fn, parent, msl)
+    xt = np.ascontiguousarray(x.T)
+    got = td._sorted_split(xt, np.argsort(xt, axis=1), y, k, imp_fn, parent, msl)
     want = brute_best_split(x, y, k, criterion, msl)
     if want is None:
         assert got is None
