@@ -402,6 +402,10 @@ def stage_train_clf(cfg: dict) -> dict:
     labels = [f.label for f in flows]
     train, test = classifier.stratified_split(
         labels, test_fraction=cfg["classifier"]["test_fraction"], seed=cfg["seed"])
+    if not test:  # stratified_split tests a class only from its second flow on
+        per_class = {c: labels.count(c) for c in sorted(set(labels))}
+        raise ValueError(f"the test split is empty: no class has 2 flows (flows per class: "
+                         f"{per_class})")
     atomic_write_json(artifact_path(cfg, "split"),
                       {"train": [flows[i].flow_id for i in train],
                        "test": [flows[i].flow_id for i in test]})
@@ -498,7 +502,7 @@ def stage_prune_sweep(cfg: dict) -> dict:
                      "test_accuracy": acc, "test_f1": f1})
     lines = [",".join(rows[0])] + [",".join(repr(v) for v in r.values()) for r in rows]
     atomic_write_text(artifact_path(cfg, "prune_sweep"), "\n".join(lines) + "\n")
-    return {"n_entries": len(rows), "path": rows}
+    return {"n_entries": len(rows)}  # the rows are prune_sweep.csv
 
 
 def _load_ranges(cfg: dict) -> dict:
@@ -608,20 +612,16 @@ def stage_report(cfg: dict) -> dict:
     eval_summary = _load_json(summary_path(cfg, "eval"))
 
     em = eval_summary["metrics"]
-    rows = [
-        {"predictor": "mlp_teacher",
-         "f1": em["mlp_teacher"]["f1"], "accuracy": em["mlp_teacher"]["accuracy"],
-         "size": clf_summary["n_parameters"], "size_unit": "parameters",
-         "inference_time_s": None},
-        {"predictor": "distilled_tree",
-         "f1": em["distilled_tree"]["f1"], "accuracy": em["distilled_tree"]["accuracy"],
-         "size": distill_summary["n_nodes"], "size_unit": "nodes",
-         "inference_time_s": None},
-        {"predictor": "quantized_tree",
-         "f1": em["quantized_tree"]["f1"], "accuracy": em["quantized_tree"]["accuracy"],
-         "size": jshc_summary["best_n_nodes"], "size_unit": "nodes",
-         "inference_time_s": eval_summary["modeled_hardware_latency_s"]},
-    ]
+    # predictor: its size, the size's unit and its inference time
+    predictors = {
+        "mlp_teacher": (clf_summary["n_parameters"], "parameters", None),
+        "distilled_tree": (distill_summary["n_nodes"], "nodes", None),
+        "quantized_tree": (jshc_summary["best_n_nodes"], "nodes",
+                           eval_summary["modeled_hardware_latency_s"]),
+    }
+    rows = [{"predictor": name, "f1": em[name]["f1"], "accuracy": em[name]["accuracy"],
+             "size": size, "size_unit": unit, "inference_time_s": time_s}
+            for name, (size, unit, time_s) in predictors.items()]
     report = {
         "predictors": rows,
         "jshc": {"best_alpha": jshc_summary["best_alpha"],

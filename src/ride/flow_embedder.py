@@ -96,33 +96,21 @@ def sample_training_pairs(flows: list[EmbeddedFlow], pair_cap: int = DEFAULT_PAI
                           seed: int = 0) -> np.ndarray:
     """Adjacent-packet pairs as a (k, 2*n_b) matrix, capped by seeded sampling.
 
-    Pair p is the p-th adjacent pair in flow order, then packet order. The
-    pairs are counted, the capped indices drawn, and only the chosen rows
-    built, so no matrix of every pair exists.
+    Pair p is the p-th adjacent pair in flow order, then packet order. Its
+    left member is a stacked code other than a flow's last, so its row is a
+    window of the flat stacked codes, from which the chosen rows are copied.
 
     Raises ValueError when no flow contributes a pair (all single-packet).
     """
-    counts = np.array([max(f.embeddings.shape[0] - 1, 0) for f in flows], dtype=np.int64)
-    total = int(counts.sum())
-    if total == 0:
+    codes, offsets = stack_codes(flows)
+    left = np.setdiff1d(np.arange(len(codes)), offsets[1:] - 1)
+    if not left.size:
         raise ValueError("no flow has >= 2 packets; cannot form training pairs")
-    chosen = np.arange(total)
-    if total > pair_cap:
+    if left.size > pair_cap:
         rng = np.random.Generator(np.random.PCG64(seed))
-        chosen = np.sort(rng.choice(total, size=pair_cap, replace=False))
-    starts = np.cumsum(counts) - counts  # each flow's first pair index
-    # flow j's chosen pairs are chosen[bounds[j]:bounds[j + 1]]
-    bounds = np.searchsorted(chosen, np.append(starts, total)).tolist()
-    first = flows[0].embeddings
-    n_b = first.shape[1]
-    pairs = np.empty((chosen.size, 2 * n_b), dtype=first.dtype)
-    for j, flow in enumerate(flows):
-        lo, hi = bounds[j], bounds[j + 1]
-        if lo < hi:
-            i = chosen[lo:hi] - starts[j]
-            pairs[lo:hi, :n_b] = flow.embeddings[i]
-            pairs[lo:hi, n_b:] = flow.embeddings[i + 1]
-    return pairs
+        left = left[np.sort(rng.choice(left.size, size=pair_cap, replace=False))]
+    n_b = codes.shape[1]  # window r * n_b: row r, then row r + 1
+    return np.lib.stride_tricks.sliding_window_view(codes.ravel(), 2 * n_b)[::n_b][left]
 
 
 def train_rae(pairs: np.ndarray, n_b: int, cfg: TrainConfig | None = None) -> RaeBundle:
@@ -151,12 +139,11 @@ def fold_prefixes(rae: RaeBundle, codes: np.ndarray, offsets) -> np.ndarray:
     packet_codes.npz). Row r of the result is its flow's state after the
     packets up to row r: the flow's first code, then combine_pair of the
     previous state and the row's code. Step i composes every flow longer
-    than i in one product. The steps visit the flows longest first, so the
-    flows still folding are a leading slice of the step before's, and the
-    fold alternates between two step blocks of (flows) x 2*n_b, each
-    product reading the one block and writing the other's left half. Each
-    step reads its codes from `codes` itself, so besides `codes` the fold
-    holds the two blocks and the states.
+    than i in one product: the flows are held longest first in one state
+    array, so those still folding are its leading rows, and a pair buffer
+    of (flows) x 2*n_b takes their states and next codes, read from
+    `codes` itself. Besides `codes` the fold holds the state array, the
+    pair buffer and the result.
 
     One flow gives the bits of a left fold of one-pair combine_pair calls.
     A batch may differ from that in the last bits, because BLAS sums a
@@ -178,58 +165,47 @@ def fold_finals(rae: RaeBundle, codes: np.ndarray, offsets, rows=None) -> np.nda
 
 def _fold(rae: RaeBundle, codes: np.ndarray, offsets, every_step: bool,
           rows=None) -> np.ndarray:
-    """The step loop of fold_prefixes (every state, one row per stacked
-    code) and fold_finals (each flow's state after its last step, one row
-    per flow). The stacked codes are codes[rows], or codes when rows is
-    None."""
+    """fold_prefixes (every state, one row per stacked code) and fold_finals
+    (each flow's last state, one row per flow) of codes[rows], or of codes."""
     codes = np.asarray(codes, dtype=np.float64)
     n_rows = len(codes) if rows is None else len(rows)
     if codes.ndim != 2 or len(offsets) < 2 or offsets[0] != 0 or offsets[-1] != n_rows:
         raise ValueError(f"offsets must run from 0 to the {n_rows} rows of codes")
-    if len(offsets) == 2:  # one flow's rows are already in step order
-        order = by_length = None
-        live = [1] * n_rows
-    else:
-        offsets = np.asarray(offsets)
-        lengths = offsets[1:] - offsets[:-1]
-        by_length = np.argsort(-lengths, kind="stable")
-        steps = np.arange(lengths.max())[:, None]
-        folding = lengths[by_length] > steps  # [i, j]: the j-th longest has an (i+1)-th packet
-        order = (offsets[by_length] + steps)[folding]  # the stacked rows, step-major
-        live = np.count_nonzero(folding, axis=1).tolist()
-    if not live or live[0] != len(offsets) - 1:  # step 0 must hold every flow
-        raise ValueError(f"flow {int(np.argmin(np.diff(offsets)))} has no packets")
-    source = order  # the rows of codes that the step-major rows read
     if rows is not None:
         rows = np.asarray(rows)
-        source = rows if order is None else rows[order]
+    stacked = codes.__getitem__ if rows is None else lambda r: codes[rows[r]]
+    layer, n_b = rae.composer.layers[0], rae.n_b
 
-    # Row j of a step block: the state of the j-th longest flow, then its
-    # next code. A step reads the leading rows of one block and writes the
-    # composer's product and activation into the left half of the other.
-    n_b = rae.n_b
-    layer = rae.composer.layers[0]
-    out = np.empty((n_rows if every_step else live[0], n_b))
-    cur, nxt = np.empty((live[0], 2 * n_b)), np.empty((live[0], 2 * n_b))
-    cur[:, :n_b] = codes[_part(source, 0, live[0])]
-    lo = 0  # the first step-major row of this step
-    # k flows hold a state after this step, the first k_next of them fold on
-    for k, k_next in zip(live, live[1:] + [0]):
+    if len(offsets) == 2:  # one flow: the plain left fold
+        if not n_rows:
+            raise ValueError("flow 0 has no packets")
+        states, pair = np.empty((n_rows, n_b)), np.empty((1, 2 * n_b))
+        states[0] = stacked(0)
+        for i in range(1, n_rows):
+            pair[0, :n_b], pair[0, n_b:] = states[i - 1], stacked(i)
+            nn_core.affine_into(layer, pair, out=states[i:i + 1])
+        return states if every_step else states[-1:]
+
+    offsets = np.asarray(offsets)
+    lengths = offsets[1:] - offsets[:-1]
+    if lengths.min() < 1:
+        raise ValueError(f"flow {int(np.argmin(lengths))} has no packets")
+    by_length = np.argsort(-lengths, kind="stable")
+    starts, lengths = offsets[by_length], lengths[by_length]  # longest first
+    state, pair = stacked(starts), np.empty((len(starts), 2 * n_b))
+    out = np.empty((n_rows, n_b)) if every_step else None
+    for i in range(lengths[0]):
+        k = np.count_nonzero(lengths > i)  # the flows with an (i+1)-th packet
+        if i:
+            pair[:k, :n_b], pair[:k, n_b:] = state[:k], stacked(starts[:k] + i)
+            nn_core.affine_into(layer, pair[:k], out=state[:k])
         if every_step:
-            out[_part(order, lo, lo + k)] = cur[:k, :n_b]
-        elif k_next < k:  # the others end here
-            out[_part(by_length, k_next, k)] = cur[k_next:k, :n_b]
-        lo += k
-        if k_next:
-            cur[:k_next, n_b:] = codes[_part(source, lo, lo + k_next)]
-            nn_core.affine_into(layer, cur[:k_next], out=nxt[:k_next, :n_b])
-            cur, nxt = nxt, cur
-    return out
-
-
-def _part(index, lo: int, hi: int):
-    """Entries lo:hi of an index array; None is the identity."""
-    return slice(lo, hi) if index is None else index[lo:hi]
+            out[starts[:k] + i] = state[:k]
+    if every_step:
+        return out
+    finals = np.empty_like(state)  # a flow that ended keeps its last state
+    finals[by_length] = state
+    return finals
 
 
 def embed_flow(rae: RaeBundle, flow: EmbeddedFlow, order: str = "sequence") -> FlowEmbedding:

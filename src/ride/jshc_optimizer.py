@@ -134,9 +134,10 @@ def _rank(e: ConfigEval) -> tuple:
 
 
 def grid_sweep(cfg: JshcConfig, artifacts: JshcArtifacts) -> tuple[ConfigEval, list[ConfigEval]]:
-    """Evaluate every (alpha, beta); log ordered by (alpha, beta)."""
-    alphas = sorted(cfg.alpha_set) if cfg.alpha_set is not None else default_alpha_set(artifacts)
-    betas = sorted(cfg.beta_set) if cfg.beta_set is not None else list(
+    """Evaluate every distinct (alpha, beta) once; log ordered by (alpha, beta)."""
+    alphas = (sorted(set(cfg.alpha_set)) if cfg.alpha_set is not None
+              else default_alpha_set(artifacts))
+    betas = sorted(set(cfg.beta_set)) if cfg.beta_set is not None else list(
         range(cfg.min_beta, cfg.max_beta + 1))
     if not alphas or not betas:
         raise ValueError("alpha and beta sets must be non-empty")

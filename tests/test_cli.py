@@ -392,6 +392,32 @@ def test_a_bad_truth_file_exits_4_and_names_it(tmp_path, capsys, rows, cause):
     assert not os.path.exists(os.path.join(out, cli.ARTIFACTS["flows"]))
 
 
+def test_a_capture_with_no_class_of_two_flows_exits_4_before_writing_the_split(
+        tmp_path, capsys):
+    """A class of one flow stays whole in train, so with one flow per
+    class the test split is empty."""
+    out = str(tmp_path / "run")
+    assert cli.main(["synth", "--out", out]) == 0
+    header, *rows = open(os.path.join(out, "truth.csv")).read().splitlines()
+    label = header.split(",").index("label")
+    first_of = {}
+    for row in rows:
+        first_of.setdefault(row.split(",")[label], row)
+    truth = tmp_path / "two_flows.csv"
+    truth.write_text("\n".join([header, *first_of.values()]) + "\n")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "paths": {"pcap": os.path.join(out, "capture.pcap"), "truth_csv": str(truth)},
+        "features": {"n_p": 64, "n_b": 8, "h": 16},
+        "train": {net: {"epochs": 0} for net in ("autoencoder", "rae", "classifier")}}))
+    capsys.readouterr()
+    assert cli.main(["all", "--config", str(config), "--out", out]) == 4
+    err = capsys.readouterr().err
+    assert "the test split is empty" in err
+    assert "flows per class: {'attack': 1, 'benign': 1}" in err
+    assert not os.path.exists(os.path.join(out, cli.ARTIFACTS["split"]))
+
+
 def test_ingest_summary_names_its_inputs_relative_to_the_out_dir(tmp_path):
     outs = [str(tmp_path / "a"), str(tmp_path / "deeper" / "b")]
     for out in outs:

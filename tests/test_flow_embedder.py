@@ -397,8 +397,9 @@ def test_fold_prefixes_is_the_left_fold_of_every_flow(lengths, n_b, seed):
 def test_the_batch_fold_holds_under_four_copies_of_its_codes():
     """The distill stage folds every query flow in one batch. numpy reports
     its buffers to tracemalloc: each step reads its codes from `codes`
-    itself, so the fold adds the pair buffer and the states, three copies
-    of the codes, and no step-major copy of them."""
+    itself, so the fold adds its result (one copy of the codes), the state
+    array and pair buffer of (flows) x 3*n_b and one step's codes, about
+    1.9 copies, and no step-major copy of them."""
     rng = np.random.default_rng(3)
     lengths = rng.integers(1, 9, size=2000)
     codes = rng.uniform(size=(int(lengths.sum()), 100))
@@ -438,12 +439,12 @@ def test_fold_finals_are_the_last_prefix_states_bit_for_bit(lengths, n_b, seed):
             == fe.fold_finals(rae, codes[rows], offsets).tobytes())
 
 
-def test_the_final_state_fold_holds_under_one_and_a_half_copies_of_its_codes():
+def test_the_final_state_fold_holds_under_1_2_copies_of_its_codes():
     """The distill stage folds every query flow in one batch and keeps only
     the final states. numpy reports its buffers to tracemalloc: the fold
-    adds two step blocks of (flows) x 2*n_b and the (flows) x n_b finals,
-    here about 1.1 copies of the codes, and holds no state of any other
-    step."""
+    adds the state array and pair buffer of (flows) x 3*n_b and one step's
+    codes, then the (flows) x n_b finals once the steps are done, here
+    about 0.9 copies of the codes, and holds no state of any other step."""
     rng = np.random.default_rng(3)
     lengths = rng.integers(1, 9, size=2000)
     codes = rng.uniform(size=(int(lengths.sum()), 100))
@@ -455,7 +456,66 @@ def test_the_final_state_fold_holds_under_one_and_a_half_copies_of_its_codes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * codes.nbytes, f"peak {peak / codes.nbytes:.2f} copies of the codes"
+    assert peak < 1.2 * codes.nbytes, f"peak {peak / codes.nbytes:.2f} copies of the codes"
+
+
+def _two_block_fold(rae, codes, offsets, every_step, rows=None):
+    """_fold as it was before the one state array, kept as its oracle: the
+    flows' rows in step-major order, two step blocks in turn, and a
+    scatter of the flows that end after each step."""
+    part = lambda index, lo, hi: slice(lo, hi) if index is None else index[lo:hi]
+    codes = np.asarray(codes, dtype=np.float64)
+    n_rows = len(codes) if rows is None else len(rows)
+    if len(offsets) == 2:
+        order = by_length = None
+        live = [1] * n_rows
+    else:
+        offsets = np.asarray(offsets)
+        lengths = offsets[1:] - offsets[:-1]
+        by_length = np.argsort(-lengths, kind="stable")
+        steps = np.arange(lengths.max())[:, None]
+        folding = lengths[by_length] > steps
+        order = (offsets[by_length] + steps)[folding]
+        live = np.count_nonzero(folding, axis=1).tolist()
+    source = order
+    if rows is not None:
+        rows = np.asarray(rows)
+        source = rows if order is None else rows[order]
+    n_b = rae.n_b
+    layer = rae.composer.layers[0]
+    out = np.empty((n_rows if every_step else live[0], n_b))
+    cur, nxt = np.empty((live[0], 2 * n_b)), np.empty((live[0], 2 * n_b))
+    cur[:, :n_b] = codes[part(source, 0, live[0])]
+    lo = 0
+    for k, k_next in zip(live, live[1:] + [0]):
+        if every_step:
+            out[part(order, lo, lo + k)] = cur[:k, :n_b]
+        elif k_next < k:
+            out[part(by_length, k_next, k)] = cur[k_next:k, :n_b]
+        lo += k
+        if k_next:
+            cur[:k_next, n_b:] = codes[part(source, lo, lo + k_next)]
+            nn_core.affine_into(layer, cur[:k_next], out=nxt[:k_next, :n_b])
+            cur, nxt = nxt, cur
+    return out
+
+
+@given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=40),
+       n_b=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_the_fold_gives_the_bits_of_the_two_block_fold(lengths, n_b, seed):
+    """One flow (the serving fold) and many (the distill batch), every
+    state or the last ones, with the codes read directly or through a row
+    index that repeats and skips pool rows."""
+    rae = _tanh_rae(n_b, seed)
+    rng = np.random.default_rng(seed)
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    codes = rng.uniform(size=(offsets[-1], n_b))
+    pool = rng.uniform(size=(2 * offsets[-1], n_b))
+    for source, rows in ((codes, None), (pool, rng.integers(0, len(pool), size=offsets[-1]))):
+        for every_step in (True, False):
+            got = fe._fold(rae, source, offsets, every_step, rows)
+            want = _two_block_fold(rae, source, offsets, every_step, rows)
+            assert got.tobytes() == want.tobytes()
 
 
 def test_fold_prefixes_rejects_offsets_that_miss_the_codes():

@@ -132,6 +132,16 @@ def test_grid_sweep_rejects_empty_sets():
         jo.grid_sweep(JshcConfig(beta_set=[]), art)
 
 
+def test_grid_sweep_evaluates_and_logs_each_cell_once():
+    art = _toy_artifacts()
+    cfg = JshcConfig(alpha_set=[0.1875, 0.0, 0.0], beta_set=[4, 4, 6])
+    with mock.patch.object(jo, "evaluate_config", wraps=jo.evaluate_config) as spy:
+        best, log = jo.grid_sweep(cfg, art)
+    assert [(e.alpha, e.beta) for e in log] == [(0.0, 4), (0.0, 6), (0.1875, 4), (0.1875, 6)]
+    assert spy.call_count == 4
+    assert (best.alpha, best.beta) == (0.1875, 4)
+
+
 def test_bisect_adjacent_interval_is_single_evaluation():
     art = _toy_artifacts()
     cfg = JshcConfig(min_beta=10, max_beta=11)
