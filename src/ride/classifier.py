@@ -192,5 +192,6 @@ def save_model(model: ClassifierModel, path: str) -> None:
 
 def load_model(path: str) -> ClassifierModel:
     meta, nets, _ = nn_core.load_artifact(path, nets=("net",), fields=("class_names",))
-    return ClassifierModel(net=nets["net"], class_names=list(meta["class_names"]),
-                           loss_curve=meta.get("loss_curve", []))
+    with nn_core.file_errors(path, "model"):
+        return ClassifierModel(net=nets["net"], class_names=list(meta["class_names"]),
+                               loss_curve=meta.get("loss_curve", []))

@@ -357,12 +357,13 @@ def stage_embed(cfg: dict) -> dict:
     flows = packet_ingest.load_flows(artifact_path(cfg, "flows"))
     bundle = payload_autoencoder.load_bundle(artifact_path(cfg, "autoencoder"))
     embedded = flow_embedder.encode_flows(bundle, flows, n_p=cfg["features"]["n_p"])
+    codes, offsets = flow_embedder.stack_codes(embedded)
     rae_cfg = _train_cfg(cfg, "rae")
     pairs = flow_embedder.sample_training_pairs(
-        embedded, pair_cap=cfg["embed"]["pair_cap"], seed=rae_cfg.seed)
+        codes, offsets, pair_cap=cfg["embed"]["pair_cap"], seed=rae_cfg.seed)
     rae = flow_embedder.train_rae(pairs, n_b=bundle.n_b, cfg=rae_cfg)
     flow_embedder.save_rae(rae, artifact_path(cfg, "rae"))
-    flow_embedder.save_packet_codes(embedded, artifact_path(cfg, "packet_codes"))
+    flow_embedder.save_packet_codes(artifact_path(cfg, "packet_codes"), codes, offsets, embedded)
     return {
         "n_flows": len(embedded), "n_pairs": int(pairs.shape[0]),
         "final_recon_error": rae.final_recon_error,
@@ -389,10 +390,9 @@ def _split_flows(cfg: dict) -> tuple:
 def _fold(rae, flows: list, class_names: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """(x, ids): row j is flow j's joint embedding and ids[j] the id of its
     label in class_names. Each flow is folded alone: a batch fold may
-    differ in the last bits (see fold_prefixes)."""
+    differ in the last bits (see fold_finals)."""
     index = {n: i for i, n in enumerate(class_names)}
-    x = np.stack([flow_embedder.fold_finals(rae, f.embeddings, [0, len(f.embeddings)])[0]
-                  for f in flows])
+    x = np.stack([flow_embedder.fold_prefixes(rae, f.embeddings)[-1] for f in flows])
     return x, np.array([index[f.label] for f in flows])
 
 
@@ -453,8 +453,7 @@ def stage_distill(cfg: dict) -> dict:
     trained on; measured, dropping those points made the tree no better."""
     model = classifier.load_model(artifact_path(cfg, "classifier"))
     rae, train, test = _split_flows(cfg)
-    x_prefix = np.concatenate([
-        flow_embedder.fold_prefixes(rae, f.embeddings, [0, len(f.embeddings)]) for f in train])
+    x_prefix = np.concatenate([flow_embedder.fold_prefixes(rae, f.embeddings) for f in train])
     pool, rows, offsets = flow_embedder.sample_query_flows(
         train, QUERY_FLOWS_PER_TRAIN_FLOW * len(train), seed=cfg["seed"])
     teacher_data = tree_distiller.generate_teacher_dataset(

@@ -4,13 +4,12 @@ A recursive autoencoder learns one composition cell (two embeddings in,
 one out); its mirror reconstructor is only the training signal and is not
 kept. Folding a flow applies the cell left to right, one packet at a
 time, so the flow has a joint state after every packet: fold_prefixes
-computes them all, and fold_finals only the last one, the flow's
-embedding.
+computes them all for one flow, and fold_finals only the last one, the
+flow's embedding, for many stacked flows in one batch.
 """
 from __future__ import annotations
 
 import csv
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,8 +18,6 @@ from . import nn_core, packet_ingest, payload_autoencoder
 from .nn_core import DenseNet, TrainConfig
 from .packet_ingest import FlowRecord
 from .payload_autoencoder import AutoencoderBundle
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_PAIR_CAP = 20_000
 
@@ -92,9 +89,10 @@ def combine_pair(rae: RaeBundle, left: np.ndarray, right: np.ndarray) -> np.ndar
     return nn_core.forward(rae.composer, np.concatenate([left, right], axis=-1))
 
 
-def sample_training_pairs(flows: list[EmbeddedFlow], pair_cap: int = DEFAULT_PAIR_CAP,
-                          seed: int = 0) -> np.ndarray:
-    """Adjacent-packet pairs as a (k, 2*n_b) matrix, capped by seeded sampling.
+def sample_training_pairs(codes: np.ndarray, offsets: np.ndarray,
+                          pair_cap: int = DEFAULT_PAIR_CAP, seed: int = 0) -> np.ndarray:
+    """Adjacent-packet pairs of stacked flows (as stack_codes lays them out)
+    as a (k, 2*n_b) matrix, capped by seeded sampling.
 
     Pair p is the p-th adjacent pair in flow order, then packet order. Its
     left member is a stacked code other than a flow's last, so its row is a
@@ -102,7 +100,6 @@ def sample_training_pairs(flows: list[EmbeddedFlow], pair_cap: int = DEFAULT_PAI
 
     Raises ValueError when no flow contributes a pair (all single-packet).
     """
-    codes, offsets = stack_codes(flows)
     left = np.setdiff1d(np.arange(len(codes)), offsets[1:] - 1)
     if not left.size:
         raise ValueError("no flow has >= 2 packets; cannot form training pairs")
@@ -132,78 +129,55 @@ def train_rae(pairs: np.ndarray, n_b: int, cfg: TrainConfig | None = None) -> Ra
     )
 
 
-def fold_prefixes(rae: RaeBundle, codes: np.ndarray, offsets) -> np.ndarray:
-    """Every state of the sequential fold of stacked flows.
-
-    Flow j owns rows offsets[j]:offsets[j + 1] of `codes` (the layout of
-    packet_codes.npz). Row r of the result is its flow's state after the
-    packets up to row r: the flow's first code, then combine_pair of the
-    previous state and the row's code. Step i composes every flow longer
-    than i in one product: the flows are held longest first in one state
-    array, so those still folding are its leading rows, and a pair buffer
-    of (flows) x 2*n_b takes their states and next codes, read from
-    `codes` itself. Besides `codes` the fold holds the state array, the
-    pair buffer and the result.
-
-    One flow gives the bits of a left fold of one-pair combine_pair calls.
-    A batch may differ from that in the last bits, because BLAS sums a
-    many-row product differently from a one-row one.
-    """
-    return _fold(rae, codes, offsets, True)
+def fold_prefixes(rae: RaeBundle, codes: np.ndarray) -> np.ndarray:
+    """Every state of one flow's fold: row 0 is its first code, and row i
+    combine_pair of row i - 1 and code i, the bits of a left fold of
+    one-pair combine_pair calls."""
+    codes = np.asarray(codes, dtype=np.float64)
+    if codes.ndim != 2:
+        raise ValueError(f"a flow's codes must be a (packets, n_b) matrix, got {codes.shape}")
+    if not len(codes):
+        raise ValueError("flow 0 has no packets")
+    layer, n_b = rae.composer.layers[0], rae.n_b
+    states, pair = np.empty((len(codes), n_b)), np.empty((1, 2 * n_b))
+    states[0] = codes[0]
+    for i in range(1, len(codes)):
+        pair[0, :n_b], pair[0, n_b:] = states[i - 1], codes[i]
+        nn_core.affine_into(layer, pair, out=states[i:i + 1])
+    return states
 
 
 def fold_finals(rae: RaeBundle, codes: np.ndarray, offsets, rows=None) -> np.ndarray:
-    """Row j: flow j's last state, the bits of fold_prefixes(rae, codes,
-    offsets)[offsets[j + 1] - 1], without holding the other states.
+    """Row j: the last state of flow j, which owns rows offsets[j]:offsets[j + 1]
+    of the stacked codes (the layout of packet_codes.npz).
 
-    With `rows`, the stacked flows are codes[rows] (offsets index rows),
-    and each step reads its codes through it, so codes[rows] is never
-    gathered.
+    The stacked codes are codes[rows] with `rows`, else codes; each step
+    reads its codes through `rows`, so codes[rows] is never gathered. The
+    flows are held longest first in one state array, so step i composes
+    its leading rows, the flows longer than i, in one product through a
+    pair buffer of (flows) x 2*n_b; a flow that ended keeps its row. A
+    batch may differ from fold_prefixes in the last bits, because BLAS
+    sums a many-row product differently from a one-row one.
     """
-    return _fold(rae, codes, offsets, False, rows)
-
-
-def _fold(rae: RaeBundle, codes: np.ndarray, offsets, every_step: bool,
-          rows=None) -> np.ndarray:
-    """fold_prefixes (every state, one row per stacked code) and fold_finals
-    (each flow's last state, one row per flow) of codes[rows], or of codes."""
     codes = np.asarray(codes, dtype=np.float64)
     n_rows = len(codes) if rows is None else len(rows)
     if codes.ndim != 2 or len(offsets) < 2 or offsets[0] != 0 or offsets[-1] != n_rows:
         raise ValueError(f"offsets must run from 0 to the {n_rows} rows of codes")
-    if rows is not None:
-        rows = np.asarray(rows)
+    rows = None if rows is None else np.asarray(rows)
     stacked = codes.__getitem__ if rows is None else lambda r: codes[rows[r]]
-    layer, n_b = rae.composer.layers[0], rae.n_b
-
-    if len(offsets) == 2:  # one flow: the plain left fold
-        if not n_rows:
-            raise ValueError("flow 0 has no packets")
-        states, pair = np.empty((n_rows, n_b)), np.empty((1, 2 * n_b))
-        states[0] = stacked(0)
-        for i in range(1, n_rows):
-            pair[0, :n_b], pair[0, n_b:] = states[i - 1], stacked(i)
-            nn_core.affine_into(layer, pair, out=states[i:i + 1])
-        return states if every_step else states[-1:]
-
     offsets = np.asarray(offsets)
     lengths = offsets[1:] - offsets[:-1]
     if lengths.min() < 1:
         raise ValueError(f"flow {int(np.argmin(lengths))} has no packets")
     by_length = np.argsort(-lengths, kind="stable")
     starts, lengths = offsets[by_length], lengths[by_length]  # longest first
+    layer, n_b = rae.composer.layers[0], rae.n_b
     state, pair = stacked(starts), np.empty((len(starts), 2 * n_b))
-    out = np.empty((n_rows, n_b)) if every_step else None
-    for i in range(lengths[0]):
+    for i in range(1, lengths[0]):
         k = np.count_nonzero(lengths > i)  # the flows with an (i+1)-th packet
-        if i:
-            pair[:k, :n_b], pair[:k, n_b:] = state[:k], stacked(starts[:k] + i)
-            nn_core.affine_into(layer, pair[:k], out=state[:k])
-        if every_step:
-            out[starts[:k] + i] = state[:k]
-    if every_step:
-        return out
-    finals = np.empty_like(state)  # a flow that ended keeps its last state
+        pair[:k, :n_b], pair[:k, n_b:] = state[:k], stacked(starts[:k] + i)
+        nn_core.affine_into(layer, pair[:k], out=state[:k])
+    finals = np.empty_like(state)
     finals[by_length] = state
     return finals
 
@@ -212,8 +186,7 @@ def embed_flow(rae: RaeBundle, flow: EmbeddedFlow, order: str = "sequence") -> F
     """Fold a flow's packet embeddings, in packet order, into one vector."""
     if order != "sequence":
         raise ValueError(f"unknown fold order {order!r}")
-    e = flow.embeddings
-    return FlowEmbedding(flow_id=flow.flow_id, values=fold_finals(rae, e, [0, len(e)])[0],
+    return FlowEmbedding(flow_id=flow.flow_id, values=fold_prefixes(rae, flow.embeddings)[-1],
                          label=flow.label)
 
 
@@ -270,9 +243,8 @@ def prefix_embeddings(rae: RaeBundle, flow: EmbeddedFlow) -> list[FlowEmbedding]
     trained on folded embeddings has seen; only the later entries are
     outputs of the fold.
     """
-    e = flow.embeddings
     return [FlowEmbedding(flow_id=f"{flow.flow_id}#{k + 1}", values=state, label=flow.label)
-            for k, state in enumerate(fold_prefixes(rae, e, [0, len(e)]))]
+            for k, state in enumerate(fold_prefixes(rae, flow.embeddings))]
 
 
 def flow_embeddings_from_csv(path: str) -> list[FlowEmbedding]:
@@ -302,9 +274,10 @@ def load_rae(path: str) -> RaeBundle:
     reconstructor; it is not read."""
     meta, nets, _ = nn_core.load_artifact(path, nets=("composer",),
                                           fields=("final_recon_error", "seed"))
-    return RaeBundle(composer=nets["composer"], n_b=nets["composer"].output_dim,
-                     final_recon_error=meta["final_recon_error"], seed=meta["seed"],
-                     loss_curve=meta.get("loss_curve", []))
+    with nn_core.file_errors(path, "model"):
+        return RaeBundle(composer=nets["composer"], n_b=nets["composer"].output_dim,
+                         final_recon_error=meta["final_recon_error"], seed=meta["seed"],
+                         loss_curve=meta.get("loss_curve", []))
 
 
 _PACKET_CODE_ARRAYS = ("codes", "offsets", "flow_ids")
@@ -318,11 +291,12 @@ def stack_codes(flows: list[EmbeddedFlow]) -> tuple[np.ndarray, np.ndarray]:
             np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64))
 
 
-def save_packet_codes(flows: list[EmbeddedFlow], path: str) -> None:
-    """Every flow's packet codes in one file, as stack_codes lays them
-    out; flow j has flow_ids[j] (ASCII bytes) and meta["labels"][j] (JSON
-    keeps any str whole, where a numpy str array drops trailing NULs)."""
-    codes, offsets = stack_codes(flows)
+def save_packet_codes(path: str, codes: np.ndarray, offsets: np.ndarray,
+                      flows: list[EmbeddedFlow]) -> None:
+    """The flows' packet codes in one file, as stack_codes(flows) lays them
+    out in (codes, offsets); flow j has flow_ids[j] (ASCII bytes) and
+    meta["labels"][j] (JSON keeps any str whole, where a numpy str array
+    drops trailing NULs)."""
     nn_core.save_artifact(path, {"labels": [f.label for f in flows]}, arrays={
         "codes": codes, "offsets": offsets,
         "flow_ids": np.array([f.flow_id for f in flows], dtype="S")})

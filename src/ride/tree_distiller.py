@@ -396,10 +396,35 @@ def tree_from_dict(doc: dict) -> DecisionTree:
     if missing:
         raise ValueError(f"tree document lacks node columns {missing}; a tree "
                          f"written in an older layout must be regenerated")
-    return DecisionTree(**{c: list(doc[c]) for c in _COLUMNS},
+    tree = DecisionTree(**{c: list(doc[c]) for c in _COLUMNS},
                         counts=np.array(doc["counts"], dtype=np.float64),
                         class_names=list(doc["class_names"]),
                         criterion=doc["criterion"])
+    _check_preorder(tree)
+    return tree
+
+
+def _check_preorder(tree: DecisionTree) -> None:
+    """Raise ValueError naming the first node that breaks DecisionTree's
+    preorder layout: a walk from the root meets the nodes in order, each
+    once, one level deeper per step. On another tree a walk may not end."""
+    due = [(0, 0, -1)]  # (node, depth, parent) the walk still meets, the next one last
+    for i, (f, lo, hi) in enumerate(zip(tree.feature, tree.left, tree.right)):
+        if not due:
+            raise ValueError(f"tree node {i} is not reached from the root")
+        node, depth, parent = due.pop()
+        if node != i:
+            raise ValueError(f"tree node {parent} has child {node} where node {i} belongs")
+        if tree.depth[i] != depth:
+            raise ValueError(f"tree node {i} has depth {tree.depth[i]}, not {depth}")
+        if (f, lo, hi) != (-1, -1, -1) and (f < 0 or lo != i + 1):
+            raise ValueError(f"tree node {i} has feature {f} and children {lo}, {hi}: a leaf "
+                             f"has -1 for each, another node a feature >= 0 and left child {i + 1}")
+        if f >= 0:
+            due += [(hi, depth + 1, i), (lo, depth + 1, i)]
+    if due:
+        node, _, parent = due[-1]
+        raise ValueError(f"tree node {parent} has child {node}, which the walk meets twice or never")
 
 
 def load_tree(path: str) -> DecisionTree:

@@ -542,6 +542,27 @@ def test_test_embeddings_are_the_per_flow_fold_of_the_stored_codes(fast_run):
         assert np.array_equal(row, folded[flow_id].values), flow_id
 
 
+def test_embed_stacks_the_packet_codes_once_for_the_sampler_and_the_writer(
+        fast_run, tmp_path, monkeypatch):
+    cfg = dict(fast_run, out_dir=str(tmp_path / "copy"))
+    shutil.copytree(fast_run["out_dir"], cfg["out_dir"])
+    calls = {}
+    for name in ("stack_codes", "sample_training_pairs", "save_packet_codes"):
+        def spy(*args, _name=name, _func=getattr(flow_embedder, name), **kwargs):
+            result = _func(*args, **kwargs)
+            calls.setdefault(_name, []).append((args, result))
+            return result
+        monkeypatch.setattr(flow_embedder, name, spy)
+    cli.run_stage("embed", cfg)
+    assert {name: len(c) for name, c in calls.items()} == {
+        "stack_codes": 1, "sample_training_pairs": 1, "save_packet_codes": 1}
+    (_flows,), (codes, offsets) = calls["stack_codes"][0]
+    (sampled, _), = calls["sample_training_pairs"]
+    (saved, _), = calls["save_packet_codes"]
+    assert sampled[0] is codes and sampled[1] is offsets
+    assert saved[1] is codes and saved[2] is offsets
+
+
 def _prefix_oracle(cfg: dict) -> np.ndarray:
     """The training flows' prefix points through the object API: every
     prefix_embeddings value of each training flow, stacked."""
@@ -824,10 +845,12 @@ def test_a_split_naming_flows_the_codes_lack_exits_2(fast_run, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("name, stage, drop", [
-    # drop None: the file is cut in half and no longer parses; else it
-    # lacks the key `drop`
+    # drop None: the file is cut in half and no longer parses; "loop": the
+    # tree's root has itself as right child; else it lacks the key `drop`
     ("tree.json", "prune-sweep", None),
+    ("tree.json", "quantize", "loop"),
     ("qtree.json", "cost", "level"),
+    ("qtree.json", "cost", "loop"),
     ("qtree_best.json", "eval", None),
     ("split.json", "prune-sweep", "test"),
     ("quant_ranges.json", "quantize", None),
@@ -849,7 +872,10 @@ def test_a_json_file_that_does_not_load_exits_4_and_names_it(
     else:
         with open(path) as fh:
             doc = json.load(fh)
-        del doc[drop]
+        if drop == "loop":  # a walk of the tree would never end
+            doc.get("tree", doc)["right"][0] = 0
+        else:
+            del doc[drop]
         with open(path, "w") as fh:
             json.dump(doc, fh)
     cfg = _fast_config(tmp_path, "unused")
@@ -861,7 +887,8 @@ def test_a_json_file_that_does_not_load_exits_4_and_names_it(
     assert cli.main([stage, "--config", str(config), "--out", out]) == 4
     err = capsys.readouterr().err
     assert re.search(rf"error: ValueError: bad [A-Za-z ]+ file {re.escape(path)}: ", err), err
-    cause = "Unterminated string|Expecting" if drop is None else f"no key '{drop}'"
+    cause = {None: "Unterminated string|Expecting",
+             "loop": "tree node 0 has "}.get(drop, f"no key '{drop}'")
     assert re.search(cause, err), err
 
 
@@ -879,6 +906,25 @@ def test_a_cut_short_flow_store_exits_4_and_names_it(fast_run, tmp_path, capsys)
 def test_bad_or_old_model_files_exit_loudly(fast_run, tmp_path, capsys):
     out = str(tmp_path / "copy")
     shutil.copytree(fast_run["out_dir"], out)
+    config = _fast_config_file(tmp_path)
+    clf_path = os.path.join(out, cli.ARTIFACTS["classifier"])
+    with np.load(clf_path, allow_pickle=False) as npz:
+        entries = {key: npz[key] for key in npz.files}
+    meta = json.loads(entries["meta"].item())
+    meta["class_names"].append("one-class-more")
+    with open(clf_path, "wb") as fh:
+        np.savez(fh, **dict(entries, meta=np.array(json.dumps(meta))))
+    capsys.readouterr()
+    assert cli.main(["eval", "--config", config, "--out", out]) == 4
+    assert (f"bad model file {clf_path}: net output dim disagrees with class count"
+            in capsys.readouterr().err)
+    rae_path = os.path.join(out, cli.ARTIFACTS["rae"])
+    square = nn_core.DenseNet([nn_core.Layer(np.zeros((8, 8)), np.zeros(8), "tanh")])
+    nn_core.save_artifact(rae_path, {"final_recon_error": 0.0, "seed": 0},
+                          nets={"composer": square})  # 8 -> 8, not 16 -> 8
+    assert cli.main(["train-clf", "--config", config, "--out", out]) == 4
+    assert (f"bad model file {rae_path}: composer must be one layer mapping 2*n_b -> n_b"
+            in capsys.readouterr().err)
     ae_path = os.path.join(out, "autoencoder.npz")
     with open(ae_path, "r+b") as fh:  # cut the archive short
         fh.truncate(os.path.getsize(ae_path) // 2)

@@ -189,7 +189,7 @@ def test_query_sampler_draws_same_class_training_packets():
 def test_sample_training_pairs_adjacent_and_ordered():
     f1 = _flow(np.array([[1.0, 0], [2.0, 0], [3.0, 0]]), flow_id="a")
     f2 = _flow(np.array([[9.0, 0], [8.0, 0]]), flow_id="b")
-    pairs = fe.sample_training_pairs([f1, f2])
+    pairs = fe.sample_training_pairs(*fe.stack_codes([f1, f2]))
     assert pairs.shape == (3, 4)
     np.testing.assert_allclose(pairs[0], [1, 0, 2, 0])
     np.testing.assert_allclose(pairs[1], [2, 0, 3, 0])
@@ -199,9 +199,10 @@ def test_sample_training_pairs_adjacent_and_ordered():
 def test_sample_training_pairs_cap_is_seeded_subset():
     flows = [_flow(np.arange(12, dtype=np.float64).reshape(6, 2), flow_id=str(i))
              for i in range(4)]
-    full = fe.sample_training_pairs(flows, pair_cap=1000)
-    capped = fe.sample_training_pairs(flows, pair_cap=7, seed=3)
-    again = fe.sample_training_pairs(flows, pair_cap=7, seed=3)
+    codes, offsets = fe.stack_codes(flows)
+    full = fe.sample_training_pairs(codes, offsets, pair_cap=1000)
+    capped = fe.sample_training_pairs(codes, offsets, pair_cap=7, seed=3)
+    again = fe.sample_training_pairs(codes, offsets, pair_cap=7, seed=3)
     assert capped.shape == (7, 4)
     np.testing.assert_array_equal(capped, again)
     # every capped row exists in the full set
@@ -229,7 +230,7 @@ def test_sample_training_pairs_equals_the_per_pair_construction(lengths, n_b, ca
     flows = [_flow(rng.normal(size=(n, n_b)), flow_id=str(j)) for j, n in enumerate(lengths)]
     n_pairs = sum(n - 1 for n in lengths)
     cap = max(1, round(cap_frac * n_pairs))  # below and above the pair count
-    got = fe.sample_training_pairs(flows, pair_cap=cap, seed=seed)
+    got = fe.sample_training_pairs(*fe.stack_codes(flows), pair_cap=cap, seed=seed)
     want = _every_pair_then_cap(flows, cap, seed)
     assert got.shape == (min(cap, n_pairs), 2 * n_b)
     assert got.tobytes() == want.tobytes()
@@ -237,7 +238,7 @@ def test_sample_training_pairs_equals_the_per_pair_construction(lengths, n_b, ca
 
 def test_sample_training_pairs_needs_multipacket_flow():
     with pytest.raises(ValueError):
-        fe.sample_training_pairs([_flow(np.zeros((1, 2)))])
+        fe.sample_training_pairs(*fe.stack_codes([_flow(np.zeros((1, 2)))]))
 
 
 def test_train_rae_reduces_error_and_validates():
@@ -325,8 +326,7 @@ def test_rae_file_with_a_reconstructor_still_loads(tmp_path):
     assert loaded.loss_curve == history
     fresh = RaeBundle(composer=DenseNet([trained.layers[0]]), n_b=3, final_recon_error=0.25)
     e = np.random.default_rng(4).uniform(size=(5, 3))
-    np.testing.assert_array_equal(fe.fold_prefixes(loaded, e, [0, 5]),
-                                  fe.fold_prefixes(fresh, e, [0, 5]))
+    np.testing.assert_array_equal(fe.fold_prefixes(loaded, e), fe.fold_prefixes(fresh, e))
 
 
 def test_packet_codes_round_trip(tmp_path):
@@ -339,7 +339,7 @@ def test_packet_codes_round_trip(tmp_path):
     flows += [_flow(np.full((1, 2), float(j)), flow_id=f"f{j}", label=label)
               for j, label in enumerate(labels[2:])]
     path = str(tmp_path / "codes.npz")
-    fe.save_packet_codes(flows, path)
+    fe.save_packet_codes(path, *fe.stack_codes(flows), flows)
     loaded = fe.load_packet_codes(path)
     assert [(f.flow_id, f.label) for f in loaded] == list(
         zip(["a", "b|c", "f0", "f1", "f2"], labels, strict=True))
@@ -374,69 +374,49 @@ def test_fold_prefixes_is_the_left_fold_of_every_flow(lengths, n_b, seed):
     codes = np.random.default_rng(seed).uniform(size=(sum(lengths), n_b))
     offsets = np.concatenate([[0], np.cumsum(lengths)])
     before = codes.copy()
-    states = fe.fold_prefixes(rae, codes, offsets)
-    np.testing.assert_array_equal(codes, before)  # the input is not written
-    assert states.shape == codes.shape
     for lo, hi in zip(offsets[:-1], offsets[1:]):
-        # one flow alone: the plain left fold of one-pair calls, bit for bit
-        alone = fe.fold_prefixes(rae, codes[lo:hi], [0, hi - lo])
+        # the plain left fold of one-pair calls, bit for bit
+        states = fe.fold_prefixes(rae, codes[lo:hi])
+        assert states.shape == (hi - lo, n_b)
         acc = codes[lo]
-        np.testing.assert_array_equal(alone[0], acc)
+        np.testing.assert_array_equal(states[0], acc)
         for k in range(1, hi - lo):
             acc = fe.combine_pair(rae, acc, codes[lo + k])
-            np.testing.assert_array_equal(alone[k], acc)
-        # in a batch: the first row is the first code, and the rest match
-        # within the rounding of a many-row product
-        np.testing.assert_array_equal(states[lo], codes[lo])
-        np.testing.assert_allclose(states[lo:hi], alone, rtol=0, atol=1e-12)
-    empty = np.insert(offsets, 1 + seed % len(lengths), offsets[1 + seed % len(lengths)])
-    with pytest.raises(ValueError, match="has no packets"):
-        fe.fold_prefixes(rae, codes, empty)
-
-
-def test_the_batch_fold_holds_under_four_copies_of_its_codes():
-    """The distill stage folds every query flow in one batch. numpy reports
-    its buffers to tracemalloc: each step reads its codes from `codes`
-    itself, so the fold adds its result (one copy of the codes), the state
-    array and pair buffer of (flows) x 3*n_b and one step's codes, about
-    1.9 copies, and no step-major copy of them."""
-    rng = np.random.default_rng(3)
-    lengths = rng.integers(1, 9, size=2000)
-    codes = rng.uniform(size=(int(lengths.sum()), 100))
-    offsets = np.concatenate([[0], np.cumsum(lengths)])
-    rae = _tanh_rae(100, 3)
-    tracemalloc.start()
-    try:
-        fe.fold_prefixes(rae, codes, offsets)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * codes.nbytes, f"peak {peak / codes.nbytes:.2f} copies of the codes"
+            np.testing.assert_array_equal(states[k], acc)
+    np.testing.assert_array_equal(codes, before)  # the input is not written
+    with pytest.raises(ValueError, match="flow 0 has no packets"):
+        fe.fold_prefixes(rae, codes[:0])
 
 
 @given(lengths=st.lists(st.integers(1, 8), min_size=1, max_size=30),
        n_b=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
 def test_fold_finals_are_the_last_prefix_states_bit_for_bit(lengths, n_b, seed):
-    """fold_finals gives fold_prefixes at offsets[1:] - 1, for a batch and
-    for each flow alone (embed_flow's one-flow fold), and reading the
-    stacked codes through a row index gives the bits of gathering them."""
+    """fold_finals of one flow is the last state of fold_prefixes (which
+    embed_flow gives), bit for bit; of a batch, the same within the
+    rounding of a many-row product; and reading the stacked codes through
+    a row index gives the bits of gathering them."""
     rae = _tanh_rae(n_b, seed)
     rng = np.random.default_rng(seed)
     codes = rng.uniform(size=(sum(lengths), n_b))
     offsets = np.concatenate([[0], np.cumsum(lengths)])
+    before = codes.copy()
     finals = fe.fold_finals(rae, codes, offsets)
-    assert finals.tobytes() == fe.fold_prefixes(rae, codes, offsets)[offsets[1:] - 1].tobytes()
+    np.testing.assert_array_equal(codes, before)  # the input is not written
+    assert finals.shape == (len(lengths), n_b)
     for j, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
-        alone = fe.fold_finals(rae, codes[lo:hi], [0, hi - lo])
-        assert alone.tobytes() == fe.fold_prefixes(rae, codes[lo:hi], [0, hi - lo])[-1:].tobytes()
-        embedded = fe.embed_flow(rae, _flow(codes[lo:hi]))
-        assert embedded.values.tobytes() == alone[0].tobytes()
+        last = fe.fold_prefixes(rae, codes[lo:hi])[-1:]
+        assert fe.fold_finals(rae, codes[lo:hi], [0, hi - lo]).tobytes() == last.tobytes()
+        assert fe.embed_flow(rae, _flow(codes[lo:hi])).values.tobytes() == last[0].tobytes()
+        np.testing.assert_allclose(finals[j], last[0], rtol=0, atol=1e-12)
         rows = rng.integers(0, len(codes), size=hi - lo)
         assert (fe.fold_finals(rae, codes, [0, hi - lo], rows).tobytes()
                 == fe.fold_finals(rae, codes[rows], [0, hi - lo]).tobytes())
     rows = rng.permutation(len(codes))
     assert (fe.fold_finals(rae, codes, offsets, rows).tobytes()
             == fe.fold_finals(rae, codes[rows], offsets).tobytes())
+    empty = np.insert(offsets, 1 + seed % len(lengths), offsets[1 + seed % len(lengths)])
+    with pytest.raises(ValueError, match="has no packets"):
+        fe.fold_finals(rae, codes, empty)
 
 
 def test_the_final_state_fold_holds_under_1_2_copies_of_its_codes():
@@ -460,7 +440,8 @@ def test_the_final_state_fold_holds_under_1_2_copies_of_its_codes():
 
 
 def _two_block_fold(rae, codes, offsets, every_step, rows=None):
-    """_fold as it was before the one state array, kept as its oracle: the
+    """The fold as it was before it held one state array, kept as the
+    oracle of fold_prefixes (one flow, every_step) and fold_finals: the
     flows' rows in step-major order, two step blocks in turn, and a
     scatter of the flows that end after each step."""
     part = lambda index, lo, hi: slice(lo, hi) if index is None else index[lo:hi]
@@ -503,27 +484,30 @@ def _two_block_fold(rae, codes, offsets, every_step, rows=None):
 @given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=40),
        n_b=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
 def test_the_fold_gives_the_bits_of_the_two_block_fold(lengths, n_b, seed):
-    """One flow (the serving fold) and many (the distill batch), every
-    state or the last ones, with the codes read directly or through a row
-    index that repeats and skips pool rows."""
+    """fold_prefixes flow by flow (the serving fold), and fold_finals of
+    the batch (the distill queries) with the codes read directly or
+    through a row index that repeats and skips pool rows."""
     rae = _tanh_rae(n_b, seed)
     rng = np.random.default_rng(seed)
     offsets = np.concatenate([[0], np.cumsum(lengths)])
     codes = rng.uniform(size=(offsets[-1], n_b))
     pool = rng.uniform(size=(2 * offsets[-1], n_b))
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        want = _two_block_fold(rae, codes[lo:hi], [0, hi - lo], True)
+        assert fe.fold_prefixes(rae, codes[lo:hi]).tobytes() == want.tobytes()
     for source, rows in ((codes, None), (pool, rng.integers(0, len(pool), size=offsets[-1]))):
-        for every_step in (True, False):
-            got = fe._fold(rae, source, offsets, every_step, rows)
-            want = _two_block_fold(rae, source, offsets, every_step, rows)
-            assert got.tobytes() == want.tobytes()
+        got = fe.fold_finals(rae, source, offsets, rows)
+        assert got.tobytes() == _two_block_fold(rae, source, offsets, False, rows).tobytes()
 
 
-def test_fold_prefixes_rejects_offsets_that_miss_the_codes():
+def test_fold_finals_rejects_offsets_that_miss_the_codes():
     rae = _sum_rae()
     codes = np.ones((4, 2))
     for offsets in ([0, 3], [1, 4], [0], [0, 2, 5]):
         with pytest.raises(ValueError, match="run from 0 to the 4 rows"):
-            fe.fold_prefixes(rae, codes, offsets)
+            fe.fold_finals(rae, codes, offsets)
+    with pytest.raises(ValueError, match=r"codes must be a \(packets, n_b\) matrix"):
+        fe.fold_prefixes(rae, np.ones(2))
 
 
 def _full_width_codes(bundle, flow, n_p):

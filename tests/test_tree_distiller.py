@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -561,6 +562,49 @@ def test_a_tree_document_without_the_collapse_alpha_column_must_be_regenerated()
     doc = tree_to_dict(cart_train(x, y))
     del doc["collapse_alpha"]
     with pytest.raises(ValueError, match="collapse_alpha.*must be regenerated"):
+        tree_from_dict(doc)
+
+
+
+def _drop_last_node(doc):
+    for c in td._COLUMNS + ("counts",):
+        doc[c] = doc[c][:-1]
+
+
+def _append_a_leaf(doc):
+    for c, v in zip(td._COLUMNS, (-1, 0.0, -1, -1, 1, 0.0, 0, 0.0)):
+        doc[c] = doc[c] + [v]
+    doc["counts"] = doc["counts"] + [[0.0] * len(doc["class_names"])]
+
+
+def _set(column, node, value):
+    return lambda doc: doc[column].__setitem__(node, value)
+
+
+@pytest.mark.parametrize("corrupt, cause", [
+    # the hand tie tree: root 0 (children 1, 4), node 1 (leaves 2, 3), node 4 (leaves 5, 6)
+    (_set("right", 0, 0), "tree node 0 has child 0 where node 4 belongs"),
+    (_set("right", 4, 1), "tree node 4 has child 1 where node 6 belongs"),
+    (_set("right", 0, 5), "tree node 0 has child 5 where node 4 belongs"),
+    (_set("left", 0, 4), "tree node 0 has feature 0 and children 4, 4"),
+    (_set("right", 1, 7), "tree node 1 has child 7 where node 3 belongs"),
+    (_drop_last_node, "tree node 4 has child 6, which the walk meets twice or never"),
+    (_append_a_leaf, "tree node 7 is not reached from the root"),
+    (_set("left", 2, 3), "tree node 2 has feature -1 and children 3, -1"),
+    (_set("feature", 3, -2), "tree node 3 has feature -2 and children -1, -1"),
+    (_set("feature", 1, -1), "tree node 1 has feature -1 and children 2, 3"),
+    (_set("depth", 0, 1), "tree node 0 has depth 1, not 0"),
+    (_set("depth", 5, 1), "tree node 5 has depth 1, not 2"),
+], ids=["back_to_root", "back_into_the_left_subtree", "right_skips_a_node",
+        "left_is_not_next", "right_past_the_end", "a_child_past_the_last_node",
+        "an_unreached_node", "a_leaf_with_a_child", "a_leaf_with_feature_minus_2",
+        "an_inner_node_without_a_feature", "root_depth", "child_depth"])
+def test_tree_from_dict_refuses_a_tree_out_of_preorder_and_names_the_node(corrupt, cause):
+    """A walk of such a tree may loop forever or index past the columns."""
+    doc = tree_to_dict(cart_train(*hand_tie_dataset()))
+    assert tree_from_dict(json.loads(json.dumps(doc))).n_nodes == 7
+    corrupt(doc)
+    with pytest.raises(ValueError, match=re.escape(cause)):
         tree_from_dict(doc)
 
 
