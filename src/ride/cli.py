@@ -486,9 +486,19 @@ def stage_distill(cfg: dict) -> dict:
     }
 
 
+def _check_features(path: str, kind: str, tree, width: int) -> None:
+    """Refuse, naming its file, a tree that splits on a feature at or past
+    the width of the embeddings it is to walk."""
+    bad = [i for i, f in enumerate(tree.feature) if f >= width]
+    if bad:
+        raise ValueError(f"bad {kind} file {path}: tree node {bad[0]} splits on feature "
+                         f"{tree.feature[bad[0]]}, past the {width} embedding columns")
+
+
 def stage_prune_sweep(cfg: dict) -> dict:
     tree = tree_distiller.load_tree(artifact_path(cfg, "tree"))
     x_test, y_true = _test_split(cfg, tree.class_names)
+    _check_features(artifact_path(cfg, "tree"), "tree", tree, x_test.shape[1])
     walk = tree_distiller.tree_walk_batch(tree, x_test)
     rows = []
     # the column's distinct values are the pruning path's alphas
@@ -546,6 +556,7 @@ def stage_jshc(cfg: dict) -> dict:
     # the search starts from the very tree and ranges the distill stage wrote
     tree = tree_distiller.load_tree(artifact_path(cfg, "tree"))
     x_test, y_test = _test_split(cfg, tree.class_names)
+    _check_features(artifact_path(cfg, "tree"), "tree", tree, x_test.shape[1])
     calib = _load_calibration(cfg)
     artifacts = jshc_optimizer.JshcArtifacts(
         eval_x=x_test, eval_y=y_test, calib=calib, tree=tree,
@@ -573,6 +584,9 @@ def stage_eval(cfg: dict) -> dict:
     tree = tree_distiller.load_tree(artifact_path(cfg, "tree"))
     qtree = hw_model.load_qtree(artifact_path(cfg, "qtree_best"))
     x_test, y_test = _test_split(cfg, model.class_names)
+    _check_features(artifact_path(cfg, "tree"), "tree", tree, x_test.shape[1])
+    _check_features(artifact_path(cfg, "qtree_best"), "quantized tree", qtree.tree,
+                    x_test.shape[1])
     labels = [model.class_names[i] for i in y_test]
     calib = _load_calibration(cfg)
     modeled = hw_model.cost_estimate(qtree, calib)

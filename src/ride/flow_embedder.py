@@ -50,6 +50,10 @@ class RaeBundle:
         if (len(self.composer.layers) != 1 or self.composer.input_dim != 2 * self.n_b
                 or self.composer.output_dim != self.n_b):
             raise ValueError("composer must be one layer mapping 2*n_b -> n_b")
+        layer = self.composer.layers[0]
+        if nn_core.stored_transposed(layer):  # every fold step is a plain product
+            self.composer = DenseNet([nn_core.Layer(np.ascontiguousarray(layer.w), layer.b,
+                                                    layer.activation)])
 
 
 def encode_flows(bundle: AutoencoderBundle, flows: list[FlowRecord],
@@ -59,10 +63,11 @@ def encode_flows(bundle: AutoencoderBundle, flows: list[FlowRecord],
     Each flow's raw byte matrix is built straight from its packets'
     payloads as one buffer. With layer 0 stored transposed (as training
     stores it) the matrix ends at the flow's live width, the end of the
-    CHUNK-column chunk holding its last nonzero byte: the columns past it
-    are zeros, which the encoder skips anyway, so the codes are the bits of
-    the full n_p-wide rows. An encoder with a C-order layer 0 gets those
-    full rows.
+    CHUNK-column chunk holding its last nonzero byte, found here once from
+    the bytes: the columns past it are zeros, whose chunks add exact
+    zeros, so the encoder's one product per chunk of the matrix gives the
+    bits of the full n_p-wide rows. An encoder with a C-order layer 0 gets
+    those full rows.
     """
     n_p = n_p if n_p is not None else bundle.n_p
     if n_p != bundle.n_p:
@@ -132,19 +137,28 @@ def train_rae(pairs: np.ndarray, n_b: int, cfg: TrainConfig | None = None) -> Ra
 def fold_prefixes(rae: RaeBundle, codes: np.ndarray) -> np.ndarray:
     """Every state of one flow's fold: row 0 is its first code, and row i
     combine_pair of row i - 1 and code i, the bits of a left fold of
-    one-pair combine_pair calls."""
+    one-pair combine_pair calls.
+
+    The states are the left half of one (packets, 2*n_b) buffer whose row
+    i - 1 pairs state i - 1 with code i: step i is one product of that
+    row, and it writes state i, with the bias and the activation, straight
+    into row i. The result is a view of that half.
+    """
     codes = np.asarray(codes, dtype=np.float64)
     if codes.ndim != 2:
         raise ValueError(f"a flow's codes must be a (packets, n_b) matrix, got {codes.shape}")
     if not len(codes):
         raise ValueError("flow 0 has no packets")
     layer, n_b = rae.composer.layers[0], rae.n_b
-    states, pair = np.empty((len(codes), n_b)), np.empty((1, 2 * n_b))
-    states[0] = codes[0]
+    wT, b, activation = layer.w.T, layer.b, layer.activation
+    buf = np.empty((len(codes), 2 * n_b))
+    buf[0, :n_b], buf[:-1, n_b:] = codes[0], codes[1:]  # the last row's right half goes unread
     for i in range(1, len(codes)):
-        pair[0, :n_b], pair[0, n_b:] = states[i - 1], codes[i]
-        nn_core.affine_into(layer, pair, out=states[i:i + 1])
-    return states
+        state = buf[i:i + 1, :n_b]
+        np.matmul(buf[i - 1:i], wT, out=state)
+        state += b
+        nn_core.apply_activation(activation, state, out=state)
+    return buf[:, :n_b]
 
 
 def fold_finals(rae: RaeBundle, codes: np.ndarray, offsets, rows=None) -> np.ndarray:

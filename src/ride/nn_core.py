@@ -123,7 +123,7 @@ def init_dense_net(
     return DenseNet(layers)
 
 
-def _apply_activation(name: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def apply_activation(name: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The activation of z, written into out (a new array when out is None;
     out may be z itself)."""
     if name == "relu":
@@ -182,28 +182,31 @@ def live_width(x: np.ndarray, width: int | None = None) -> int:
 
 def chunked_affine(x: np.ndarray, wT: np.ndarray, b: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
-    """x @ wT + b as the sum of x[:, c] @ wT[c] over the CHUNK-column chunks
-    c in order, plus b, skipping the chunks past live_width(x); written
-    into out (a new array when out is None).
+    """x @ wT + b as the sum of x[:, c] @ wT[c] over x's CHUNK-column
+    chunks c in order, plus b; written into out (a new array when out is
+    None).
 
-    A skipped chunk's terms are exact zeros and no chunk is ever cut, so
-    each chunk's product is the same BLAS call whether or not later chunks
-    run: the result equals the sum over every chunk bit for bit, on any
-    BLAS. A zero-padded input pays only for its live chunks. x may also be
-    narrower than wT has rows: its missing columns count as zeros, and the
-    result is that of x padded with zeros to full width. wT should be
-    C-contiguous, so that a chunk of it is one contiguous block.
+    x may be narrower than wT has rows: its missing columns count as
+    zeros, and the result is that of x padded with zeros to full width.
+    Only x's own chunks run; one that x ends inside is zero-padded to its
+    end, so no chunk is ever cut. Each chunk's product is the same BLAS
+    call whether or not later chunks run, and an all-zero chunk's terms
+    are exact zeros, so a caller that cuts a zero-padded x at its
+    live_width pays only for the live chunks and gets the sum over every
+    chunk bit for bit, on any BLAS. wT should be C-contiguous, so that a
+    chunk of it is one contiguous block.
     """
-    live = live_width(x, wT.shape[0])
-    if not live:
+    width = x.shape[1]
+    if not width:
         if out is None:
             out = np.empty((x.shape[0], wT.shape[1]))
         out[...] = 0.0
     else:
-        if live > x.shape[1]:  # a narrow x ends inside its last live chunk
-            x = np.pad(x, ((0, 0), (0, live - x.shape[1])))
+        end = min(wT.shape[0], -(-width // CHUNK) * CHUNK)
+        if end > width:  # x ends inside its last chunk
+            x = np.pad(x, ((0, 0), (0, end - width)))
         out = np.matmul(x[:, :CHUNK], wT[:CHUNK], out=out)
-        for lo in range(CHUNK, live, CHUNK):
+        for lo in range(CHUNK, width, CHUNK):
             out += x[:, lo:lo + CHUNK] @ wT[lo:lo + CHUNK]
     out += b
     return out
@@ -225,7 +228,8 @@ def _check_width(k: int, layer: Layer, width: int) -> None:
 def _product(layer: Layer, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """x @ layer.w.T + layer.b, written into out (a new array when out is
     None). A layer stored transposed runs through chunked_affine, so its
-    input may be zero-padded or narrow."""
+    input may be narrow, and its chunks that x does not reach cost
+    nothing."""
     if stored_transposed(layer):
         return chunked_affine(x, layer.w.T, layer.b, out=out)
     out = np.matmul(x, layer.w.T, out=out)
@@ -249,22 +253,27 @@ def affine_into(layer: Layer, x: np.ndarray, out: np.ndarray | None = None) -> n
     """
     z = _product(layer, x, out)
     if z.size <= ACTIVATION_BLOCK:
-        return _apply_activation(layer.activation, z, out=z)
+        return apply_activation(layer.activation, z, out=z)
     rows = max(1, ACTIVATION_BLOCK // z.shape[1])
     for lo in range(0, len(z), rows):
         block = z[lo:lo + rows]
-        _apply_activation(layer.activation, block, out=block)
+        apply_activation(layer.activation, block, out=block)
     return z
 
 
 def _forward_trace(net: DenseNet, x: np.ndarray):
     """Forward pass keeping pre-activations and activations per layer, for
-    _backward."""
+    _backward. A layer 0 stored transposed gets the batch cut at its own
+    live_width, so its product skips the chunks that are zero in every row
+    of the batch; acts[0] stays the whole batch."""
     zs, acts = [], [x]
     for k, layer in enumerate(net.layers):
-        _check_width(k, layer, acts[-1].shape[-1])
-        zs.append(_product(layer, acts[-1]))
-        acts.append(_apply_activation(layer.activation, zs[-1]))
+        a = acts[-1]
+        _check_width(k, layer, a.shape[-1])
+        if not k and stored_transposed(layer):
+            a = a[:, :live_width(a)]
+        zs.append(_product(layer, a))
+        acts.append(apply_activation(layer.activation, zs[-1]))
     return zs, acts
 
 
@@ -610,7 +619,8 @@ def train(net: DenseNet, x, targets, loss: str, cfg: TrainConfig):
 
     When x ends in all-zero chunks (zero padding: live_width(x) is below
     the net's input width), layer 0 is stored transposed, so its forward
-    product runs through chunked_affine, and the weights on the dead
+    product runs through chunked_affine on each batch cut at the batch's
+    own live width (see _forward_trace), and the weights on the dead
     columns form the tail of the buffer. Their gradient is exactly zero at
     every step, so no step computes, reads or updates them: they keep
     their initial values, as the full update would leave them. x may

@@ -97,9 +97,10 @@ def train_autoencoder(
 def encode_matrix(bundle: AutoencoderBundle, x_raw: np.ndarray) -> np.ndarray:
     """Batch encode of raw 0-255 rows; preserves row order. An encoder
     trained here (or loaded from a file it was saved to) keeps layer 0
-    transposed, so zero padding past a row's last live chunk costs no
-    multiply (nn_core.chunked_affine), and the rows may then be narrower
-    than n_p: the missing columns count as zeros."""
+    transposed, so it runs one product per CHUNK columns of the rows
+    (nn_core.chunked_affine), and the rows may be narrower than n_p: the
+    missing columns count as zeros. Rows cut at their live width
+    (nn_core.live_width) thus pay no multiply for their zero padding."""
     x = _scaled(x_raw)
     if x.shape[1] > bundle.n_p:
         raise ValueError(f"row length {x.shape[1]} > n_p={bundle.n_p}")
@@ -111,12 +112,12 @@ def reconstruction_error(net: DenseNet, payloads) -> float:
     through a full autoencoder net (encoder then decoder).
 
     With layer 0 stored transposed (as training stores it when the rows
-    end in zero padding), only the payloads' live width is scaled, and the
-    error is formed in the output: x is subtracted from its live columns
-    (past them x is 0, and pred - 0 is pred bit for bit), then squared in
-    place, so the bits are those of loss_mse on the full-width rows. Of
-    the batch it holds one n x n_p float64 copy, the output, plus the
-    scaled live columns.
+    end in zero padding), only the payloads' live width is scaled and
+    multiplied, and the error is formed in the output: x is subtracted
+    from its live columns (past them x is 0, and pred - 0 is pred bit for
+    bit), then squared in place, so the bits are those of loss_mse on the
+    full-width rows. Of the batch it holds one n x n_p float64 copy, the
+    output, plus the scaled live columns.
     """
     raw = np.atleast_2d(payloads)
     if raw.shape[0] == 0:

@@ -401,6 +401,10 @@ def tree_from_dict(doc: dict) -> DecisionTree:
                         class_names=list(doc["class_names"]),
                         criterion=doc["criterion"])
     _check_preorder(tree)
+    bad = [i for i, c in enumerate(tree.predicted_class) if not 0 <= c < tree.k]
+    if bad:
+        raise ValueError(f"tree node {bad[0]} predicts class {tree.predicted_class[bad[0]]}, "
+                         f"not one of the {tree.k} classes")
     return tree
 
 

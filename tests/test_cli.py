@@ -1,5 +1,6 @@
 """CLI orchestrator: config handling, stage wiring, exit codes, artifacts."""
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ride import (classifier, cli, flow_embedder, hw_model, jshc_optimizer, nn_core,
-                  packet_ingest, tree_distiller)
+                  packet_ingest, payload_autoencoder, synth_data, tree_distiller)
 
 
 # ---------------------------------------------------------------- config
@@ -484,6 +485,35 @@ def test_run_all_writes_every_artifact(fast_run):
                 float(field)
 
 
+def test_scoring_one_flow_at_a_time_gives_the_batch_labels(fast_run):
+    """The deployed cascade on held-out flows, one at a time: encode_flows
+    of the flow alone, embed_flow, then the JSHC winner's predict_label.
+    Each label equals tree_predict_batch's on the stacked embeddings of one
+    encode_flows call over every flow. The capture is fresh, and its
+    attack payloads run to 1,400 bytes, so flows end in the first
+    256-column chunk, the last and some between."""
+    n_p = fast_run["features"]["n_p"]
+    bundle = payload_autoencoder.load_bundle(cli.artifact_path(fast_run, "autoencoder"))
+    rae = flow_embedder.load_rae(cli.artifact_path(fast_run, "rae"))
+    qtree = hw_model.load_qtree(cli.artifact_path(fast_run, "qtree_best"))
+    spec = synth_data.default_fixture(seed=fast_run["seed"] + 1000)
+    benign, attack = spec.class_profiles
+    spec = dataclasses.replace(spec, n_flows=150, class_profiles=[
+        benign, dataclasses.replace(attack, payload_len=(40, 1400))])
+    flows = packet_ingest.group_flows(
+        packet_ingest.parse_pcap(synth_data.generate(spec)[0]).packets)
+    chunks = {nn_core.live_width(packet_ingest.payload_matrix(f.packets, n_p))
+              // nn_core.CHUNK for f in flows}
+    assert {1, n_p // nn_core.CHUNK} <= chunks and len(chunks) > 2, chunks
+    labels = [qtree.predict_label(flow_embedder.embed_flow(
+        rae, flow_embedder.encode_flows(bundle, [f], n_p=n_p)[0]).values) for f in flows]
+    batch = np.stack([e.values for e in flow_embedder.embed_flows(
+        rae, flow_embedder.encode_flows(bundle, flows, n_p=n_p))])
+    assert labels == [qtree.class_names[i]
+                      for i in tree_distiller.tree_predict_batch(qtree.tree, batch)]
+    assert len(set(labels)) == qtree.tree.k  # the walks reach leaves of every class
+
+
 def test_report_structure(fast_run):
     with open(cli.artifact_path(fast_run, "report_json")) as fh:
         report = json.load(fh)
@@ -846,11 +876,17 @@ def test_a_split_naming_flows_the_codes_lack_exits_2(fast_run, tmp_path, capsys)
 
 @pytest.mark.parametrize("name, stage, drop", [
     # drop None: the file is cut in half and no longer parses; "loop": the
-    # tree's root has itself as right child; else it lacks the key `drop`
+    # tree's root has itself as right child; "feature": the root splits on
+    # feature 999, past the embedding width; "class": a leaf predicts class
+    # 7 of 2; else it lacks the key `drop`
     ("tree.json", "prune-sweep", None),
+    ("tree.json", "prune-sweep", "feature"),
+    ("tree.json", "jshc", "feature"),
     ("tree.json", "quantize", "loop"),
     ("qtree.json", "cost", "level"),
     ("qtree.json", "cost", "loop"),
+    ("qtree.json", "cost", "class"),
+    ("qtree_best.json", "eval", "feature"),
     ("qtree_best.json", "eval", None),
     ("split.json", "prune-sweep", "test"),
     ("quant_ranges.json", "quantize", None),
@@ -872,8 +908,13 @@ def test_a_json_file_that_does_not_load_exits_4_and_names_it(
     else:
         with open(path) as fh:
             doc = json.load(fh)
+        tree = doc.get("tree", doc)
         if drop == "loop":  # a walk of the tree would never end
-            doc.get("tree", doc)["right"][0] = 0
+            tree["right"][0] = 0
+        elif drop == "feature":
+            tree["feature"][0] = 999
+        elif drop == "class":
+            tree["predicted_class"][tree["feature"].index(-1)] = 7
         else:
             del doc[drop]
         with open(path, "w") as fh:
@@ -888,7 +929,10 @@ def test_a_json_file_that_does_not_load_exits_4_and_names_it(
     err = capsys.readouterr().err
     assert re.search(rf"error: ValueError: bad [A-Za-z ]+ file {re.escape(path)}: ", err), err
     cause = {None: "Unterminated string|Expecting",
-             "loop": "tree node 0 has "}.get(drop, f"no key '{drop}'")
+             "loop": "tree node 0 has ",
+             "feature": "tree node 0 splits on feature 999, past the 8 embedding columns",
+             "class": r"tree node \d+ predicts class 7, not one of the 2 classes",
+             }.get(drop, f"no key '{drop}'")
     assert re.search(cause, err), err
 
 

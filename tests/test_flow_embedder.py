@@ -1,5 +1,6 @@
 """Recursive fold of packet embeddings into flow embeddings."""
 
+import functools
 import json
 import tracemalloc
 
@@ -256,6 +257,27 @@ def test_rae_bundle_dim_validation():
     rae = _trained_rae(n_b=3)
     with pytest.raises(ValueError):
         RaeBundle(composer=rae.composer, n_b=4, final_recon_error=0.0)
+
+
+def test_a_composer_stored_transposed_is_held_in_c_order():
+    """Every fold step is the plain product: a composer stored transposed
+    (as training would store one whose pairs end in an all-zero chunk) is
+    held as a C-order copy of its weights, so fold_prefixes, combine_pair
+    and fold_finals agree on it past one chunk of pair columns as well."""
+    n_b = 150  # 2*n_b spans two chunks
+    c_order = _tanh_rae(n_b, 5)
+    layer = c_order.composer.layers[0]
+    transposed = RaeBundle(composer=DenseNet([Layer(np.asfortranarray(layer.w), layer.b,
+                                                    "tanh")]), n_b=n_b, final_recon_error=0.0)
+    assert not nn_core.stored_transposed(transposed.composer.layers[0])
+    codes = np.random.default_rng(5).uniform(size=(4, n_b))
+    want = fe.fold_prefixes(c_order, codes)
+    assert fe.fold_prefixes(transposed, codes).tobytes() == want.tobytes()
+    acc = codes[0]
+    for code in codes[1:]:
+        acc = fe.combine_pair(transposed, acc, code)
+    assert acc.tobytes() == want[-1].tobytes()
+    assert fe.fold_finals(transposed, codes, [0, 4]).tobytes() == want[-1:].tobytes()
 
 
 def test_encode_flows_shapes_and_values():
@@ -587,3 +609,122 @@ def test_narrow_rows_need_a_transposed_layer_zero():
         nn_core.forward(net, x)
     with pytest.raises(ValueError, match="row length 200 != n_p=300"):
         fe.encode_flows(bundle, [FlowRecord(flow_id="k", packets=[_packet(b"a")])], n_p=200)
+
+
+def _frozen_encode_flow(bundle, flow, n_p):
+    """encode_flows, encode_matrix and nn_core.forward on one flow as they
+    were before the live width was found once per flow, kept as the bits
+    oracle of the serving encoder. The rows end at the width found from the
+    payload bytes (at n_p for a C-order layer 0); a layer stored transposed
+    then scans its input for the live width again, pads a row that ends
+    inside a chunk, and sums the chunks' products up to that width."""
+    chunk = nn_core.CHUNK
+    layers = bundle.encoder.layers
+    width = n_p
+    if not layers[0].w.flags.c_contiguous:
+        last = max(len(p.payload[:n_p].rstrip(b"\0")) for p in flow.packets)
+        width = min(n_p, -(-last // chunk) * chunk)
+    raw = b"".join(p.payload[:width].ljust(width, b"\0") for p in flow.packets)
+    a = np.divide(np.frombuffer(raw, dtype=np.uint8).reshape(len(flow.packets), width),
+                  255.0, dtype=np.float64)
+    for layer in layers:
+        if layer.w.flags.c_contiguous:
+            z = np.matmul(a, layer.w.T)
+        else:
+            wT = layer.w.T
+            cols = np.flatnonzero(a.any(axis=0))
+            live = 0 if cols.size == 0 else min(wT.shape[0], (int(cols[-1]) // chunk + 1) * chunk)
+            if not live:
+                z = np.zeros((len(a), wT.shape[1]))
+            else:
+                if live > a.shape[1]:
+                    a = np.pad(a, ((0, 0), (0, live - a.shape[1])))
+                z = np.matmul(a[:, :chunk], wT[:chunk])
+                for lo in range(chunk, live, chunk):
+                    z += a[:, lo:lo + chunk] @ wT[lo:lo + chunk]
+        z += layer.b
+        a = nn_core.apply_activation(layer.activation, z, out=z)
+    return a
+
+
+def _frozen_fold_prefixes(rae, codes):
+    """fold_prefixes as it was before the states were folded in place, kept
+    as the bits oracle of the serving fold: each step copies the last state
+    and the next code into a one-row pair buffer and composes it."""
+    layer, n_b = rae.composer.layers[0], rae.n_b
+    states, pair = np.empty((len(codes), n_b)), np.empty((1, 2 * n_b))
+    states[0] = codes[0]
+    for i in range(1, len(codes)):
+        pair[0, :n_b], pair[0, n_b:] = states[i - 1], codes[i]
+        z = np.matmul(pair, layer.w.T, out=states[i:i + 1])
+        z += layer.b
+        nn_core.apply_activation(layer.activation, z, out=z)
+    return states
+
+
+_ENCODER_SHAPES = {64: (32, 8), 300: (32, 8), 700: (128, 16), 1500: (512, 100)}
+
+
+@functools.cache
+def _shaped_encoder(n_p, layout):
+    """An n_p -> h -> n_b encoder of _ENCODER_SHAPES (1500: the default
+    sizes), layer 0 stored as training stores a padded one ("F") or C-ordered."""
+    h, n_b = _ENCODER_SHAPES[n_p]
+    net = nn_core.init_dense_net([n_p, h, n_b], ["relu", "sigmoid"], seed=n_p)
+    w0 = net.layers[0].w
+    w0 = np.asfortranarray(w0) if layout == "F" else np.ascontiguousarray(w0)
+    return pa.AutoencoderBundle(
+        encoder=DenseNet([Layer(w0, net.layers[0].b, "relu"), net.layers[1]]),
+        n_p=n_p, n_b=n_b, h=h, final_train_mse=0.0)
+
+
+@st.composite
+def live_width_flows(draw):
+    """n_p and a flow of 1-8 packets whose longest payload ends (its last
+    nonzero byte) nowhere, inside the first chunk, one byte either side of
+    or at a chunk edge, or at n_p; payloads may end in zero bytes or run
+    past n_p."""
+    chunk = nn_core.CHUNK
+    n_p = draw(st.sampled_from(sorted(_ENCODER_SHAPES)))
+    edges = list(range(chunk, n_p, chunk))
+    kinds = ["none", "one chunk", "n_p"] + (["edge"] if edges else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "one chunk":
+        last = draw(st.integers(1, min(n_p, chunk) - 1))
+    elif kind == "edge":
+        last = draw(st.sampled_from(edges)) + draw(st.sampled_from([-1, 0, 1]))
+    else:
+        last = 0 if kind == "none" else n_p
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 8))
+    ends = [int(rng.integers(0, last + 1)) for _ in range(n)]
+    ends[draw(st.integers(0, n - 1))] = last
+    packets = []
+    for end in ends:
+        body = rng.integers(0, 256, size=end, dtype=np.uint8)
+        if end:
+            body[-1] = rng.integers(1, 256)
+        tail = draw(st.sampled_from([0, 0, 1, 7, 300]))
+        if kind == "n_p" and end == n_p:
+            tail = rng.integers(0, 256, size=tail, dtype=np.uint8).tobytes()
+        else:
+            tail = b"\0" * tail
+        packets.append(_packet(body.tobytes() + tail))
+    return n_p, FlowRecord(flow_id="k", packets=packets, label="benign")
+
+
+@settings(max_examples=150)
+@given(drawn=live_width_flows(), layout=st.sampled_from(["F", "C"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_serving_path_gives_the_bits_of_the_frozen_encoder_and_fold(drawn, layout, seed):
+    """encode_flows of one flow and fold_prefixes of its codes give the
+    bits of the copies above of the encoder and the fold they replaced, at
+    every live width and both layer-0 layouts."""
+    n_p, flow = drawn
+    bundle = _shaped_encoder(n_p, layout)
+    (got,) = fe.encode_flows(bundle, [flow], n_p=n_p)
+    want = _frozen_encode_flow(bundle, flow, n_p)
+    assert got.embeddings.tobytes() == want.tobytes()
+    rae = _tanh_rae(bundle.n_b, seed)
+    assert fe.fold_prefixes(rae, got.embeddings).tobytes() == \
+        _frozen_fold_prefixes(rae, want).tobytes()

@@ -817,7 +817,7 @@ def _masked_sigmoid(z):
     return out
 
 
-_activation = nn_core._apply_activation
+_activation = nn_core.apply_activation
 
 
 def _masked_activation(name, z, out=None):
@@ -836,9 +836,9 @@ def test_sigmoid_equals_the_masked_formula_bit_for_bit(z, scale):
     z = np.concatenate([z.ravel() / scale, _SIGMOID_EDGES])
     with np.errstate(over="ignore"):
         want = _masked_sigmoid(z)
-        got = nn_core._apply_activation("sigmoid", z)
+        got = nn_core.apply_activation("sigmoid", z)
         in_place = z.copy()
-        same = nn_core._apply_activation("sigmoid", in_place, out=in_place)
+        same = nn_core.apply_activation("sigmoid", in_place, out=in_place)
     assert same is in_place
     for a in (got, same):  # the same bits, sign bits included
         assert np.array_equal(a.view(np.uint64), want.view(np.uint64))
@@ -846,7 +846,7 @@ def test_sigmoid_equals_the_masked_formula_bit_for_bit(z, scale):
 
 def test_sigmoid_of_nan_is_nan():
     z = np.array([np.nan, -np.nan, 1.0, np.nan])
-    got = nn_core._apply_activation("sigmoid", z)
+    got = nn_core.apply_activation("sigmoid", z)
     assert np.isnan(got[[0, 1, 3]]).all()  # only the sign bit may differ
     assert got[2] == _masked_sigmoid(z)[2]
 
@@ -854,11 +854,11 @@ def test_sigmoid_of_nan_is_nan():
 @pytest.mark.parametrize("name", nn_core.ACTIVATIONS)
 def test_activation_into_out_equals_the_new_array(name):
     z = np.random.Generator(np.random.PCG64(4)).normal(scale=5, size=(6, 7))
-    want = nn_core._apply_activation(name, z.copy())
+    want = nn_core.apply_activation(name, z.copy())
     out = np.empty_like(z)
-    assert nn_core._apply_activation(name, z, out=out) is out
+    assert nn_core.apply_activation(name, z, out=out) is out
     assert np.array_equal(out, want)
-    assert np.array_equal(nn_core._apply_activation(name, z, out=z), want)  # in place
+    assert np.array_equal(nn_core.apply_activation(name, z, out=z), want)  # in place
 
 
 @pytest.mark.parametrize("n_in,h,width", [(24, 16, 24), (1500, 512, 40)])
@@ -873,7 +873,7 @@ def test_autoencoder_training_matches_the_loop_with_the_masked_sigmoid(n_in, h, 
     cfg = TrainConfig(learning_rate=1e-2, batch_size=6, epochs=3, seed=9)
     trained, history = train(net, x, x, "mse", cfg)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nn_core, "_apply_activation", _masked_activation)
+        mp.setattr(nn_core, "apply_activation", _masked_activation)
         expected, batches = _reference_train(net, x, x, "mse", cfg)
     assert nn_core.stored_transposed(trained.layers[0]) == (width < n_in)
     _assert_same_weights(trained, expected)
@@ -895,7 +895,7 @@ def test_row_block_activation_equals_one_call_bit_for_bit(name, cols, blocks, ex
     layer = Layer(rng.normal(scale=4.0, size=(cols, 3)), rng.normal(size=cols), name)
     x = rng.normal(scale=50.0, size=(n, 3))
     with np.errstate(all="ignore"):
-        want = nn_core._apply_activation(name, nn_core._product(layer, x))
+        want = nn_core.apply_activation(name, nn_core._product(layer, x))
         out = np.empty((n, 2 * cols))[:, :cols] if strided else None
         got = nn_core.affine_into(layer, x, out=out)
     assert out is None or got is out
