@@ -16,6 +16,7 @@ import logging
 import math
 import operator
 import os
+import resource
 import sys
 import time
 
@@ -336,15 +337,12 @@ def _load_flow_payload_matrix(cfg: dict) -> np.ndarray:
 
 def stage_train_ae(cfg: dict) -> dict:
     matrix = _load_flow_payload_matrix(cfg)
-    train_cfg = _train_cfg(cfg, "autoencoder")
-    sample_cap = cfg["sample_caps"]["ae_payloads"]
     bundle = payload_autoencoder.train_autoencoder(
         matrix, n_b=cfg["features"]["n_b"], h=cfg["features"]["h"],
-        cfg=train_cfg, sample_cap=sample_cap)
+        cfg=_train_cfg(cfg, "autoencoder"), sample_cap=cfg["sample_caps"]["ae_payloads"])
     payload_autoencoder.save_bundle(bundle, artifact_path(cfg, "autoencoder"))
     # the encoder weights past the training rows' live width never move
-    live = nn_core.live_width(
-        payload_autoencoder.training_rows(matrix, sample_cap, train_cfg.seed))
+    live = bundle.live_input_width
     return {
         "n_payloads": int(matrix.shape[0]), "n_p": bundle.n_p, "n_b": bundle.n_b,
         "h": bundle.h, "final_train_mse": bundle.final_train_mse,
@@ -588,8 +586,8 @@ def stage_eval(cfg: dict) -> dict:
     _check_features(artifact_path(cfg, "qtree_best"), "quantized tree", qtree.tree,
                     x_test.shape[1])
     labels = [model.class_names[i] for i in y_test]
-    calib = _load_calibration(cfg)
-    modeled = hw_model.cost_estimate(qtree, calib)
+    # the winner's cost as jshc modeled it, so report rows agree with it
+    modeled = _load_json(summary_path(cfg, "jshc"))["best_cost"]
 
     predictors = [("mlp_teacher", model), ("distilled_tree", tree),
                   ("quantized_tree", qtree)]
@@ -607,13 +605,13 @@ def stage_eval(cfg: dict) -> dict:
             "n_samples": len(labels),
         }
     timings["modeled_hardware"] = {
-        "per_sample_s": modeled.inference_time_s,
-        "beta": modeled.beta, "n_nodes": modeled.n_nodes,
+        "per_sample_s": modeled["inference_time_s"],
+        "beta": modeled["beta"], "n_nodes": modeled["n_nodes"],
     }
     atomic_write_json(artifact_path(cfg, "timings"), timings)
     return {
         "n_test": len(labels), "metrics": metrics,
-        "modeled_hardware_latency_s": modeled.inference_time_s,
+        "modeled_hardware_latency_s": modeled["inference_time_s"],
         "timings_file": ARTIFACTS["timings"],
     }
 
@@ -694,7 +692,7 @@ _STAGE_TABLE = {
     "quantize": (stage_quantize, ("tree", "ranges"), ("qtree",)),
     "cost": (stage_cost, ("qtree",), ()),
     "jshc": (stage_jshc, ("tree", "ranges", *_SPLIT_FLOWS), ("sweep", "qtree_best")),
-    "eval": (stage_eval, ("classifier", "tree", "qtree_best", *_SPLIT_FLOWS), ()),
+    "eval": (stage_eval, ("classifier", "tree", "qtree_best", "jshc", *_SPLIT_FLOWS), ()),
     "report": (stage_report, ("train-clf", "distill", "jshc", "eval"),
                ("report_json", "report_md")),
 }
@@ -761,7 +759,10 @@ def run_stage(stage: str, cfg: dict) -> dict:
         atomic_write_json(path, {f: r for f, r in manifest.items() if f not in outputs or (
             os.path.exists(outputs[f]) and _sha256(outputs[f]) == r["sha256"])})
         raise
-    logger.info("stage %s finished in %.2fs", stage, time.perf_counter() - t0)
+    # ru_maxrss is in KiB on Linux: the process's peak so far, not the stage's
+    logger.info("stage %s finished in %.2fs, peak RSS so far %.1f MB", stage,
+                time.perf_counter() - t0,
+                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
     inputs = {file: manifest[file]["sha256"] for file in reads}
     for file, out in outputs.items():
         manifest[file] = {"sha256": _sha256(out), "stage": stage, "inputs": inputs}

@@ -22,6 +22,8 @@ DEFAULT_HIDDEN = 512
 DEFAULT_SAMPLE_CAP = 50_000
 
 BYTE_SCALE = 255.0
+# rows per block of reconstruction_error
+ERROR_BLOCK = 256
 
 
 @dataclass
@@ -33,6 +35,9 @@ class AutoencoderBundle:
     final_train_mse: float
     seed: int = 0
     loss_curve: list[float] = field(default_factory=list)  # per training epoch
+    # the training rows' live width (nn_core.live_width); set by
+    # train_autoencoder, not saved
+    live_input_width: int | None = None
 
     def __post_init__(self):
         if self.encoder.input_dim != self.n_p or self.encoder.output_dim != self.n_b:
@@ -70,7 +75,9 @@ def train_autoencoder(
     scaled, and only up to their live width (nn_core.live_width),
     into the one float64 copy that training reads as input and as target;
     the columns past it are zeros, which nn_core.train counts without
-    holding them. That copy is dropped before the error is measured.
+    holding them. That copy is dropped before the error is measured,
+    one block of rows at a time (reconstruction_error). The bundle keeps
+    that live width as live_input_width, which is not saved.
     """
     cfg = cfg or TrainConfig()
     rows = training_rows(np.atleast_2d(payloads), sample_cap, cfg.seed)
@@ -82,7 +89,8 @@ def train_autoencoder(
     if h < n_b:
         logger.warning("hidden width h=%d below bottleneck n_b=%d; capacity may suffer", h, n_b)
 
-    train_x = _scaled(rows[:, :nn_core.live_width(rows)])
+    live = nn_core.live_width(rows)
+    train_x = _scaled(rows[:, :live])
     del rows
     trained, history = nn_core.train(
         nn_core.init_dense_net([n_p, h, n_b, h, n_p], ["relu", "sigmoid", "relu", "sigmoid"],
@@ -91,7 +99,7 @@ def train_autoencoder(
     del train_x
     return AutoencoderBundle(encoder=DenseNet(trained.layers[:2]), n_p=n_p, n_b=n_b, h=h,
                              final_train_mse=reconstruction_error(trained, payloads),
-                             seed=cfg.seed, loss_curve=history)
+                             seed=cfg.seed, loss_curve=history, live_input_width=live)
 
 
 def encode_matrix(bundle: AutoencoderBundle, x_raw: np.ndarray) -> np.ndarray:
@@ -111,19 +119,33 @@ def reconstruction_error(net: DenseNet, payloads) -> float:
     """Mean squared L2 distance between scaled input and its round trip
     through a full autoencoder net (encoder then decoder).
 
-    With layer 0 stored transposed (as training stores it when the rows
-    end in zero padding), only the payloads' live width is scaled and
-    multiplied, and the error is formed in the output: x is subtracted
-    from its live columns (past them x is 0, and pred - 0 is pred bit for
-    bit), then squared in place, so the bits are those of loss_mse on the
-    full-width rows. Of the batch it holds one n x n_p float64 copy, the
-    output, plus the scaled live columns.
+    The rows run through the net in blocks of at most ERROR_BLOCK rows,
+    of even size (np.array_split, so no block is a short tail; a batch of
+    at most ERROR_BLOCK rows is one block), and the mean is taken over
+    the n row sums of squared errors. With layer 0 stored transposed (as
+    training stores it when the rows end in zero padding), only a block's
+    own live width is scaled and multiplied, and the error is formed in
+    the output: x is subtracted from its live columns (past them x is 0,
+    and pred - 0 is pred bit for bit), then squared in place. Each row's
+    sum is thus that of loss_mse on the full-width rows, but for BLAS: it
+    may round a row's output differently in a block than in the full
+    batch (in the last place), which the sum over n_p squared terms
+    nearly always absorbs. Of the batch it holds the row sums and, per
+    block, the output (ERROR_BLOCK x n_p float64), the hidden activations
+    and the scaled live columns.
     """
     raw = np.atleast_2d(payloads)
     if raw.shape[0] == 0:
         raise ValueError("empty payload batch")
     if net.output_dim != raw.shape[1]:
         raise ValueError(f"net output dim {net.output_dim} != payload width {raw.shape[1]}")
+    blocks = np.array_split(raw, -(-len(raw) // ERROR_BLOCK))
+    return float(np.concatenate([_row_errors(net, block) for block in blocks]).mean())
+
+
+def _row_errors(net: DenseNet, raw: np.ndarray) -> np.ndarray:
+    """Each raw row's squared L2 distance from its round trip, formed in
+    the net's output, which is freed on return."""
     if nn_core.stored_transposed(net.layers[0]):
         raw = raw[:, :nn_core.live_width(raw)]
     x = _scaled(raw)
@@ -131,7 +153,7 @@ def reconstruction_error(net: DenseNet, payloads) -> float:
     live = d[:, :x.shape[1]]
     np.subtract(live, x, out=live)
     np.square(d, out=d)
-    return float(d.sum(axis=1).mean())
+    return d.sum(axis=1)
 
 
 def save_bundle(bundle: AutoencoderBundle, path: str) -> None:

@@ -22,8 +22,8 @@ from .classifier import ClassifierModel, predict_proba
 
 GAIN_TOL = 1e-12
 ALPHA_REL_TOL = 1e-12
-# elements per temporary array in the split search (2 MB of float64)
-_SPLIT_BLOCK = 1 << 18
+# elements per temporary array in the split search (0.5 MB of float64)
+_SPLIT_BLOCK = 1 << 16
 
 
 @dataclass
@@ -197,6 +197,17 @@ def _sorted_split(xt: np.ndarray, order: np.ndarray, y: np.ndarray, k: int,
     return best
 
 
+def _argsort_rows(xt: np.ndarray) -> np.ndarray:
+    """np.argsort(xt, axis=1) as int32, sorted one row at a time, so no
+    int64 copy of the whole is held. Row indices must fit in int32."""
+    if xt.shape[1] >= 2**31:
+        raise ValueError(f"{xt.shape[1]} rows: row indices must fit in int32")
+    order = np.empty(xt.shape, dtype=np.int32)
+    for f, values in enumerate(xt):
+        order[f] = np.argsort(values)
+    return order
+
+
 def cart_train(x: np.ndarray, y: np.ndarray, max_depth: int | None = None,
                min_samples_leaf: int = 1, criterion: str = "gini",
                class_names: list[str] | None = None) -> DecisionTree:
@@ -252,7 +263,7 @@ def cart_train(x: np.ndarray, y: np.ndarray, max_depth: int | None = None,
                 row[3] = build(children.pop(0), depth + 1)
         return node_id
 
-    build(np.argsort(xt, axis=1), 0)
+    build(_argsort_rows(xt), 0)
     tree = DecisionTree(**{c: list(v) for c, v in zip(_COLUMNS, zip(*rows))},
                         counts=np.array(node_counts), class_names=list(names),
                         criterion=criterion)

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import logging
 import math
 import os
 import re
@@ -665,6 +666,22 @@ def test_stage_summaries_carry_key_metrics(fast_run):
     assert train_ae["n_encoder_weights_skipped"] == (1500 - nn_core.CHUNK) * 32
 
 
+def test_train_ae_draws_the_training_sample_once(fast_run, tmp_path, monkeypatch):
+    out = str(tmp_path / "copy")
+    shutil.copytree(fast_run["out_dir"], out)
+    calls = []
+    original = payload_autoencoder.training_rows
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(payload_autoencoder, "training_rows", spy)
+    summary = cli.run_stage("train-ae", dict(fast_run, out_dir=out))
+    assert len(calls) == 1
+    with open(cli.summary_path(fast_run, "train-ae")) as fh:
+        assert summary == json.load(fh)
+
+
 def test_ride_all_computes_the_pruning_path_once(tmp_path, monkeypatch):
     """cart_train stores the path's column with the tree; prune-sweep and
     jshc read it off the tree instead of computing the path again."""
@@ -850,10 +867,51 @@ def test_missing_calibration_file_exits_2_and_names_it(fast_run, tmp_path, capsy
         "features": cfg["features"], "embed": cfg["embed"], "train": cfg["train"],
         "paths": {"calibration": missing}}))
     capsys.readouterr()
-    for stage in ("cost", "jshc", "eval"):
+    for stage in ("cost", "jshc"):
         assert cli.main([stage, "--config", str(config), "--out", out]) == 2, stage
         err = capsys.readouterr().err
         assert "missing upstream artifact" in err and missing in err, stage
+    # eval reads the winner's cost from the jshc summary, not the calibration
+    assert cli.main(["eval", "--config", str(config), "--out", out]) == 0
+
+
+def test_a_stage_logs_its_time_and_the_peak_rss_so_far(fast_run, tmp_path, caplog):
+    out = str(tmp_path / "copy")
+    shutil.copytree(fast_run["out_dir"], out)
+    with caplog.at_level(logging.INFO, logger=cli.__name__):
+        cli.run_stage("cost", dict(fast_run, out_dir=out))
+    assert re.search(r"stage cost finished in \d+\.\d\ds, peak RSS so far \d+\.\d MB",
+                     caplog.text), caplog.text
+
+
+def test_report_gives_one_latency_for_the_winner_whatever_calibration_eval_gets(
+        fast_run, tmp_path):
+    """eval and report under a calibration whose latency is 10x the one
+    jshc modeled with: the quantized_tree row and the hardware line both
+    give jshc's latency for the winner."""
+    out = str(tmp_path / "copy")
+    shutil.copytree(fast_run["out_dir"], out)
+    calib = hw_model.default_calibration()
+    path = tmp_path / "calib_x10.json"
+    path.write_text(json.dumps(hw_model.calibration_to_dict(dataclasses.replace(
+        calib, latency_per_level_s=10 * calib.latency_per_level_s))))
+    cfg = _fast_config(tmp_path, "unused")
+    config = tmp_path / "calib_config.json"
+    config.write_text(json.dumps({
+        "features": cfg["features"], "embed": cfg["embed"], "train": cfg["train"],
+        "paths": {"calibration": str(path)}}))
+    for stage in ("eval", "report"):
+        assert cli.main([stage, "--config", str(config), "--out", out]) == 0, stage
+    with open(os.path.join(out, cli.ARTIFACTS["report_json"])) as fh:
+        report = json.load(fh)
+    [row] = [r for r in report["predictors"] if r["predictor"] == "quantized_tree"]
+    latency = report["hardware"]["inference_time_s"]
+    assert row["inference_time_s"] == latency
+    with open(os.path.join(out, cli.ARTIFACTS["timings"])) as fh:
+        assert json.load(fh)["modeled_hardware"]["per_sample_s"] == latency
+    with open(os.path.join(out, cli.ARTIFACTS["report_md"])) as fh:
+        md = fh.read()
+    assert f"| {latency!r} |" in md and f"{latency:.2e} s/sample" in md
 
 
 def test_a_split_naming_flows_the_codes_lack_exits_2(fast_run, tmp_path, capsys):

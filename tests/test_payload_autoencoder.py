@@ -1,5 +1,6 @@
 """Payload autoencoder: scaling, shapes, trainability, persistence, memory."""
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -152,9 +153,10 @@ def _transposed(net: DenseNet) -> DenseNet:
 def test_reconstruction_error_holds_one_float64_copy_of_the_batch():
     """numpy reports its buffers to tracemalloc. The error scales only the
     live columns (one chunk of 1500 here) and is formed in the net's
-    output, so beside that output, one copy of the batch, it holds the
-    scaled live columns and the activations' row-block temporaries: under
-    1.5 copies (3.2 before it was computed in place)."""
+    output, so beside that output, at most one copy of the batch (half of
+    it here, in two blocks of 200 rows), it holds the scaled live columns
+    and the activations' row-block temporaries: under 1.5 copies (3.2
+    before it was computed in place)."""
     rng = np.random.default_rng(8)
     x = np.zeros((400, 1500), dtype=np.uint8)
     x[:, :200] = rng.integers(0, 256, size=(400, 200))
@@ -167,6 +169,51 @@ def test_reconstruction_error_holds_one_float64_copy_of_the_batch():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * x.size * 8, f"peak {peak / (x.size * 8):.2f} copies of the batch"
+
+
+def test_reconstruction_error_peak_does_not_grow_with_the_rows():
+    """numpy reports its buffers to tracemalloc. The rows run in blocks of
+    ERROR_BLOCK, so 8 blocks' worth peaks where one block does, but for
+    the per-row error vector: under 1.2x (7x when the output was the whole
+    batch)."""
+    rng = np.random.default_rng(8)
+    net = _transposed(nn_core.init_dense_net([1500, 64, 16, 64, 1500],
+                                             ["relu", "sigmoid", "relu", "sigmoid"], seed=8))
+    peaks = []
+    for n in (pa.ERROR_BLOCK, 8 * pa.ERROR_BLOCK):
+        x = np.zeros((n, 1500), dtype=np.uint8)
+        x[:, :200] = rng.integers(0, 256, size=(n, 200))
+        tracemalloc.start()
+        try:
+            pa.reconstruction_error(net, x)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.2 * peaks[0], f"peaks {peaks[0] / 1e6:.2f} -> {peaks[1] / 1e6:.2f} MB"
+
+
+@settings(max_examples=15)
+@given(blocks=st.integers(1, 4), tail=st.integers(0, pa.ERROR_BLOCK - 1),
+       width=st.integers(0, 700), transposed=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_reconstruction_error_in_row_blocks_is_loss_mse_of_the_whole_batch(blocks, tail, width,
+                                                                           transposed, seed):
+    """n rows span `blocks` blocks, the last `tail` rows short of full: the
+    net runs once per block, on blocks whose sizes differ by at most one
+    row, and the error keeps the bits of loss_mse on the whole batch."""
+    n = blocks * pa.ERROR_BLOCK - tail
+    rng = np.random.default_rng(seed)
+    x = np.zeros((n, 700), dtype=np.uint8)
+    x[:, :width] = rng.integers(0, 256, size=(n, width))
+    net = nn_core.init_dense_net([700, 16, 4, 16, 700], ["relu", "sigmoid", "relu", "sigmoid"],
+                                 seed=seed)
+    net = _transposed(net) if transposed else net
+    scaled = x / pa.BYTE_SCALE
+    want = nn_core.loss_mse(nn_core.forward(net, scaled), scaled)
+    with mock.patch.object(nn_core, "forward", wraps=nn_core.forward) as spy:
+        got = pa.reconstruction_error(net, x)
+    sizes = [len(call.args[1]) for call in spy.call_args_list]
+    assert len(sizes) == blocks and sum(sizes) == n and max(sizes) - min(sizes) <= 1
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 @settings(max_examples=15)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,6 +156,25 @@ def test_cart_input_validation():
         cart_train(np.zeros((3, 2)), np.array([0, 0, 1]), min_samples_leaf=0)
     with pytest.raises(ValueError):
         cart_train(np.zeros((3, 2)), np.array([0, 0, 1]), criterion="twoing")
+
+
+def test_cart_holds_under_three_copies_of_its_input():
+    """numpy reports its buffers to tracemalloc. Beside the transposed copy
+    of x, CART holds the int32 sorted order (half a copy), then the
+    children's (another half), and split-search temporaries of
+    _SPLIT_BLOCK elements each: 2.4 copies of x here, under a bound of 3
+    (5.4 with int64 order and 2 MB temporaries)."""
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(8192, 100))
+    y = (x[:, 0] > 0).astype(int)
+    tracemalloc.start()
+    try:
+        tree = cart_train(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tree.n_nodes == 3
+    assert peak < 3 * x.nbytes, f"peak {peak / x.nbytes:.2f} copies of the input"
 
 
 def structure(tree):
