@@ -678,7 +678,8 @@ def _file(name: str) -> str:
 
 
 # Each stage: its function, the artifacts it reads and those it writes. A
-# name is an ARTIFACTS key or a stage, for the summary every stage writes.
+# name is an ARTIFACTS key, a stage, for the summary every stage writes,
+# or calibration, the file paths.calibration names (see _PATH_KEYS).
 # timings.json is left out, as its wall-clock times differ between runs.
 _SPLIT_FLOWS = ("split", "rae", "packet_codes")
 _STAGE_TABLE = {
@@ -690,22 +691,31 @@ _STAGE_TABLE = {
     "distill": (stage_distill, ("classifier", *_SPLIT_FLOWS), ("tree", "rules", "ranges")),
     "prune-sweep": (stage_prune_sweep, ("tree", *_SPLIT_FLOWS), ("prune_sweep",)),
     "quantize": (stage_quantize, ("tree", "ranges"), ("qtree",)),
-    "cost": (stage_cost, ("qtree",), ()),
-    "jshc": (stage_jshc, ("tree", "ranges", *_SPLIT_FLOWS), ("sweep", "qtree_best")),
+    "cost": (stage_cost, ("qtree", "calibration"), ()),
+    "jshc": (stage_jshc, ("tree", "ranges", "calibration", *_SPLIT_FLOWS),
+             ("sweep", "qtree_best")),
     "eval": (stage_eval, ("classifier", "tree", "qtree_best", "jshc", *_SPLIT_FLOWS), ()),
     "report": (stage_report, ("train-clf", "distill", "jshc", "eval"),
                ("report_json", "report_md")),
 }
 STAGES = list(_STAGE_TABLE)
+# A read that the paths.* key it maps to names outside the out dir, when
+# set. Unset, pcap and truth are the out dir's files and calibration is
+# the built-in table.
+_PATH_KEYS = {"pcap": "pcap", "truth": "truth_csv", "calibration": "calibration"}
 _WRITER = {_file(name): stage for stage, (_, _, writes) in _STAGE_TABLE.items()
            for name in (*writes, stage)}
 
 
 def _check_inputs(cfg: dict, manifest: dict, reads: list[str]) -> None:
     """StaleArtifactError unless each file in reads has a record, and the
-    records up from theirs list inputs whose records are unchanged (a file
-    is hashed once, when written), naming the earliest stage to re-run."""
+    records up from theirs list inputs that are unchanged, naming the
+    earliest stage to re-run. An out-dir input is compared by its record (a
+    file there is hashed once, when written); a paths.* file, keyed by its
+    absolute path, is hashed again (once per check; a missing one counts
+    as changed)."""
     stale = {}  # the stage that wrote a stale file -> [(that file, a changed input)]
+    rehashed = {}
     todo = list(reads)
     for file in todo:  # the reads, then the recorded files they were built from
         if file not in manifest:
@@ -713,7 +723,13 @@ def _check_inputs(cfg: dict, manifest: dict, reads: list[str]) -> None:
                 f"{os.path.join(cfg['out_dir'], file)} has no record in {ARTIFACTS['manifest']}; "
                 f"re-run `ride {_WRITER[file]}` and the stages after it")
         for upstream, sha256 in manifest[file]["inputs"].items():
-            if manifest.get(upstream, {}).get("sha256") != sha256:
+            if os.path.isabs(upstream):
+                if upstream not in rehashed:
+                    rehashed[upstream] = os.path.exists(upstream) and _sha256(upstream)
+                now = rehashed[upstream]
+            else:
+                now = manifest.get(upstream, {}).get("sha256")
+            if now != sha256:
                 stale.setdefault(manifest[file]["stage"], []).append((file, upstream))
             if upstream in manifest and upstream not in todo:
                 todo.append(upstream)
@@ -736,20 +752,23 @@ def run_stage(stage: str, cfg: dict) -> dict:
     summaries/<stage>.json.
 
     manifest.json keeps, for each file a stage wrote in the out dir, its
-    sha256, the stage and the sha256 of each file the stage read there
-    (not paths.*). Those must exist and pass _check_inputs first.
+    sha256, the stage and the sha256 of each file the stage read: one in
+    the out dir by its path relative to it, one named by paths.* by its
+    absolute path. Those must exist and pass _check_inputs first.
     """
     if stage not in _STAGE_TABLE:
         raise ConfigError(f"unknown stage {stage!r}; choose from {STAGES + ['all']}")
-    func, reads, writes = _STAGE_TABLE[stage]
-    external = {"pcap": cfg["paths"]["pcap"], "truth": cfg["paths"]["truth_csv"]}
-    reads = [_file(name) for name in reads if not external.get(name)]
+    func, names, writes = _STAGE_TABLE[stage]
+    configured = {name: cfg["paths"][_PATH_KEYS[name]] for name in names if name in _PATH_KEYS}
+    reads = [_file(name) for name in names if not configured.get(name) and name != "calibration"]
     for file in reads:
         _require(os.path.join(cfg["out_dir"], file))
+    outside = {os.path.abspath(_require(path)) for path in configured.values() if path}
     path = artifact_path(cfg, "manifest")
     manifest = {} if not os.path.exists(path) else _load_json(path, lambda doc: {
         f: {k: r[k] for k in ("sha256", "stage", "inputs")} for f, r in doc.items()})
     _check_inputs(cfg, manifest, reads)
+    inputs = {file: _sha256(file) for file in outside}  # the bytes the stage reads
     outputs = {file: os.path.join(cfg["out_dir"], file) for file in map(_file, (*writes, stage))}
     t0 = time.perf_counter()
     try:
@@ -763,7 +782,7 @@ def run_stage(stage: str, cfg: dict) -> dict:
     logger.info("stage %s finished in %.2fs, peak RSS so far %.1f MB", stage,
                 time.perf_counter() - t0,
                 resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
-    inputs = {file: manifest[file]["sha256"] for file in reads}
+    inputs.update({file: manifest[file]["sha256"] for file in reads})
     for file, out in outputs.items():
         manifest[file] = {"sha256": _sha256(out), "stage": stage, "inputs": inputs}
     atomic_write_json(path, manifest)

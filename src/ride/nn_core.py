@@ -103,24 +103,37 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
 
 
-def init_dense_net(
-    dims: list[int],
-    activations: list[str],
-    seed: int = 0,
-    weight_init_scale: float = 1.0,
-) -> DenseNet:
-    """Build a net with uniform init in [-s, s], s = scale / sqrt(fan_in)."""
+def init_dense_net(dims: list[int], activations: list[str], seed: int = 0) -> DenseNet:
+    """Build a net with uniform init in [-s, s], s = 1 / sqrt(fan_in), and
+    zero biases; the layers draw their rows (_init_rows) in order from one
+    PCG64 stream seeded with seed."""
     if len(dims) < 2 or len(activations) != len(dims) - 1:
         raise ValueError("need len(dims) >= 2 and one activation per layer")
     rng = np.random.Generator(np.random.PCG64(seed))
-    layers = []
-    for k in range(len(dims) - 1):
-        fan_in, fan_out = dims[k], dims[k + 1]
-        s = weight_init_scale / np.sqrt(fan_in)
-        w = rng.uniform(-s, s, size=(fan_out, fan_in))
-        b = np.zeros(fan_out)
-        layers.append(Layer(w, b, activations[k]))
-    return DenseNet(layers)
+    return DenseNet([Layer(_init_rows(rng, dims[k], dims[k + 1]), np.zeros(dims[k + 1]),
+                           activations[k]) for k in range(len(dims) - 1)])
+
+
+def _init_rows(rng: np.random.Generator, fan_in: int, rows: int) -> np.ndarray:
+    """The next `rows` rows of a layer's initial weights, drawn from rng:
+    one uniform double per weight, row after row, so rows drawn in several
+    calls are those of one call for them all, bit for bit."""
+    s = 1.0 / np.sqrt(fan_in)
+    return rng.uniform(-s, s, size=(rows, fan_in))
+
+
+# initial_first_layer draws this many rows at a time: 16 rows of a
+# 1500-wide layer are 192 KB, little beside the layer they rebuild.
+INIT_BLOCK = 16
+
+
+def initial_first_layer(seed: int, fan_in: int, fan_out: int):
+    """Yield (lo, rows) in order: rows lo:lo + len(rows) of the initial
+    weights of layer 0, fan_in -> fan_out, of a net init_dense_net builds
+    with this seed, INIT_BLOCK rows at a time; no full copy is held."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for lo in range(0, fan_out, INIT_BLOCK):
+        yield lo, _init_rows(rng, fan_in, min(INIT_BLOCK, fan_out - lo))
 
 
 def apply_activation(name: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

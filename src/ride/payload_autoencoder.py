@@ -8,6 +8,7 @@ serves training and its reported error: the bundle keeps the encoder.
 from __future__ import annotations
 
 import logging
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,8 +36,8 @@ class AutoencoderBundle:
     final_train_mse: float
     seed: int = 0
     loss_curve: list[float] = field(default_factory=list)  # per training epoch
-    # the training rows' live width (nn_core.live_width); set by
-    # train_autoencoder, not saved
+    # the training rows' live width (nn_core.live_width), past which layer
+    # 0 keeps its initial weights; set by train_autoencoder and saved
     live_input_width: int | None = None
 
     def __post_init__(self):
@@ -77,7 +78,8 @@ def train_autoencoder(
     the columns past it are zeros, which nn_core.train counts without
     holding them. That copy is dropped before the error is measured,
     one block of rows at a time (reconstruction_error). The bundle keeps
-    that live width as live_input_width, which is not saved.
+    that live width as live_input_width, which save_bundle stores and cuts
+    layer 0 at.
     """
     cfg = cfg or TrainConfig()
     rows = training_rows(np.atleast_2d(payloads), sample_cap, cfg.seed)
@@ -157,16 +159,73 @@ def _row_errors(net: DenseNet, raw: np.ndarray) -> np.ndarray:
 
 
 def save_bundle(bundle: AutoencoderBundle, path: str) -> None:
-    nn_core.save_artifact(path, {"final_train_mse": bundle.final_train_mse,
-                                 "seed": bundle.seed, "loss_curve": bundle.loss_curve},
-                          nets={"encoder": bundle.encoder})
+    """Write the bundle to path through nn_core.save_artifact.
+
+    When layer 0 is stored transposed and its columns from
+    live_input_width on are still the initial weights init_dense_net drew
+    from the bundle's seed (so training never moved them), the file keeps
+    only the columns before them, and meta gets n_p and untrained_crc32,
+    the CRC-32 of the columns left out, as the rows of w0.T; load_bundle
+    draws them again. Otherwise encoder.w0 is stored whole.
+    """
+    meta = {"final_train_mse": bundle.final_train_mse, "seed": bundle.seed,
+            "loss_curve": bundle.loss_curve}
+    encoder, live = bundle.encoder, bundle.live_input_width
+    if live is not None:
+        meta["live_input_width"] = live
+        first = encoder.layers[0]
+        if live < bundle.n_p and nn_core.stored_transposed(first) and _initial_past(
+                first.w, live, bundle.seed):
+            meta.update(n_p=bundle.n_p, untrained_crc32=zlib.crc32(first.w.T[live:]))
+            encoder = DenseNet([nn_core.Layer(first.w[:, :live], first.b, first.activation),
+                                *encoder.layers[1:]])
+    nn_core.save_artifact(path, meta, nets={"encoder": encoder})
+
+
+def _initial_past(w: np.ndarray, live: int, seed: int) -> bool:
+    """Whether w's columns from live on are those of the first layer
+    init_dense_net draws with seed, bit for bit."""
+    return all(np.array_equal(rows[:, live:].view(np.uint64),
+                              w[lo:lo + len(rows), live:].view(np.uint64))
+               for lo, rows in nn_core.initial_first_layer(seed, *w.shape[::-1]))
 
 
 def load_bundle(path: str) -> AutoencoderBundle:
+    """The bundle save_bundle wrote to path. A file that keeps only the
+    first live_input_width columns of encoder.w0 gets the others drawn
+    again from its seed, written straight into the rows of a new w0.T;
+    when their CRC-32 is not the untrained_crc32 recorded, it raises
+    ValueError("bad model file {path}: ..."). A file with no
+    live_input_width (written before it was saved) loads with None."""
     meta, nets, _ = nn_core.load_artifact(path, nets=("encoder",),
                                           fields=("final_train_mse", "seed"))
     encoder = nets["encoder"]
+    with nn_core.file_errors(path, "model"):
+        if "untrained_crc32" in meta:
+            encoder = _with_untrained_columns(encoder, meta)
+        live = meta.get("live_input_width")
+        if live is not None and not (type(live) is int and 0 <= live <= encoder.input_dim):
+            raise ValueError(f"live_input_width {live!r} is not a width of layer 0")
     return AutoencoderBundle(encoder=encoder, n_p=encoder.input_dim,
                              n_b=encoder.output_dim, h=encoder.layers[0].w.shape[0],
                              final_train_mse=meta["final_train_mse"], seed=meta["seed"],
-                             loss_curve=meta.get("loss_curve", []))
+                             loss_curve=meta.get("loss_curve", []), live_input_width=live)
+
+
+def _with_untrained_columns(encoder: DenseNet, meta: dict) -> DenseNet:
+    """encoder with layer 0 widened from its stored live_input_width
+    columns to n_p, the new columns drawn as init_dense_net draws them."""
+    first = encoder.layers[0]
+    h, live = first.w.shape
+    n_p = meta["n_p"]
+    if live != meta["live_input_width"] or not (type(n_p) is int and n_p > live):
+        raise ValueError(f"encoder.w0 has {live} columns, for live_input_width "
+                         f"{meta['live_input_width']!r} of n_p {n_p!r}")
+    w_t = np.empty((n_p, h))
+    w_t[:live] = first.w.T
+    for lo, rows in nn_core.initial_first_layer(meta["seed"], n_p, h):
+        w_t[live:, lo:lo + len(rows)] = rows[:, live:].T
+    if zlib.crc32(w_t[live:]) != meta["untrained_crc32"]:
+        raise ValueError(f"encoder.w0's columns from {live} on do not draw again from "
+                         f"seed {meta['seed']!r}: their CRC-32 is not untrained_crc32")
+    return DenseNet([nn_core.Layer(w_t.T, first.b, first.activation), *encoder.layers[1:]])

@@ -914,6 +914,71 @@ def test_report_gives_one_latency_for_the_winner_whatever_calibration_eval_gets(
     assert f"| {latency!r} |" in md and f"{latency:.2e} s/sample" in md
 
 
+def _calibration_file(path, latency_scale: float = 1.0) -> str:
+    calib = hw_model.default_calibration()
+    path.write_text(json.dumps(hw_model.calibration_to_dict(dataclasses.replace(
+        calib, latency_per_level_s=latency_scale * calib.latency_per_level_s))))
+    return str(path)
+
+
+def test_a_changed_calibration_file_makes_jshc_stale(tmp_path, capsys):
+    """cost and jshc record the calibration file they read by its sha256,
+    keyed by its absolute path; once the file changes, eval and report,
+    which read the jshc summary, exit 2 and name jshc."""
+    calib = _calibration_file(tmp_path / "calib.json")
+    cfg = _fast_config(tmp_path, "unused")
+    config = tmp_path / "calib_config.json"
+    config.write_text(json.dumps({
+        "features": cfg["features"], "embed": cfg["embed"], "train": cfg["train"],
+        "paths": {"calibration": calib}}))
+    out = str(tmp_path / "run")
+    assert cli.main(["all", "--config", str(config), "--out", out]) == 0
+    with open(os.path.join(out, cli.ARTIFACTS["manifest"])) as fh:
+        manifest = json.load(fh)
+    with open(calib, "rb") as fh:
+        sha256 = hashlib.sha256(fh.read()).hexdigest()
+    for file in ("summaries/cost.json", "summaries/jshc.json", "qtree_best.json"):
+        assert manifest[file]["inputs"][calib] == sha256, file
+    assert not any(calib in manifest[file]["inputs"] for file in
+                   ("summaries/quantize.json", "summaries/eval.json", "tree.json"))
+    _calibration_file(tmp_path / "calib.json", latency_scale=10.0)
+    capsys.readouterr()
+    for stage in ("eval", "report"):
+        assert cli.main([stage, "--config", str(config), "--out", out]) == 2, stage
+        err = capsys.readouterr().err
+        assert "stale artifact" in err and f"built from another version of {calib}" in err
+        assert "re-run `ride jshc`" in err, stage
+    os.remove(calib)  # a file that is gone counts as changed
+    assert cli.main(["eval", "--config", str(config), "--out", out]) == 2
+    assert "re-run `ride jshc`" in capsys.readouterr().err
+    _calibration_file(tmp_path / "calib.json", latency_scale=10.0)
+    for stage in ("jshc", "eval", "report"):
+        assert cli.main([stage, "--config", str(config), "--out", out]) == 0, stage
+
+
+def test_a_changed_capture_or_truth_file_makes_ingest_stale(tmp_path, capsys):
+    """ingest records the capture and truth CSV that paths.* name by their
+    sha256; a change to either makes train-ae exit 2 and name ingest."""
+    source = str(tmp_path / "source")
+    assert cli.main(["synth", "--out", source]) == 0
+    pcap, truth = (os.path.join(source, cli.ARTIFACTS[name]) for name in ("pcap", "truth"))
+    config = tmp_path / "external.json"
+    config.write_text(json.dumps({"paths": {"pcap": pcap, "truth_csv": truth}}))
+    out = str(tmp_path / "run")
+    for path, change in ((pcap, b"\0"), (truth, b"\n")):
+        assert cli.main(["ingest", "--config", str(config), "--out", out]) == 0
+        with open(os.path.join(out, cli.ARTIFACTS["manifest"])) as fh:
+            inputs = json.load(fh)[cli.ARTIFACTS["flows"]]["inputs"]
+        assert sorted(inputs) == sorted([pcap, truth])
+        with open(path, "ab") as fh:
+            fh.write(change)
+        capsys.readouterr()
+        assert cli.main(["train-ae", "--config", str(config), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert (f"{os.path.join(out, cli.ARTIFACTS['flows'])} was built from another version "
+                f"of {path}; re-run `ride ingest`") in err, err
+
+
 def test_a_split_naming_flows_the_codes_lack_exits_2(fast_run, tmp_path, capsys):
     out = str(tmp_path / "copy")
     shutil.copytree(fast_run["out_dir"], out)
@@ -1040,6 +1105,30 @@ def test_bad_or_old_model_files_exit_loudly(fast_run, tmp_path, capsys):
     assert cli.main(["embed", "--out", out]) == 2
     err = capsys.readouterr().err
     assert "missing upstream artifact" in err and ae_path in err
+
+
+@pytest.mark.parametrize("change", [{"seed": 8}, {"untrained_crc32": 0}],
+                         ids=["seed", "digest"])
+def test_an_autoencoder_file_whose_columns_do_not_draw_again_exits_4(
+        fast_run, tmp_path, capsys, change):
+    """autoencoder.npz keeps layer 0's trained columns only; the others are
+    drawn again from its seed and checked against its CRC-32. A file whose
+    seed or CRC-32 was altered makes embed exit 4 and name it."""
+    out = str(tmp_path / "copy")
+    shutil.copytree(fast_run["out_dir"], out)
+    ae_path = os.path.join(out, cli.ARTIFACTS["autoencoder"])
+    with np.load(ae_path, allow_pickle=False) as npz:
+        entries = {key: npz[key] for key in npz.files}
+    meta = json.loads(entries["meta"].item())
+    assert "untrained_crc32" in meta and meta["seed"] == fast_run["seed"] != change.get("seed")
+    with open(ae_path, "wb") as fh:
+        np.savez(fh, **dict(entries, meta=np.array(json.dumps({**meta, **change}))))
+    capsys.readouterr()
+    assert cli.main(["embed", "--config", _fast_config_file(tmp_path), "--out", out]) == 4
+    err = capsys.readouterr().err
+    assert f"error: ValueError: bad model file {ae_path}: encoder.w0's columns from 256 on " \
+           f"do not draw again from seed {change.get('seed', meta['seed'])}" \
+           in err, err
 
 
 def _store_with(path: str, **changes) -> None:

@@ -115,14 +115,27 @@ def test_net_chaining_and_softmax_position():
 
 
 def test_init_dense_net_bounds_and_determinism():
-    a = init_dense_net([10, 5, 2], ["relu", "identity"], seed=9, weight_init_scale=0.5)
-    b = init_dense_net([10, 5, 2], ["relu", "identity"], seed=9, weight_init_scale=0.5)
+    a = init_dense_net([10, 5, 2], ["relu", "identity"], seed=9)
+    b = init_dense_net([10, 5, 2], ["relu", "identity"], seed=9)
     for la, lb in zip(a.layers, b.layers):
         np.testing.assert_array_equal(la.w, lb.w)
         assert np.all(la.b == 0.0)
-    assert np.abs(a.layers[0].w).max() <= 0.5 / np.sqrt(10)
+    assert np.abs(a.layers[0].w).max() <= 1.0 / np.sqrt(10)
     c = init_dense_net([10, 5, 2], ["relu", "identity"], seed=10)
     assert not np.array_equal(a.layers[0].w, c.layers[0].w)
+
+
+@given(fan_in=st.integers(1, 600), fan_out=st.integers(1, 3 * nn_core.INIT_BLOCK + 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_initial_first_layer_is_layer_0_of_init_dense_net_block_by_block(fan_in, fan_out, seed):
+    """Drawn INIT_BLOCK rows at a time, the blocks in order are
+    init_dense_net's layer 0, bit for bit, whatever the layers after it."""
+    want = init_dense_net([fan_in, fan_out, 3], ["relu", "identity"], seed=seed).layers[0].w
+    blocks = list(nn_core.initial_first_layer(seed, fan_in, fan_out))
+    assert [lo for lo, _ in blocks] == list(range(0, fan_out, nn_core.INIT_BLOCK))
+    assert all(len(rows) <= nn_core.INIT_BLOCK for _, rows in blocks)
+    got = np.concatenate([rows for _, rows in blocks])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("loss,dims,acts", [

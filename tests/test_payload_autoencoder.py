@@ -1,4 +1,7 @@
 """Payload autoencoder: scaling, shapes, trainability, persistence, memory."""
+import dataclasses
+import json
+import re
 import tracemalloc
 from unittest import mock
 
@@ -301,3 +304,102 @@ def test_padded_encoder_is_stored_transposed_and_old_files_still_load(tmp_path):
     assert from_old.loss_curve == []
     np.testing.assert_array_equal(pa.encode_matrix(from_old, rows),
                                   pa.encode_matrix(bundle, rows))
+
+
+def _as_trained(n_p: int, h: int, seed: int, live: int) -> pa.AutoencoderBundle:
+    """An n_p -> h -> 4 encoder as training leaves one: layer 0 stored
+    transposed, its columns before live moved off their initial values,
+    the others as init_dense_net drew them."""
+    net = _transposed(nn_core.init_dense_net([n_p, h, 4], ["relu", "sigmoid"], seed=seed))
+    first = net.layers[0]
+    first.w[:, :live] += np.random.default_rng(seed).normal(size=(h, live))
+    return pa.AutoencoderBundle(encoder=net, n_p=n_p, n_b=4, h=h, final_train_mse=0.5,
+                                seed=seed, live_input_width=live)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@settings(max_examples=25)
+@given(n_p=st.integers(2, 1500), h=st.integers(2, 80), seed=st.integers(0, 2**32 - 1),
+       cut=st.integers(0, 6), data=st.data())
+def test_a_saved_encoder_keeps_the_trained_columns_and_loads_bit_for_bit(
+        tmp_path_factory, n_p, h, seed, cut, data):
+    """The file keeps layer 0's columns before live_input_width (0, a
+    multiple of CHUNK, or n_p); load_bundle draws the rest again from the
+    seed. Layer 0 comes back with the same bits, and the encoder gives the
+    same codes for rows of any width up to n_p."""
+    live = min(n_p, cut * nn_core.CHUNK) if cut < 6 else n_p
+    bundle = _as_trained(n_p, h, seed, live)
+    path = str(tmp_path_factory.mktemp("ae") / "ae.npz")
+    pa.save_bundle(bundle, path)
+    with np.load(path) as npz:
+        assert npz["encoder.w0"].shape == (h, live if live < n_p else n_p)
+    loaded = pa.load_bundle(path)
+    assert loaded.live_input_width == live and loaded.n_p == n_p
+    for got, want in zip(loaded.encoder.layers, bundle.encoder.layers):
+        assert _same_bits(got.w, want.w) and _same_bits(got.b, want.b)
+    assert nn_core.stored_transposed(loaded.encoder.layers[0])
+    width = data.draw(st.integers(0, n_p))
+    rows = np.random.default_rng(seed).integers(0, 256, size=(5, width))
+    assert _same_bits(pa.encode_matrix(loaded, rows), pa.encode_matrix(bundle, rows))
+
+
+def test_an_encoder_whose_untrained_columns_moved_is_stored_whole(tmp_path):
+    """Columns past live_input_width that are no longer the seed's draws
+    cannot be drawn again, so save_bundle keeps encoder.w0 whole; so it
+    does for a bundle with no live_input_width."""
+    bundle = _as_trained(600, 8, 3, 256)
+    bundle.encoder.layers[0].w[0, 599] += 1.0
+    hand_built = dataclasses.replace(_as_trained(600, 8, 3, 256), live_input_width=None)
+    for case in (bundle, hand_built):
+        path = str(tmp_path / "ae.npz")
+        pa.save_bundle(case, path)
+        with np.load(path) as npz:
+            assert npz["encoder.w0"].shape == (8, 600)
+            assert "untrained_crc32" not in json.loads(npz["meta"].item())
+        loaded = pa.load_bundle(path)
+        assert loaded.live_input_width == case.live_input_width
+        assert _same_bits(loaded.encoder.layers[0].w, case.encoder.layers[0].w)
+
+
+def test_a_trained_encoder_file_keeps_only_the_live_columns(tmp_path):
+    x = np.zeros((12, 1500))
+    x[:, :200] = _payloads(12, 200, seed=6)
+    bundle = pa.train_autoencoder(x, n_b=100, h=512,
+                                  cfg=TrainConfig(epochs=2, batch_size=4, seed=6))
+    path = str(tmp_path / "ae.npz")
+    pa.save_bundle(bundle, path)
+    with np.load(path) as npz:
+        meta = json.loads(npz["meta"].item())
+        assert npz["encoder.w0"].shape == (512, 256)
+    assert (meta["live_input_width"], meta["n_p"]) == (256, 1500)
+    assert isinstance(meta["untrained_crc32"], int)
+    loaded = pa.load_bundle(path)
+    assert _same_bits(loaded.encoder.layers[0].w, bundle.encoder.layers[0].w)
+    # the rebuilt columns are the seed's, which training never moved
+    initial = nn_core.init_dense_net([1500, 512, 100], ["relu", "sigmoid"], seed=6).layers[0].w
+    assert _same_bits(np.ascontiguousarray(loaded.encoder.layers[0].w[:, 256:]),
+                      initial[:, 256:])
+    assert not np.array_equal(loaded.encoder.layers[0].w[:, :256], initial[:, :256])
+
+
+@pytest.mark.parametrize("change, cause", [
+    ({"seed": 7}, "do not draw again from seed 7"),
+    ({"untrained_crc32": 12345}, "do not draw again from seed 3"),
+    ({"n_p": 256}, "for live_input_width 256 of n_p 256"),
+    ({"live_input_width": 512}, "for live_input_width 512 of n_p 600"),
+    ({"n_p": None}, "for live_input_width 256 of n_p None"),
+], ids=["seed", "digest", "n_p_at_live", "live_past_stored", "n_p_null"])
+def test_a_cut_encoder_file_whose_meta_was_altered_does_not_load(tmp_path, change, cause):
+    path = str(tmp_path / "ae.npz")
+    pa.save_bundle(_as_trained(600, 8, 3, 256), path)
+    with np.load(path) as npz:
+        entries = {key: npz[key] for key in npz.files}
+    meta = {**json.loads(entries["meta"].item()), **change}
+    with open(path, "wb") as fh:
+        np.savez(fh, **dict(entries, meta=np.array(json.dumps(meta))))
+    with pytest.raises(ValueError, match=re.escape(f"bad model file {path}: ")) as info:
+        pa.load_bundle(path)
+    assert cause in str(info.value)

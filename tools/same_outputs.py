@@ -10,14 +10,18 @@ prints each run-dir file that differs or that only one side wrote;
 timings.json, which holds wall-clock times, is not compared.
 
 A run dir holds only the training capture's flows, so each checkout then
-also serves a fresh default-shaped capture (synth seed 1000 + the run's
-seed) with its own run's detector, one flow at a time as a deployment
-does (encode_flows of the flow, then embed_flow), and the two sides' flow
-embeddings are compared byte for byte.
+also serves two fresh captures (synth seed 1000 + the run's seed) with
+its own run's detector, one flow at a time as a deployment does
+(encode_flows of the flow, then embed_flow): the default-shaped one, and
+a wide one whose attack payloads run to 1,400 bytes, so its packets also
+meet the encoder columns past the training rows' live width. The two
+sides' flow embeddings are compared byte for byte, and so are the
+encoder weights each side's load_bundle gives.
 
-Exit status: 0 when report.json, report.md and the served embeddings
-match in every run (other files may still differ: read the listing), 1
-when any of them differs, 2 when a run fails.
+Exit status: 0 when report.json, report.md, the served embeddings and
+the loaded encoder weights match in every run (other files may still
+differ: read the listing), 1 when any of them differs, 2 when a run
+fails.
 """
 from __future__ import annotations
 
@@ -34,20 +38,34 @@ CONFIGS = {"default": None,
 EXEMPT = {"timings.json"}
 REPORTS = ("report.json", "report.md")
 SERVE_SEED_OFFSET = 1000
-# Serves the capture of synth seed argv[2] with the detector in run dir
-# argv[1], one flow at a time, and writes the flow embeddings' bytes to argv[3].
+# What the serving step writes, by the suffix of its dump file.
+SERVED = {"default": "served embeddings (default-shaped capture)",
+          "wide": "served embeddings (wide capture)",
+          "encoder": "loaded encoder weights"}
+# Loads the detector in run dir argv[1], writes its encoder weights' bytes
+# to argv[3] + ".encoder", and serves the captures of synth seed argv[2]
+# one flow at a time, writing the flow embeddings' bytes to argv[3] +
+# ".default" and ".wide".
 SERVE = """
-import os, sys
+import dataclasses, os, sys
 import numpy as np
 from ride import cli, flow_embedder, packet_ingest, payload_autoencoder, synth_data
 run, seed, out = sys.argv[1], int(sys.argv[2]), sys.argv[3]
 bundle = payload_autoencoder.load_bundle(os.path.join(run, cli.ARTIFACTS["autoencoder"]))
 rae = flow_embedder.load_rae(os.path.join(run, cli.ARTIFACTS["rae"]))
-pcap, _truth = synth_data.generate(synth_data.default_fixture(seed=seed))
-flows = packet_ingest.group_flows(packet_ingest.parse_pcap(pcap).packets)
-with open(out, "wb") as fh:
-    fh.write(np.stack([flow_embedder.embed_flow(rae, flow_embedder.encode_flows(
-        bundle, [f])[0]).values for f in flows]).tobytes())
+with open(out + ".encoder", "wb") as fh:
+    for layer in bundle.encoder.layers:
+        fh.write(layer.w.tobytes() + layer.b.tobytes())
+default = synth_data.default_fixture(seed=seed)
+benign, attack = default.class_profiles
+wide = dataclasses.replace(default, class_profiles=[
+    benign, dataclasses.replace(attack, payload_len=(40, 1400))])
+for name, spec in (("default", default), ("wide", wide)):
+    pcap, _truth = synth_data.generate(spec)
+    flows = packet_ingest.group_flows(packet_ingest.parse_pcap(pcap).packets)
+    with open(out + "." + name, "wb") as fh:
+        fh.write(np.stack([flow_embedder.embed_flow(rae, flow_embedder.encode_flows(
+            bundle, [f])[0]).values for f in flows]).tobytes())
 """
 
 
@@ -103,18 +121,20 @@ def main(argv: list[str]) -> int:
                                                    shallow=False))
                 print(f"{case}: " + (", ".join(differ) if differ else "identical"))
                 reports_differ |= any(f in differ for f in REPORTS)
-                served = [out + ".served" for out in outs]
                 if not _side_by_side(case, "serving", argv, [
-                        ["-c", SERVE, out, str(SERVE_SEED_OFFSET + seed), dump]
-                        for out, dump in zip(outs, served)]):
+                        ["-c", SERVE, out, str(SERVE_SEED_OFFSET + seed), out + ".served"]
+                        for out in outs]):
                     return 2
-                same = filecmp.cmp(*served, shallow=False)
-                print(f"{case}: served embeddings " + ("identical" if same else "differ"))
-                serving_differs |= not same
+                for suffix, what in SERVED.items():
+                    same = filecmp.cmp(*(f"{out}.served.{suffix}" for out in outs),
+                                       shallow=False)
+                    print(f"{case}: {what} " + ("identical" if same else "differ"))
+                    serving_differs |= not same
     if reports_differ:
         print("report.json or report.md differs", file=sys.stderr)
     if serving_differs:
-        print("the served flow embeddings differ", file=sys.stderr)
+        print("the served flow embeddings or the loaded encoder weights differ",
+              file=sys.stderr)
     return 1 if reports_differ or serving_differs else 0
 
 
