@@ -433,7 +433,9 @@ def _adam_block(p, g, m, v, s1, s2, lr, b1, b2, corr1, corr2, eps) -> None:
     """One Adam update of a block in place, with the operations of
     m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g**2;
     p -= lr*(m/corr1) / (sqrt(v/corr2) + eps) in that order, so every
-    element rounds as the out-of-place expressions do. s1, s2: scratch."""
+    element rounds as the out-of-place expressions do. From step 356 on,
+    corr1 = 1 - b1**t rounds to 1.0, and m / 1.0 is m exactly (IEEE 754),
+    so that division is skipped. s1, s2: scratch."""
     np.multiply(m, b1, out=m)
     np.multiply(g, 1 - b1, out=s1)
     np.add(m, s1, out=m)
@@ -441,8 +443,11 @@ def _adam_block(p, g, m, v, s1, s2, lr, b1, b2, corr1, corr2, eps) -> None:
     np.multiply(g, g, out=s1)
     np.multiply(s1, 1 - b2, out=s1)
     np.add(v, s1, out=v)
-    np.divide(m, corr1, out=s2)
-    np.multiply(s2, lr, out=s2)
+    if corr1 == 1.0:
+        np.multiply(m, lr, out=s2)
+    else:
+        np.divide(m, corr1, out=s2)
+        np.multiply(s2, lr, out=s2)
     np.divide(v, corr2, out=s1)
     np.sqrt(s1, out=s1)
     np.add(s1, eps, out=s1)
@@ -450,11 +455,13 @@ def _adam_block(p, g, m, v, s1, s2, lr, b1, b2, corr1, corr2, eps) -> None:
     np.subtract(p, s2, out=p)
 
 
-# _adam_block as one C loop: the same operations in the same order, each
+# _adam_block as a C loop: the same operations in the same order, each
 # rounded once, so the bits are _adam_block's. -ffp-contract=off keeps the
 # compiler from fusing a*b + c into one FMA (GCC does so by default in GNU
 # C mode), and without -ffast-math nothing is reordered; -fno-math-errno
-# only lets sqrt vectorize, and sqrt stays correctly rounded.
+# only lets sqrt vectorize, and sqrt stays correctly rounded. Once corr1
+# is 1.0 the second loop runs, which skips the division by it as
+# _adam_block does.
 _ADAM_C = """
 #include <math.h>
 #include <stddef.h>
@@ -462,10 +469,18 @@ void ride_adam(double *restrict p, const double *restrict g, double *restrict m,
                double *restrict v, size_t n, double lr, double b1, double c1,
                double b2, double c2, double corr1, double corr2, double eps)
 {
+    if (corr1 != 1.0) {
+        for (size_t i = 0; i < n; i++) {
+            m[i] = m[i] * b1 + g[i] * c1;
+            v[i] = v[i] * b2 + (g[i] * g[i]) * c2;
+            p[i] = p[i] - ((m[i] / corr1) * lr) / (sqrt(v[i] / corr2) + eps);
+        }
+        return;
+    }
     for (size_t i = 0; i < n; i++) {
         m[i] = m[i] * b1 + g[i] * c1;
         v[i] = v[i] * b2 + (g[i] * g[i]) * c2;
-        p[i] = p[i] - ((m[i] / corr1) * lr) / (sqrt(v[i] / corr2) + eps);
+        p[i] = p[i] - (m[i] * lr) / (sqrt(v[i] / corr2) + eps);
     }
 }
 """
@@ -513,7 +528,7 @@ def _open_adam(path: str):
     ours, theirs = [[np.linspace(-1, 1, g.size), g, np.zeros_like(g), np.zeros_like(g)]
                     for _ in range(2)]
     with np.errstate(all="ignore"):
-        for t in (1, 2, 3):
+        for t in (1, 2, 3, 400):  # corr1 is 1.0 at step 400
             coeffs = (1e-3, ADAM_BETA1, ADAM_BETA2, 1 - ADAM_BETA1 ** t, 1 - ADAM_BETA2 ** t,
                       ADAM_EPS)
             _adam_block(*theirs, np.empty_like(g), np.empty_like(g), *coeffs)

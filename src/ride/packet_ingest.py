@@ -9,9 +9,10 @@ No TCP reassembly or IP defragmentation is attempted.
 from __future__ import annotations
 
 import csv
+import functools
 import ipaddress
 import logging
-import socket
+import operator
 import struct
 from dataclasses import dataclass, field
 
@@ -62,8 +63,10 @@ class PcapFormatError(ValueError):
     """Fatal problem with the capture's global header or framing."""
 
 
-@dataclass
+@dataclass(slots=True)
 class RawPacket:
+    """A TCP or UDP packet. The packets of a 5-tuple share its address, port
+    and protocol objects (parse_pcap, load_flows); the payload is bytes."""
     timestamp: float
     src_addr: str
     dst_addr: str
@@ -78,7 +81,7 @@ class PayloadVector:
     values: np.ndarray  # uint8, length n_p
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowRecord:
     flow_id: str
     packets: list[RawPacket]
@@ -122,18 +125,24 @@ def normalize_protocol(value) -> str:
     raise ValueError(f"cannot interpret protocol value {value!r}")
 
 
-def parse_pcap(capture_bytes: bytes) -> ParsedCapture:
-    """Parse a classic PCAP byte string into TCP/UDP RawPackets.
+def parse_pcap(capture: bytes) -> ParsedCapture:
+    """Parse a classic PCAP capture (bytes; other buffers are copied to
+    bytes once) into TCP/UDP RawPackets.
+
+    Each header is read in place by one precompiled struct, so a packet's
+    payload is the only part copied. Each address is decoded to text once
+    per capture, and the packets of a 5-tuple share its field objects.
 
     Frames that yield no TCP/UDP packet are counted per reason (see
     SKIP_REASONS) in n_skipped_by_reason; n_skipped is their sum. A
     truncated record stops parsing; whatever was parsed so far is returned
     with n_truncated incremented.
     """
-    if len(capture_bytes) < 24:
+    capture = capture if isinstance(capture, bytes) else bytes(memoryview(capture))
+    if len(capture) < 24:
         raise PcapFormatError("capture shorter than the 24-byte global header")
-    magic_be = struct.unpack(">I", capture_bytes[:4])[0]
-    magic_le = struct.unpack("<I", capture_bytes[:4])[0]
+    magic_be = struct.unpack(">I", capture[:4])[0]
+    magic_le = struct.unpack("<I", capture[:4])[0]
     if magic_be == PCAPNG_MAGIC:
         raise PcapFormatError("PCAPNG input detected; only classic PCAP is supported")
     if magic_le in (PCAP_MAGIC_USEC, PCAP_MAGIC_NSEC):
@@ -146,9 +155,7 @@ def parse_pcap(capture_bytes: bytes) -> ParsedCapture:
         raise PcapFormatError(f"unrecognized PCAP magic 0x{magic_be:08X}")
     ts_scale = 1e-9 if magic == PCAP_MAGIC_NSEC else 1e-6
 
-    _vmaj, _vmin, _zone, _sig, _snaplen, network = struct.unpack(
-        endian + "HHiIII", capture_bytes[4:24]
-    )
+    network = struct.unpack_from(endian + "I", capture, 20)[0]  # the global header's link type
     parse_frame = _FRAME_PARSERS.get(network)
     if parse_frame is None:
         raise PcapFormatError(f"unsupported link type {network}; handled: Ethernet "
@@ -156,127 +163,135 @@ def parse_pcap(capture_bytes: bytes) -> ParsedCapture:
                               f"Linux SLL ({LINKTYPE_LINUX_SLL})")
 
     result = ParsedCapture()
-    offset = 24
-    total = len(capture_bytes)
+    record_header = struct.Struct(endian + "III4x")  # seconds, fraction, captured length
+    # one object per address (its text decoded once) and port of the capture,
+    # and one tuple of them per raw 5-tuple, which its packets share
+    value = functools.cache(lambda raw: str(ipaddress.ip_address(raw))
+                            if type(raw) is bytes else raw)
+    fields: dict[tuple, tuple] = {}
+    offset, total = 24, len(capture)
     while offset < total:
         if offset + 16 > total:
             logger.warning("truncated record header at byte %d; stopping", offset)
             result.n_truncated += 1
             break
-        ts_sec, ts_frac, incl_len, _orig_len = struct.unpack(
-            endian + "IIII", capture_bytes[offset:offset + 16]
-        )
+        ts_sec, ts_frac, incl_len = record_header.unpack_from(capture, offset)
         offset += 16
-        if offset + incl_len > total:
+        end = offset + incl_len
+        if end > total:
             logger.warning("truncated record body at byte %d; stopping", offset)
             result.n_truncated += 1
             break
-        frame = capture_bytes[offset:offset + incl_len]
-        offset += incl_len
-        packet = parse_frame(ts_sec + ts_frac * ts_scale, frame)
-        if isinstance(packet, str):
-            result.n_skipped_by_reason[packet] += 1
-        else:
-            result.packets.append(packet)
+        parsed = parse_frame(capture, offset, end)
+        offset = end
+        if isinstance(parsed, str):
+            result.n_skipped_by_reason[parsed] += 1
+            continue
+        key, start, stop = parsed
+        shared = fields.get(key) or fields.setdefault(key, tuple(map(value, key)))
+        result.packets.append(RawPacket(ts_sec + ts_frac * ts_scale, *shared, capture[start:stop]))
     return result
 
 
-# The _parse_* helpers return the packet, or the SKIP_REASONS entry that
-# explains why the frame holds none.
+# The _parse_* helpers read the frame at buf[start:end] in place. Each returns
+# the raw 5-tuple (packed addresses, ports, "TCP" or "UDP") and payload bounds
+# of its packet, or the SKIP_REASONS entry that explains why it holds none.
+_U16 = struct.Struct(">H")  # an ethertype, an IPv6 fragment offset
+_IPV4 = struct.Struct(">BxH2xHxB2x4s4s")  # version/IHL, length, fragment, protocol, addresses
+_IPV6 = struct.Struct(">B3xHBx16s16s")  # version, payload length, next header, addresses
+_TCP = struct.Struct(">HH8xB")  # ports, data offset
+_UDP = struct.Struct(">HHH")  # ports, length
 
-def _parse_ethernet(timestamp: float, frame: bytes) -> RawPacket | str:
-    if len(frame) < 14:
+
+def _parse_ethernet(buf: bytes, start: int, end: int) -> tuple | str:
+    if end - start < 14:
         return "short_header"
-    ethertype = struct.unpack(">H", frame[12:14])[0]
-    start = 14
+    ethertype = _U16.unpack_from(buf, start + 12)[0]
+    start += 14
     while ethertype in VLAN_TAG_TYPES:  # each 4-byte tag ends in the inner type
-        if len(frame) < start + 4:
+        if end < start + 4:
             return "short_header"
-        ethertype = struct.unpack(">H", frame[start + 2:start + 4])[0]
+        ethertype = _U16.unpack_from(buf, start + 2)[0]
         start += 4
     parse_ip = _IP_BY_ETHERTYPE.get(ethertype)
-    return "non_ip" if parse_ip is None else parse_ip(timestamp, frame[start:])
+    return "non_ip" if parse_ip is None else parse_ip(buf, start, end)
 
 
-def _parse_sll(timestamp: float, frame: bytes) -> RawPacket | str:
-    if len(frame) < 16:
+def _parse_sll(buf: bytes, start: int, end: int) -> tuple | str:
+    if end - start < 16:
         return "short_header"
-    parse_ip = _IP_BY_ETHERTYPE.get(struct.unpack(">H", frame[14:16])[0])
-    return "non_ip" if parse_ip is None else parse_ip(timestamp, frame[16:])
+    parse_ip = _IP_BY_ETHERTYPE.get(_U16.unpack_from(buf, start + 14)[0])
+    return "non_ip" if parse_ip is None else parse_ip(buf, start + 16, end)
 
 
-def _parse_raw_ip(timestamp: float, frame: bytes) -> RawPacket | str:
-    if not frame:
+def _parse_raw_ip(buf: bytes, start: int, end: int) -> tuple | str:
+    if start == end:
         return "short_header"
-    parse_ip = _IP_BY_VERSION.get(frame[0] >> 4)
-    return "non_ip" if parse_ip is None else parse_ip(timestamp, frame)
+    parse_ip = _IP_BY_VERSION.get(buf[start] >> 4)
+    return "non_ip" if parse_ip is None else parse_ip(buf, start, end)
 
 
-def _parse_ipv4(timestamp: float, data: bytes) -> RawPacket | str:
-    if len(data) < 20:
+def _parse_ipv4(buf: bytes, start: int, end: int) -> tuple | str:
+    if end - start < 20:
         return "short_header"
-    if data[0] >> 4 != 4:
+    version_ihl, total_length, frag, proto, src, dst = _IPV4.unpack_from(buf, start)
+    if version_ihl >> 4 != 4:
         return "non_ip"
-    ihl = (data[0] & 0x0F) * 4
-    if ihl < 20 or len(data) < ihl:
+    ihl = (version_ihl & 0x0F) * 4
+    if ihl < 20 or end - start < ihl:
         return "short_header"
-    total_length = struct.unpack(">H", data[2:4])[0]
-    frag = struct.unpack(">H", data[6:8])[0]
     if frag & 0x1FFF:  # non-first fragment, no L4 header present
         return "fragment"
     if total_length == 0:
         return "zero_total_length"
-    proto = data[9]
-    src = socket.inet_ntoa(data[12:16])
-    dst = socket.inet_ntoa(data[16:20])
-    # Ethernet padding may extend past the IP datagram; the datagram may
-    # also have been cut short by the snap length.
-    l4 = data[ihl:max(ihl, min(total_length, len(data)))]
-    return _parse_l4(timestamp, src, dst, proto, l4)
+    # Ethernet padding may run past the datagram, or the snap length cut it
+    # (no min/max here or below: a builtin call costs more than a header).
+    if total_length < end - start:
+        end = start + (total_length if total_length > ihl else ihl)
+    return _parse_l4(buf, start + ihl, end, src, dst, proto)
 
 
-def _parse_ipv6(timestamp: float, data: bytes) -> RawPacket | str:
-    if len(data) < 40:
+def _parse_ipv6(buf: bytes, start: int, end: int) -> tuple | str:
+    if end - start < 40:
         return "short_header"
-    if data[0] >> 4 != 6:
+    version, payload_length, next_header, src, dst = _IPV6.unpack_from(buf, start)
+    if version >> 4 != 6:
         return "non_ip"
-    payload_length = struct.unpack(">H", data[4:6])[0]
-    next_header = data[6]
-    src = str(ipaddress.ip_address(data[8:24]))
-    dst = str(ipaddress.ip_address(data[24:40]))
-    payload = data[40:40 + min(payload_length, max(0, len(data) - 40))]
-    start = 0
+    start += 40
+    if payload_length < end - start:
+        end = start + payload_length
     while next_header in IPV6_EXTENSION_HEADERS:
-        if len(payload) < start + 8:
+        if end < start + 8:
             return "short_header"
         if next_header == IPV6_FRAGMENT:
-            if struct.unpack(">H", payload[start + 2:start + 4])[0] >> 3:
+            if _U16.unpack_from(buf, start + 2)[0] >> 3:
                 return "fragment"  # not the first: no L4 header present
             length = 8
         else:  # hop-by-hop, routing, destination options: 8-byte units past the first
-            length = (payload[start + 1] + 1) * 8
-        next_header = payload[start]
+            length = (buf[start + 1] + 1) * 8
+        next_header = buf[start]
         start += length
-    if len(payload) < start:
+    if end < start:
         return "short_header"
-    return _parse_l4(timestamp, src, dst, next_header, payload[start:])
+    return _parse_l4(buf, start, end, src, dst, next_header)
 
 
-def _parse_l4(timestamp: float, src: str, dst: str, proto: int, l4: bytes) -> RawPacket | str:
+def _parse_l4(buf: bytes, start: int, end: int, src: bytes, dst: bytes, proto: int) -> tuple | str:
     if proto == PROTO_TCP:
-        if len(l4) < 20:
+        if end - start < 20:
             return "short_header"
-        sport, dport = struct.unpack(">HH", l4[:4])
-        data_offset = (l4[12] >> 4) * 4
-        if data_offset < 20 or len(l4) < data_offset:
+        sport, dport, offset_byte = _TCP.unpack_from(buf, start)
+        data_offset = (offset_byte >> 4) * 4
+        if data_offset < 20 or end - start < data_offset:
             return "short_header"
-        return RawPacket(timestamp, src, dst, sport, dport, "TCP", l4[data_offset:])
+        return (src, dst, sport, dport, "TCP"), start + data_offset, end
     if proto == PROTO_UDP:
-        if len(l4) < 8:
+        if end - start < 8:
             return "short_header"
-        sport, dport, udp_len = struct.unpack(">HHH", l4[:6])
-        end = min(max(udp_len, 8), len(l4))
-        return RawPacket(timestamp, src, dst, sport, dport, "UDP", l4[8:end])
+        sport, dport, udp_len = _UDP.unpack_from(buf, start)
+        if udp_len < end - start:
+            end = start + (udp_len if udp_len > 8 else 8)
+        return (src, dst, sport, dport, "UDP"), start + 8, end
     return "non_tcp_udp"
 
 
@@ -314,16 +329,27 @@ def canonical_flow_key(src: str, dst: str, sport: int, dport: int, protocol) -> 
 
 
 def group_flows(packets: list[RawPacket]) -> list[FlowRecord]:
-    """Partition packets by canonical 5-tuple, first-seen flow order."""
+    """Partition packets by canonical 5-tuple: flows in first-seen order,
+    each flow's packets in timestamp order (capture order breaks ties). A
+    packet is looked up by its own 5-tuple, which a new flow enters with
+    its reply's, so canonical_flow_key runs about once per flow."""
     flows: dict[str, FlowRecord] = {}
+    by_direction: dict[tuple, FlowRecord] = {}
     for pkt in packets:
-        key = canonical_flow_key(pkt.src_addr, pkt.dst_addr, pkt.src_port, pkt.dst_port, pkt.protocol)
-        record = flows.get(key)
+        direction = (pkt.src_addr, pkt.dst_addr, pkt.src_port, pkt.dst_port, pkt.protocol)
+        record = by_direction.get(direction)
         if record is None:
-            flows[key] = record = FlowRecord(flow_id=key, packets=[])
+            key = canonical_flow_key(*direction)
+            record = flows.get(key)
+            if record is None:
+                flows[key] = record = FlowRecord(flow_id=key, packets=[])
+                src, dst, sport, dport, protocol = direction
+                by_direction[dst, src, dport, sport, protocol] = record
+            by_direction[direction] = record
         record.packets.append(pkt)
+    by_time = operator.attrgetter("timestamp")
     for record in flows.values():
-        record.packets.sort(key=lambda p: p.timestamp)  # stable: capture order breaks ties
+        record.packets.sort(key=by_time)  # stable
     return list(flows.values())
 
 
@@ -415,8 +441,9 @@ def save_flows(flows: list[FlowRecord], path: str) -> None:
 
 
 def load_flows(path: str) -> list[FlowRecord]:
-    """The flows save_flows wrote. A store whose arrays do not fit together
-    raises ValueError("bad flow store file <path>: ...")."""
+    """The flows save_flows wrote, in parse_pcap's form: the packets share
+    one object per address, port and protocol value. A store whose arrays
+    do not fit together raises ValueError("bad flow store file <path>: ...")."""
     names = ("flow_ids", "offsets", *_PACKET_ARRAYS, "payload_end", "payload")
     meta, _, arrays = nn_core.load_artifact(path, arrays=names, fields=("labels",),
                                             kind="flow store")
@@ -428,6 +455,9 @@ def load_flows(path: str) -> list[FlowRecord]:
             raise ValueError(f"arrays {({k: a.shape for k, a in arrays.items()})} do not fit")
         lists = {name: (a.astype(str) if a.dtype.kind == "S" else a).tolist()
                  for name, a in arrays.items() if name != "payload"}
+        seen: dict = {}
+        for name in ("src_addr", "dst_addr", "src_port", "dst_port", "protocol"):
+            lists[name] = [seen.setdefault(value, value) for value in lists[name]]
         data, ends, offsets = payload.tobytes(), [0] + lists["payload_end"], lists["offsets"]
         packets = [RawPacket(*fields, data[start:end]) for *fields, start, end in zip(
             *(lists[name] for name in _PACKET_ARRAYS), ends[:-1], ends[1:], strict=True)]

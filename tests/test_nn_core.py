@@ -514,6 +514,40 @@ def test_the_compiled_adam_step_is_adam_block_bit_for_bit(size, lr, t0, steps, s
                               getattr(numpy_, name).view(np.uint64)), name
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_adam_past_step_355_skips_dividing_by_corr1_and_keeps_the_out_of_place_bits():
+    """From step 356 on, corr1 = 1 - b1**t is 1.0, and both paths leave out
+    m / corr1: their steps 354-358 and 10,000-10,001 (a NaN, a subnormal,
+    zeros and huge values among the gradients) are the out-of-place
+    update's bit for bit."""
+    b1, b2, eps, lr = nn_core.ADAM_BETA1, nn_core.ADAM_BETA2, nn_core.ADAM_EPS, 1e-3
+    assert 1.0 - b1 ** 355 < 1.0 == 1.0 - b1 ** 356
+    rng = np.random.Generator(np.random.PCG64(11))
+    params = rng.normal(size=1027)
+    for path in adam_paths():
+        with adam_path(path):
+            adam = nn_core._Adam(params.copy(), np.empty(params.size),
+                                 TrainConfig(learning_rate=lr))
+        p, m, v = params.copy(), np.zeros(params.size), np.zeros(params.size)
+        try:
+            with np.errstate(all="ignore"):
+                for t in (354, 355, 356, 357, 358, 10_000, 10_001):
+                    g = rng.normal(size=params.size) * 10.0 ** rng.integers(-12, 4, params.size)
+                    g[:7] = np.nan, 5e-324, -2.5e-310, 0.0, -0.0, 1e300, -1e150
+                    adam.t, adam.grads[...] = t - 1, g
+                    adam.step()
+                    corr1, corr2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+                    m = b1 * m + (1 - b1) * g
+                    v = b2 * v + (1 - b2) * g ** 2
+                    p = p - lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
+                    for name, want in (("params", p), ("m", m), ("v", v)):
+                        assert np.array_equal(getattr(adam, name).view(np.uint64),
+                                              want.view(np.uint64)), (path, t, name)
+        finally:
+            adam.close()
+
+
 def _fresh_adam_kernel(monkeypatch, tmp, compiler=None):
     """Point _adam_kernel's memo, temp directory and, when given, its
     compiler lookup at new values for this test."""

@@ -1,12 +1,15 @@
 import csv
+import dataclasses
+import gc
 import io
 import ipaddress
 import socket
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ride import packet_ingest as pi, synth_data
 
@@ -538,3 +541,410 @@ ports = st.integers(0, 0xFFFF)
 def test_canonical_flow_key_is_the_same_in_both_directions(src, dst, sport, dport, protocol):
     assert (pi.canonical_flow_key(src, dst, sport, dport, protocol)
             == pi.canonical_flow_key(dst, src, dport, sport, protocol))
+
+
+# ------------------------------------- the parser before in-place parsing
+
+# parse_pcap and group_flows as they were before headers were read in place
+# and packets shared their fields, kept as the oracle of both: every layer
+# slices a fresh copy of the frame, and every packet decodes its own fields.
+
+def _old_parse_pcap(capture_bytes):
+    if len(capture_bytes) < 24:
+        raise pi.PcapFormatError("capture shorter than the 24-byte global header")
+    magic_be = struct.unpack(">I", capture_bytes[:4])[0]
+    magic_le = struct.unpack("<I", capture_bytes[:4])[0]
+    if magic_be == pi.PCAPNG_MAGIC:
+        raise pi.PcapFormatError("PCAPNG input detected; only classic PCAP is supported")
+    if magic_le in (pi.PCAP_MAGIC_USEC, pi.PCAP_MAGIC_NSEC):
+        endian = "<"
+        magic = magic_le
+    elif magic_be in (pi.PCAP_MAGIC_USEC, pi.PCAP_MAGIC_NSEC):
+        endian = ">"
+        magic = magic_be
+    else:
+        raise pi.PcapFormatError(f"unrecognized PCAP magic 0x{magic_be:08X}")
+    ts_scale = 1e-9 if magic == pi.PCAP_MAGIC_NSEC else 1e-6
+    _vmaj, _vmin, _zone, _sig, _snaplen, network = struct.unpack(
+        endian + "HHiIII", capture_bytes[4:24])
+    parse_frame = _OLD_FRAME_PARSERS.get(network)
+    if parse_frame is None:
+        raise pi.PcapFormatError(f"unsupported link type {network}")
+    result = pi.ParsedCapture()
+    offset = 24
+    total = len(capture_bytes)
+    while offset < total:
+        if offset + 16 > total:
+            result.n_truncated += 1
+            break
+        ts_sec, ts_frac, incl_len, _orig_len = struct.unpack(
+            endian + "IIII", capture_bytes[offset:offset + 16])
+        offset += 16
+        if offset + incl_len > total:
+            result.n_truncated += 1
+            break
+        frame = capture_bytes[offset:offset + incl_len]
+        offset += incl_len
+        packet = parse_frame(ts_sec + ts_frac * ts_scale, frame)
+        if isinstance(packet, str):
+            result.n_skipped_by_reason[packet] += 1
+        else:
+            result.packets.append(packet)
+    return result
+
+
+def _old_parse_ethernet(timestamp, frame):
+    if len(frame) < 14:
+        return "short_header"
+    ethertype = struct.unpack(">H", frame[12:14])[0]
+    start = 14
+    while ethertype in pi.VLAN_TAG_TYPES:
+        if len(frame) < start + 4:
+            return "short_header"
+        ethertype = struct.unpack(">H", frame[start + 2:start + 4])[0]
+        start += 4
+    parse_ip = _OLD_IP_BY_ETHERTYPE.get(ethertype)
+    return "non_ip" if parse_ip is None else parse_ip(timestamp, frame[start:])
+
+
+def _old_parse_sll(timestamp, frame):
+    if len(frame) < 16:
+        return "short_header"
+    parse_ip = _OLD_IP_BY_ETHERTYPE.get(struct.unpack(">H", frame[14:16])[0])
+    return "non_ip" if parse_ip is None else parse_ip(timestamp, frame[16:])
+
+
+def _old_parse_raw_ip(timestamp, frame):
+    if not frame:
+        return "short_header"
+    parse_ip = _OLD_IP_BY_VERSION.get(frame[0] >> 4)
+    return "non_ip" if parse_ip is None else parse_ip(timestamp, frame)
+
+
+def _old_parse_ipv4(timestamp, data):
+    if len(data) < 20:
+        return "short_header"
+    if data[0] >> 4 != 4:
+        return "non_ip"
+    ihl = (data[0] & 0x0F) * 4
+    if ihl < 20 or len(data) < ihl:
+        return "short_header"
+    total_length = struct.unpack(">H", data[2:4])[0]
+    frag = struct.unpack(">H", data[6:8])[0]
+    if frag & 0x1FFF:
+        return "fragment"
+    if total_length == 0:
+        return "zero_total_length"
+    proto = data[9]
+    src = socket.inet_ntoa(data[12:16])
+    dst = socket.inet_ntoa(data[16:20])
+    l4 = data[ihl:max(ihl, min(total_length, len(data)))]
+    return _old_parse_l4(timestamp, src, dst, proto, l4)
+
+
+def _old_parse_ipv6(timestamp, data):
+    if len(data) < 40:
+        return "short_header"
+    if data[0] >> 4 != 6:
+        return "non_ip"
+    payload_length = struct.unpack(">H", data[4:6])[0]
+    next_header = data[6]
+    src = str(ipaddress.ip_address(data[8:24]))
+    dst = str(ipaddress.ip_address(data[24:40]))
+    payload = data[40:40 + min(payload_length, max(0, len(data) - 40))]
+    start = 0
+    while next_header in pi.IPV6_EXTENSION_HEADERS:
+        if len(payload) < start + 8:
+            return "short_header"
+        if next_header == pi.IPV6_FRAGMENT:
+            if struct.unpack(">H", payload[start + 2:start + 4])[0] >> 3:
+                return "fragment"
+            length = 8
+        else:
+            length = (payload[start + 1] + 1) * 8
+        next_header = payload[start]
+        start += length
+    if len(payload) < start:
+        return "short_header"
+    return _old_parse_l4(timestamp, src, dst, next_header, payload[start:])
+
+
+def _old_parse_l4(timestamp, src, dst, proto, l4):
+    if proto == pi.PROTO_TCP:
+        if len(l4) < 20:
+            return "short_header"
+        sport, dport = struct.unpack(">HH", l4[:4])
+        data_offset = (l4[12] >> 4) * 4
+        if data_offset < 20 or len(l4) < data_offset:
+            return "short_header"
+        return pi.RawPacket(timestamp, src, dst, sport, dport, "TCP", l4[data_offset:])
+    if proto == pi.PROTO_UDP:
+        if len(l4) < 8:
+            return "short_header"
+        sport, dport, udp_len = struct.unpack(">HHH", l4[:6])
+        end = min(max(udp_len, 8), len(l4))
+        return pi.RawPacket(timestamp, src, dst, sport, dport, "UDP", l4[8:end])
+    return "non_tcp_udp"
+
+
+_OLD_IP_BY_ETHERTYPE = {0x0800: _old_parse_ipv4, 0x86DD: _old_parse_ipv6}
+_OLD_IP_BY_VERSION = {4: _old_parse_ipv4, 6: _old_parse_ipv6}
+_OLD_FRAME_PARSERS = {1: _old_parse_ethernet, 101: _old_parse_raw_ip, 113: _old_parse_sll}
+
+
+def _old_group_flows(packets):
+    flows = {}
+    for pkt in packets:
+        key = pi.canonical_flow_key(pkt.src_addr, pkt.dst_addr, pkt.src_port, pkt.dst_port,
+                                    pkt.protocol)
+        record = flows.get(key)
+        if record is None:
+            flows[key] = record = pi.FlowRecord(flow_id=key, packets=[])
+        record.packets.append(pkt)
+    for record in flows.values():
+        record.packets.sort(key=lambda p: p.timestamp)
+    return list(flows.values())
+
+
+def _packet_fields(packet):
+    """Every field of a packet, with the type of each."""
+    fields = (packet.timestamp, packet.src_addr, packet.dst_addr, packet.src_port,
+              packet.dst_port, packet.protocol, packet.payload)
+    return fields, tuple(type(f).__name__ for f in fields)
+
+
+def _ingested(parsed, flows):
+    return ([_packet_fields(p) for p in parsed.packets], parsed.n_skipped_by_reason,
+            parsed.n_truncated,
+            [(f.flow_id, [_packet_fields(p) for p in f.packets]) for f in flows])
+
+
+# Two hosts and two ports per side, so the drawn packets fall into flows
+# with replies.
+_V4_HOSTS = st.sampled_from(["10.0.0.1", "192.168.7.200"]).map(socket.inet_aton)
+_V6_HOSTS = st.sampled_from(["2001:db8::1", "fe80::7"]).map(
+    lambda host: socket.inet_pton(socket.AF_INET6, host))
+_FEW_PORTS = st.sampled_from([80, 50000])
+
+
+def _odd(draw) -> bool:
+    """Whether a drawn header field takes an odd value (one time in eight)."""
+    return draw(st.integers(0, 7)) == 0
+
+
+@st.composite
+def _l4_segments(draw):
+    """(IP protocol number, segment): TCP with any data offset and options
+    or payload of any length, UDP with any length field, or another
+    protocol; now and then cut anywhere."""
+    kind = draw(st.sampled_from(["TCP", "UDP", "TCP", "UDP", "other"]))
+    body = draw(st.binary(max_size=48))
+    ports = draw(_FEW_PORTS), draw(_FEW_PORTS)
+    if kind == "TCP":  # now and then a data offset below 5 words, or past the segment
+        data_offset = draw(st.integers(5, 7))
+        options = bytes(4 * (data_offset - 5))
+        if _odd(draw):
+            data_offset = draw(st.sampled_from([0, 4, 15]) | st.integers(0, 15))
+        proto, segment = 6, struct.pack(">HHIIBBHHH", *ports, 0, 0, data_offset << 4, 0x18,
+                                        8192, 0, 0) + options + body
+    elif kind == "UDP":  # a length below 8, or short of or past the segment
+        udp_len = draw(st.sampled_from([0, 7, 9 + len(body)]) | st.integers(0, 28 + len(body))) \
+            if _odd(draw) else 8 + len(body)
+        proto, segment = 17, struct.pack(">HHHH", *ports, udp_len, 0) + body
+    else:
+        proto, segment = draw(st.sampled_from([1, 47, 58]) | st.integers(0, 255)), body
+    if _odd(draw):
+        cut = st.integers(0, min(24, len(segment))) | st.integers(0, len(segment))
+        segment = segment[:draw(cut)]
+    return proto, segment
+
+
+@st.composite
+def _ipv4_datagrams(draw):
+    """An IPv4 datagram with options; now and then an odd version nibble,
+    header length, fragment field (a first or a later fragment) or total
+    length (0, below or past the frame)."""
+    proto, segment = draw(_l4_segments())
+    ihl = draw(st.integers(5, 8))
+    options = bytes(4 * (ihl - 5))
+    if _odd(draw):
+        ihl = draw(st.sampled_from([0, 4, 15]) | st.integers(0, 15))
+    length = 20 + len(options) + len(segment)
+    total_length = draw(st.sampled_from([0, 0, length + 40]) | st.integers(0, length)) \
+        if _odd(draw) else length
+    version = draw(st.sampled_from([6, 0])) if _odd(draw) else 4
+    frag = draw(st.sampled_from([0x2000, 0x4000, 0x2001, 0x1000, 100]) | st.integers(0, 0xFFFF)) \
+        if _odd(draw) else 0
+    return 0x0800, struct.pack(">BBHHHBBH4s4s", version << 4 | ihl, 0, total_length, 1, frag,
+                               64, proto, 0, draw(_V4_HOSTS), draw(_V4_HOSTS)) + options + segment
+
+
+@st.composite
+def _ipv6_datagrams(draw):
+    """An IPv6 datagram behind a chain of up to three extension headers
+    (fragment headers of first or later fragments among them); now and then
+    an odd version nibble or payload length."""
+    proto, segment = draw(_l4_segments())
+    chain = draw(st.lists(st.sampled_from([0, 43, 44, 60]), max_size=3))
+    body = segment
+    for kind, after in reversed(list(zip(chain, chain[1:] + [proto]))):
+        if kind == 44:
+            offset = draw(st.sampled_from([1, 0x1000]) | st.integers(0, 0x1FFF)) \
+                if _odd(draw) else 0
+            header = struct.pack(">BBHI", after, 0, offset << 3 | draw(st.integers(0, 1)), 7)
+        else:
+            units = draw(st.integers(0, 2))
+            header = bytes([after, units]) + bytes(6 + 8 * units)
+        body = header + body
+    payload_length = draw(st.sampled_from([0, len(body) + 30]) | st.integers(0, len(body))) \
+        if _odd(draw) else len(body)
+    version = 4 if _odd(draw) else 6
+    return 0x86DD, struct.pack(">IHBB16s16s", version << 28, payload_length,
+                               chain[0] if chain else proto, 64, draw(_V6_HOSTS),
+                               draw(_V6_HOSTS)) + body
+
+
+@st.composite
+def _frames(draw, network):
+    """A frame of link type `network`, Ethernet with up to two VLAN or QinQ
+    tags; now and then noise, a non-IP type or a frame cut anywhere."""
+    if _odd(draw):
+        return draw(st.binary(max_size=60))
+    ethertype, datagram = draw(_ipv4_datagrams() | _ipv6_datagrams())
+    if _odd(draw):
+        ethertype = draw(st.sampled_from([0x0806, 0x86DD, 0x0800]))
+    if network == 1:
+        tags = b"".join(struct.pack(">HH", tag, 100) for tag in draw(
+            st.lists(st.sampled_from(pi.VLAN_TAG_TYPES), max_size=2)))
+        frame = b"\xaa" * 6 + b"\xbb" * 6 + tags + struct.pack(">H", ethertype) + datagram
+    elif network == 113:
+        frame = sll(datagram, protocol=ethertype)
+    else:
+        frame = datagram
+    if _odd(draw):  # mostly within the headers
+        frame = frame[:draw(st.integers(0, min(100, len(frame))) | st.integers(0, len(frame)))]
+    return frame
+
+
+@st.composite
+def _captures(draw):
+    """A capture of either endianness and timestamp magic on any handled
+    link type, whose timestamps tie now and then, ending whole, in a cut
+    record header or in a record body cut short."""
+    endian, nsec = draw(st.sampled_from("<>")), draw(st.booleans())
+    network = draw(st.sampled_from(sorted(LINK_FRAMINGS)))
+    frames = draw(st.lists(_frames(network), max_size=24))
+    records = b"".join(record(frame, draw(st.integers(0, 3)), draw(st.integers(0, 999_999)),
+                              endian) for frame in frames)
+    tail = draw(st.sampled_from([b"", b"\x01" * 7])
+                | st.builds(lambda frame: record(frame, endian=endian, incl=len(frame) + 5),
+                            st.binary(max_size=30)))
+    return global_header(endian, nsec, network) + records + tail
+
+
+@settings(max_examples=300)
+@given(capture=_captures())
+def test_in_place_ingest_gives_the_packets_skips_and_flows_of_the_old_parser(capture):
+    parsed = pi.parse_pcap(capture)
+    old = _old_parse_pcap(capture)
+    got = _ingested(parsed, pi.group_flows(parsed.packets))
+    assert got == _ingested(old, _old_group_flows(old.packets))
+    assert all(type(p.payload) is bytes for p in parsed.packets)
+
+
+@settings(max_examples=200)
+@given(packets=st.lists(st.builds(
+    pi.RawPacket, st.sampled_from([0.0, 1.0, 2.5]), st.sampled_from(["10.0.0.1", "10.0.0.2"]),
+    st.sampled_from(["10.0.0.1", "10.0.0.2"]), _FEW_PORTS, _FEW_PORTS,
+    st.sampled_from(["TCP", "UDP", "tcp", 6]), st.binary(max_size=2)), max_size=30))
+def test_group_flows_gives_the_old_flows_of_packets_and_their_replies(packets):
+    """Few endpoints, so flows meet their replies; protocols given as the
+    truth CSV may give them, which canonical_flow_key reads alike."""
+    assert (_ingested(pi.ParsedCapture(), pi.group_flows(packets))
+            == _ingested(pi.ParsedCapture(), _old_group_flows(packets)))
+
+
+def test_a_header_cut_by_its_frame_end_is_not_read_on_into_the_next_record():
+    """Each frame ends inside a header and is followed by a whole one, whose
+    record header and bytes an in-place read past the frame would take in."""
+    good = eth(ipv4(tcp(b"ok")))
+    cut = [
+        eth(ipv4(tcp(b"")))[:13],                                   # Ethernet
+        eth(b"\x00\x01", ethertype=0x8100),                          # VLAN tag
+        eth(struct.pack(">HH", 100, 0x8100) + b"\x00", ethertype=0x88A8),  # inner tag
+        eth(ipv4(b""))[:33],                                        # IPv4
+        eth(b"\x46" + ipv4(b"")[1:]),                                # IPv4 options
+        eth(ipv4(tcp(b"")[:19])),                                   # TCP
+        eth(ipv4(tcp(b"", data_offset=6)[:20])),                    # TCP options
+        eth(ipv4(udp(b"")[:7], proto=17)),                          # UDP
+        ipv6(6, b"")[:53],                                          # IPv6
+        ipv6(60, options_header(6)[:5]),                            # extension header
+        ipv6(0, options_header(58, units=1)[:12]),                  # ...then ICMPv6
+        ipv6(43, options_header(17, units=1), payload_length=8),    # ...cut by its length
+    ]
+    cap = pi.parse_pcap(global_header() + b"".join(record(f) + record(good) for f in cut))
+    assert cap.n_skipped_by_reason == dict(dict.fromkeys(pi.SKIP_REASONS, 0),
+                                           short_header=len(cut))
+    assert [p.payload for p in cap.packets] == [b"ok"] * len(cut)
+    for frame in cut:  # last in the capture, where a read past the frame would raise
+        assert pi.parse_pcap(global_header() + record(frame)).n_skipped_by_reason == dict(
+            dict.fromkeys(pi.SKIP_REASONS, 0), short_header=1)
+    sll_cut = [sll(ipv4(b""))[:15], sll(ipv4(tcp(b"")))[:30]]
+    cap = pi.parse_pcap(global_header(network=113) + b"".join(
+        record(f) + record(sll(ipv4(tcp(b"ok")))) for f in sll_cut))
+    assert cap.n_skipped == cap.n_skipped_by_reason["short_header"] == 2
+    assert len(cap.packets) == 2
+
+
+def test_a_fragment_offset_of_one_unit_is_a_later_fragment():
+    frames = [eth(ipv4(b"\xff" * 30, frag=1)), ipv6(44, fragment_header(6, offset=1) + tcp(b""))]
+    cap = pi.parse_pcap(global_header() + b"".join(map(record, frames)))
+    assert cap.packets == [] and cap.n_skipped_by_reason["fragment"] == 2
+
+
+def test_in_place_ingest_gives_the_old_parsers_flows_on_the_fixture():
+    pcap, _ = synth_data.generate(synth_data.default_fixture(seed=7))
+    parsed, old = pi.parse_pcap(pcap), _old_parse_pcap(pcap)
+    assert len(parsed.packets) == 2009
+    assert (_ingested(parsed, pi.group_flows(parsed.packets))
+            == _ingested(old, _old_group_flows(old.packets)))
+
+
+def test_a_bytearray_or_memoryview_capture_gives_the_packets_of_its_bytes():
+    pcap, _ = synth_data.generate(dataclasses.replace(synth_data.default_fixture(seed=5),
+                                                      n_flows=30))
+    pcap += record(eth(ipv4(b"\x00" * 8, proto=1))) + b"\x00" * 9  # a skip, a cut header
+    want = pi.parse_pcap(pcap)
+    assert want.n_skipped == 1 and want.n_truncated == 1
+    for buffer in (bytearray(pcap), memoryview(pcap), memoryview(bytearray(pcap))):
+        got = pi.parse_pcap(buffer)
+        assert _ingested(got, []) == _ingested(want, [])
+
+
+def test_the_packets_of_a_5_tuple_share_their_field_objects(tmp_path):
+    pcap, _ = synth_data.generate(synth_data.default_fixture(seed=7))
+    flows = pi.group_flows(pi.parse_pcap(pcap).packets)
+    pi.save_flows(flows, str(tmp_path / "flows.npz"))
+    for flows in (flows, pi.load_flows(str(tmp_path / "flows.npz"))):
+        objects = {}
+        for pkt in (pkt for flow in flows for pkt in flow.packets):
+            for value in (pkt.src_addr, pkt.dst_addr, pkt.src_port, pkt.dst_port, pkt.protocol):
+                assert objects.setdefault((type(value), value), value) is value
+
+
+def test_an_ingested_capture_holds_each_packet_once():
+    """The flows of a default-shaped capture hold under 350 bytes per packet
+    (tracemalloc): the payload, the packet itself, its timestamp and its
+    share of its flow, under 120 bytes of payload on average."""
+    pcap, _ = synth_data.generate(synth_data.default_fixture(seed=7))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        flows = pi.group_flows(pi.parse_pcap(pcap).packets)
+        gc.collect()  # and drop the interpreter's free lists, which tracemalloc counts
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    n_packets = sum(len(flow.packets) for flow in flows)
+    assert sum(len(p.payload) for flow in flows for p in flow.packets) < 120 * n_packets
+    assert held < 350 * n_packets

@@ -16,12 +16,15 @@ its own run's detector, one flow at a time as a deployment does
 a wide one whose attack payloads run to 1,400 bytes, so its packets also
 meet the encoder columns past the training rows' live width. The two
 sides' flow embeddings are compared byte for byte, and so are the
-encoder weights each side's load_bundle gives.
+encoder weights each side's load_bundle gives, and what each side's
+ingest (parse_pcap + group_flows) makes of the two captures: the skip
+counts by reason, n_truncated, and the flows in order, each with its id
+and its packets in order, every field of each.
 
-Exit status: 0 when report.json, report.md, the served embeddings and
-the loaded encoder weights match in every run (other files may still
-differ: read the listing), 1 when any of them differs, 2 when a run
-fails.
+Exit status: 0 when report.json, report.md, the served embeddings, the
+loaded encoder weights and the ingested flows match in every run (other
+files may still differ: read the listing), 1 when any of them differs,
+2 when a run fails.
 """
 from __future__ import annotations
 
@@ -41,11 +44,12 @@ SERVE_SEED_OFFSET = 1000
 # What the serving step writes, by the suffix of its dump file.
 SERVED = {"default": "served embeddings (default-shaped capture)",
           "wide": "served embeddings (wide capture)",
-          "encoder": "loaded encoder weights"}
+          "encoder": "loaded encoder weights",
+          "ingest": "ingested flows"}
 # Loads the detector in run dir argv[1], writes its encoder weights' bytes
 # to argv[3] + ".encoder", and serves the captures of synth seed argv[2]
 # one flow at a time, writing the flow embeddings' bytes to argv[3] +
-# ".default" and ".wide".
+# ".default" and ".wide" and the repr of both ingests to argv[3] + ".ingest".
 SERVE = """
 import dataclasses, os, sys
 import numpy as np
@@ -60,12 +64,19 @@ default = synth_data.default_fixture(seed=seed)
 benign, attack = default.class_profiles
 wide = dataclasses.replace(default, class_profiles=[
     benign, dataclasses.replace(attack, payload_len=(40, 1400))])
+ingested = []
 for name, spec in (("default", default), ("wide", wide)):
     pcap, _truth = synth_data.generate(spec)
-    flows = packet_ingest.group_flows(packet_ingest.parse_pcap(pcap).packets)
+    parsed = packet_ingest.parse_pcap(pcap)
+    flows = packet_ingest.group_flows(parsed.packets)
+    ingested.append((parsed.n_skipped_by_reason, parsed.n_truncated, [(f.flow_id, [(
+        p.timestamp, p.src_addr, p.dst_addr, p.src_port, p.dst_port, p.protocol, p.payload)
+        for p in f.packets]) for f in flows]))
     with open(out + "." + name, "wb") as fh:
         fh.write(np.stack([flow_embedder.embed_flow(rae, flow_embedder.encode_flows(
             bundle, [f])[0]).values for f in flows]).tobytes())
+with open(out + ".ingest", "w") as fh:
+    fh.write(repr(ingested))
 """
 
 
@@ -133,8 +144,8 @@ def main(argv: list[str]) -> int:
     if reports_differ:
         print("report.json or report.md differs", file=sys.stderr)
     if serving_differs:
-        print("the served flow embeddings or the loaded encoder weights differ",
-              file=sys.stderr)
+        print("the served flow embeddings, the loaded encoder weights or the ingested flows "
+              "differ", file=sys.stderr)
     return 1 if reports_differ or serving_differs else 0
 
 
