@@ -184,13 +184,11 @@ def _activation_grad(name: str, z: np.ndarray, a: np.ndarray, da: np.ndarray) ->
 CHUNK = 256
 
 
-def live_width(x: np.ndarray, width: int | None = None) -> int:
+def live_width(x: np.ndarray) -> int:
     """The columns of x up to the end of the CHUNK-column chunk holding its
-    last nonzero column, at most `width` (x's width by default); 0 when x
-    is all zero."""
+    last nonzero column, at most x's width; 0 when x is all zero."""
     cols = np.flatnonzero(x.any(axis=0))
-    width = x.shape[1] if width is None else width
-    return 0 if cols.size == 0 else min(width, (int(cols[-1]) // CHUNK + 1) * CHUNK)
+    return 0 if cols.size == 0 else min(x.shape[1], (int(cols[-1]) // CHUNK + 1) * CHUNK)
 
 
 def chunked_affine(x: np.ndarray, wT: np.ndarray, b: np.ndarray,
@@ -276,15 +274,11 @@ def affine_into(layer: Layer, x: np.ndarray, out: np.ndarray | None = None) -> n
 
 def _forward_trace(net: DenseNet, x: np.ndarray):
     """Forward pass keeping pre-activations and activations per layer, for
-    _backward. A layer 0 stored transposed gets the batch cut at its own
-    live_width, so its product skips the chunks that are zero in every row
-    of the batch; acts[0] stays the whole batch."""
+    _backward."""
     zs, acts = [], [x]
     for k, layer in enumerate(net.layers):
         a = acts[-1]
         _check_width(k, layer, a.shape[-1])
-        if not k and stored_transposed(layer):
-            a = a[:, :live_width(a)]
         zs.append(_product(layer, a))
         acts.append(apply_activation(layer.activation, zs[-1]))
     return zs, acts
@@ -370,12 +364,9 @@ def _loss_value_and_grad(loss: str, pred: np.ndarray, target):
 def _backward(net: DenseNet, x: np.ndarray, target, loss: str, grads) -> float:
     """Loss value; the gradient of layer k's weight matrix and bias vector
     is written into the arrays grads[k] = (dw, db). The gradient with
-    respect to the input is never formed: nothing reads it.
-
-    A dw narrower than the layer's input receives the gradient of its first
-    dw.shape[1] columns only (the live columns of a zero-padded input; the
-    others' gradient is zero). A dw that is not C-contiguous is the
-    transpose of a C-contiguous array, whose rows are filled in place.
+    respect to the input is never formed: nothing reads it. A dw that is
+    not C-contiguous is the transpose of a C-contiguous array, whose rows
+    are filled in place.
     """
     zs, acts = _forward_trace(net, x)
     value, da = _loss_value_and_grad(loss, acts[-1], target)
@@ -383,7 +374,7 @@ def _backward(net: DenseNet, x: np.ndarray, target, loss: str, grads) -> float:
         layer = net.layers[k]
         dz = _activation_grad(layer.activation, zs[k], acts[k + 1], da)
         dw, db = grads[k]
-        a = acts[k][:, :dw.shape[1]]
+        a = acts[k]
         if dw.flags.c_contiguous:
             np.matmul(dz.T, a, out=dw)
         else:
@@ -409,21 +400,16 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _flat_views(buf: np.ndarray, layers: list[Layer],
-                transpose_first: bool = False) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(w, b) views into buf, one pair per layer, laid out w0 b0 w1 b1 ...
-
-    With transpose_first, w0 is stored at the end of buf instead, as the
-    row-major w0.T, so the rows of w0.T (columns of w0) from any point on
-    are one range at buf's tail.
-    """
+def _flat_views(buf: np.ndarray, layers: list[Layer]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(w, b) views into buf, one pair per layer, laid out w0 b0 w1 b1 ...;
+    a w stored transposed (stored_transposed) is viewed as the transpose of
+    a row-major block, so it keeps that layout."""
     views, off = [], 0
-    for k, layer in enumerate(layers):
-        if k == 0 and transpose_first:
-            w = buf[buf.size - layer.w.size:].reshape(layer.w.shape[::-1]).T
-        else:
-            w = buf[off:off + layer.w.size].reshape(layer.w.shape)
-            off += layer.w.size
+    for layer in layers:
+        w = buf[off:off + layer.w.size]
+        w = (w.reshape(layer.w.shape[::-1]).T if stored_transposed(layer)
+             else w.reshape(layer.w.shape))
+        off += layer.w.size
         views.append((w, buf[off:off + layer.b.size]))
         off += layer.b.size
     return views
@@ -645,16 +631,11 @@ def train(net: DenseNet, x, targets, loss: str, cfg: TrainConfig):
     update m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2,
     w -= lr*(m/corr1) / (sqrt(v/corr2) + eps).
 
-    When x ends in all-zero chunks (zero padding: live_width(x) is below
-    the net's input width), layer 0 is stored transposed, so its forward
-    product runs through chunked_affine on each batch cut at the batch's
-    own live width (see _forward_trace), and the weights on the dead
-    columns form the tail of the buffer. Their gradient is exactly zero at
-    every step, so no step computes, reads or updates them: they keep
-    their initial values, as the full update would leave them. x may
-    therefore stop at its live width: its missing columns count as zeros,
-    and so do those of an mse target narrower than the net's output. Both
-    give the weights and history of the zero-padded arrays, bit for bit.
+    Each layer keeps the memory layout it has in net: one stored
+    transposed (stored_transposed) stays so, in the buffer and in the
+    returned net. x must be as wide as the net's input. An mse target may
+    be narrower than its output: the missing columns count as zeros, and
+    give the weights and history of the zero-padded target, bit for bit.
 
     The caller's net is copied into the buffer and not referenced after,
     so a net built in the call's argument list is freed at that point.
@@ -665,8 +646,8 @@ def train(net: DenseNet, x, targets, loss: str, cfg: TrainConfig):
     n = x.shape[0]
     if n == 0:
         raise ValueError("empty training set")
-    if x.shape[1] > net.input_dim:
-        raise ValueError(f"data dim {x.shape[1]} > net input dim {net.input_dim}")
+    if x.shape[1] != net.input_dim:
+        raise ValueError(f"data dim {x.shape[1]} != net input dim {net.input_dim}")
     if loss == "mse":
         targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
         if targets.shape[0] != n or targets.shape[1] > net.output_dim:
@@ -675,20 +656,13 @@ def train(net: DenseNet, x, targets, loss: str, cfg: TrainConfig):
     else:
         targets = np.atleast_1d(np.asarray(targets)).astype(int)
 
-    live = live_width(x)
-    padded = live < net.input_dim
     size = sum(l.w.size + l.b.size for l in net.layers)
     params, grads = np.empty(size), np.empty(size)
-    views = _flat_views(params, net.layers, padded)
+    views = _flat_views(params, net.layers)
     for k, (w, b) in enumerate(views):
         w[...], b[...] = net.layers[k].w, net.layers[k].b
     net = DenseNet([Layer(w, b, l.activation) for l, (w, b) in zip(net.layers, views)])
-    grad_views = _flat_views(grads, net.layers, padded)
-    if padded:  # only the live columns' gradient is ever written or read
-        dw0, db0 = grad_views[0]
-        grad_views[0] = (dw0[:, :live], db0)
-        size -= (net.input_dim - live) * net.layers[0].w.shape[0]
-    params, grads = params[:size], grads[:size]
+    grad_views = _flat_views(grads, net.layers)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     adam = _Adam(params, grads, cfg)
 

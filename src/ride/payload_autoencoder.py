@@ -73,13 +73,16 @@ def train_autoencoder(
     the full input batch (scaled space), even when training ran on a
     capped subsample. payloads is a matrix of raw 0-255 rows, such as
     packet_ingest.payload_matrix's uint8 one: only the training rows are
-    scaled, and only up to their live width (nn_core.live_width),
-    into the one float64 copy that training reads as input and as target;
-    the columns past it are zeros, which nn_core.train counts without
-    holding them. That copy is dropped before the error is measured,
-    one block of rows at a time (reconstruction_error). The bundle keeps
-    that live width as live_input_width, which save_bundle stores and cuts
-    layer 0 at.
+    scaled, and only up to their live width (nn_core.live_width), into the
+    one float64 copy that training reads as input and as target; the
+    target's columns past it are zeros, which nn_core.train counts without
+    holding them. nn_core.train trains the net _live_net builds, whose
+    layer 0 keeps only those live columns; the untouched columns past them
+    are then drawn again from the seed (_with_untrained_columns, as
+    load_bundle draws them). The scaled copy is dropped before the error
+    is measured, one block of rows at a time (reconstruction_error). The
+    bundle keeps that live width as live_input_width, which save_bundle
+    stores and cuts layer 0 at.
     """
     cfg = cfg or TrainConfig()
     rows = training_rows(np.atleast_2d(payloads), sample_cap, cfg.seed)
@@ -94,14 +97,29 @@ def train_autoencoder(
     live = nn_core.live_width(rows)
     train_x = _scaled(rows[:, :live])
     del rows
-    trained, history = nn_core.train(
-        nn_core.init_dense_net([n_p, h, n_b, h, n_p], ["relu", "sigmoid", "relu", "sigmoid"],
-                               seed=cfg.seed),
-        train_x, train_x, "mse", cfg)
+    trained, history = nn_core.train(_live_net(n_p, h, n_b, live, cfg.seed),
+                                     train_x, train_x, "mse", cfg)
     del train_x
+    if live < n_p:
+        first, *rest = trained.layers
+        trained = DenseNet([_with_untrained_columns(first, n_p, cfg.seed), *rest])
     return AutoencoderBundle(encoder=DenseNet(trained.layers[:2]), n_p=n_p, n_b=n_b, h=h,
                              final_train_mse=reconstruction_error(trained, payloads),
                              seed=cfg.seed, loss_curve=history, live_input_width=live)
+
+
+def _live_net(n_p: int, h: int, n_b: int, live: int, seed: int) -> DenseNet:
+    """The untrained autoencoder n_p -> h -> n_b -> h -> n_p as
+    init_dense_net draws it with seed, but for layer 0 when live < n_p:
+    that keeps only its first live columns, stored transposed, so it runs
+    through nn_core.chunked_affine and takes rows cut at live."""
+    net = nn_core.init_dense_net([n_p, h, n_b, h, n_p], ["relu", "sigmoid", "relu", "sigmoid"],
+                                 seed=seed)
+    if live == n_p:
+        return net
+    first = net.layers[0]
+    w = np.ascontiguousarray(first.w[:, :live].T).T
+    return DenseNet([nn_core.Layer(w, first.b, first.activation), *net.layers[1:]])
 
 
 def encode_matrix(bundle: AutoencoderBundle, x_raw: np.ndarray) -> np.ndarray:
@@ -125,8 +143,8 @@ def reconstruction_error(net: DenseNet, payloads) -> float:
     of even size (np.array_split, so no block is a short tail; a batch of
     at most ERROR_BLOCK rows is one block), and the mean is taken over
     the n row sums of squared errors. With layer 0 stored transposed (as
-    training stores it when the rows end in zero padding), only a block's
-    own live width is scaled and multiplied, and the error is formed in
+    train_autoencoder stores it when its rows end in zero padding), only a
+    block's own live width is scaled and multiplied, and the error is formed in
     the output: x is subtracted from its live columns (past them x is 0,
     and pred - 0 is pred bit for bit), then squared in place. Each row's
     sum is thus that of loss_mse on the full-width rows, but for BLAS: it
@@ -202,7 +220,17 @@ def load_bundle(path: str) -> AutoencoderBundle:
     encoder = nets["encoder"]
     with nn_core.file_errors(path, "model"):
         if "untrained_crc32" in meta:
-            encoder = _with_untrained_columns(encoder, meta)
+            first = encoder.layers[0]
+            stored, n_p = first.w.shape[1], meta["n_p"]
+            if stored != meta["live_input_width"] or not (type(n_p) is int and n_p > stored):
+                raise ValueError(f"encoder.w0 has {stored} columns, for live_input_width "
+                                 f"{meta['live_input_width']!r} of n_p {n_p!r}")
+            first = _with_untrained_columns(first, n_p, meta["seed"])
+            if zlib.crc32(first.w.T[stored:]) != meta["untrained_crc32"]:
+                raise ValueError(f"encoder.w0's columns from {stored} on do not draw again "
+                                 f"from seed {meta['seed']!r}: their CRC-32 is not "
+                                 "untrained_crc32")
+            encoder = DenseNet([first, *encoder.layers[1:]])
         live = meta.get("live_input_width")
         if live is not None and not (type(live) is int and 0 <= live <= encoder.input_dim):
             raise ValueError(f"live_input_width {live!r} is not a width of layer 0")
@@ -212,20 +240,13 @@ def load_bundle(path: str) -> AutoencoderBundle:
                              loss_curve=meta.get("loss_curve", []), live_input_width=live)
 
 
-def _with_untrained_columns(encoder: DenseNet, meta: dict) -> DenseNet:
-    """encoder with layer 0 widened from its stored live_input_width
-    columns to n_p, the new columns drawn as init_dense_net draws them."""
-    first = encoder.layers[0]
+def _with_untrained_columns(first: nn_core.Layer, n_p: int, seed: int) -> nn_core.Layer:
+    """first, a layer 0 of the first live columns, widened to n_p and
+    stored transposed: the new columns drawn as init_dense_net draws them
+    with seed, straight into the rows of a new w0.T."""
     h, live = first.w.shape
-    n_p = meta["n_p"]
-    if live != meta["live_input_width"] or not (type(n_p) is int and n_p > live):
-        raise ValueError(f"encoder.w0 has {live} columns, for live_input_width "
-                         f"{meta['live_input_width']!r} of n_p {n_p!r}")
     w_t = np.empty((n_p, h))
     w_t[:live] = first.w.T
-    for lo, rows in nn_core.initial_first_layer(meta["seed"], n_p, h):
+    for lo, rows in nn_core.initial_first_layer(seed, n_p, h):
         w_t[live:, lo:lo + len(rows)] = rows[:, live:].T
-    if zlib.crc32(w_t[live:]) != meta["untrained_crc32"]:
-        raise ValueError(f"encoder.w0's columns from {live} on do not draw again from "
-                         f"seed {meta['seed']!r}: their CRC-32 is not untrained_crc32")
-    return DenseNet([nn_core.Layer(w_t.T, first.b, first.activation), *encoder.layers[1:]])
+    return nn_core.Layer(w_t.T, first.b, first.activation)

@@ -374,22 +374,6 @@ def padded_training_runs(draw, n_in, width_max, min_batch_rows):
     return net, x, targets, loss, cfg
 
 
-@settings(max_examples=12)
-@given(run=padded_training_runs(n_in=1500, width_max=256, min_batch_rows=2))
-def test_padded_training_matches_the_out_of_place_loop_bit_for_bit(run):
-    net, x, targets, loss, cfg = run
-    with np.errstate(all="ignore"):
-        expected, batches = _reference_train(net, x, targets, loss, cfg)
-        for adam in adam_paths():
-            with adam_path(adam):
-                trained, history = train(net, x, targets, loss, cfg)
-            assert not trained.layers[0].w.flags.c_contiguous  # layer 0 stored transposed
-            _assert_same_weights(trained, expected)
-            n = x.shape[0]
-            assert history == [sum(value * size for value, size in epoch) / n
-                               for epoch in batches]
-
-
 class _SizedAdam(nn_core._Adam):
     """_Adam that records the size of every parameter range it updates."""
     sizes: list[int] = []
@@ -399,24 +383,40 @@ class _SizedAdam(nn_core._Adam):
         super().__init__(params, grads, cfg)
 
 
+def _transposed(net):
+    """net with layer 0 stored transposed, as train_autoencoder builds it
+    when its rows end in zero padding."""
+    first = net.layers[0]
+    return DenseNet([Layer(np.asfortranarray(first.w), first.b, first.activation)]
+                    + net.layers[1:])
+
+
 @settings(max_examples=15)
-@given(run=padded_training_runs(n_in=700, width_max=512, min_batch_rows=1))
-def test_padded_training_never_updates_the_dead_columns(run):
+@given(run=padded_training_runs(n_in=700, width_max=512, min_batch_rows=2),
+       layout=st.sampled_from(["C", "F"]))
+def test_a_zero_padded_x_trains_every_parameter_in_the_layout_given(run, layout):
+    """train() reads nothing into an x that ends in all-zero chunks: layer 0
+    keeps the layout it was given, Adam updates every parameter, the
+    weights are the out-of-place loop's, and an x narrower than the net's
+    input is refused, cut at its live width or not."""
     net, x, targets, loss, cfg = run
+    net = _transposed(net) if layout == "F" else net
+    live = nn_core.live_width(x)
+    assert live < 700
     with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
         mp.setattr(_SizedAdam, "sizes", [])
         mp.setattr(nn_core, "_Adam", _SizedAdam)
-        first, history = train(net, x, targets, loss, cfg)
-        second, history2 = train(net, x, targets, loss, cfg)
+        trained, history = train(net, x, targets, loss, cfg)
         sizes = _SizedAdam.sizes
-    live = nn_core.live_width(x)
-    assert live < 700
-    w0 = net.layers[0].w
-    assert np.array_equal(first.layers[0].w[:, live:], w0[:, live:])
-    _assert_same_weights(first, second)
-    assert history == history2
-    n_params = sum(l.w.size + l.b.size for l in net.layers)
-    assert sizes == [n_params - (700 - live) * w0.shape[0]] * 2
+        expected, batches = _reference_train(net, x, targets, loss, cfg)
+        for width in (live, 699):
+            with pytest.raises(ValueError, match=f"data dim {width} != net input dim 700"):
+                train(net, x[:, :width], targets, loss, cfg)
+    assert nn_core.stored_transposed(trained.layers[0]) == (layout == "F")
+    assert sizes == [sum(l.w.size + l.b.size for l in net.layers)]
+    _assert_same_weights(trained, expected)
+    assert history == [sum(value * size for value, size in epoch) / x.shape[0]
+                       for epoch in batches]
 
 
 class _CountingPool(nn_core.ThreadPoolExecutor):
@@ -908,12 +908,12 @@ def test_activation_into_out_equals_the_new_array(name):
     assert np.array_equal(nn_core.apply_activation(name, z, out=z), want)  # in place
 
 
-@pytest.mark.parametrize("n_in,h,width", [(24, 16, 24), (1500, 512, 40)])
+@pytest.mark.parametrize("n_in,h,width", [(24, 16, 24)])
 def test_autoencoder_training_matches_the_loop_with_the_masked_sigmoid(n_in, h, width):
     """train() on a small payload autoencoder (relu, sigmoid, relu, sigmoid)
-    gives the weights of the out-of-place loop run with the masked sigmoid,
-    unpadded, and padded at the encoder's layer-0 shape (see
-    test_chunked_affine_equals_the_full_product_within_one_chunk)."""
+    gives the weights of the out-of-place loop run with the masked sigmoid.
+    test_payload_autoencoder runs the padded case through
+    train_autoencoder."""
     x = _padded_rows(20, n_in, width, seed=9)
     net = init_dense_net([n_in, h, 4, 16, n_in], ["relu", "sigmoid", "relu", "sigmoid"],
                          seed=9)
@@ -922,7 +922,7 @@ def test_autoencoder_training_matches_the_loop_with_the_masked_sigmoid(n_in, h, 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nn_core, "apply_activation", _masked_activation)
         expected, batches = _reference_train(net, x, x, "mse", cfg)
-    assert nn_core.stored_transposed(trained.layers[0]) == (width < n_in)
+    assert not nn_core.stored_transposed(trained.layers[0])
     _assert_same_weights(trained, expected)
     assert history == [sum(value * size for value, size in epoch) / 20 for epoch in batches]
 
@@ -967,24 +967,3 @@ def test_a_narrow_mse_target_counts_as_zero_padded_bit_for_bit(pred, width_frac,
         want_grad = 2.0 * (pred - padded) / n
     assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
     assert grad.tobytes() == want_grad.tobytes()
-
-
-@settings(max_examples=12)
-@given(run=padded_training_runs(n_in=700, width_max=512, min_batch_rows=1),
-       autoencoder=st.booleans())
-def test_training_on_the_live_width_equals_the_padded_batch_bit_for_bit(run, autoencoder):
-    """train() on x cut at live_width(x), as train_autoencoder passes it,
-    gives the weights and history of the zero-padded x; so does an mse
-    target cut the same way (the autoencoder's target is its input)."""
-    net, x, targets, loss, cfg = run
-    if autoencoder:
-        net = init_dense_net([700, 16, 4, 16, 700], ["relu", "sigmoid", "relu", "sigmoid"],
-                             seed=cfg.seed)
-        targets, loss = x, "mse"
-    live = nn_core.live_width(x)
-    narrow = x[:, :live]
-    with np.errstate(all="ignore"):
-        trained, history = train(net, narrow, narrow if autoencoder else targets, loss, cfg)
-        expected, want = train(net, x, targets, loss, cfg)
-    _assert_same_weights(trained, expected)
-    assert history == want

@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from ride import nn_core, payload_autoencoder as pa
 from ride.nn_core import DenseNet, TrainConfig
+from test_nn_core import (_SizedAdam, _assert_same_weights, _masked_activation, _reference_train,
+                          _transposed, adam_path, adam_paths)
 
 
 def _payloads(n, n_p, seed=0):
@@ -145,12 +147,144 @@ def test_training_holds_at_most_three_float64_copies_of_the_batch(monkeypatch):
     assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
 
 
-def _transposed(net: DenseNet) -> DenseNet:
-    """net with layer 0 stored transposed, as training stores it when its
-    input ends in zero padding."""
-    first = net.layers[0]
-    return DenseNet([nn_core.Layer(np.asfortranarray(first.w), first.b, first.activation)]
-                    + net.layers[1:])
+def _padded_payloads(n, n_p, width, seed):
+    """n uint8 rows of n_p bytes, random in the first `width` columns and
+    zero after; column width - 1 is nonzero in row 0."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x = np.zeros((n, n_p), dtype=np.uint8)
+    x[:, :width] = rng.integers(0, 256, size=(n, width))
+    if width:
+        x[0, width - 1] = 255
+    return x
+
+
+@st.composite
+def padded_payload_runs(draw, n_p, width_max, min_batch_rows):
+    """Payloads n_p wide that are zero past their first width columns (at
+    most width_max), a bottleneck width and a TrainConfig whose batches all
+    have at least min_batch_rows rows."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    batch = draw(st.integers(max(1, min_batch_rows), 6))
+    n = draw(st.integers(max(2, min_batch_rows), 12).filter(
+        lambda n: n % batch == 0 or n % batch >= min_batch_rows))
+    payloads = _padded_payloads(n, n_p, draw(st.integers(0, width_max)), seed)
+    cfg = TrainConfig(learning_rate=draw(st.sampled_from([1e-3, 1e-2, 1e-1])),
+                      batch_size=batch, epochs=draw(st.integers(1, 2)), seed=seed)
+    return payloads, draw(st.integers(2, 5)), cfg
+
+
+def _autoencoder(n_p, h, n_b, seed):
+    """The full-width net train_autoencoder starts from, in C order."""
+    return nn_core.init_dense_net([n_p, h, n_b, h, n_p], ["relu", "sigmoid", "relu", "sigmoid"],
+                                  seed=seed)
+
+
+def _spy_train(monkeypatch):
+    """Record the net each nn_core.train call returns."""
+    trained = []
+    original = nn_core.train
+
+    def spy(*args):
+        net, history = original(*args)
+        trained.append(net)
+        return net, history
+    monkeypatch.setattr(nn_core, "train", spy)
+    return trained
+
+
+def _assert_trained_as(bundle, trained, expected):
+    """bundle's encoder, and the net nn_core.train returned, are those of
+    expected, a full-width autoencoder: trained's layer 0 is expected's up
+    to live_input_width, the encoder's all of it."""
+    live = bundle.live_input_width
+    assert trained.layers[0].w.shape[1] == live
+    assert np.array_equal(trained.layers[0].w, expected.layers[0].w[:, :live])
+    _assert_same_weights(DenseNet(trained.layers[1:]), DenseNet(expected.layers[1:]))
+    _assert_same_weights(bundle.encoder, DenseNet(expected.layers[:2]))
+
+
+@settings(max_examples=12)
+@given(run=padded_payload_runs(n_p=1500, width_max=256, min_batch_rows=2))
+def test_padded_training_matches_the_out_of_place_loop_bit_for_bit(run):
+    """train_autoencoder on payloads of one live chunk gives the weights
+    and history of the out-of-place loop on the zero-padded full-width net
+    (at the encoder's layer-0 shape, see test_nn_core's
+    test_chunked_affine_equals_the_full_product_within_one_chunk)."""
+    payloads, n_b, cfg = run
+    x = pa._scaled(payloads)
+    with np.errstate(all="ignore"):
+        expected, batches = _reference_train(_autoencoder(1500, 512, n_b, cfg.seed), x, x,
+                                             "mse", cfg)
+        for adam in adam_paths():
+            with pytest.MonkeyPatch.context() as mp, adam_path(adam):
+                trained = _spy_train(mp)
+                bundle = pa.train_autoencoder(payloads, n_b=n_b, h=512, cfg=cfg)
+            assert nn_core.stored_transposed(bundle.encoder.layers[0])
+            _assert_trained_as(bundle, trained[0], expected)
+            assert bundle.loss_curve == [sum(value * size for value, size in epoch) / len(x)
+                                         for epoch in batches]
+
+
+@settings(max_examples=15)
+@given(run=padded_payload_runs(n_p=700, width_max=512, min_batch_rows=1))
+def test_padded_training_never_updates_the_dead_columns(run):
+    """Adam updates only the parameters of the live-width net, and the
+    encoder's columns past the live width are init_dense_net's."""
+    payloads, n_b, cfg = run
+    h = 64
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        mp.setattr(_SizedAdam, "sizes", [])
+        mp.setattr(nn_core, "_Adam", _SizedAdam)
+        first = pa.train_autoencoder(payloads, n_b=n_b, h=h, cfg=cfg)
+        second = pa.train_autoencoder(payloads, n_b=n_b, h=h, cfg=cfg)
+        sizes = _SizedAdam.sizes
+    live = first.live_input_width
+    assert live == nn_core.live_width(payloads) < 700
+    initial = _autoencoder(700, h, n_b, cfg.seed)
+    w0 = first.encoder.layers[0].w
+    assert np.array_equal(w0[:, live:].view(np.uint64),
+                          initial.layers[0].w[:, live:].view(np.uint64))
+    _assert_same_weights(first.encoder, second.encoder)
+    assert first.loss_curve == second.loss_curve
+    n_params = sum(l.w.size + l.b.size for l in initial.layers)
+    assert sizes == [n_params - (700 - live) * h] * 2
+
+
+def test_padded_autoencoder_training_matches_the_loop_with_the_masked_sigmoid(monkeypatch):
+    """train_autoencoder at the encoder's layer-0 shape, on payloads of 40
+    of 1500 bytes, gives the weights of the out-of-place loop run with the
+    masked sigmoid on the zero-padded full-width net."""
+    payloads = _padded_payloads(20, 1500, 40, seed=9)
+    cfg = TrainConfig(learning_rate=1e-2, batch_size=6, epochs=3, seed=9)
+    trained = _spy_train(monkeypatch)
+    bundle = pa.train_autoencoder(payloads, n_b=4, h=512, cfg=cfg)
+    x = pa._scaled(payloads)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nn_core, "apply_activation", _masked_activation)
+        expected, batches = _reference_train(_autoencoder(1500, 512, 4, 9), x, x, "mse", cfg)
+    assert bundle.live_input_width == nn_core.CHUNK
+    _assert_trained_as(bundle, trained[0], expected)
+    assert bundle.loss_curve == [sum(value * size for value, size in epoch) / 20
+                                 for epoch in batches]
+
+
+@settings(max_examples=12)
+@given(run=padded_payload_runs(n_p=700, width_max=512, min_batch_rows=1))
+def test_training_on_the_live_width_equals_the_padded_batch_bit_for_bit(run):
+    """train_autoencoder, which trains its live-width net on the rows cut at
+    their live width, gives the weights and history of nn_core.train on
+    the zero-padded rows with the full-width net, its layer 0 stored
+    transposed."""
+    payloads, n_b, cfg = run
+    h = 64
+    x = pa._scaled(payloads)
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        expected, history = nn_core.train(_transposed(_autoencoder(700, h, n_b, cfg.seed)), x, x,
+                                          "mse", cfg)
+        trained = _spy_train(mp)
+        bundle = pa.train_autoencoder(payloads, n_b=n_b, h=h, cfg=cfg)
+    _assert_trained_as(bundle, trained[0], expected)
+    assert bundle.loss_curve == history
 
 
 def test_reconstruction_error_holds_one_float64_copy_of_the_batch():

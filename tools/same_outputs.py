@@ -5,7 +5,12 @@ Usage:
 
 Runs `python -m ride.cli all` from each checkout's src/ at seeds 7 and 8,
 once at the default config and once with training epochs cut (autoencoder
-2, RAE 30), with one BLAS thread, the two checkouts side by side. Then
+2, RAE 30), with one BLAS thread, the two checkouts side by side. Two
+wide-training cases then run at cut epochs on a capture of the default
+fixture whose attack payloads run to 700 bytes (training rows of live
+width 768, three 256-column chunks) or to 1,400 (live width 1,500, no
+dead chunk); each capture is built once, by the first checkout, and both
+sides read it through paths.pcap and paths.truth_csv. After each run it
 prints each run-dir file that differs or that only one side wrote;
 timings.json, which holds wall-clock times, is not compared.
 
@@ -36,8 +41,10 @@ import sys
 import tempfile
 
 SEEDS = (7, 8)
-CONFIGS = {"default": None,
-           "cut-epochs": {"train": {"autoencoder": {"epochs": 2}, "rae": {"epochs": 30}}}}
+CUT_EPOCHS = {"train": {"autoencoder": {"epochs": 2}, "rae": {"epochs": 30}}}
+CONFIGS = {"default": None, "cut-epochs": CUT_EPOCHS}
+# The wide-training cases, by the longest attack payload of their capture.
+WIDE_TRAINING = {"wide-700": 700, "wide-1400": 1400}
 EXEMPT = {"timings.json"}
 REPORTS = ("report.json", "report.md")
 SERVE_SEED_OFFSET = 1000
@@ -78,6 +85,21 @@ for name, spec in (("default", default), ("wide", wide)):
 with open(out + ".ingest", "w") as fh:
     fh.write(repr(ingested))
 """
+# Writes the capture of default_fixture(argv[1]) with attack payloads of
+# 40 to argv[2] bytes to argv[3] (pcap) and argv[4] (truth CSV).
+CAPTURE = """
+import dataclasses, sys
+from ride import synth_data
+seed, longest, pcap, truth = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3], sys.argv[4]
+default = synth_data.default_fixture(seed=seed)
+benign, attack = default.class_profiles
+pcap_bytes, truth_csv = synth_data.generate(dataclasses.replace(default, class_profiles=[
+    benign, dataclasses.replace(attack, payload_len=(40, longest))]))
+with open(pcap, "wb") as fh:
+    fh.write(pcap_bytes)
+with open(truth, "w") as fh:
+    fh.write(truth_csv)
+"""
 
 
 def _files(root: str) -> set[str]:
@@ -110,15 +132,25 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     reports_differ = serving_differs = False
+    cases = [(name, overrides, None) for name, overrides in CONFIGS.items()]
+    cases += [(name, CUT_EPOCHS, longest) for name, longest in WIDE_TRAINING.items()]
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
-        for name, overrides in CONFIGS.items():
-            config = None
-            if overrides:
-                config = os.path.join(tmp, f"{name}.json")
-                with open(config, "w") as fh:
-                    json.dump(overrides, fh)
+        for name, overrides, longest in cases:
             for seed in SEEDS:
                 case = f"{name}/seed-{seed}"
+                settings = overrides
+                if longest:
+                    paths = {key: os.path.join(tmp, f"{name}-seed-{seed}.{ext}")
+                             for key, ext in (("pcap", "pcap"), ("truth_csv", "csv"))}
+                    if not _side_by_side(case, "building the capture", argv[:1], [
+                            ["-c", CAPTURE, str(seed), str(longest), *paths.values()]]):
+                        return 2
+                    settings = dict(overrides, paths=paths)
+                config = None
+                if settings:
+                    config = os.path.join(tmp, f"{name}-seed-{seed}.json")
+                    with open(config, "w") as fh:
+                        json.dump(settings, fh)
                 outs = [os.path.join(tmp, side, case) for side in ("parent", "change")]
                 ride = ["-m", "ride.cli", "all", "--seed", str(seed)]
                 ride += ["--config", config] if config else []
